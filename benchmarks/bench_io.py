@@ -1,10 +1,17 @@
-"""Deterministic maintenance of ``BENCH_sim_speed.json``.
+"""Deterministic maintenance of the benchmark snapshot.
 
-All speed benchmarks merge their entries into one JSON file at the repo
-root through :func:`update_bench`. The output is canonicalized — keys
-sorted, floats clamped to :data:`FLOAT_DIGITS` significant digits — so
-committed snapshots and CI build artifacts diff stably: a re-run changes
-only the measurements that actually moved, never the formatting.
+All speed benchmarks merge their entries into one JSON snapshot through
+:func:`update_bench`. A run writes the gitignored
+``.bench/BENCH_sim_speed.json`` (:data:`BENCH_PATH`), never the
+committed ``BENCH_sim_speed.json`` at the repo root
+(:data:`COMMITTED_PATH`), so running the test suite leaves the tree
+clean; the first entry of a fresh run is merged over the committed
+snapshot, and ``benchmarks/bench_trend.py`` compares the two. To
+re-baseline, copy the regenerated file over the committed one. The
+output is canonicalized — keys sorted, floats clamped to
+:data:`FLOAT_DIGITS` significant digits — so committed snapshots and CI
+build artifacts diff stably: a re-run changes only the measurements
+that actually moved, never the formatting.
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_sim_speed.json"
+ROOT = Path(__file__).resolve().parent.parent
+COMMITTED_PATH = ROOT / "BENCH_sim_speed.json"
+BENCH_PATH = ROOT / ".bench" / "BENCH_sim_speed.json"
 
 #: Significant digits kept for floats — far more than timing noise
 #: resolves, few enough that the JSON stays readable and diffable.
@@ -33,14 +42,16 @@ def canonical(value):
 
 
 def update_bench(update: dict) -> None:
-    """Merge ``update`` into BENCH_sim_speed.json (test-order agnostic)."""
+    """Merge ``update`` into the regenerated snapshot (test-order agnostic)."""
     payload = {}
-    if BENCH_PATH.exists():
+    source = BENCH_PATH if BENCH_PATH.exists() else COMMITTED_PATH
+    if source.exists():
         try:
-            payload = json.loads(BENCH_PATH.read_text())
+            payload = json.loads(source.read_text())
         except (ValueError, OSError):
             payload = {}
     payload.update(update)
+    BENCH_PATH.parent.mkdir(exist_ok=True)
     BENCH_PATH.write_text(
         json.dumps(canonical(payload), indent=2, sort_keys=True) + "\n"
     )

@@ -1,9 +1,10 @@
 """Bench-trend gate: regenerated vs committed ``BENCH_sim_speed.json``.
 
-CI's bench job snapshots the committed benchmark file, reruns the
-benchmarks (which rewrite it), then calls::
+CI's bench job reruns the benchmarks (which write the gitignored
+``.bench/BENCH_sim_speed.json``, leaving the committed file alone), then
+calls::
 
-    python benchmarks/bench_trend.py <committed.json> <regenerated.json>
+    python benchmarks/bench_trend.py BENCH_sim_speed.json .bench/BENCH_sim_speed.json
 
 Any **guarded metric** that regressed by more than
 :data:`MAX_REGRESSION` fails the build with a per-metric report. Guarded

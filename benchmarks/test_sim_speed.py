@@ -3,8 +3,8 @@
 Runs the paper's largest transform (the split 2048-point complex FFT,
 Table 2) on both execution engines, measures wall time spent inside
 ``Vwr2a.run`` (kernel execution only — staging and configuration encode
-are engine-independent), and writes ``BENCH_sim_speed.json`` at the repo
-root. A separate guard test fails outright if the compiled throughput
+are engine-independent), and writes the regenerated snapshot
+(``.bench/BENCH_sim_speed.json``, see ``bench_io``). A separate guard test fails outright if the compiled throughput
 multiple drops below :data:`MIN_SPEEDUP`.
 
 Each engine's flow is measured :data:`REPEATS` times and the fastest run

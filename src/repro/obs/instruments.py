@@ -43,13 +43,13 @@ def _m(name, kind, unit, help, source):  # noqa: A002 - Prometheus term
 #: table is generated from this tuple and ``tests/test_obs.py`` asserts
 #: a pooled instrumented run emits no family missing from it.
 METRICS = (
-    # -- serving (StreamScheduler.run / PoolScheduler accept loop) -----------
+    # -- serving (the WindowLedger every scheduler drives) -------------------
     _m("repro_windows_served_total", "counter", "windows",
        "Windows whose WindowResult was accepted into the report",
-       "serve/scheduler.py run(), serve/pool.py accept()"),
+       "serve/ledger.py WindowLedger.accept()"),
     _m("repro_windows_failed_total", "counter", "windows",
        "Windows quarantined after exhausting the retry ladder",
-       "serve/scheduler.py, serve/pool.py quarantine()"),
+       "serve/ledger.py WindowLedger quarantine verdict"),
     _m("repro_window_cycles_total", "counter", "cycles",
        "Simulated platform cycles, summed over served windows",
        "record_window() from WindowResult.cycles"),
@@ -92,17 +92,17 @@ METRICS = (
     _m("repro_resilience_total", "counter", "events",
        "Resilience counters by event label (retries, respawns, "
        "fault:<kind>, ... — the StreamReport.resilience vocabulary)",
-       "record_resilience() from scheduler/pool supervision"),
+       "record_resilience() from WindowLedger.tally()"),
     # -- stream progress -----------------------------------------------------
     _m("repro_stream_windows", "gauge", "windows",
        "Windows in the stream being served",
-       "record_progress()"),
+       "record_progress() from WindowLedger.progress()"),
     _m("repro_stream_done", "gauge", "windows",
        "Windows accounted so far (served + quarantined)",
-       "record_progress()"),
+       "record_progress() from WindowLedger.progress()"),
     _m("repro_stream_windows_per_second", "gauge", "windows/s",
        "Serving throughput over the session so far",
-       "record_progress()"),
+       "record_progress() from WindowLedger.progress()"),
     # -- pool ----------------------------------------------------------------
     _m("repro_pool_workers_alive", "gauge", "workers",
        "Live pool worker processes",
@@ -112,7 +112,7 @@ METRICS = (
        "serve/pool.py supervision loop"),
     _m("repro_pool_worker_windows_total", "counter", "windows",
        "Windows served by worker label",
-       "serve/pool.py accept()"),
+       "serve/ledger.py WindowLedger.accept() worker label"),
     # -- fleet transport (serve/net FleetServer event loop) ------------------
     _m("repro_net_workers_connected", "gauge", "workers",
        "Registered fleet workers currently connected and ready",
@@ -123,17 +123,17 @@ METRICS = (
     _m("repro_net_frames_total", "counter", "frames",
        "Frames moved over the fleet transport by direction label "
        "(in|out)",
-       "serve/net/server.py _read_conn()/dispatch()"),
+       "serve/net/server.py read_conn()/send()"),
     _m("repro_net_reconnects_total", "counter", "reconnects",
        "Fleet workers that re-registered after losing their connection",
        "serve/net/server.py hello handling"),
     _m("repro_net_retries_total", "counter", "retries",
        "Fleet retry-ladder rungs spent, by reason label "
        "(deadline|disconnect|desync|heartbeat|fault|quarantine)",
-       "serve/net/server.py next_attempt()/retire_conn()"),
+       "serve/net/server.py retried() on WindowLedger retry verdicts"),
     _m("repro_net_checksum_failures_total", "counter", "frames",
        "Frames dropped for a checksum/decode failure (recoverable)",
-       "serve/net/server.py _read_conn() bad-frame handling"),
+       "serve/net/server.py read_conn() bad-frame handling"),
     _m("repro_net_heartbeat_misses_total", "counter", "workers",
        "Fleet workers retired for heartbeat silence",
        "serve/net/server.py liveness scan"),

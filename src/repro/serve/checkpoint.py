@@ -26,7 +26,6 @@ import hashlib
 import os
 import pickle
 import tempfile
-import time
 import warnings
 from dataclasses import dataclass, field, is_dataclass
 
@@ -334,14 +333,14 @@ class StreamCheckpoint:
         return f"StreamCheckpoint({self.path!r}, every={self.every})"
 
 
-# -- the session protocol shared by StreamScheduler and PoolScheduler --------
+# -- the session protocol, driven by repro.serve.ledger.WindowLedger ----------
 
 
 def resume_session(checkpoint, fingerprint: dict):
     """Coerce a path into a :class:`StreamCheckpoint` and load its state.
 
-    Returns ``(checkpoint, state)``; the one entry point both schedulers
-    use, so resume validation cannot drift between them. Windows the
+    Returns ``(checkpoint, state)``; the one entry point every scheduler
+    uses (through the ledger), so resume validation cannot drift. Windows the
     previous session quarantined are released for re-attempt: the fault
     conditions that exhausted their retries (a hostile fault plan, a
     dying host) do not necessarily hold in this session, and a resume is
@@ -362,25 +361,24 @@ def resume_session(checkpoint, fingerprint: dict):
 
 
 def flush_session(state: CheckpointState, checkpoint,
-                  wall_base: float, wall_start: float) -> None:
+                  wall_seconds: float) -> None:
     """Persist a session's progress with up-to-date wall accounting.
 
-    The failure-path flush: both schedulers call this right before an
-    error propagates, so completed windows survive whatever the cadence.
+    The failure-path flush: the ledger calls this right before an error
+    propagates, so completed windows survive whatever the cadence.
     """
-    state.wall_seconds = wall_base + time.perf_counter() - wall_start
+    state.wall_seconds = wall_seconds
     checkpoint.save(state)
 
 
 def finalize_session(report, state: CheckpointState, checkpoint,
-                     wall_base: float, wall_start: float,
-                     served: bool = True):
+                     wall_seconds: float = None):
     """Assemble the final report of a (possibly resumed) session.
 
     Merges the state's windows in index order, adopts its accumulated
     store stats and wall clock, and flushes the completed state when a
     checkpoint is configured. A session that served nothing (replaying
-    an already-complete checkpoint) passes ``served=False``: the
+    an already-complete checkpoint) passes ``wall_seconds=None``: the
     historical wall clock is reported untouched and the file is not
     rewritten — repeated replays must not inflate the serving-time
     accounting with fingerprinting overhead. Returns ``report``.
@@ -389,8 +387,8 @@ def finalize_session(report, state: CheckpointState, checkpoint,
         report.add_window(state.results[index])
     for index in sorted(state.failed):
         report.add_failed(state.failed[index])
-    if served:
-        state.wall_seconds = wall_base + time.perf_counter() - wall_start
+    if wall_seconds is not None:
+        state.wall_seconds = wall_seconds
         if checkpoint is not None:
             checkpoint.save(state)
     report.wall_seconds = state.wall_seconds

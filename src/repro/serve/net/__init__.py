@@ -13,7 +13,7 @@ The socket transport for the serving stack (docs/distributed.md):
   (:mod:`repro.serve.net.server`);
 * :class:`FleetWorker` — the auto-reconnecting client that serves
   attempts on its own platform via the same
-  :class:`~repro.serve.pool.AttemptServer` core pool workers use
+  :class:`~repro.serve.scheduler.AttemptServer` core pool workers use
   (:mod:`repro.serve.net.worker`);
 * ``python -m repro.serve.net`` — ``server``/``worker`` entry points
   plus the ``smoke`` loopback chaos drill CI runs

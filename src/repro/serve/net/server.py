@@ -2,19 +2,19 @@
 
 :class:`FleetServer` is the distributed sibling of
 :class:`~repro.serve.PoolScheduler`: same picklable worker spec, same
-``(index, start, samples, attempt, force_reference)`` task protocol,
-same order-stable merge into a :class:`~repro.serve.StreamReport` — so
-a stream served by a fleet is bit-identical to the sequential
-scheduler, whatever the worker count, and a
-:class:`~repro.serve.StreamCheckpoint` written by any executor resumes
-under any other.
+:class:`~repro.serve.ledger.Task` protocol, same order-stable merge into
+a :class:`~repro.serve.StreamReport` — so a stream served by a fleet
+is bit-identical to the sequential scheduler, whatever the worker
+count, and a :class:`~repro.serve.StreamCheckpoint` written by any
+executor resumes under any other.
 
 The server is a single-threaded :mod:`selectors` event loop (plus the
 same feeder thread the pool uses for window materialization). Remote
 :class:`~repro.serve.net.FleetWorker` processes dial in, register with
 ``hello``, receive the worker spec over the wire, and serve attempts;
-the server owns *all* scheduling state, so any worker can vanish at any
-moment without a window being lost.
+the server's :class:`~repro.serve.ledger.WindowLedger` owns *all*
+scheduling state, so any worker can vanish at any moment without a
+window being lost.
 
 Robustness is layered, and every knob defaults off — with no fault
 plan, no deadlines and no heartbeat the fleet is exactly a remote pool
@@ -26,8 +26,7 @@ that fails fast on the first worker error:
   backoff (``retry_backoff`` doubling up to ``backoff_cap``). Delivery
   is thus at-least-once; it is *safe* because results are deduplicated
   idempotently by window index — a late duplicate is bookkept as
-  ``late_results`` and dropped, exactly like the pool's race between a
-  slow worker and its own requeue.
+  ``late_results`` and dropped, by the same ledger the pool uses.
 * **Heartbeats** (``heartbeat_timeout``) retire workers that go silent
   — the read side of the workers' ``heartbeat_interval`` beats.
 * **Reconnection** — a worker that lost its connection re-registers
@@ -39,9 +38,9 @@ that fails fast on the first worker error:
   past the threshold the worker is benched for the session and told so.
 * **Degradation ladder** (``local_fallback``) — no registration within
   ``register_timeout`` falls back to the in-process
-  :class:`~repro.serve.PoolScheduler`; losing every worker mid-run
-  serves the remaining windows on a local
-  :class:`~repro.serve.StreamScheduler`. Both rungs produce the same
+  :class:`~repro.serve.PoolScheduler` loop; losing every worker mid-run
+  to the :class:`~repro.serve.StreamScheduler` loop. Both run over the
+  session's own ledger, and both rungs produce the same
   bit-identical report, just slower.
 
 Chaos for all of the above comes from the ``net_*`` family of
@@ -52,44 +51,32 @@ server's own sends, result-side kinds shipped to the workers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import multiprocessing.util
 import pickle
-import queue
 import selectors
 import socket
-import threading
 import time
-import traceback
 
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.obs.bus import get_bus
 from repro.obs.instruments import (
-    record_failed,
     record_net_event,
     record_net_frames,
     record_net_retry,
     record_net_state,
-    record_progress,
-    record_resilience,
-    record_window,
 )
-from repro.serve.checkpoint import (
-    CheckpointState,
-    finalize_session,
-    flush_session,
-    resume_session,
-    stream_fingerprint,
-)
+from repro.serve.ledger import MAX_RETRIES
 from repro.serve.net.framing import (
     FrameBuffer,
     FrameError,
     NetGate,
     send_frame,
 )
-from repro.serve.pool import PoolScheduler, PoolWorkerError
-from repro.serve.report import FailedWindow, StreamReport, merge_counts
-from repro.serve.scheduler import StreamScheduler
+from repro.serve.pool import PoolScheduler, PoolWorkerError, _Feeder
+from repro.serve.report import StreamReport
+from repro.serve.scheduler import StreamScheduler, _serve_session
 
 #: Event-loop tick (select timeout): liveness scans and dispatch pacing.
 _TICK_SECONDS = 0.05
@@ -98,14 +85,16 @@ _HELLO_TIMEOUT = 5.0
 #: Blocking-send timeout on accepted sockets (results are read
 #: non-blocking via the selector; only outbound frames can block).
 _CONN_TIMEOUT = 5.0
+#: Windows the feeder thread slices ahead of dispatch.
+_FEED_AHEAD = 32
 
 
 class _Conn:
-    """One accepted connection and its scheduling ledger."""
+    """One accepted connection (its tasks live in the ledger)."""
 
     __slots__ = (
         "sock", "addr", "buffer", "name", "ready", "engine",
-        "in_flight", "last_seen", "connected_at",
+        "last_seen", "connected_at",
     )
 
     def __init__(self, sock, addr) -> None:
@@ -115,8 +104,6 @@ class _Conn:
         self.name = None
         self.ready = False
         self.engine = None
-        #: window index -> (task tuple, deadline monotonic or None)
-        self.in_flight = {}
         self.last_seen = time.monotonic()
         self.connected_at = self.last_seen
 
@@ -131,9 +118,11 @@ class FleetServer:
     docs/distributed.md. ``port=0`` binds an OS-assigned port —
     :meth:`bind` returns the actual address so workers (and tests) can
     be pointed at it before :meth:`run`. ``stop_after`` ends the
-    session early after that many windows were accepted — the hook the
-    restart smoke test uses to model a server crash at a deterministic
-    point; rerunning with the same checkpoint finishes the stream.
+    session after exactly that many windows were accepted (dispatch
+    never lets accepted plus in-flight windows exceed it) — the hook
+    the restart smoke test uses to model a server crash at a
+    deterministic point; rerunning with the same checkpoint finishes
+    the stream.
     """
 
     def __init__(self, config: str = "cpu_vwr2a",
@@ -141,7 +130,7 @@ class FleetServer:
                  params=None, pipeline=None, energy_model=None,
                  double_buffer: bool = True, runner_factory=None,
                  warm: bool = False, prefetch: int = 2,
-                 fault_plan=None, max_retries: int = 0,
+                 fault_plan=None, max_retries: int = MAX_RETRIES,
                  reference_fallback: bool = True,
                  task_deadline: float = None,
                  retry_backoff: float = 0.05,
@@ -153,10 +142,6 @@ class FleetServer:
                  local_workers: int = 2,
                  respawn_limit: int = 0,
                  stop_after: int = None) -> None:
-        if prefetch < 1:
-            raise ConfigurationError(
-                f"prefetch must be at least 1 window, got {prefetch}"
-            )
         if task_deadline is not None and task_deadline <= 0:
             raise ConfigurationError(
                 "task_deadline must be positive seconds (or None to "
@@ -210,7 +195,6 @@ class FleetServer:
             respawn_limit=respawn_limit,
             heartbeat_timeout=heartbeat_timeout,
         )
-        self._platform_plan = platform_plan
         self.config = self._local.config
         self.pipeline = self._local.pipeline
         self.energy_model = self._local.energy_model
@@ -232,7 +216,7 @@ class FleetServer:
         self._resilient = (
             fault_plan is not None or task_deadline is not None
             or heartbeat_timeout is not None
-            or breaker_threshold is not None
+            or breaker_threshold is not None or respawn_limit > 0
         )
 
     @property
@@ -284,60 +268,9 @@ class FleetServer:
         """
         self.bind()
         try:
-            if checkpoint is not None:
-                checkpoint, state = resume_session(
-                    checkpoint, stream_fingerprint(
-                        stream, self.config, self.engine,
-                        self.double_buffer, pipeline=self.pipeline,
-                        energy_model=self.energy_model,
-                    )
-                )
-            else:
-                state = CheckpointState(
-                    fingerprint={"n_windows": stream.n_windows}
-                )
-            wall_base = state.wall_seconds
-            wall_start = time.perf_counter()
-            served = not state.complete
-            stopped_early = False
-            if served:
-                verdict, engine = self._serve_remaining(
-                    stream, state, checkpoint, wall_base, wall_start
-                )
-                if verdict == "degrade":
-                    # Nothing registered at all: the whole session is
-                    # the local pool's. It re-reads the checkpoint
-                    # itself, so the in-memory state is simply dropped.
-                    self.close()
-                    report = self._local.run(stream, checkpoint)
-                    merge_counts(
-                        report.resilience, {"local_degradations": 1}
-                    )
-                    bus = get_bus()
-                    if bus is not None:
-                        record_resilience(
-                            bus, {"local_degradations": 1}
-                        )
-                    return report
-                stopped_early = verdict == "stopped"
-            else:
-                engine = state.fingerprint.get("engine") or self.engine
-            if not stopped_early and not state.complete:
-                raise SimulationError(
-                    f"fleet finished with {state.n_done} served and "
-                    f"{state.n_failed} quarantined of "
-                    f"{stream.n_windows} windows — sharding bug"
-                )
-            report = StreamReport(
-                config=self.config,
-                engine=engine,
-                window=getattr(stream, "window", 0),
-                hop=getattr(stream, "hop", 0),
-                double_buffered=self.double_buffer,
-            )
-            return finalize_session(
-                report, state, checkpoint, wall_base, wall_start,
-                served=served,
+            return _serve_session(
+                self, stream, checkpoint, dedup=self._resilient,
+                backoff=self._backoff, stop_after=self.stop_after,
             )
         finally:
             self.close()
@@ -354,51 +287,21 @@ class FleetServer:
         digest = hashlib.sha256(pickle.dumps(payload)).hexdigest()[:16]
         return payload, digest
 
-    def _serve_remaining(self, stream, state, checkpoint,
-                         wall_base, wall_start):
-        """Serve every unaccounted window; returns ``(verdict, engine)``.
+    def _serve_remaining(self, stream, ledger):
+        """Serve every unaccounted window; returns the workers' engine.
 
-        ``verdict`` is ``"served"`` (stream fully accounted),
-        ``"stopped"`` (``stop_after`` ended the session early) or
-        ``"degrade"`` (no worker ever registered — the caller runs the
-        local pool instead). Worker errors raise
-        :class:`PoolWorkerError` exactly like the pool, flushing the
-        checkpoint first.
+        The ledger owns the windows; this loop owns the sockets:
+        framing, heartbeats, deadlines, the circuit breaker and
+        reconnects. It ends early at the ledger's ``stop_after``, and
+        worker errors raise :class:`PoolWorkerError` like the pool's.
         """
-        total = stream.n_windows
+        state = ledger.state
         spec_payload, spec_digest = self._spec_frame(stream)
         task_gate = NetGate(
             self.fault_plan.specs if self.fault_plan is not None
             else (), side="task",
         )
-
-        abort = threading.Event()
-        feed_done = threading.Event()
-        feed_failure = []
-        ready_q = queue.Queue(maxsize=32)
-
-        def feed():
-            try:
-                for window in stream:
-                    if window.index in state.results:
-                        continue
-                    item = (window.index, window.start, window.samples)
-                    while not abort.is_set():
-                        try:
-                            ready_q.put(item, timeout=_TICK_SECONDS)
-                            break
-                        except queue.Full:
-                            continue
-                    if abort.is_set():
-                        break
-            except Exception:
-                feed_failure.append(traceback.format_exc())
-                abort.set()
-            finally:
-                feed_done.set()
-
-        feeder = threading.Thread(target=feed, daemon=True)
-        feeder.start()
+        feeder = _Feeder(stream, ledger.resolved, _FEED_AHEAD)
 
         sel = selectors.DefaultSelector()
         sel.register(self._listener, selectors.EVENT_READ, "listen")
@@ -411,31 +314,21 @@ class FleetServer:
         strikes = {}     # name -> circuit-breaker strikes
         benched = set()  # names quarantined by the breaker
         engines = set()
-        requeue = []     # [not_before, task] retry entries
-        fail_kinds = {}  # index -> fault kinds seen so far
         failure = None
         ever_ready = False
-        accepted = 0     # results accepted this session (stop_after)
         now = time.monotonic()
         reg_deadline = now + self.register_timeout
         last_alive = now
-        verdict = "served"
-
-        def tally(counts: dict) -> None:
-            merge_counts(state.resilience, counts)
-            bus = get_bus()
-            if bus is not None:
-                record_resilience(bus, counts)
-
-        def mark() -> None:
-            if checkpoint is not None:
-                state.wall_seconds = (
-                    wall_base + time.perf_counter() - wall_start
-                )
-                checkpoint.mark(state)
+        fallback = None  # the local loop the degradation ladder lands on
 
         def namespace(name: str) -> dict:
             return state.namespaces.setdefault(name, {})
+
+        def bump(name: str, key: str) -> None:
+            namespace(name)[key] = namespace(name).get(key, 0) + 1
+
+        def ready() -> list:
+            return [c for c in workers.values() if c.ready]
 
         def send(conn, msg, payload=None, gated=False) -> str:
             try:
@@ -451,50 +344,10 @@ class FleetServer:
                 record_net_frames(bus, "out")
             return action
 
-        def take_in_flight(index: int):
-            for conn in workers.values():
-                entry = conn.in_flight.pop(index, None)
-                if entry is not None:
-                    return entry
-            return None
-
-        def quarantine_window(index, start, attempts, kinds, why):
-            state.failed[index] = FailedWindow(
-                index=index, start=start, attempts=attempts,
-                kinds=tuple(dict.fromkeys(kinds)), detail=why,
-            )
-            tally({"quarantined": 1})
+        def retried(verdict, reason: str) -> None:
             bus = get_bus()
-            if bus is not None:
-                record_failed(bus)
-            mark()
-
-        def next_attempt(task, kinds, why, reason) -> None:
-            """One spoiled attempt down the ladder, with backoff."""
-            index, start, samples, attempt, force_reference = task
-            fail_kinds.setdefault(index, []).extend(kinds)
-            bus = get_bus()
-            if attempt < self.max_retries:
-                tally({"retries": 1})
-                if bus is not None:
-                    record_net_retry(bus, reason)
-                requeue.append([
-                    time.monotonic() + self._backoff(attempt),
-                    (index, start, samples, attempt + 1, False),
-                ])
-            elif self.reference_fallback and not force_reference:
-                tally({"retries": 1})
-                if bus is not None:
-                    record_net_retry(bus, reason)
-                requeue.append([
-                    time.monotonic() + self._backoff(attempt),
-                    (index, start, samples, attempt + 1, True),
-                ])
-            else:
-                quarantine_window(
-                    index, start, attempt + 1,
-                    fail_kinds.pop(index, list(kinds)), why,
-                )
+            if verdict == "retry" and bus is not None:
+                record_net_retry(bus, reason)
 
         def strike(conn, n: int = 1) -> None:
             if conn.name is None or self.breaker_threshold is None:
@@ -505,7 +358,7 @@ class FleetServer:
                 and conn.name not in benched
             ):
                 benched.add(conn.name)
-                tally({"worker_quarantines": 1})
+                ledger.tally({"worker_quarantines": 1})
                 bus = get_bus()
                 if bus is not None:
                     record_net_event(bus, "worker_quarantine")
@@ -534,17 +387,12 @@ class FleetServer:
             if conn.name is not None and workers.get(conn.name) is conn:
                 del workers[conn.name]
             close_conn(conn)
-            pending = list(conn.in_flight.values())
-            conn.in_flight.clear()
-            for task, _deadline in pending:
-                if task[0] in state.results or task[0] in state.failed:
-                    continue
-                next_attempt(
-                    task, (f"net_{reason}",),
-                    f"connection to worker {conn.name!r} lost "
-                    f"({reason}) with the window in flight",
-                    reason=reason,
-                )
+            for verdict in ledger.lose(
+                conn, None, f"net_{reason}",
+                f"connection to worker {conn.name!r} lost ({reason}) "
+                "with the window in flight",
+            ):
+                retried(verdict, reason)
 
         def merge_net_fired(name: str, fired) -> None:
             """Fold a worker's cumulative gate counters into resilience.
@@ -565,40 +413,10 @@ class FleetServer:
                     delta[f"fault:{kind}"] = count - seen
                 stored[kind] = count
             if delta:
-                tally(delta)
-
-        def accept_result(conn, msg, payload) -> None:
-            nonlocal accepted
-            index = msg["index"]
-            take_in_flight(index)
-            result, stats_delta = payload
-            if index in state.results:
-                if not self._resilient:
-                    raise SimulationError(
-                        f"window {index} was served twice — "
-                        "sharding bug"
-                    )
-                tally({"late_results": 1})
-                return
-            if index in state.failed:
-                del state.failed[index]
-                tally({"quarantine_rescues": 1})
-            fail_kinds.pop(index, None)
-            state.results[index] = result
-            merge_counts(state.store_stats, stats_delta)
-            namespace(conn.name)["served"] = (
-                namespace(conn.name).get("served", 0) + 1
-            )
-            accepted += 1
-            bus = get_bus()
-            if bus is not None:
-                record_window(bus, result, stats_delta, worker=conn.name)
-            if msg.get("force_reference"):
-                tally({"reference_recoveries": 1})
-            mark()
+                ledger.tally(delta)
 
         def on_frame(conn, msg, payload) -> None:
-            nonlocal failure, ever_ready
+            nonlocal failure
             conn.last_seen = time.monotonic()
             kind = msg.get("type")
             if kind != "hello" and conn.name is None:
@@ -620,10 +438,8 @@ class FleetServer:
                 conn.name = name
                 workers[name] = conn
                 if name in known:
-                    tally({"net_reconnects": 1})
-                    namespace(name)["reconnects"] = (
-                        namespace(name).get("reconnects", 0) + 1
-                    )
+                    ledger.tally({"net_reconnects": 1})
+                    bump(name, "reconnects")
                     bus = get_bus()
                     if bus is not None:
                         record_net_event(bus, "reconnect")
@@ -631,45 +447,36 @@ class FleetServer:
                 namespace(name)  # registration is durable bookkeeping
                 if msg.get("spec_digest") == spec_digest:
                     # Warm reconnect: platform already built.
-                    conn.ready = True
-                    conn.engine = msg.get("engine") or None
-                    if conn.engine:
-                        engines.add(conn.engine)
+                    mark_ready(conn, msg)
                 else:
                     send(conn, {
                         "type": "spec", "digest": spec_digest,
                     }, payload=spec_payload)
             elif kind == "ready":
-                conn.ready = True
-                conn.engine = msg.get("engine") or None
-                if conn.engine:
-                    engines.add(conn.engine)
+                mark_ready(conn, msg)
             elif kind == "result":
                 merge_net_fired(conn.name, msg.get("net_fired"))
-                accept_result(conn, msg, payload)
+                result, stats_delta = payload
+                if ledger.accept(
+                    conn, result, stats_delta,
+                    bool(msg.get("force_reference")), conn.name,
+                ):
+                    bump(conn.name, "served")
             elif kind == "retry":
                 merge_net_fired(conn.name, msg.get("net_fired"))
                 kinds = tuple(msg.get("kinds") or ("unknown",))
-                tally({f"fault:{k}": 1 for k in kinds})
-                entry = conn.in_flight.pop(msg["index"], None)
-                if entry is None:
-                    entry = take_in_flight(msg["index"])
-                if entry is None:
-                    tally({"late_results": 1})
-                    return
-                next_attempt(
-                    entry[0], kinds,
-                    "faults fired on every attempt "
-                    f"(last: {', '.join(kinds)})",
-                    reason="fault",
-                )
+                retried(ledger.fault(conn, msg["index"], kinds), "fault")
             elif kind == "err":
-                if failure is None:
-                    failure = (conn.name, msg.get("index"), payload)
-                abort.set()
+                failure = failure or (conn.name, msg.get("index"), payload)
             elif kind == "hb":
                 merge_net_fired(conn.name, msg.get("net_fired"))
             # Unknown frame types are ignored: wire compatibility.
+
+        def mark_ready(conn, msg) -> None:
+            conn.ready = True
+            conn.engine = msg.get("engine") or None
+            if conn.engine:
+                engines.add(conn.engine)
 
         def read_conn(conn) -> None:
             try:
@@ -677,12 +484,12 @@ class FleetServer:
             except (BlockingIOError, InterruptedError):
                 return
             except OSError:
-                tally({"net_disconnects": 1})
+                ledger.tally({"net_disconnects": 1})
                 retire_conn(conn, "disconnect")
                 return
             if not data:
                 if conn.name is not None:
-                    tally({"net_disconnects": 1})
+                    ledger.tally({"net_disconnects": 1})
                 retire_conn(conn, "disconnect")
                 return
             conn.buffer.feed(data)
@@ -694,14 +501,14 @@ class FleetServer:
                     # Desynced or hostile byte stream: the connection
                     # is unusable. In-flight windows ride the ladder;
                     # a real worker will reconnect.
-                    tally({"net_desyncs": 1})
+                    ledger.tally({"net_desyncs": 1})
                     strike(conn)
                     retire_conn(conn, "desync")
                     return
                 if item is None:
                     return
                 if item[0] == "bad":
-                    tally({"net_checksum_failures": 1})
+                    ledger.tally({"net_checksum_failures": 1})
                     if bus is not None:
                         record_net_event(bus, "checksum_failure")
                     strike(conn)
@@ -714,58 +521,24 @@ class FleetServer:
                     # A structurally valid frame whose fields violate
                     # the protocol (hostile or byte-lucky corruption):
                     # never the server's problem to crash over.
-                    tally({"net_protocol_errors": 1})
+                    ledger.tally({"net_protocol_errors": 1})
                     strike(conn)
                 if conn.sock.fileno() < 0:
                     return  # the frame handler closed the connection
 
         def dispatch() -> None:
-            while True:
-                candidates = [
-                    c for c in workers.values()
-                    if c.ready and len(c.in_flight) < self.prefetch
-                ]
-                if not candidates:
-                    return
-                now = time.monotonic()
-                task = None
-                for i, (not_before, queued) in enumerate(requeue):
-                    if (
-                        queued[0] in state.results
-                        or queued[0] in state.failed
-                    ):
-                        del requeue[i]
-                        break
-                    if not_before <= now:
-                        task = queued
-                        del requeue[i]
-                        break
-                else:
-                    try:
-                        index, start, samples = ready_q.get_nowait()
-                    except queue.Empty:
-                        return
-                    if index in state.results:
-                        continue
-                    task = (index, start, samples, 0, False)
-                if task is None:
-                    continue  # a done requeue entry was pruned
-                conn = min(
-                    candidates, key=lambda c: len(c.in_flight)
-                )
-                deadline = (
-                    now + self.task_deadline
-                    if self.task_deadline is not None else None
-                )
-                conn.in_flight[task[0]] = (task, deadline)
+            for conn, task in ledger.schedule(
+                ready, self.prefetch, feeder.poll, self.task_deadline
+            ):
                 action = send(conn, {
                     "type": "task",
-                    "index": task[0],
-                    "attempt": task[3],
-                    "force_reference": task[4],
-                }, payload=(task[1], task[2]), gated=True)
+                    "index": task.index,
+                    "attempt": task.attempt,
+                    "force_reference": task.reference,
+                }, payload=(task.window.start, task.window.samples),
+                    gated=True)
                 if action in ("disconnect", "peer_gone"):
-                    tally({"net_disconnects": 1})
+                    ledger.tally({"net_disconnects": 1})
                     retire_conn(conn, "disconnect")
                 # "dropped" frames wait for their deadline; "sent" and
                 # duplicated/delayed frames need nothing more.
@@ -780,40 +553,28 @@ class FleetServer:
             if self.heartbeat_timeout is not None:
                 for conn in list(workers.values()):
                     if now - conn.last_seen > self.heartbeat_timeout:
-                        tally({"net_heartbeat_misses": 1})
+                        ledger.tally({"net_heartbeat_misses": 1})
                         bus = get_bus()
                         if bus is not None:
                             record_net_event(bus, "heartbeat_miss")
                         strike(conn)
                         if conn.name in workers:
                             retire_conn(conn, "heartbeat")
-            if self.task_deadline is not None:
-                for conn in list(workers.values()):
-                    for index, (task, deadline) in list(
-                        conn.in_flight.items()
-                    ):
-                        if deadline is not None and now > deadline:
-                            conn.in_flight.pop(index, None)
-                            tally({"net_deadline_misses": 1})
-                            strike(conn)
-                            next_attempt(
-                                task, ("net_deadline",),
-                                f"window {index} blew its "
-                                f"{self.task_deadline}s deadline on "
-                                f"worker {conn.name!r}",
-                                reason="deadline",
-                            )
+            for conn, index in ledger.expired():
+                verdict = ledger.spoil(
+                    conn, index, ("net_deadline",),
+                    f"window {index} blew its {self.task_deadline}s "
+                    f"deadline on worker {conn.name!r}",
+                )
+                if verdict is None:
+                    continue  # already retired with its connection
+                ledger.tally({"net_deadline_misses": 1})
+                retried(verdict, "deadline")
+                strike(conn)
 
         try:
-            while failure is None:
-                if state.n_done + state.n_failed >= total:
-                    break
-                if (
-                    self.stop_after is not None
-                    and accepted >= self.stop_after
-                ):
-                    verdict = "stopped"
-                    break
+            while failure is None and not state.complete \
+                    and not ledger.stopped:
                 for key, _events in sel.select(timeout=_TICK_SECONDS):
                     if key.data == "listen":
                         try:
@@ -828,31 +589,37 @@ class FleetServer:
                         )
                     else:
                         read_conn(key.data)
-                if failure is not None or feed_failure:
+                if failure is not None or feeder.failure:
                     break
                 now = time.monotonic()
                 scan(now)
-                alive = [c for c in workers.values() if c.ready]
+                alive = ready()
                 if alive:
                     ever_ready = True
                     last_alive = now
                 elif not ever_ready and now > reg_deadline:
-                    if self.local_fallback:
-                        verdict = "degrade"
-                        break
-                    raise ConfigurationError(
-                        "no fleet workers registered within "
-                        f"{self.register_timeout}s and local_fallback "
-                        "is off"
-                    )
+                    if not self.local_fallback:
+                        raise ConfigurationError(
+                            "no fleet workers registered within "
+                            f"{self.register_timeout}s and "
+                            "local_fallback is off"
+                        )
+                    fallback = self._local._serve_remaining
+                    break
                 elif ever_ready and now - last_alive > max(
                     self.register_timeout,
                     self.heartbeat_timeout or 0.0,
                 ):
-                    # Lost the whole fleet mid-run: last ladder rung.
+                    # Lost the whole fleet mid-run: the last rung.
                     if self.local_fallback:
-                        tally({"local_degradations": 1})
-                        self._serve_locally(stream, state, mark)
+                        fallback = functools.partial(StreamScheduler(
+                            config=self.config,
+                            runner=self._local.runner_factory(),
+                            pipeline=self.pipeline,
+                            double_buffer=self.double_buffer,
+                            energy_model=self.energy_model,
+                            fault_plan=self._local.fault_plan,
+                        )._serve_remaining, label="local")
                         break
                     failure = (
                         "fleet", None,
@@ -863,117 +630,36 @@ class FleetServer:
                 dispatch()
                 bus = get_bus()
                 if bus is not None:
-                    record_net_state(bus, len(alive), sum(
-                        len(c.in_flight) for c in workers.values()
-                    ))
-                    record_progress(
-                        bus, state.n_done + state.n_failed, total,
-                        wall_base + time.perf_counter() - wall_start,
-                    )
-                if (
-                    feed_done.is_set() and ready_q.empty()
-                    and not requeue
-                    and not any(
-                        c.in_flight for c in workers.values()
-                    )
-                    and alive
-                    and state.n_done + state.n_failed < total
-                ):
-                    failure = (
-                        "fleet", None,
-                        "fleet stalled with "
-                        f"{state.n_done + state.n_failed}/{total} "
-                        "windows accounted — sharding bug",
-                    )
-            if failure is None and verdict == "served" and \
-                    state.complete:
+                    record_net_state(bus, len(alive), ledger.n_in_flight)
+                    ledger.progress(bus)
+                stalled = alive and ledger.stalled(feeder.exhausted())
+                if stalled:
+                    failure = ("fleet", None, f"fleet {stalled}")
+            if failure is None and state.complete:
                 for conn in list(workers.values()):
                     send(conn, {"type": "fin"})
-        except BaseException:
-            if checkpoint is not None:
-                flush_session(state, checkpoint, wall_base, wall_start)
-            raise
         finally:
-            abort.set()
-            feeder.join(timeout=10.0)
-            while True:
-                try:
-                    ready_q.get_nowait()
-                except queue.Empty:
-                    break
+            feeder.close()
             for conn in list(conns.values()):
                 close_conn(conn)
             sel.close()
-        if failure is None and feed_failure:
-            failure = (
-                "feeder", None,
-                f"trace slicing failed mid-stream:\n{feed_failure[0]}",
-            )
+        failure = failure or feeder.failure
         if failure is not None:
-            if checkpoint is not None:
-                flush_session(state, checkpoint, wall_base, wall_start)
             raise PoolWorkerError(*failure)
         if len(engines) > 1:
             raise SimulationError(
                 "fleet workers disagree on the engine: "
                 f"{sorted(engines)}"
             )
-        return verdict, (engines.pop() if engines else self.engine)
+        if fallback is None:
+            return engines.pop() if engines else self.engine
+        # The degradation ladder: a local loop finishes the session over
+        # this same ledger, so the merge stays bit-identical. Backoff
+        # lets a flapping link settle; locally, retries wait for nothing.
+        self.close()
+        ledger.backoff = None
+        ledger.tally({"local_degradations": 1})
+        return fallback(stream, ledger)
 
     def _backoff(self, attempt: int) -> float:
         return min(self.backoff_cap, self.retry_backoff * (2 ** attempt))
-
-    def _serve_locally(self, stream, state, mark) -> None:
-        """The last degradation rung: finish the stream in-process.
-
-        Mirrors the inner loop of :meth:`StreamScheduler.run` over the
-        already-resumed state — the windows served remotely stay
-        exactly as accepted, the remainder is served on a fresh local
-        platform, and history independence makes the merge
-        bit-identical either way.
-        """
-        scheduler = StreamScheduler(
-            config=self.config,
-            runner=self._local.runner_factory(),
-            pipeline=self.pipeline,
-            double_buffer=self.double_buffer,
-            energy_model=self.energy_model,
-            fault_plan=self._platform_plan,
-            max_retries=self.max_retries,
-            reference_fallback=self.reference_fallback,
-        )
-        log = []
-        scheduler.runner.launch_log = log
-        stats = scheduler.runner.soc.vwr2a.config_mem.stats
-        for window in stream:
-            if (
-                window.index in state.results
-                or window.index in state.failed
-            ):
-                continue
-            before = stats.snapshot()
-            bus = get_bus()
-            resilience_before = (
-                dict(state.resilience) if bus is not None else None
-            )
-            if scheduler._injector is None:
-                result = scheduler.serve_window(window, log)
-            else:
-                result = scheduler._serve_resilient(window, log, state)
-            if result is not None:
-                state.results[window.index] = result
-            stats_delta = stats.since(before)
-            merge_counts(state.store_stats, stats_delta)
-            if bus is not None:
-                if result is not None:
-                    record_window(
-                        bus, result, stats_delta, worker="local"
-                    )
-                else:
-                    record_failed(bus)
-                record_resilience(bus, {
-                    name: count - resilience_before.get(name, 0)
-                    for name, count in state.resilience.items()
-                    if count != resilience_before.get(name, 0)
-                })
-            mark()

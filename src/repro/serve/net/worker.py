@@ -3,7 +3,7 @@
 A :class:`FleetWorker` dials the :class:`~repro.serve.net.FleetServer`,
 introduces itself (``hello``), receives its picklable worker spec over
 the wire, builds its platform through the same
-:class:`~repro.serve.pool.AttemptServer` core that pool worker
+:class:`~repro.serve.scheduler.AttemptServer` core that pool worker
 processes use, and then serves one attempt per ``task`` frame — so a
 window served by a fleet worker is bit-identical to the same window
 served by a local pool worker or the sequential scheduler.
@@ -44,7 +44,9 @@ from repro.serve.net.framing import (
     read_frame,
     send_frame,
 )
-from repro.serve.pool import AttemptServer
+from repro.serve.ledger import Task
+from repro.serve.scheduler import AttemptServer
+from repro.serve.stream import Window
 
 #: Timeout for outbound frames — generous next to the per-beat read
 #: timeout, since a result frame can be tens of KB.
@@ -169,7 +171,7 @@ class FleetWorker:
         if kind == "spec":
             worker_spec, net_specs = payload
             try:
-                self._attempts = AttemptServer(
+                self._attempts = AttemptServer.from_spec(
                     worker_spec, process_faults=self.process_faults
                 )
             except Exception:
@@ -210,14 +212,13 @@ class FleetWorker:
         return None
 
     def _serve_task(self, sock, msg: dict, payload):
-        index = msg["index"]
-        attempt = msg["attempt"]
-        force_reference = bool(msg.get("force_reference"))
         start, samples = payload
+        task = Task(
+            Window(msg["index"], start, samples), msg["attempt"],
+            bool(msg.get("force_reference")),
+        )
         try:
-            verdict = self._attempts.serve(
-                index, start, samples, attempt, force_reference
-            )
+            verdict = self._attempts.serve(task)
         except Exception:
             # A genuine pipeline failure: ship the full traceback so
             # the server re-raises it as a PoolWorkerError that reads
@@ -225,27 +226,26 @@ class FleetWorker:
             self._send(sock, {
                 "type": "err",
                 "name": self.name,
-                "index": index,
+                "index": task.index,
             }, payload=traceback.format_exc())
             return None
+        header = {
+            "index": task.index,
+            "attempt": task.attempt,
+            "force_reference": task.reference,
+            "net_fired": self._fired(),
+        }
         if verdict[0] == "ok":
-            _, result, stats_delta, forced = verdict
-            action = self._send(sock, {
-                "type": "result",
-                "index": index,
-                "attempt": attempt,
-                "force_reference": bool(forced),
-                "net_fired": self._fired(),
-            }, payload=(result, stats_delta), gated=True)
+            _, result, stats_delta, _ = verdict
+            action = self._send(
+                sock, {"type": "result", **header},
+                payload=(result, stats_delta), gated=True,
+            )
         else:
-            action = self._send(sock, {
-                "type": "retry",
-                "index": index,
-                "attempt": attempt,
-                "force_reference": force_reference,
-                "kinds": list(verdict[1]),
-                "net_fired": self._fired(),
-            }, gated=True)
+            action = self._send(
+                sock, {"type": "retry", **header, "kinds": list(verdict[1])},
+                gated=True,
+            )
         if action in ("truncated", "disconnect"):
             # The gate modeled a mid-frame (or post-frame) disconnect:
             # honour it by actually dropping the connection.

@@ -21,9 +21,9 @@ changes *nothing* about the report except host-side wall time and the
 workers actually did (N cold stores instead of one). See
 docs/parallel.md.
 
-**Feeding.** Trace slicing happens on a host-side feeder thread that
-keeps a bounded task queue topped up, so window materialization (tuple
-slicing of multi-hour traces) overlaps window execution in the workers.
+**Feeding.** A host-side feeder thread keeps a bounded queue of sliced
+windows topped up, so window materialization (tuple slicing of
+multi-hour traces) overlaps window execution in the workers.
 
 **Checkpointing.** Passing a :class:`~repro.serve.StreamCheckpoint` (or
 a path) to :meth:`PoolScheduler.run` persists completed windows as their
@@ -31,20 +31,19 @@ results arrive; a killed run resumes mid-stream — with any worker count,
 or even under the single-process scheduler — and the final report is
 bit-identical to an uninterrupted one.
 
-**Supervision.** Workers are expendable: the host tracks every window it
-dispatched (per-worker task queues, in-flight ledgers), detects dead
-workers by liveness/exit-code and hung ones by progress timeout, respawns
-them within ``respawn_limit``, and walks spoiled windows down a bounded
-retry ladder (``max_retries`` primary attempts, then one
-reference-engine attempt) before quarantining them into
-:attr:`StreamReport.failed_windows`. Deterministic chaos campaigns over
-this machinery live in :mod:`repro.faults`; the taxonomy and semantics
-are documented in docs/robustness.md.
+**Supervision.** Workers are expendable: the host's
+:class:`~repro.serve.ledger.WindowLedger` tracks every window it
+dispatched, while the pool detects dead workers by liveness/exit-code
+and hung ones by progress timeout and respawns them within
+``respawn_limit``; spoiled windows climb the shared retry ladder before
+they are quarantined into :attr:`StreamReport.failed_windows`.
+Deterministic chaos campaigns over this machinery live in
+:mod:`repro.faults`; the taxonomy and semantics are documented in
+docs/robustness.md.
 """
 
 from __future__ import annotations
 
-import collections
 import multiprocessing
 import pickle
 import queue
@@ -55,28 +54,19 @@ import time
 import traceback
 from dataclasses import dataclass
 
-from repro.app.mbiotracker import window_pipeline
 from repro.core.errors import ConfigurationError, SimulationError
-from repro.kernels.runner import KernelRunner, RunnerFactory
+from repro.kernels.runner import RunnerFactory
 from repro.obs.bus import get_bus
-from repro.obs.instruments import (
-    record_failed,
-    record_pool_state,
-    record_progress,
-    record_resilience,
-    record_window,
-    record_worker_retired,
+from repro.obs.instruments import record_pool_state, record_worker_retired
+from repro.serve.ledger import MAX_RETRIES, check_retries
+from repro.serve.report import StreamReport
+from repro.serve.scheduler import (
+    AttemptServer,
+    StreamScheduler,
+    _resolve_job,
+    _serve_session,
 )
-from repro.serve.checkpoint import (
-    CheckpointState,
-    finalize_session,
-    flush_session,
-    resume_session,
-    stream_fingerprint,
-)
-from repro.serve.report import FailedWindow, StreamReport, merge_counts
-from repro.serve.scheduler import StreamScheduler
-from repro.serve.stream import Window, WindowStream
+from repro.serve.stream import WindowStream
 
 #: Seconds between liveness checks while waiting on worker results.
 _POLL_SECONDS = 0.1
@@ -126,6 +116,80 @@ def _drain_queue(q) -> None:
             q.get_nowait()
     except (queue.Empty, OSError, ValueError):
         pass
+
+
+def _stop(proc) -> None:
+    """Terminate, then kill, a worker process; reap it either way."""
+    for end in (proc.terminate, proc.kill):
+        if proc.is_alive():
+            end()
+            proc.join(timeout=2.0)
+
+
+def _close_queue(q) -> None:
+    """Drain and close a process queue without waiting on its pipe."""
+    _drain_queue(q)
+    q.close()
+    q.cancel_join_thread()
+
+
+class _Feeder:
+    """Slices a stream's unaccounted windows into a bounded host queue.
+
+    A host thread, so trace slicing overlaps window execution; the pool
+    and the fleet both dispatch from it. A slicing failure (lazy traces
+    can raise mid-stream) waits in :attr:`failure` for the host loop to
+    raise, never swallowed into a hang.
+    """
+
+    def __init__(self, stream, skip, maxsize: int) -> None:
+        #: ``PoolWorkerError`` arguments once slicing failed, else None.
+        self.failure = None
+        self._ready = queue.Queue(maxsize=maxsize)
+        self._stop = threading.Event()
+        self._done = threading.Event()
+        self._thread = threading.Thread(
+            target=self._feed, args=(stream, skip), daemon=True
+        )
+        self._thread.start()
+
+    def _feed(self, stream, skip) -> None:
+        try:
+            for window in stream:
+                if skip(window.index):
+                    continue
+                while not self._stop.is_set():
+                    try:
+                        self._ready.put(window, timeout=_POLL_SECONDS)
+                        break
+                    except queue.Full:
+                        pass
+                else:
+                    return
+        except Exception:
+            self.failure = (
+                "feeder", None,
+                "trace slicing failed mid-stream:\n"
+                + traceback.format_exc(),
+            )
+        finally:
+            self._done.set()
+
+    def poll(self):
+        """The next sliced window, or ``None`` when none is ready."""
+        try:
+            return self._ready.get_nowait()
+        except queue.Empty:
+            return None
+
+    def exhausted(self) -> bool:
+        """Every window was sliced and handed out."""
+        return self._done.is_set() and self._ready.empty()
+
+    def close(self) -> None:
+        self._stop.set()
+        self._thread.join(timeout=10.0)
+        _drain_queue(self._ready)
 
 
 def _default_start_method() -> str:
@@ -191,146 +255,16 @@ class _WorkerSpec:
     fault_plan: object = None
 
 
-class AttemptServer:
-    """Worker-side serving core: one platform, one *attempt* per task.
-
-    The execution body shared by pool worker processes
-    (:func:`_worker_main`) and remote fleet workers
-    (:class:`repro.serve.net.FleetWorker`): it builds a platform from a
-    picklable :class:`_WorkerSpec`, arms the fault injector when the
-    spec ships a plan, lazily builds a reference-engine twin for
-    fallback attempts, and serves one
-    ``(index, start, samples, attempt, force_reference)`` task at a
-    time. :meth:`serve` returns the same verdicts the pool protocol
-    speaks — ``("ok", result, stats_delta, force_reference)`` for a
-    clean attempt, ``("retry", kinds)`` when an injected fault spoiled
-    it — and lets genuine pipeline exceptions propagate so the caller
-    can report them however its transport requires.
-
-    ``process_faults`` arms the suicidal fault kinds (``worker_kill`` /
-    ``worker_hang``); pass ``False`` for in-process workers (tests,
-    thread-hosted fleet workers) where killing the worker would kill
-    the host. ``before_process_fault`` is invoked right before a
-    process fault strikes — pool workers flush their result queue
-    there so SIGKILL cannot tear a half-written message.
-    """
-
-    def __init__(self, spec: _WorkerSpec, process_faults: bool = True,
-                 before_process_fault=None) -> None:
-        runner = spec.runner_factory()
-        scheduler = StreamScheduler(
-            config=spec.config,
-            runner=runner,
-            pipeline=spec.pipeline,
-            double_buffer=spec.double_buffer,
-            energy_model=spec.energy_model,
-        )
-        log = []
-        runner.launch_log = log
-        if spec.warm_samples is not None:
-            runner.warm(scheduler.pipeline, spec.warm_samples)
-        self._spec = spec
-        self._runner = runner
-        self._scheduler = scheduler
-        self._log = log
-        self._stats = runner.soc.vwr2a.config_mem.stats
-        self.engine = runner.soc.vwr2a.engine
-        self._injector = None
-        self._is_fault_failure = None
-        if spec.fault_plan is not None:
-            from repro.faults.injector import (
-                FaultInjector,
-                is_fault_failure,
-            )
-
-            self._injector = FaultInjector(
-                spec.fault_plan, process_faults=process_faults
-            )
-            self._injector.before_process_fault = before_process_fault
-            self._is_fault_failure = is_fault_failure
-        self._ref = None  # lazy (scheduler, log, stats) reference twin
-
-    def _reference(self):
-        if self._ref is None:
-            # Same design point as the primary runner, golden engine.
-            ref_runner = KernelRunner(
-                engine="reference", spec=self._runner.spec
-            )
-            ref_log = []
-            ref_runner.launch_log = ref_log
-            self._ref = (
-                StreamScheduler(
-                    config=self._spec.config,
-                    runner=ref_runner,
-                    pipeline=self._spec.pipeline,
-                    double_buffer=self._spec.double_buffer,
-                    energy_model=self._spec.energy_model,
-                ),
-                ref_log,
-                ref_runner.soc.vwr2a.config_mem.stats,
-            )
-        return self._ref
-
-    def serve(self, index: int, start: int, samples,
-              attempt: int, force_reference: bool):
-        """Serve one attempt; returns an ``"ok"`` or ``"retry"`` verdict.
-
-        Raises whatever a genuine (non-fault) pipeline failure raised —
-        including exceptions out of the injector itself.
-        """
-        window = Window(index=index, start=start, samples=samples)
-        serve, serve_log, serve_stats = (
-            self._scheduler, self._log, self._stats
-        )
-        serve_engine = self.engine
-        if force_reference:
-            serve, serve_log, serve_stats = self._reference()
-            serve_engine = "reference"
-        # The result ships the window's launches back to the host; drop
-        # the previous window's entries so the log does not grow for
-        # the worker's whole lifetime (multi-hour streams).
-        del serve_log[:]
-        before = serve_stats.snapshot()
-        fired = ()
-        if self._injector is not None:
-            # worker_kill / worker_hang faults strike in here and never
-            # return — host/server supervision takes over.
-            window = self._injector.begin_attempt(
-                serve.runner, window, attempt, engine=serve_engine
-            )
-        try:
-            result = serve.serve_window(window, serve_log)
-            exc = None
-        except Exception as err:
-            result = None
-            exc = err
-        if self._injector is not None:
-            fired = self._injector.end_attempt()
-        if exc is None and not fired:
-            return (
-                "ok", result, serve_stats.since(before), force_reference
-            )
-        if exc is None or (
-            self._injector is not None
-            and self._is_fault_failure(exc, fired)
-        ):
-            return ("retry", tuple(fired) or (type(exc).__name__,))
-        raise exc
-
-
 def _worker_main(worker_id: int, spec: _WorkerSpec, tasks, results,
                  stop) -> None:
     """Worker process body: own platform, one serving *attempt* per task.
 
-    Tasks are ``(index, start, samples, attempt, force_reference)``
-    tuples on this worker's private queue; the worker serves exactly one
-    attempt (via the shared :class:`AttemptServer`) and reports ``"ok"``
-    (clean result), ``"retry"`` (an injected fault spoiled the attempt —
-    the host owns the retry ladder) or ``"err"`` (a genuine pipeline
-    exception, which aborts the pool as it always did).
-    ``force_reference`` attempts run on a lazily-built reference-engine
-    twin platform. The worker exits when the host sets ``stop``,
-    reporting ``"fin"`` with its engine.
+    Each :class:`~repro.serve.ledger.Task` on this worker's private queue
+    is served once by the shared
+    :class:`~repro.serve.scheduler.AttemptServer` and reported as the
+    verdict (``"ok"``/``"retry"``) or ``"err"`` (a genuine pipeline
+    exception, which aborts the pool). The worker exits when the host
+    sets ``stop``, reporting ``"fin"`` with its engine.
     """
     # Exception (not BaseException) throughout: KeyboardInterrupt /
     # SystemExit must kill the worker outright — the host's liveness
@@ -344,7 +278,7 @@ def _worker_main(worker_id: int, spec: _WorkerSpec, tasks, results,
             results.close()
             results.join_thread()
 
-        server = AttemptServer(
+        server = AttemptServer.from_spec(
             spec, process_faults=True,
             before_process_fault=_flush_results,
         )
@@ -356,24 +290,14 @@ def _worker_main(worker_id: int, spec: _WorkerSpec, tasks, results,
             task = tasks.get(timeout=_POLL_SECONDS)
         except queue.Empty:
             continue
-        index, start, samples, attempt, force_reference = task
         try:
-            verdict = server.serve(
-                index, start, samples, attempt, force_reference
-            )
+            verdict = server.serve(task)
         except Exception:
             results.put((
-                "err", worker_id, index, traceback.format_exc()
+                "err", worker_id, task.index, traceback.format_exc()
             ))
             continue
-        if verdict[0] == "ok":
-            _, result, stats_delta, force = verdict
-            results.put(("ok", worker_id, result, stats_delta, force))
-        else:
-            results.put((
-                "retry", worker_id, index, attempt, force_reference,
-                verdict[1],
-            ))
+        results.put((verdict[0], worker_id, task.index, *verdict[1:]))
     results.put(("fin", worker_id, server.engine))
 
 
@@ -393,17 +317,16 @@ class PoolScheduler:
     ``"fork"`` where available — workers then inherit the parent's warm
     structural compile/conflict memos — else ``"spawn"``).
 
-    The resilience knobs (all off by default) turn the pool into a
-    self-healing one — see docs/robustness.md: ``fault_plan`` (a
-    :class:`~repro.faults.FaultPlan`) injects deterministic faults into
-    worker attempts; ``max_retries`` bounds per-window retries of
-    fault-spoiled attempts, with one extra reference-engine attempt when
-    ``reference_fallback`` holds; ``respawn_limit`` bounds how many
-    dead/hung workers are replaced before the pool gives up;
-    ``heartbeat_timeout`` (seconds) declares a worker hung when it holds
-    in-flight windows without delivering anything for that long —
-    required whenever the plan schedules ``worker_hang`` faults. Windows
-    that exhaust the ladder are quarantined into
+    The resilience knobs turn the pool into a self-healing one — see
+    docs/robustness.md: ``fault_plan`` (a :class:`~repro.faults.FaultPlan`)
+    injects deterministic faults into worker attempts; ``respawn_limit``
+    bounds how many dead/hung workers are replaced before the pool gives
+    up; ``heartbeat_timeout`` (seconds) declares a worker hung when it
+    holds in-flight windows without delivering anything for that long —
+    required whenever the plan schedules ``worker_hang`` faults. All
+    three default off, so a knob-free pool fails fast. Spoiled windows
+    climb the shared retry ladder (``max_retries``,
+    ``reference_fallback``); windows that exhaust it are quarantined into
     :attr:`StreamReport.failed_windows` instead of aborting the stream.
     """
 
@@ -412,8 +335,8 @@ class PoolScheduler:
                  double_buffer: bool = True, runner_factory=None,
                  warm: bool = False, prefetch: int = 4,
                  start_method: str = None, fault_plan=None,
-                 max_retries: int = 0, reference_fallback: bool = True,
-                 respawn_limit: int = 0,
+                 max_retries: int = MAX_RETRIES,
+                 reference_fallback: bool = True, respawn_limit: int = 0,
                  heartbeat_timeout: float = None) -> None:
         if workers < 1:
             raise ConfigurationError(
@@ -423,10 +346,7 @@ class PoolScheduler:
             raise ConfigurationError(
                 f"prefetch must be at least 1 window, got {prefetch}"
             )
-        if max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
+        check_retries(max_retries)
         if respawn_limit < 0:
             raise ConfigurationError(
                 f"respawn_limit must be >= 0, got {respawn_limit}"
@@ -444,15 +364,8 @@ class PoolScheduler:
                 "heartbeat_timeout so the pool can detect and kill the "
                 "hung workers (otherwise the stream never finishes)"
             )
-        self.config = (
-            getattr(pipeline, "config", config)
-            if pipeline is not None else config
-        )
+        self.config, self.pipeline = _resolve_job(config, params, pipeline)
         self.workers = workers
-        self.pipeline = (
-            pipeline if pipeline is not None
-            else window_pipeline(config, params)
-        )
         self.energy_model = energy_model
         self.double_buffer = double_buffer
         self.runner_factory = (
@@ -505,41 +418,12 @@ class PoolScheduler:
         persisted as results arrive — including on worker failure, right
         before :class:`PoolWorkerError` is raised.
         """
-        if checkpoint is not None:
-            checkpoint, state = resume_session(checkpoint, stream_fingerprint(
-                stream, self.config, self.engine, self.double_buffer,
-                pipeline=self.pipeline, energy_model=self.energy_model,
-            ))
-        else:
-            # No checkpoint: skip the O(trace) fingerprint hash and use
-            # a scratch state that only tracks completion.
-            state = CheckpointState(
-                fingerprint={"n_windows": stream.n_windows}
-            )
-        wall_base = state.wall_seconds
-        # The serving clock starts after fingerprinting/resume, matching
-        # StreamScheduler — wall_seconds accounts serving, not hashing.
-        wall_start = time.perf_counter()
-        served = not state.complete
-        if served:
-            engine = self._serve_remaining(
-                stream, state, checkpoint, wall_base, wall_start
-            )
-        else:
-            # A fully-checkpointed resume serves nothing: take the
-            # engine the checkpoint recorded (probe only as a fallback).
-            engine = state.fingerprint.get("engine") or self.engine
-        report = StreamReport(
-            config=self.config,
-            engine=engine,
-            window=getattr(stream, "window", 0),
-            hop=getattr(stream, "hop", 0),
-            double_buffered=self.double_buffer,
-        )
-        return finalize_session(
-            report, state, checkpoint, wall_base, wall_start,
-            served=served,
-        )
+        # A duplicate result is only legitimate once supervision may
+        # requeue a window whose first result is still in flight.
+        return _serve_session(self, stream, checkpoint, dedup=(
+            self.fault_plan is not None or self.respawn_limit > 0
+            or self.heartbeat_timeout is not None
+        ))
 
     # -- the pool proper ----------------------------------------------------
 
@@ -566,38 +450,33 @@ class PoolScheduler:
             ) from exc
         return spec
 
-    def _serve_remaining(self, stream, state: CheckpointState,
-                         checkpoint, wall_base: float,
-                         wall_start: float) -> str:
-        """The supervised pool loop.
+    def _serve_remaining(self, stream, ledger) -> str:
+        """The supervised pool loop; returns the workers' engine.
 
-        The host owns all scheduling state: a per-worker task queue and
-        in-flight ledger, a retry queue that outranks fresh windows, and
-        a quarantine verdict per exhausted window. Workers only ever
-        serve one attempt per task, so any of them can die at any moment
-        without the host losing track of a single window.
+        The ledger owns every window: what is in flight on which worker,
+        what waits for a retry, what was accepted or quarantined. This
+        loop owns the processes — spawn, liveness, hangs, respawn and
+        teardown. Workers only ever serve one attempt per task, so any
+        of them can die at any moment without a window being lost.
         """
-        todo = stream.n_windows - state.n_done
-        n_workers = max(1, min(self.workers, todo))
+        n_workers = max(
+            1, min(self.workers, stream.n_windows - ledger.state.n_done)
+        )
         context = multiprocessing.get_context(self.start_method)
         results = context.Queue()
         stop = context.Event()
         spec = self._spec(stream)
-        # A duplicate result is only legitimate once supervision may
-        # requeue a window whose first result is still in flight.
-        resilient = (
-            self.fault_plan is not None or self.respawn_limit > 0
-            or self.heartbeat_timeout is not None
-        )
 
         procs = {}
         task_queues = {}
-        in_flight = {}       # wid -> deque of dispatched task tuples
         last_progress = {}   # wid -> monotonic time of last message
         finished = set()     # wids that reported "fin"/"crash"
+        engines = set()
+        failure = None
+        respawns = 0
         next_wid = 0
 
-        def spawn() -> int:
+        def spawn() -> None:
             nonlocal next_wid
             wid = next_wid
             next_wid += 1
@@ -610,134 +489,13 @@ class PoolScheduler:
             proc.start()
             procs[wid] = proc
             task_queues[wid] = tasks
-            in_flight[wid] = collections.deque()
             last_progress[wid] = time.monotonic()
-            return wid
 
-        for _ in range(n_workers):
-            spawn()
-
-        abort = threading.Event()
-        feed_done = threading.Event()
-        feed_failure = []
-        ready = queue.Queue(maxsize=n_workers * self.prefetch)
-
-        def feed():
-            """Slice windows into the host-side ready buffer.
-
-            Runs on a host thread so trace slicing (window
-            materialization) overlaps window execution in the workers;
-            a slicing failure (lazy traces can raise mid-stream) is
-            recorded and surfaced by the host loop, never swallowed
-            into a hang.
-            """
-            try:
-                for window in stream:
-                    if window.index in state.results:
-                        continue
-                    item = (window.index, window.start, window.samples)
-                    while not abort.is_set():
-                        try:
-                            ready.put(item, timeout=_POLL_SECONDS)
-                            break
-                        except queue.Full:
-                            continue
-                    if abort.is_set():
-                        break
-            except Exception:
-                feed_failure.append(traceback.format_exc())
-                abort.set()
-            finally:
-                feed_done.set()
-
-        feeder = threading.Thread(target=feed, daemon=True)
-        feeder.start()
-
-        failure = None
-        engines = set()
-        requeue = collections.deque()  # retry tasks outrank fresh windows
-        fail_kinds = {}                # index -> fault kinds seen so far
-        total = stream.n_windows
-
-        def tally(counts: dict) -> None:
-            merge_counts(state.resilience, counts)
-            bus = get_bus()
-            if bus is not None:
-                record_resilience(bus, counts)
-
-        def mark() -> None:
-            if checkpoint is not None:
-                state.wall_seconds = (
-                    wall_base + time.perf_counter() - wall_start
-                )
-                checkpoint.mark(state)
-
-        def take_in_flight(index: int):
-            """Pop and return the ledger entry serving ``index``, if any."""
-            for entries in in_flight.values():
-                for entry in entries:
-                    if entry[0] == index:
-                        entries.remove(entry)
-                        return entry
-            return None
-
-        def quarantine(index, start, attempts, kinds, why) -> None:
-            state.failed[index] = FailedWindow(
-                index=index, start=start, attempts=attempts,
-                kinds=tuple(dict.fromkeys(kinds)), detail=why,
-            )
-            tally({"quarantined": 1})
-            bus = get_bus()
-            if bus is not None:
-                record_failed(bus)
-            mark()
-
-        def next_attempt(entry, kinds, why) -> None:
-            """Advance one spoiled attempt along the retry ladder."""
-            index, start, samples, attempt, force_reference = entry
-            fail_kinds.setdefault(index, []).extend(kinds)
-            if attempt < self.max_retries:
-                tally({"retries": 1})
-                requeue.append((index, start, samples, attempt + 1, False))
-            elif self.reference_fallback and not force_reference:
-                tally({"retries": 1})
-                requeue.append((index, start, samples, attempt + 1, True))
-            else:
-                quarantine(
-                    index, start, attempt + 1,
-                    fail_kinds.pop(index, list(kinds)), why,
-                )
-
-        def accept(result, stats_delta, force_reference, wid) -> None:
-            take_in_flight(result.index)
-            if result.index in state.results:
-                # A worker's result raced its own requeue (it was
-                # presumed dead or hung) and the window was served
-                # again. Without supervision that can only be a
-                # sharding bug; with it, it is bookkept and dropped.
-                if not resilient:
-                    raise SimulationError(
-                        f"window {result.index} was served twice — "
-                        "sharding bug"
-                    )
-                tally({"late_results": 1})
-                return
-            if result.index in state.failed:
-                # Quarantined, then a late clean result arrived after
-                # all: the window is rescued back into the report.
-                del state.failed[result.index]
-                tally({"quarantine_rescues": 1})
-            fail_kinds.pop(result.index, None)
-            state.results[result.index] = result
-            merge_counts(state.store_stats, stats_delta)
-            bus = get_bus()
-            if bus is not None:
-                # Host-side merge point: one record per accepted result,
-                # so bus totals equal the merged report's counts exactly.
-                record_window(bus, result, stats_delta, worker=wid)
-            if force_reference:
-                tally({"reference_recoveries": 1})
-            mark()
+        def live() -> list:
+            return [
+                wid for wid, proc in procs.items()
+                if proc.is_alive() and wid not in finished
+            ]
 
         def handle(message) -> None:
             nonlocal failure
@@ -745,239 +503,133 @@ class PoolScheduler:
             if wid in last_progress:
                 last_progress[wid] = time.monotonic()
             if kind == "ok":
-                _, _, result, stats_delta, force_reference = message
-                accept(result, stats_delta, force_reference, wid)
+                ledger.accept(wid, *message[3:], label=wid)
             elif kind == "retry":
-                _, _, index, attempt, force_reference, kinds = message
-                tally({f"fault:{k}": 1 for k in kinds})
-                entry = take_in_flight(index)
-                if entry is None:
-                    # Already requeued by supervision; stale verdict.
-                    tally({"late_results": 1})
-                    return
-                next_attempt(
-                    entry, kinds,
-                    "faults fired on every attempt "
-                    f"(last: {', '.join(kinds)})",
-                )
+                ledger.fault(wid, message[2], message[3])
             elif kind == "err":
-                _, _, index, details = message
-                if failure is None:
-                    failure = (wid, index, details)
-                abort.set()
+                failure = failure or (wid, message[2], message[3])
             elif kind == "crash":
-                _, _, details = message
                 finished.add(wid)
-                if failure is None:
-                    failure = (wid, None, details)
-                abort.set()
+                failure = failure or (wid, None, message[2])
             elif kind == "fin":
                 finished.add(wid)
                 engines.add(message[2])
 
-        respawns = 0
-
         def reap(wid, fault_kind, details) -> None:
-            """Retire one dead/hung worker: requeue its windows, respawn.
+            """Retire one dead/hung worker: respawn it, return its windows.
 
-            The head of its ledger is the attempt that died with it and
-            spends a rung of the retry ladder; the rest were merely
-            queued and are re-dispatched at their current attempt. When
-            the respawn budget is exhausted the pool aborts with the
-            exit diagnosis.
+            Only the head of its queue died with it and spends a rung.
+            Past the respawn budget the pool aborts with the diagnosis.
             """
             nonlocal failure, respawns
-            entries = in_flight.pop(wid)
-            tq = task_queues.pop(wid)
             proc = procs.pop(wid)
             proc.join(timeout=5.0)  # reap the corpse — no zombies
             last_progress.pop(wid, None)
             bus = get_bus()
             if bus is not None:
                 record_worker_retired(bus, wid)
-            _drain_queue(tq)
-            tq.close()
-            tq.cancel_join_thread()
-            head = entries.popleft() if entries else None
+            _close_queue(task_queues.pop(wid))
             if respawns >= self.respawn_limit:
-                if failure is None:
-                    failure = (
-                        wid, head[0] if head else None,
-                        f"{details} (respawn budget "
-                        f"{self.respawn_limit} exhausted)",
-                    )
-                abort.set()
+                head = next(iter(ledger.in_flight.get(wid, ())), None)
+                failure = failure or (
+                    wid, head,
+                    f"{details} (respawn budget {self.respawn_limit} "
+                    "exhausted)",
+                )
                 return
             respawns += 1
-            tally({"respawns": 1})
+            ledger.tally({"respawns": 1})
             spawn()
-            if head is not None:
-                next_attempt(head, (fault_kind,), details)
-            for entry in entries:
-                requeue.append(entry)
+            ledger.lose(wid, 1, fault_kind, details)
 
         def scan_workers() -> None:
             now = time.monotonic()
             for wid in list(procs):
                 proc = procs[wid]
+                held = len(ledger.in_flight.get(wid, ()))
                 if not proc.is_alive():
                     if wid in finished:
                         continue
-                    tally({"worker_deaths": 1})
+                    ledger.tally({"worker_deaths": 1})
                     reap(
                         wid, "worker_death",
                         f"worker {wid} {describe_exit(proc.exitcode)}",
                     )
                 elif (
-                    self.heartbeat_timeout is not None
-                    and in_flight[wid]
+                    self.heartbeat_timeout is not None and held
                     and now - last_progress[wid] > self.heartbeat_timeout
                 ):
-                    tally({"worker_hangs": 1})
-                    hung = len(in_flight[wid])
-                    proc.terminate()
-                    proc.join(timeout=2.0)
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join(timeout=2.0)
+                    ledger.tally({"worker_hangs": 1})
+                    _stop(proc)
                     reap(
                         wid, "worker_hang",
                         f"worker {wid} hung: no progress for "
-                        f"{self.heartbeat_timeout}s with {hung} "
+                        f"{self.heartbeat_timeout}s with {held} "
                         "windows in flight",
                     )
 
-        def dispatch() -> None:
-            """Hand queued work to the least-backlog live workers."""
-            while True:
-                candidates = [
-                    wid for wid in procs
-                    if procs[wid].is_alive() and wid not in finished
-                    and len(in_flight[wid]) < self.prefetch
-                ]
-                if not candidates:
-                    return
-                if requeue:
-                    task = requeue.popleft()
-                else:
-                    try:
-                        index, start, samples = ready.get_nowait()
-                    except queue.Empty:
-                        return
-                    task = (index, start, samples, 0, False)
-                wid = min(candidates, key=lambda w: len(in_flight[w]))
-                task_queues[wid].put(task)
-                in_flight[wid].append(task)
-
+        for _ in range(n_workers):
+            spawn()
+        feeder = _Feeder(stream, ledger.resolved, n_workers * self.prefetch)
         try:
-            while failure is None:
-                if state.n_done + state.n_failed >= total:
-                    break
+            while failure is None and not ledger.state.complete:
                 try:
                     handle(results.get(timeout=_POLL_SECONDS))
                     while True:
-                        try:
-                            handle(results.get_nowait())
-                        except queue.Empty:
-                            break
+                        handle(results.get_nowait())
                 except queue.Empty:
                     pass
-                if failure is not None:
-                    break
-                if feed_failure:
+                if failure is not None or feeder.failure:
                     break
                 scan_workers()
                 if failure is not None:
                     break
-                dispatch()
+                for wid, task in ledger.schedule(
+                    live, self.prefetch, feeder.poll
+                ):
+                    task_queues[wid].put(task)
                 bus = get_bus()
                 if bus is not None:
                     # One gauge refresh per supervision tick (~10 Hz):
                     # queue depths, live workers, stream progress.
-                    record_pool_state(bus, in_flight, sum(
-                        1 for w in procs
-                        if procs[w].is_alive() and w not in finished
-                    ))
-                    record_progress(
-                        bus, state.n_done + state.n_failed, total,
-                        wall_base + time.perf_counter() - wall_start,
-                    )
-                if (
-                    feed_done.is_set() and not requeue and ready.empty()
-                    and not any(in_flight.values())
-                    and state.n_done + state.n_failed < total
-                ):
-                    # Every window the feeder sliced is accounted for
-                    # and nothing is in flight, yet the stream is not
-                    # covered: the bookkeeping lost a window.
-                    failure = (
-                        -1, None,
-                        "pool stalled with "
-                        f"{state.n_done + state.n_failed}/{total} "
-                        "windows accounted — sharding bug",
-                    )
+                    record_pool_state(bus, {
+                        wid: ledger.in_flight.get(wid, ()) for wid in procs
+                    }, len(live()))
+                    ledger.progress(bus)
+                stalled = ledger.stalled(feeder.exhausted())
+                if stalled:
+                    failure = (-1, None, f"pool {stalled}")
             if failure is None:
                 # Clean completion: release the workers and collect
                 # their engine reports (workers that died along the way
                 # simply never report one).
                 stop.set()
                 deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline and any(
-                    wid not in finished and procs[wid].is_alive()
-                    for wid in procs
-                ):
+                while time.monotonic() < deadline and live():
                     try:
                         handle(results.get(timeout=_POLL_SECONDS))
                     except queue.Empty:
                         continue
-        except BaseException:
-            # Host-side interruption (Ctrl-C, internal error): the same
-            # durability contract as worker failure — flush completed
-            # windows before the exception propagates.
-            if checkpoint is not None:
-                flush_session(state, checkpoint, wall_base, wall_start)
-            raise
         finally:
-            abort.set()
             stop.set()
-            feeder.join(timeout=10.0)
-            _drain_queue(ready)
+            feeder.close()
             for tq in task_queues.values():
                 _drain_queue(tq)
             for proc in procs.values():
                 proc.join(timeout=5.0)
             for proc in procs.values():
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=2.0)
-            for proc in procs.values():
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(timeout=2.0)
+                _stop(proc)
             _drain_queue(results)
             for tq in task_queues.values():
-                tq.close()
-                tq.cancel_join_thread()
+                _close_queue(tq)
             results.close()
             results.cancel_join_thread()
-        if failure is None and feed_failure:
-            failure = (
-                "feeder", None,
-                f"trace slicing failed mid-stream:\n{feed_failure[0]}",
-            )
+        failure = failure or feeder.failure
         if failure is not None:
-            if checkpoint is not None:
-                flush_session(state, checkpoint, wall_base, wall_start)
             raise PoolWorkerError(*failure)
         if len(engines) > 1:
             raise SimulationError(
                 f"pool workers disagree on the engine: {sorted(engines)}"
-            )
-        if not state.complete:
-            raise SimulationError(
-                f"pool finished with {state.n_done} served and "
-                f"{state.n_failed} quarantined of {stream.n_windows} "
-                "windows — sharding bug"
             )
         return engines.pop() if engines else self.engine
 

@@ -26,32 +26,54 @@ per-launch cost the single-shot flow pays repeatedly:
 
 from __future__ import annotations
 
-import time
-
 from repro.app.mbiotracker import window_pipeline
-from repro.core.errors import ConfigurationError
 from repro.kernels.runner import KernelRunner
 from repro.obs.bus import get_bus
-from repro.obs.instruments import (
-    record_failed,
-    record_progress,
-    record_resilience,
-    record_window,
-)
-from repro.serve.checkpoint import (
-    CheckpointState,
-    finalize_session,
-    flush_session,
-    resume_session,
-    stream_fingerprint,
-)
-from repro.serve.report import (
-    FailedWindow,
-    StreamReport,
-    WindowResult,
-    app_energy_uj,
-    merge_counts,
-)
+from repro.serve.checkpoint import stream_fingerprint
+from repro.serve.ledger import MAX_RETRIES, WindowLedger, check_retries
+from repro.serve.report import StreamReport, WindowResult, app_energy_uj
+
+
+def _serve_session(scheduler, stream, checkpoint, **policy):
+    """One serving session of any scheduler (sequential, pool, fleet).
+
+    Opens the ledger, lets ``scheduler._serve_remaining`` serve whatever
+    the checkpoint lacks and returns the finalized report. A
+    fully-checkpointed resume serves nothing and reports the engine the
+    checkpoint recorded.
+    """
+    ledger = WindowLedger.open(
+        stream, checkpoint,
+        lambda: stream_fingerprint(
+            stream, scheduler.config, scheduler.engine,
+            scheduler.double_buffer, pipeline=scheduler.pipeline,
+            energy_model=scheduler.energy_model,
+        ),
+        max_retries=scheduler.max_retries,
+        reference_fallback=scheduler.reference_fallback, **policy,
+    )
+    if ledger.state.complete:
+        engine = ledger.state.fingerprint.get("engine") or scheduler.engine
+    else:
+        with ledger:
+            engine = scheduler._serve_remaining(stream, ledger)
+    return ledger.finalize(
+        scheduler.config, engine, stream, scheduler.double_buffer,
+        partial=ledger.stopped,
+    )
+
+
+def _resolve_job(config: str, params, pipeline):
+    """The ``(config, pipeline)`` a scheduler serves.
+
+    A pipeline that declares its configuration (window_pipeline does)
+    wins over ``config``, so energy attribution and the report label
+    follow what actually runs; without one, the MBioTracker pipeline is
+    built from ``config``/``params``.
+    """
+    if pipeline is None:
+        return config, window_pipeline(config, params)
+    return getattr(pipeline, "config", config), pipeline
 
 
 class StreamScheduler:
@@ -72,33 +94,24 @@ class StreamScheduler:
 
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) turns on the
     resilience layer of docs/robustness.md: faults are injected per
-    serving attempt, detected attempts are retried up to ``max_retries``
-    times, a final attempt may run on a reference-engine twin platform
-    (``reference_fallback``), and windows that exhaust the budget are
-    quarantined into :attr:`StreamReport.failed_windows` instead of
-    aborting the stream. Process faults (worker kill/hang) are counted
-    but never executed here — only :class:`~repro.serve.PoolScheduler`
-    workers are expendable.
+    serving attempt and each spoiled window climbs the retry ladder
+    (``max_retries``, ``reference_fallback``) of the
+    :class:`~repro.serve.ledger.WindowLedger` every transport shares;
+    windows that exhaust it are quarantined into
+    :attr:`StreamReport.failed_windows` instead of aborting the stream.
+    Process faults (worker kill/hang) are counted but never executed
+    here — only :class:`~repro.serve.PoolScheduler` workers are
+    expendable.
     """
 
     def __init__(self, config: str = "cpu_vwr2a",
                  runner: KernelRunner = None, params=None,
                  pipeline=None, reset_sram: bool = True,
                  double_buffer: bool = True, energy_model=None,
-                 fault_plan=None, max_retries: int = 2,
+                 fault_plan=None, max_retries: int = MAX_RETRIES,
                  reference_fallback: bool = True) -> None:
-        # A pipeline that declares its configuration (window_pipeline
-        # does) wins over the default, so energy attribution and the
-        # report label follow what actually runs.
-        self.config = (
-            getattr(pipeline, "config", config)
-            if pipeline is not None else config
-        )
+        self.config, self.pipeline = _resolve_job(config, params, pipeline)
         self.runner = runner if runner is not None else KernelRunner()
-        self.pipeline = (
-            pipeline if pipeline is not None
-            else window_pipeline(config, params)
-        )
         self.reset_sram = reset_sram
         self.double_buffer = double_buffer
         if energy_model is True:
@@ -106,20 +119,16 @@ class StreamScheduler:
 
             energy_model = default_model()
         self.energy_model = energy_model if energy_model is not None else None
-        if max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {max_retries}"
-            )
-        self.max_retries = max_retries
+        self.max_retries = check_retries(max_retries)
         self.reference_fallback = reference_fallback
         self.fault_plan = fault_plan
         self._injector = None
+        self._attempts = None
         if fault_plan is not None:
             from repro.faults.injector import FaultInjector
 
             self._injector = FaultInjector(fault_plan, process_faults=False)
-        self._ref_sched = None
-        self._ref_log = None
+            self._attempts = AttemptServer(self, self._injector)
 
     def run(self, stream, checkpoint=None) -> StreamReport:
         """Serve every window of ``stream``; returns the stream report.
@@ -127,99 +136,63 @@ class StreamScheduler:
         ``checkpoint`` (a :class:`~repro.serve.StreamCheckpoint` or a
         path) enables mid-stream resume for very long traces: completed
         windows recorded in the checkpoint are skipped, progress is
-        flushed every ``checkpoint.every`` windows, and the final report
-        — per-window results are history-independent, so skipping served
-        windows changes nothing — is bit-identical to an uninterrupted
-        run (wall time and store-cache stats reflect the work each
-        session actually did).
+        flushed every ``checkpoint.every`` windows (and whenever serving
+        fails), and the final report — per-window results are
+        history-independent, so skipping served windows changes nothing
+        — is bit-identical to an uninterrupted run (wall time and
+        store-cache stats reflect the work each session actually did).
+        """
+        return _serve_session(self, stream, checkpoint)
+
+    @property
+    def engine(self) -> str:
+        return self.runner.soc.vwr2a.engine
+
+    def _serve_remaining(self, stream, ledger, label=None) -> str:
+        """Serve, in order, every window of ``stream`` the ledger lacks.
+
+        The loop behind :meth:`run`, and the fleet's last degradation
+        rung over the fleet's own ledger (``label`` names this loop on
+        the bus). A spoiled attempt's retry outranks the next fresh
+        window, so each window's ladder ends before the stream moves on.
+        Returns the engine that served.
         """
         runner = self.runner
-        soc = runner.soc
-        stats = soc.vwr2a.config_mem.stats
-        report = StreamReport(
-            config=self.config,
-            engine=soc.vwr2a.engine,
-            window=getattr(stream, "window", 0),
-            hop=getattr(stream, "hop", 0),
-            double_buffered=self.double_buffer,
-        )
-        if checkpoint is not None:
-            checkpoint, state = resume_session(checkpoint, stream_fingerprint(
-                stream, self.config, soc.vwr2a.engine,
-                self.double_buffer, pipeline=self.pipeline,
-                energy_model=self.energy_model,
-            ))
-        else:
-            # No checkpoint: a scratch state accumulates the session
-            # (same single code path, no O(trace) fingerprint hash).
-            state = CheckpointState(
-                fingerprint={"n_windows": getattr(stream, "n_windows", 0)}
-            )
-        log = runner.launch_log
-        owns_log = log is None
+        owns_log = runner.launch_log is None
         if owns_log:
-            log = []
-            runner.launch_log = log
-        done_before = state.n_done + state.n_failed
-        wall_base = state.wall_seconds
-        wall_start = time.perf_counter()
+            runner.launch_log = []
+        log = runner.launch_log
+        stats = runner.soc.vwr2a.config_mem.stats
+        windows = iter(stream)
         try:
-            for window in stream:
-                if window.index in state.results \
-                        or window.index in state.failed:
-                    continue
-                window_stats = stats.snapshot()
+            for _, task in ledger.schedule(
+                lambda: (label,), 1, lambda: next(windows, None)
+            ):
+                if self._attempts is None:
+                    before = stats.snapshot()
+                    result = self.serve_window(task.window, log)
+                    ledger.accept(
+                        label, result, stats.since(before), label=label
+                    )
+                else:
+                    verdict = self._attempts.serve(task)
+                    if verdict[0] == "ok":
+                        ledger.accept(label, *verdict[1:], label=label)
+                    else:
+                        ledger.fault(label, task.index, verdict[1])
                 # Metrics are host-side bookkeeping over the window's
                 # results — off by default, and never feeding back into
                 # simulated state (see repro.obs.instruments).
                 bus = get_bus()
-                resilience_before = (
-                    dict(state.resilience) if bus is not None else None
-                )
-                if self._injector is None:
-                    result = self.serve_window(window, log)
-                else:
-                    result = self._serve_resilient(window, log, state)
-                if result is not None:
-                    state.results[window.index] = result
-                stats_delta = stats.since(window_stats)
-                merge_counts(state.store_stats, stats_delta)
                 if bus is not None:
-                    if result is not None:
-                        record_window(bus, result, stats_delta)
-                    else:
-                        record_failed(bus)
-                    record_resilience(bus, {
-                        name: count - resilience_before.get(name, 0)
-                        for name, count in state.resilience.items()
-                    })
-                    record_progress(
-                        bus, state.n_done + state.n_failed,
-                        state.n_windows,
-                        wall_base + time.perf_counter() - wall_start,
-                    )
-                if checkpoint is not None:
-                    state.wall_seconds = \
-                        wall_base + time.perf_counter() - wall_start
-                    checkpoint.mark(state)
-        except BaseException:
-            # Mirror the pool's durability contract: flush completed
-            # windows before the failure propagates, whatever the
-            # cadence, so the resume re-serves nothing.
-            if checkpoint is not None \
-                    and state.n_done + state.n_failed > done_before:
-                flush_session(state, checkpoint, wall_base, wall_start)
-            raise
+                    ledger.progress(bus)
         finally:
             if owns_log:
                 runner.launch_log = None
             if self.double_buffer:
                 # Leave the runner with its full staging area again.
-                runner.set_sram_region(0, soc.sram.n_words)
-        return finalize_session(
-            report, state, checkpoint, wall_base, wall_start,
-            served=state.n_done + state.n_failed > done_before,
-        )
+                runner.set_sram_region(0, runner.soc.sram.n_words)
+        return self.engine
 
     # -- one window ---------------------------------------------------------
 
@@ -285,121 +258,118 @@ class StreamScheduler:
             kernel_energy_pj=kernel_energy,
         )
 
-    # -- fault-plan resilience ----------------------------------------------
 
-    def _serve_resilient(self, window, log, state):
-        """The retry ladder of one window under an armed fault plan.
+class AttemptServer:
+    """Serving core of one platform: one *attempt* per task.
 
-        Attempts ``0 .. max_retries`` run on the primary engine; if every
-        one is spoiled by an injected fault, one final attempt may run on
-        the reference-engine twin (``reference_fallback``) — compiled and
-        reference results are bit-identical in cycles/events/energy, so
-        a reference recovery changes only the recorded engine decisions.
-        A window that exhausts the ladder is quarantined into
-        ``state.failed`` (and the stream keeps going); non-fault
-        exceptions propagate exactly as without a plan. Returns the
-        :class:`~repro.serve.WindowResult` or ``None`` on quarantine.
+    Shared by the sequential scheduler's fault-plan path, pool worker
+    processes and remote fleet workers. It serves one
+    :class:`~repro.serve.ledger.Task` at a time on ``scheduler``'s
+    platform, or on a reference-engine twin built on first use, under
+    the fault ``injector`` when there is one, and returns the verdict
+    every transport speaks: ``("ok", result, stats_delta, reference)``
+    or ``("retry", kinds)`` when an injected fault spoiled the attempt.
+    The retry ladder belongs to the caller's
+    :class:`~repro.serve.ledger.WindowLedger`.
+    """
+
+    def __init__(self, scheduler: StreamScheduler, injector=None) -> None:
+        self._scheduler = scheduler
+        self._injector = injector
+        self._ref = None  # the reference twin, built on first use
+        self.engine = scheduler.engine
+
+    @classmethod
+    def from_spec(cls, spec, process_faults: bool = True,
+                  before_process_fault=None) -> "AttemptServer":
+        """Build a worker's platform from a picklable worker spec.
+
+        ``process_faults`` arms the suicidal fault kinds (``worker_kill``
+        / ``worker_hang``) — off for in-process workers, whose death
+        would kill the host. ``before_process_fault`` runs right before
+        one strikes (pool workers flush their result queue there).
         """
-        kinds = []
-        attempts = 0
-        result = None
-        for attempt in range(self.max_retries + 1):
-            attempts += 1
-            result, fired = self._attempt(window, log, attempt)
-            if result is not None:
-                break
-            kinds.extend(fired)
-            merge_counts(
-                state.resilience, {f"fault:{kind}": 1 for kind in fired}
-            )
-        if result is None and self.reference_fallback:
-            attempts += 1
-            result, fired = self._attempt(
-                window, log, attempts - 1, reference=True
-            )
-            if result is not None:
-                merge_counts(state.resilience, {"reference_recoveries": 1})
-            else:
-                kinds.extend(fired)
-                merge_counts(
-                    state.resilience,
-                    {f"fault:{kind}": 1 for kind in fired},
-                )
-        if attempts > 1:
-            merge_counts(state.resilience, {"retries": attempts - 1})
-        if result is not None:
-            return result
-        merge_counts(state.resilience, {"quarantined": 1})
-        state.failed[window.index] = FailedWindow(
-            index=window.index,
-            start=window.start,
-            attempts=attempts,
-            kinds=tuple(dict.fromkeys(kinds)),
-            detail=(
-                f"exhausted {attempts} attempts; faults fired: "
-                + ", ".join(kinds)
-            ),
+        runner = spec.runner_factory()
+        runner.launch_log = []
+        scheduler = StreamScheduler(
+            config=spec.config,
+            runner=runner,
+            pipeline=spec.pipeline,
+            double_buffer=spec.double_buffer,
+            energy_model=spec.energy_model,
         )
-        return None
+        if spec.warm_samples is not None:
+            runner.warm(scheduler.pipeline, spec.warm_samples)
+        injector = None
+        if spec.fault_plan is not None:
+            from repro.faults.injector import FaultInjector
 
-    def _attempt(self, window, log, attempt: int, reference: bool = False):
-        """One injected serving attempt; returns ``(result, fired)``.
+            injector = FaultInjector(
+                spec.fault_plan, process_faults=process_faults
+            )
+            injector.before_process_fault = before_process_fault
+        return cls(scheduler, injector)
+
+    def _platform(self, reference: bool) -> StreamScheduler:
+        if not reference:
+            return self._scheduler
+        if self._ref is None:
+            # Same design point and job, golden engine, private launch
+            # log: the replay must simulate the machine the primary
+            # failed on without interleaving with its launch history.
+            primary = self._scheduler
+            runner = KernelRunner(engine="reference", spec=primary.runner.spec)
+            runner.launch_log = []
+            self._ref = StreamScheduler(
+                config=primary.config,
+                runner=runner,
+                pipeline=primary.pipeline,
+                reset_sram=primary.reset_sram,
+                double_buffer=primary.double_buffer,
+                energy_model=primary.energy_model,
+            )
+        return self._ref
+
+    def serve(self, task):
+        """Serve one attempt; returns an ``"ok"`` or ``"retry"`` verdict.
 
         A spoiled attempt (fired faults, or a fault-classified exception
-        such as :class:`~repro.core.errors.BrownoutError`) returns
-        ``(None, fired_kinds)`` after the injector healed the platform
-        and the attempt's launches were rolled off the log, so the next
-        attempt starts from the exact pre-fault state. Exceptions the
-        injector does not own — genuine pipeline bugs — re-raise.
+        such as :class:`~repro.core.errors.BrownoutError`) returns after
+        the injector healed the platform. A genuine (non-fault) failure
+        raises.
         """
-        from repro.faults.injector import is_fault_failure
-
-        if reference:
-            sched = self._reference_scheduler()
-            serve_log = self._ref_log
-            engine = "reference"
-        else:
-            sched = self
-            serve_log = log
-            engine = self.runner.soc.vwr2a.engine
-        base = len(serve_log)
-        injected = self._injector.begin_attempt(
-            sched.runner, window, attempt, engine=engine
-        )
+        platform = self._platform(task.reference)
+        runner = platform.runner
+        log = runner.launch_log
+        stats = runner.soc.vwr2a.config_mem.stats
+        # The result carries the window's launches; drop the previous
+        # attempt's entries so the log does not grow for the platform's
+        # whole lifetime (multi-hour streams).
+        del log[:]
+        before = stats.snapshot()
+        window = task.window
+        injector = self._injector
+        if injector is not None:
+            # worker_kill / worker_hang faults strike in here and never
+            # return — host/server supervision takes over.
+            window = injector.begin_attempt(
+                runner, window, task.attempt,
+                engine="reference" if task.reference else self.engine,
+            )
         try:
-            result = sched.serve_window(injected, serve_log)
+            result = platform.serve_window(window, log)
             exc = None
         except Exception as err:
             result = None
             exc = err
-        fired = self._injector.end_attempt()
+        fired = injector.end_attempt() if injector is not None else ()
         if exc is None and not fired:
-            return result, ()
-        del serve_log[base:]
-        if exc is not None and not is_fault_failure(exc, fired):
-            raise exc
-        return None, fired or (type(exc).__name__,)
+            return ("ok", result, stats.since(before), task.reference)
+        if exc is not None:
+            if injector is None:
+                raise exc
+            from repro.faults.injector import is_fault_failure
 
-    def _reference_scheduler(self) -> "StreamScheduler":
-        """The lazily-built reference-engine twin for fallback attempts.
-
-        A full scheduler on its own platform (same config, pipeline,
-        buffering and energy model) whose launches land in a private log
-        — the primary runner's launch history must not interleave with
-        recovery attempts. Built once, reused for every fallback.
-        """
-        if self._ref_sched is None:
-            self._ref_log = []
-            # Same design point, golden engine: the replay must simulate
-            # the machine the primary runner failed on.
-            runner = KernelRunner(engine="reference", spec=self.runner.spec)
-            runner.launch_log = self._ref_log
-            self._ref_sched = StreamScheduler(
-                config=self.config,
-                runner=runner,
-                pipeline=self.pipeline,
-                reset_sram=self.reset_sram,
-                double_buffer=self.double_buffer,
-                energy_model=self.energy_model,
-            )
-        return self._ref_sched
+            if not is_fault_failure(exc, fired):
+                raise exc
+        return ("retry", tuple(fired) or (type(exc).__name__,))
