@@ -13,11 +13,9 @@ estimates the true cost with scheduler noise removed (single-core CI
 runners share their host).
 
 The compiled measurement also aggregates the **superblock** counters off
-``RunResult.superblocks``: how many closed-form fused loops executed, the
-total trips they covered without per-trip dispatch, and how many ran the
-NumPy steady state (the FFT's 16/32-trip Table-1 loops sit below the
-vectorization break-even and run as counted scalar loops — see
-``repro.engine.superblocks.VEC_MIN_TRIPS_LANES``).
+``RunResult.superblocks``: how many closed-form fused loops executed and
+the total trips they covered without per-trip dispatch (the FFT's
+16/32-trip Table-1 loops, each run as one counted loop).
 
 Also measures **short-kernel launch latency** — store + launch of a small
 FIR, regenerated every iteration exactly like the FFT engines regenerate
@@ -75,8 +73,6 @@ def _measure(engine: str, repeats: int = REPEATS) -> dict:
             "superblocks": {
                 "accelerated_loops": 0,
                 "accelerated_trips": 0,
-                "vectorized_loops": 0,
-                "vector_rejections": {},
             },
         }
 
@@ -88,13 +84,7 @@ def _measure(engine: str, repeats: int = REPEATS) -> dict:
             acc["launches"] += 1
             if result.superblocks:
                 for key, value in result.superblocks.items():
-                    if key == "vector_rejections":
-                        rejections = acc["superblocks"][key]
-                        for reason, count in value.items():
-                            rejections[reason] = \
-                                rejections.get(reason, 0) + count
-                    else:
-                        acc["superblocks"][key] += value
+                    acc["superblocks"][key] += value
             return result
 
         vwr2a.run = timed_run
@@ -165,8 +155,6 @@ def test_sim_speed_fft2048(fft_measurements):
                       "FFT-2048 flow (one dispatch per loop run)",
             "accelerated_loops": superblocks["accelerated_loops"],
             "accelerated_trips": superblocks["accelerated_trips"],
-            "vectorized_loops": superblocks["vectorized_loops"],
-            "vector_rejections": superblocks["vector_rejections"],
             "kernel_launches": compiled["kernel_launches"],
         },
     })

@@ -1,4 +1,4 @@
-"""Assembler tooling: builder API, textual parser, disassembler."""
+"""Assembler tooling: builder API, assembly-text parser, disassembler."""
 
 from repro.asm.builder import ProgramBuilder
 from repro.asm.disasm import disassemble_listing, disassemble_words, listing

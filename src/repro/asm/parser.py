@@ -1,4 +1,4 @@
-"""Textual assembly front-end for VWR2A column programs.
+"""Assembly-text front-end for VWR2A column programs.
 
 Grammar (one bundle per line; unit slots separated by ``|``; missing slots
 are NOPs; ``;`` starts a comment)::
@@ -82,7 +82,7 @@ _VWR_NAMES = {"A": Vwr.A, "B": Vwr.B, "C": Vwr.C}
 
 
 class AsmError(ProgramError):
-    """Syntax error in a textual assembly source."""
+    """Syntax error in an assembly source text."""
 
     def __init__(self, line_no: int, message: str) -> None:
         super().__init__(f"line {line_no}: {message}")
@@ -243,7 +243,7 @@ def _parse_lcu(body: str, line_no: int) -> LCUInstr:
 
 
 def parse_program(source: str, n_rcs: int = 4) -> ColumnProgram:
-    """Assemble a textual source into a :class:`ColumnProgram`."""
+    """Assemble a source text into a :class:`ColumnProgram`."""
     builder = ProgramBuilder(n_rcs=n_rcs)
     for line_no, raw in enumerate(source.splitlines(), start=1):
         line = raw.split(";", 1)[0].strip()

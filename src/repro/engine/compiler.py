@@ -24,9 +24,8 @@ performs that decode exactly once per program:
 * self-loops whose trip state is provably concrete (the closed-form
   machinery shared with the SPM-conflict analysis,
   :mod:`repro.engine.superblocks`) compute their **trip count once** at
-  loop entry; when the body qualifies, the per-trip RC/MXCU datapath work
-  runs as NumPy array operations over all trips at once, with the final
-  register state reconstructed from the loop's affine summary;
+  loop entry and run a counted loop with no per-trip branch evaluation,
+  reconstructing the LCU registers from the loop's affine summary;
 * each block carries the static event delta of one execution
   (:mod:`repro.engine.deltas`) — the executor folds ``delta x count`` into
   the shared tally at kernel end, multiplying (never iterating) the
@@ -48,14 +47,8 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 
 from repro.core.errors import ProgramError
-from repro.engine.deltas import bundle_event_delta, delta_matrix
-from repro.engine.superblocks import (
-    NUMPY_AVAILABLE,
-    VEC_MAX_TRIPS,
-    bound_expr,
-    plan_loop,
-    trip_count_lines,
-)
+from repro.engine.deltas import bundle_event_delta
+from repro.engine.superblocks import bound_expr, plan_loop, trip_count_lines
 from repro.isa.fields import RCDstKind, RCSrcKind
 from repro.isa.lcu import BRANCH_OPS, LCUCmp, LCUOp
 from repro.isa.lsu import LSUOp
@@ -360,21 +353,13 @@ class BlockInfo:
     exit_next: int       #: reference PC after EXIT (-1 when not an exit)
     is_loop: bool        #: self-loop fused: fn(limit) -> (next_pc, trips)
     closed_form: bool    #: loop trips solvable at entry (no horizon needed)
-    vectorized: bool     #: loop body carries a NumPy steady-state path
     members: tuple       #: ((leader, n_cycles, delta), ...) per basic block
-    #: Static reason this self-loop cannot take the NumPy steady state
-    #: (``None`` for vectorized loops and non-loop blocks); the generated
-    #: code additionally counts runtime rejections (trip window, counter
-    #: wrap, RMW index repeats) per loop entry into the bound ``_REJ``
-    #: tally surfaced as ``RunResult.superblocks["vector_rejections"]``.
-    vector_reject: str = None
 
 
 class CompiledProgram:
     """Code object + block metadata of one compiled ColumnProgram."""
 
-    __slots__ = ("params", "source", "code", "blocks", "n_bundles",
-                 "event_names", "event_matrix")
+    __slots__ = ("params", "source", "code", "blocks", "n_bundles")
 
     def __init__(self, params, source, code, blocks, n_bundles) -> None:
         self.params = params
@@ -382,17 +367,6 @@ class CompiledProgram:
         self.code = code
         self.blocks = blocks
         self.n_bundles = n_bundles
-        # Per-superblock static event matrix: the end-of-kernel fold is
-        # one integer mat-vec over the execution histogram
-        # (repro.engine.deltas.delta_matrix).
-        names, rows = delta_matrix([blk.delta for blk in blocks])
-        self.event_names = names
-        if NUMPY_AVAILABLE:
-            import numpy
-
-            self.event_matrix = numpy.array(rows, dtype=numpy.int64)
-        else:
-            self.event_matrix = rows
 
     def listing(self) -> str:
         """The generated Python source (debug aid)."""
@@ -618,32 +592,19 @@ def _compile(bundles, params) -> CompiledProgram:
         counted = plan is not None and all(
             sym[0] != "u" for sym in plan.lcu_sym.values()
         )
-        vector_reject = None
-        if is_loop:
-            if plan is None:
-                vector_reject = "non_concrete_trip"
-            elif not counted:
-                vector_reject = plan.vector_reject or "unknown_lcu_state"
-            elif not plan.vectorized:
-                vector_reject = plan.vector_reject or "not_vectorized"
 
         fn_name = f"_b{leader}"
         lines = [f"def {fn_name}({'limit, ' if is_loop else ''}{sig}):"]
         indent = "    "
         if uses_k or sets_k:
             lines.append(f"{indent}k = col.k")
-        if is_loop and not counted:
-            # Loops the closed-form machinery cannot accelerate at all:
-            # count the static reason once per loop entry.
-            lines.append(f"{indent}_REJ[{vector_reject!r}] += 1")
         if counted:
             # Closed-form trip count, computed once at loop entry. While
-            # the counter provably stays inside int32, the loop runs
-            # without per-trip branch evaluation: the NumPy steady state
-            # when the trip count lands in the profitable window, a
-            # counted scalar loop otherwise — both reconstruct the LCU
-            # registers from the affine summary. Counter wrap-around
-            # falls through to the exact per-trip loop below.
+            # the counter provably stays inside int32, the loop runs as a
+            # counted loop without per-trip branch evaluation and
+            # reconstructs the LCU registers from the affine summary.
+            # Counter wrap-around falls through to the exact per-trip
+            # loop below.
             lines.append(f"{indent}_v0 = L[{plan.counter}]")
             lines.append(f"{indent}_bnd = {bound_expr(plan)}")
             for line in trip_count_lines(plan):
@@ -657,18 +618,6 @@ def _compile(bundles, params) -> CompiledProgram:
                 f"{indent}if -2147483648 <= _v0 + _t * {plan.delta} "
                 "<= 2147483647:"
             )
-            if plan.vectorized:
-                lines.append(f"{indent}    if _t < {plan.min_trips}:")
-                lines.append(f"{indent}        _REJ['trip_below_floor']"
-                             " += 1")
-                lines.append(f"{indent}    elif _t > {VEC_MAX_TRIPS}:")
-                lines.append(f"{indent}        _REJ['trip_above_ceiling']"
-                             " += 1")
-                lines.append(f"{indent}    else:")
-                for line in plan.vector_lines:
-                    lines.append(f"{indent}        {line}")
-            else:
-                lines.append(f"{indent}    _REJ[{vector_reject!r}] += 1")
             counted_body, post_commits = _hoistable_commits(
                 bundles, pcs,
                 [line for pc in pcs for line in bodies[pc].lines],
@@ -690,10 +639,6 @@ def _compile(bundles, params) -> CompiledProgram:
             if sets_k:
                 lines.append(f"{indent}    col.k = k")
             lines.append(f"{indent}    return _pc, _t")
-            # int32 guard failed: the closed form would mispredict the
-            # wrap-around — count it and run the exact per-trip loop.
-            lines.append(f"{indent}else:")
-            lines.append(f"{indent}    _REJ['counter_wrap'] += 1")
         if is_loop:
             lines.append(f"{indent}_n = 0")
             lines.append(f"{indent}while True:")
@@ -745,9 +690,7 @@ def _compile(bundles, params) -> CompiledProgram:
             exit_next=(pcs[-1] + 1) if op is LCUOp.EXIT else -1,
             is_loop=is_loop,
             closed_form=plan is not None,
-            vectorized=plan is not None and plan.vectorized,
             members=_member_info(members, deltas),
-            vector_reject=vector_reject,
         ))
 
     source = "\n\n".join(sources)

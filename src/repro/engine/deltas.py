@@ -17,12 +17,13 @@ The enumeration below mirrors ``Column.step`` line by line; the
 differential tests (``tests/test_engine_equivalence.py``) assert the fold
 matches the interpreter's per-cycle logging bit for bit on every kernel.
 
-:func:`delta_matrix` assembles the per-superblock deltas of one compiled
-program into a dense ``superblocks x events`` count matrix: the executor's
-end-of-kernel fold is then one integer mat-vec (execution counts times the
-matrix) instead of a per-block dictionary walk, and the histogram-native
-energy path (:meth:`repro.energy.EnergyModel.fold_histogram`) consumes the
-same static rows.
+Each compiled superblock carries the summed delta of its bundles
+(:attr:`repro.engine.compiler.BlockInfo.delta`). At kernel end the
+executor walks the executed superblocks once, multiplying each delta by
+its execution count (:meth:`repro.engine.executor.BoundColumn.flush`,
+memoized per count vector), and the histogram-native energy path
+(:meth:`repro.energy.EnergyModel.fold_histogram`) consumes the same
+static rows.
 """
 
 from __future__ import annotations
@@ -118,24 +119,3 @@ def bundle_event_delta(bundle, params) -> dict:
 
     return dict(d)
 
-
-def delta_matrix(deltas) -> tuple:
-    """Dense static event matrix of a sequence of block deltas.
-
-    ``deltas`` are ``((event, count), ...)`` rows (one per superblock, as
-    :class:`~repro.engine.compiler.BlockInfo` carries them). Returns
-    ``(events, rows)``: the sorted union of event names and one aligned
-    count list per input delta. The executor folds execution histograms
-    through this matrix in one pass; zero-count products are dropped at
-    fold time, so the result matches the per-entry dictionary walk
-    exactly.
-    """
-    events = sorted({name for delta in deltas for name, _ in delta})
-    index = {name: position for position, name in enumerate(events)}
-    rows = []
-    for delta in deltas:
-        row = [0] * len(events)
-        for name, count in delta:
-            row[index[name]] = count
-        rows.append(row)
-    return tuple(events), rows

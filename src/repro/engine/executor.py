@@ -8,13 +8,13 @@ Two interchangeable engines drive kernel execution for
 * :class:`CompiledEngine` — binds each column's
   :class:`~repro.engine.compiler.CompiledProgram` to the column's storage
   and dispatches whole superblocks (fused straight-line chains and
-  self-loops; closed-form loops complete a full run — possibly as a NumPy
-  steady state — in one dispatch, see :mod:`repro.engine.superblocks`).
+  self-loops; closed-form loops complete a full run as one counted loop
+  in one dispatch, see :mod:`repro.engine.superblocks`).
   Event counting happens as per-superblock execution histograms folded
   into the shared :class:`~repro.core.events.EventCounters` once at kernel
-  end (:meth:`BoundColumn.finish`, one mat-vec over the program's static
-  event matrix) — bit-identical to per-cycle logging because every
-  bundle's event delta is static (see :mod:`repro.engine.deltas`).
+  end (:meth:`BoundColumn.finish`, a memoized walk of the blocks' static
+  deltas) — bit-identical to per-cycle logging because every bundle's
+  event delta is static (see :mod:`repro.engine.deltas`).
 
 Multi-column kernels run under a virtual-time scheduler: the column with
 the smallest cycle count advances superblocks until its virtual time
@@ -43,7 +43,6 @@ from repro.core.errors import AddressError, ProgramError, SpmConflictError
 from repro.core.shuffle import shuffle
 from repro.engine.compiler import compile_program
 from repro.engine.conflicts import EMPTY_REPORT, analyze_active
-from repro.engine.superblocks import _np, lane_offsets, vector_namespace
 from repro.isa.fields import ShuffleMode, Vwr
 from repro.isa.rc import RCOp
 
@@ -114,14 +113,7 @@ class BoundColumn:
     def __init__(self, column, compiled) -> None:
         self.column = column
         self.compiled = compiled
-        self.vec_counter = [0]
-        #: Per-loop-entry tally of why the NumPy steady state was not
-        #: taken: static reasons stamped at compile time plus the runtime
-        #: guards (trip window, counter wrap, RMW index repeats).
-        self.rejections = Counter()
         namespace = self._namespace(column)
-        namespace["_VEC"] = self.vec_counter
-        namespace["_REJ"] = self.rejections
         exec(compiled.code, namespace)
         table = {}
         for blk in compiled.blocks:
@@ -169,8 +161,6 @@ class BoundColumn:
             g[f"_shuf{int(mode)}"] = partial(
                 _mode_shuffle, mode, slice_words
             )
-        g.update(vector_namespace())
-        g["_lofs"] = lane_offsets(column.params)
         return g
 
     def begin(self) -> None:
@@ -179,8 +169,6 @@ class BoundColumn:
         self.pc = 0
         self.loops_accelerated = 0
         self.trips_accelerated = 0
-        self.vec_counter[0] = 0
-        self.rejections.clear()
 
     def run_to_exit(self, kernel_name: str, max_cycles: int) -> int:
         """Single-column fast path: dispatch superblocks until EXIT."""
@@ -280,30 +268,22 @@ class BoundColumn:
         """Fold the execution histogram into the shared event tally and
         sync the column's architectural bookkeeping (also on aborts).
 
-        One integer mat-vec over the per-superblock static event matrix
-        (:func:`repro.engine.deltas.delta_matrix`) when NumPy is present;
-        the dictionary walk otherwise — identical totals either way.
+        Walks the executed superblocks' static deltas, memoized per count
+        vector. Totals are emitted in sorted event-name order, so the
+        shared tally's insertion order (and every float sum downstream)
+        depends only on the events that ticked, not on block order.
         """
-        compiled = self.compiled
         key = tuple(self.counts)
         totals = self._fold_memo.get(key)
         if totals is None:
-            if _np is not None:
-                folded = _np.asarray(key, dtype=_np.int64) \
-                    @ compiled.event_matrix
-                totals = {
-                    name: int(total)
-                    for name, total in zip(compiled.event_names, folded)
-                    if total
-                }
-            else:
-                totals = {}
-                for blk in compiled.blocks:
-                    count = key[blk.index]
-                    if not count:
-                        continue
-                    for name, n in blk.delta:
-                        totals[name] = totals.get(name, 0) + n * count
+            walked = {}
+            for blk in self.compiled.blocks:
+                count = key[blk.index]
+                if not count:
+                    continue
+                for name, n in blk.delta:
+                    walked[name] = walked.get(name, 0) + n * count
+            totals = {name: walked[name] for name in sorted(walked)}
             if len(self._fold_memo) > 64:
                 self._fold_memo.clear()
             self._fold_memo[key] = totals
@@ -353,21 +333,10 @@ class BoundColumn:
         return rows
 
     def superblock_stats(self) -> dict:
-        """Closed-form loop accounting of the last run.
-
-        ``vector_rejections`` maps rejection reason -> loop entries that
-        stayed off the NumPy steady state for it: static reasons
-        (``non_concrete_trip``, ``lsu_in_body``, ``cross_trip_recurrence``,
-        ``inadmissible_rmw``, ...) count per entry of their loop, runtime
-        reasons (``trip_below_floor``, ``trip_above_ceiling``,
-        ``counter_wrap``, ``rmw_index_repeat``) count per entry that
-        failed the corresponding guard.
-        """
+        """Closed-form loop accounting of the last run."""
         return {
             "accelerated_loops": self.loops_accelerated,
             "accelerated_trips": self.trips_accelerated,
-            "vectorized_loops": self.vec_counter[0],
-            "vector_rejections": dict(self.rejections),
         }
 
 
@@ -467,23 +436,12 @@ class CompiledEngine:
             for bound in bounds:
                 bound.flush(vwr2a.events)
             raise
-        superblocks = {
-            "accelerated_loops": 0,
-            "accelerated_trips": 0,
-            "vectorized_loops": 0,
-            "vector_rejections": {},
-        }
+        superblocks = {"accelerated_loops": 0, "accelerated_trips": 0}
         histogram = []
-        rejections = superblocks["vector_rejections"]
         for bound in bounds:
             bound.finish(vwr2a.events)
             for stat, value in bound.superblock_stats().items():
-                if stat == "vector_rejections":
-                    for reason, count in value.items():
-                        rejections[reason] = \
-                            rejections.get(reason, 0) + count
-                else:
-                    superblocks[stat] += value
+                superblocks[stat] += value
             histogram.extend(bound.block_histogram())
         self.last_run_info = RunInfo(
             "compiled", None, (), superblocks, tuple(histogram)

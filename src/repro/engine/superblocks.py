@@ -1,4 +1,4 @@
-"""Superblock tier: closed-form self-loops and vectorized steady state.
+"""Superblock tier: closed-form self-loops.
 
 Three layers of the compiled engine share the machinery in this module:
 
@@ -16,54 +16,24 @@ Three layers of the compiled engine share the machinery in this module:
   loop only ends on the cycle budget).
 * :class:`LoopPlan` / :func:`plan_loop` — the compiler-facing summary: a
   proven loop carries its counter register, per-trip delta, bound operand
-  and (when the body qualifies) generated NumPy source that executes the
-  RC/MXCU datapath work of *all* trips at once — gathers and scatters over
-  the VWR backing stores indexed by precomputed per-bundle ``k``
-  sequences, with the final LCU/RC register state reconstructed from the
-  affine summaries. Loop bodies that touch the LSU, write the SRF, or
-  carry values between trips through RC registers fall back to the scalar
-  fused loop (bit-identity preserved either way).
+  and per-register affine classification. The compiler turns it into a
+  counted scalar loop (trip count solved once at loop entry, no per-trip
+  branch evaluation) whose final LCU register state is reconstructed
+  from the affine summary; :func:`bound_expr` and
+  :func:`trip_count_lines` emit the loop-entry source.
 
-The vectorized path needs NumPy; when it is unavailable the compiler
-simply emits scalar closed-form loops (the simulator itself stays
-stdlib-only — NumPy is a test/bench extra).
+Everything here is stdlib-only, like the rest of the simulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.fields import RCDstKind, RCSrcKind
-from repro.isa.lcu import BRANCH_OPS, LCUCmp, LCUOp
+from repro.isa.fields import RCSrcKind
+from repro.isa.lcu import LCUCmp, LCUOp
 from repro.isa.lsu import LSUOp
-from repro.isa.mxcu import NO_SRF, MXCUOp
-from repro.isa.rc import RCOp
 from repro.utils.bits import to_signed32
 from repro.utils.fixed_point import wrap32
-
-try:  # pragma: no cover - exercised via the compiled engine
-    import numpy as _np
-except ImportError:  # pragma: no cover - stdlib-only deployments
-    _np = None
-
-#: Whether the vectorized steady state can be compiled in this process.
-NUMPY_AVAILABLE = _np is not None
-
-#: Trip-count windows in which the NumPy body beats the scalar loop:
-#: below the minimum the per-call array dispatch overhead dominates (the
-#: microbench in ``benchmarks/test_sim_speed.py`` puts the break-even
-#: near one hundred trips on commodity hosts — the 16/32-trip Table-1
-#: full-slice passes are faster as counted scalar loops), above the
-#: maximum the per-trip index tables would hold too much memory at once.
-#: Lane-broadcast bodies (one instruction across all RCs) amortize the
-#: setup over ``lanes x trips`` elements, so their break-even sits lower
-#: than the per-cell fallback's.
-VEC_MIN_TRIPS = 256
-VEC_MIN_TRIPS_LANES = 96
-VEC_MAX_TRIPS = 1 << 18
-
-_INT32_MIN = -(1 << 31)
-_INT32_MAX = (1 << 31) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -181,202 +151,6 @@ def trip_count(op: LCUOp, delta: int, v0: int, bound: int):
 
 
 # ---------------------------------------------------------------------------
-# Runtime helpers for the vectorized steady state
-# ---------------------------------------------------------------------------
-
-def k_index_table(k0: int, trips: int, updates, slice_mask: int, srf_masks):
-    """Per-bundle ``k`` index arrays over ``trips`` trips, plus the final k.
-
-    ``updates`` describes each body bundle's MXCU action:
-    ``("nop",)`` / ``("set", k)`` / ``("upd", inc, and_mask, xor)`` where
-    ``and_mask is None`` means the mask comes from the SRF — resolved
-    positionally from ``srf_masks`` (loop-invariant by construction, read
-    once at loop entry). ``k`` lives in ``[0, slice_words)``, so its
-    trip-entry orbit cycles within ``slice_words`` steps: the table is
-    built by walking the orbit to its first repeat and tiling.
-    Returns ``(table, final_k)`` with ``table[b]`` the int64 index array
-    of bundle ``b``.
-    """
-    resolved = []
-    position = 0
-    for update in updates:
-        if update[0] == "upd" and update[2] is None:
-            resolved.append(
-                ("upd", update[1], srf_masks[position], update[3])
-            )
-            position += 1
-        else:
-            resolved.append(update)
-    if all(
-        update[0] == "nop"
-        or (update[0] == "upd"
-            and update[2] & slice_mask == slice_mask and update[3] == 0)
-        for update in resolved
-    ):
-        # Pure modular increments (the Table-1 ``inck`` shape): every
-        # bundle's index is an arithmetic progression — no orbit walk.
-        trip_stride = sum(
-            u[1] for u in resolved if u[0] == "upd"
-        )
-        base = _np.arange(trips, dtype=_np.int64) * trip_stride + k0
-        rows = []
-        prefix = 0
-        for update in resolved:
-            if update[0] == "upd":
-                prefix += update[1]
-            rows.append((base + prefix) & slice_mask)
-        table = _np.stack(rows)
-        return table, int(table[-1, -1])
-    rows = []
-    seen = {}
-    cycle_start = None
-    k = k0
-    while len(rows) < trips:
-        if k in seen:
-            cycle_start = seen[k]
-            break
-        seen[k] = len(rows)
-        row = []
-        for update in resolved:
-            if update[0] == "set":
-                k = update[1]
-            elif update[0] == "upd":
-                k = (((k + update[1]) & update[2]) ^ update[3]) & slice_mask
-            row.append(k)
-        rows.append(row)
-    table = _np.array(rows, dtype=_np.int64)
-    if len(rows) < trips:
-        cycle = table[cycle_start:]
-        repeats = -(-(trips - cycle_start) // len(cycle))
-        table = _np.concatenate(
-            [table[:cycle_start], _np.tile(cycle, (repeats, 1))]
-        )[:trips]
-    table = table.T
-    return table, int(table[-1, -1])
-
-
-def scatter_writes(target, indices, values, trips: int) -> None:
-    """Commit several per-trip VWR write streams in program order.
-
-    ``indices``/``values`` are the body's write sites in bundle order;
-    interleaving them trip-major before one fancy assignment reproduces
-    the scalar engine's write order exactly (NumPy assigns advanced
-    indices in order, so on duplicate indices the last write wins — the
-    differential suite pins this down with wrapping-``k`` loops).
-    """
-    stacked = _np.stack(indices, axis=1).ravel()
-    broadcast = [
-        value if isinstance(value, _np.ndarray) and value.shape == (trips,)
-        else _np.broadcast_to(_np.asarray(value, dtype=_np.int64), (trips,))
-        for value in values
-    ]
-    target[stacked] = _np.stack(broadcast, axis=1).ravel()
-
-
-def scatter_lanes(target, indices, values, trips: int) -> None:
-    """Commit per-trip ``lanes x trips`` write streams in program order.
-
-    The lane-broadcast sibling of :func:`scatter_writes`: each site is a
-    2D index/value pair; transposing to trip-major before the flatten
-    reproduces the scalar engine's write order (lanes within one bundle
-    address disjoint slices, so their relative order is free).
-    """
-    stacked = _np.concatenate([site.T for site in indices], axis=1).ravel()
-    shape = indices[0].shape
-    broadcast = [
-        value if isinstance(value, _np.ndarray) and value.shape == shape
-        else _np.broadcast_to(_np.asarray(value, dtype=_np.int64), shape)
-        for value in values
-    ]
-    target[stacked] = _np.concatenate(
-        [value.T for value in broadcast], axis=1
-    ).ravel()
-
-
-def lane_offsets(params):
-    """Per-RC VWR slice base offsets as a ``(lanes, 1)`` column array."""
-    if _np is None:
-        return None
-    return (
-        _np.arange(params.rcs_per_column, dtype=_np.int64).reshape(-1, 1)
-        * params.slice_words
-    )
-
-
-def as_int64(words) -> "object":
-    """A VWR/SPM backing list as an int64 array (gather/scatter staging)."""
-    return _np.array(words, dtype=_np.int64)
-
-
-def last_value(value) -> int:
-    """Final-trip value of a per-trip result (array or trip-invariant)."""
-    if isinstance(value, _np.ndarray):
-        return int(value[-1])
-    return int(value)
-
-
-def all_distinct(indices, trips: int) -> bool:
-    """True when a per-trip index array never revisits a position.
-
-    The runtime guard of the read-modify-write vector path (the FFT
-    butterfly shape: ``VB[k] = VA[k] - VB[k]``): with every trip touching
-    a fresh ``k``, gathers of loop-entry state are exact. A repeat (the
-    trip count lapping the ``k`` orbit) falls back to the scalar loop.
-    """
-    return int(_np.unique(indices).size) == trips
-
-
-def _lane16(word, shift):
-    """Sign-extended 16-bit lane of a (vectorized) 32-bit word."""
-    lane = ((word & 0xFFFFFFFF) >> shift) & 0xFFFF
-    return (lane ^ 0x8000) - 0x8000
-
-
-def _v16(op):
-    def run(a, b):
-        result = 0
-        for shift in (0, 16):
-            la = _lane16(a, shift)
-            lb = _lane16(b, shift)
-            if op is RCOp.SADD16:
-                lane = la + lb
-            elif op is RCOp.SSUB16:
-                lane = la - lb
-            else:
-                lane = (la * lb) >> 15
-            result = result | ((lane & 0xFFFF) << shift)
-        return ((result & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000
-
-    return run
-
-
-#: Vectorized SIMD16 lane ops (mirror ``repro.core.alu._simd16``).
-v16_add = _v16(RCOp.SADD16)
-v16_sub = _v16(RCOp.SSUB16)
-v16_mul = _v16(RCOp.FXPMUL16)
-
-
-def vector_namespace() -> dict:
-    """Names the generated vectorized loop bodies resolve at bind time."""
-    names = {
-        "_np": _np,
-        "_arr": as_int64,
-        "_kseq": k_index_table,
-        "_scat": scatter_writes,
-        "_last": last_value,
-        "_dst": all_distinct,
-        "_scat2": scatter_lanes,
-        "_v16a": v16_add,
-        "_v16s": v16_sub,
-        "_v16m": v16_mul,
-    }
-    if _np is not None:
-        names["_nmax"] = _np.maximum
-        names["_nmin"] = _np.minimum
-    return names
-
-
-# ---------------------------------------------------------------------------
 # Compiler-facing loop plan
 # ---------------------------------------------------------------------------
 
@@ -390,22 +164,6 @@ class LoopPlan:
     cmp_kind: "LCUCmp"    #: bound operand addressing mode
     cmp_index: int        #: immediate value / LCU register / SRF entry
     lcu_sym: dict         #: per-register symbolic per-trip classification
-    vector_lines: tuple   #: generated NumPy body (empty => scalar only)
-    lanes: bool = False   #: body lifted as lanes x trips (broadcast RCs)
-    #: Why the body stayed scalar (``None`` when vectorized): one of the
-    #: static reasons of :class:`_VectorBodyGen` (``lsu_in_body``,
-    #: ``cross_trip_recurrence``, ``inadmissible_rmw``, ...) or
-    #: ``numpy_unavailable``. Surfaced per loop entry through
-    #: ``RunResult.superblocks["vector_rejections"]``.
-    vector_reject: str = None
-
-    @property
-    def vectorized(self) -> bool:
-        return bool(self.vector_lines)
-
-    @property
-    def min_trips(self) -> int:
-        return VEC_MIN_TRIPS_LANES if self.lanes else VEC_MIN_TRIPS
 
 
 def plan_loop(bundles, pcs, params) -> LoopPlan:
@@ -416,34 +174,13 @@ def plan_loop(bundles, pcs, params) -> LoopPlan:
     if not summary["ok"]:
         return None
     branch = summary["branch"]
-    delta = summary["lcu_sym"][branch.rd][1]
-    vector_lines = ()
-    lanes = False
-    reject = None
-    if NUMPY_AVAILABLE:
-        generated = _LaneVectorGen(bundles, pcs, params, summary).build()
-        lanes = generated is not None
-        if generated is None:
-            # The per-cell generator subsumes the lane shape, so its
-            # rejection reason is the one worth reporting.
-            cell_gen = _VectorBodyGen(bundles, pcs, params, summary)
-            generated = cell_gen.build()
-            if generated is None:
-                reject = cell_gen.reject
-        if generated is not None:
-            vector_lines = tuple(generated)
-    else:
-        reject = "numpy_unavailable"
     return LoopPlan(
         counter=int(branch.rd),
-        delta=delta,
+        delta=summary["lcu_sym"][branch.rd][1],
         op=branch.op,
         cmp_kind=branch.cmp_kind,
         cmp_index=int(branch.cmp),
         lcu_sym=summary["lcu_sym"],
-        vector_lines=vector_lines,
-        lanes=lanes,
-        vector_reject=reject,
     )
 
 
@@ -472,451 +209,3 @@ def trip_count_lines(plan: LoopPlan) -> list:
             "if _t < 1: _t = 1",
         ]
     return [f"_t = 1 if _v0 + {d} < _bnd else None"]
-
-
-# ---------------------------------------------------------------------------
-# Vectorized body generation
-# ---------------------------------------------------------------------------
-
-_VWR_SRC = {
-    RCSrcKind.VWR_A: "VA",
-    RCSrcKind.VWR_B: "VB",
-    RCSrcKind.VWR_C: "VC",
-}
-_VWR_DST = {
-    RCDstKind.VWR_A: "VA",
-    RCDstKind.VWR_B: "VB",
-    RCDstKind.VWR_C: "VC",
-}
-
-
-def _wrap(expr: str) -> str:
-    return f"((({expr}) + 2147483648 & 4294967295) - 2147483648)"
-
-
-def _vec_alu(op: RCOp, a: str, b: str) -> str:
-    """NumPy-elementwise source of ``alu_execute(op, a, b)``.
-
-    Mirrors the scalar inline expressions of the compiler; every produced
-    value is a wrapped signed-32 quantity (as an int64 array or a Python
-    int when both operands are trip-invariant).
-    """
-    if op is RCOp.SADD:
-        return _wrap(f"({a}) + ({b})")
-    if op is RCOp.SSUB:
-        return _wrap(f"({a}) - ({b})")
-    if op is RCOp.SMUL:
-        return _wrap(f"({a}) * ({b})")
-    if op is RCOp.FXPMUL:
-        return _wrap(f"(({a}) * ({b})) >> 15")
-    if op is RCOp.SLL:
-        return _wrap(f"(({a}) & 4294967295) << (({b}) & 31)")
-    if op is RCOp.SRL:
-        return _wrap(f"(({a}) & 4294967295) >> (({b}) & 31)")
-    if op is RCOp.SRA:
-        return f"(({a}) >> (({b}) & 31))"
-    if op is RCOp.LAND:
-        return _wrap(f"({a}) & ({b}) & 4294967295")
-    if op is RCOp.LOR:
-        return _wrap(f"(({a}) | ({b})) & 4294967295")
-    if op is RCOp.LXOR:
-        return _wrap(f"(({a}) ^ ({b})) & 4294967295")
-    if op is RCOp.LNOT:
-        return _wrap(f"(~({a})) & 4294967295")
-    if op is RCOp.MOV:
-        return _wrap(a)
-    if op is RCOp.SMAX:
-        return f"_nmax(({a}), ({b}))"
-    if op is RCOp.SMIN:
-        return f"_nmin(({a}), ({b}))"
-    if op is RCOp.SADD16:
-        return f"_v16a(({a}), ({b}))"
-    if op is RCOp.SSUB16:
-        return f"_v16s(({a}), ({b}))"
-    if op is RCOp.FXPMUL16:
-        return f"_v16m(({a}), ({b}))"
-    return None
-
-
-class _VectorBodyGen:
-    """Generates the NumPy steady-state body of one proven self-loop.
-
-    Eligibility (anything else returns ``None`` — the scalar fused loop
-    remains the execution path, so rejection is never a correctness
-    concern):
-
-    * no LSU work in the body (loads/stores live in the surrounding
-      straight-line superblocks in the Table-1 mapping);
-    * LCU body ops limited to SETI/ADDI (state reconstructed from the
-      affine summary) plus the terminating branch;
-    * no RC writes to the SRF, and no statically invalid SRF entry;
-    * RC register/neighbour reads (R0/R1/RCT/RCB) only of values written
-      earlier in the *same trip* — cross-trip recurrences stay scalar;
-    * a VWR that is both read and written (the FFT butterfly's
-      ``VB[k] = VA[k] - VB[k]``) is admitted when one bundle does all its
-      writes, no later bundle reads it, and reads and writes share one
-      ``k`` index — then a runtime guard proves the per-trip indices
-      never repeat (``all_distinct``), so gathers of loop-entry state are
-      exact; any repeat falls back to the scalar loop mid-function.
-    """
-
-    def __init__(self, bundles, pcs, params, summary) -> None:
-        self.bundles = bundles
-        self.pcs = pcs
-        self.params = params
-        self.summary = summary
-        self.slice_words = params.slice_words
-        self.slice_mask = params.slice_words - 1
-        self.n_rcs = params.rcs_per_column
-        self.n_srf = params.srf_entries
-        self.updates = []          # per-bundle MXCU action
-        self.mask_entries = []     # SRF entries feeding UPD and-masks
-        self.read_vwrs = {}        # vwr -> bundle positions reading it
-        self.write_vwrs = {}       # vwr -> bundle positions writing it
-        self.compute = []          # (var, expr) in program order
-        self.writes = {}           # vwr -> [(index_expr, var)]
-        self.defs = {}             # ("O"|"R0"|"R1", cell) -> var
-        self.k_used = False
-        self.guards = ()           # k epochs needing distinctness proofs
-        self.counter = 0
-        #: Why ``build`` returned None (the per-loop rejection taxonomy).
-        self.reject = None
-
-    # -- operand lowering --------------------------------------------------
-
-    def _temp(self) -> str:
-        self.counter += 1
-        return f"_x{self.counter}"
-
-    def _operand(self, operand, i: int, b: int):
-        kind = operand.kind
-        if kind is RCSrcKind.ZERO:
-            return "0"
-        if kind is RCSrcKind.IMM:
-            return repr(int(operand.index))
-        if kind in (RCSrcKind.R0, RCSrcKind.R1, RCSrcKind.RCT,
-                    RCSrcKind.RCB):
-            if kind is RCSrcKind.R0:
-                var = self.defs.get(("R0", i))
-            elif kind is RCSrcKind.R1:
-                var = self.defs.get(("R1", i))
-            elif kind is RCSrcKind.RCT:
-                var = self.defs.get(("O", (i - 1) % self.n_rcs))
-            else:
-                var = self.defs.get(("O", (i + 1) % self.n_rcs))
-            if var is None:
-                # Reads a value not written earlier in the same trip:
-                # a cross-trip recurrence — inherently sequential.
-                self.reject = "cross_trip_recurrence"
-            return var
-        if kind is RCSrcKind.SRF:
-            if not 0 <= operand.index < self.n_srf:
-                self.reject = "bad_srf_entry"
-                return None
-            return f"S[{int(operand.index)}]"
-        name = _VWR_SRC[kind]
-        self.read_vwrs.setdefault(name, set()).add(b)
-        self.k_used = True
-        return f"_g{name}[{i * self.slice_words} + _k{b}]"
-
-    # -- body walk ---------------------------------------------------------
-
-    def build(self):
-        for b, pc in enumerate(self.pcs):
-            bundle = self.bundles[pc]
-            if bundle.lsu.op is not LSUOp.NOP:
-                self.reject = "lsu_in_body"
-                return None
-            lcu = bundle.lcu
-            if lcu.op not in (LCUOp.NOP, LCUOp.SETI, LCUOp.ADDI) \
-                    and not (pc == self.pcs[-1] and lcu.op in BRANCH_OPS):
-                self.reject = "lcu_op_in_body"
-                return None
-            if not self._mxcu(bundle.mxcu):
-                self.reject = self.reject or "bad_srf_entry"
-                return None
-            if not self._rcs(bundle.rcs, b):
-                self.reject = self.reject or "unsupported_op"
-                return None
-        if any(sym[0] == "u" for sym in self.summary["lcu_sym"].values()):
-            self.reject = "unknown_lcu_state"
-            return None
-        if not self._resolve_hazards():
-            self.reject = "inadmissible_rmw"
-            return None
-        lines = self._emit()
-        if lines is None:
-            self.reject = self.reject or "static_index"
-        return lines
-
-    def _resolve_hazards(self) -> bool:
-        """Admit read+write VWRs behind a runtime index-distinctness guard."""
-        epochs = []
-        last = -1
-        for position, update in enumerate(self.updates):
-            if update[0] != "nop":
-                last = position
-            epochs.append(last)
-        guards = set()
-        for name in set(self.read_vwrs) & set(self.write_vwrs):
-            write_bundles = self.write_vwrs[name]
-            if len(write_bundles) != 1:
-                return False
-            writer = next(iter(write_bundles))
-            read_bundles = self.read_vwrs[name]
-            if any(b > writer for b in read_bundles):
-                return False
-            involved = {epochs[b] for b in read_bundles}
-            involved.add(epochs[writer])
-            if len(involved) != 1 or -1 in involved:
-                return False
-            guards.add(involved.pop())
-        self.guards = tuple(sorted(guards))
-        return True
-
-    def _mxcu(self, instr) -> bool:
-        if instr.op is MXCUOp.NOP:
-            self.updates.append(("nop",))
-            return True
-        if instr.op is MXCUOp.SETK:
-            self.updates.append(("set", instr.k & self.slice_mask))
-            return True
-        if instr.srf_and != NO_SRF:
-            if not 0 <= instr.srf_and < self.n_srf:
-                return False
-            self.mask_entries.append(int(instr.srf_and))
-            self.updates.append(
-                ("upd", int(instr.inc), None, int(instr.xor_mask))
-            )
-            return True
-        self.updates.append(
-            ("upd", int(instr.inc), int(instr.and_mask),
-             int(instr.xor_mask))
-        )
-        return True
-
-    def _rcs(self, instrs, b: int) -> bool:
-        commits = []
-        for i, instr in enumerate(instrs):
-            if instr.is_nop:
-                continue
-            operands = instr.operands()
-            a = self._operand(operands[0], i, b) if operands else "0"
-            bexpr = self._operand(operands[1], i, b) \
-                if len(operands) > 1 else "0"
-            if a is None or bexpr is None:
-                return False
-            expr = _vec_alu(instr.op, a, bexpr)
-            if expr is None:
-                return False
-            var = self._temp()
-            self.compute.append((var, expr))
-            commits.append((i, instr, var))
-        # Commit phase after the whole bundle: reads above observed
-        # bundle-start definitions only.
-        for i, instr, var in commits:
-            self.defs[("O", i)] = var
-            kind = instr.dst.kind
-            if kind is RCDstKind.R0:
-                self.defs[("R0", i)] = var
-            elif kind is RCDstKind.R1:
-                self.defs[("R1", i)] = var
-            elif kind is RCDstKind.SRF:
-                self.reject = "srf_write_in_body"
-                return False
-            elif kind in _VWR_DST:
-                name = _VWR_DST[kind]
-                self.write_vwrs.setdefault(name, set()).add(b)
-                self.k_used = True
-                self.writes.setdefault(name, []).append(
-                    (f"{i * self.slice_words} + _k{b}", var)
-                )
-        return True
-
-    # -- emission ----------------------------------------------------------
-
-    def _emit(self) -> list:
-        lines = []
-        has_updates = any(u[0] != "nop" for u in self.updates)
-        if self.k_used and not has_updates:
-            # k never changes: every trip touches the same word — the
-            # scalar loop is both simpler and exact for that rare shape.
-            return None
-        if has_updates:
-            masks = ", ".join(f"S[{e}]" for e in self.mask_entries)
-            masks = f"({masks},)" if masks else "()"
-            lines.append(
-                f"_kt, _kf = _kseq(k, _t, {tuple(self.updates)!r}, "
-                f"{self.slice_mask}, {masks})"
-            )
-            used = self._index_vars_used()
-            for b in range(len(self.updates)):
-                if f"_k{b}" in used:
-                    lines.append(f"_k{b} = _kt[{b}]")
-        indent = ""
-        if self.guards:
-            cond = " and ".join(
-                f"_dst(_k{epoch}, _t)" for epoch in self.guards
-            )
-            lines.append(f"if {cond}:")
-            indent = "    "
-        for name in sorted(self.read_vwrs):
-            lines.append(f"{indent}_g{name} = _arr({name})")
-        for var, expr in self.compute:
-            lines.append(f"{indent}{var} = {expr}")
-        self._emit_writes(lines, indent)
-        self._emit_reg_finals(lines, indent)
-        for reg, sym in sorted(self.summary["lcu_sym"].items()):
-            if sym[0] == "c":
-                lines.append(f"{indent}L[{reg}] = {sym[1]}")
-            elif sym[1]:
-                lines.append(
-                    f"{indent}L[{reg}] = ((L[{reg}] + _t * {sym[1]} "
-                    "+ 2147483648) & 4294967295) - 2147483648"
-                )
-        if has_updates:
-            lines.append(f"{indent}col.k = _kf")
-        lines.append(f"{indent}_VEC[0] += 1")
-        lines.append(f"{indent}return _pc, _t")
-        if self.guards:
-            # A repeated per-trip index fails the distinctness proof:
-            # record the runtime rejection and fall through to the exact
-            # scalar loop.
-            lines.append("else:")
-            lines.append("    _REJ['rmw_index_repeat'] += 1")
-        return lines
-
-    #: Scatter helper the emitted multi-site writes call (the lane
-    #: variant swaps in its 2D-aware sibling).
-    SCATTER = "_scat"
-
-    def _emit_writes(self, lines, indent) -> None:
-        for name in sorted(self.writes):
-            sites = self.writes[name]
-            lines.append(f"{indent}_a{name} = _arr({name})")
-            if len(sites) == 1:
-                index, var = sites[0]
-                lines.append(f"{indent}_a{name}[{index}] = {var}")
-            else:
-                idx = ", ".join(f"({index})" for index, _ in sites)
-                vals = ", ".join(var for _, var in sites)
-                lines.append(
-                    f"{indent}{self.SCATTER}(_a{name}, ({idx}), "
-                    f"({vals}), _t)"
-                )
-            lines.append(f"{indent}{name}[:] = _a{name}.tolist()")
-
-    def _emit_reg_finals(self, lines, indent) -> None:
-        for (kind, cell), var in self.defs.items():
-            if kind == "O":
-                lines.append(f"{indent}O[{cell}] = _last({var})")
-            else:
-                lines.append(f"{indent}R{cell}[{0 if kind == 'R0' else 1}] "
-                             f"= _last({var})")
-
-    def _index_vars_used(self) -> set:
-        used = {f"_k{epoch}" for epoch in self.guards}
-        for _, expr in self.compute:
-            for b in range(len(self.updates)):
-                if f"_k{b}" in expr:
-                    used.add(f"_k{b}")
-        for sites in self.writes.values():
-            for index, _ in sites:
-                for b in range(len(self.updates)):
-                    if f"_k{b}" in index:
-                        used.add(f"_k{b}")
-        return used
-
-
-class _LaneVectorGen(_VectorBodyGen):
-    """Lane-broadcast variant: one array operation per *bundle*.
-
-    The Table-1 idiom broadcasts one RC instruction to every cell, so the
-    whole RC group is a single ``lanes x trips`` NumPy expression —
-    gathers index ``_lofs + k`` (the per-RC slice offsets column against
-    the per-trip index row), and the register files are slot-shared
-    (every lane holds the same instruction, so R0/R1/O definitions are 2D
-    arrays covering all cells at once). Bodies mixing per-cell
-    instructions fall back to the per-cell generator. Neighbour reads
-    (RCT/RCB) couple lanes and stay scalar.
-    """
-
-    def __init__(self, bundles, pcs, params, summary) -> None:
-        super().__init__(bundles, pcs, params, summary)
-        self.twod = set()
-
-    def _slot_operand(self, operand, b: int):
-        """Returns ``(expr, is_2d)`` or ``None`` when not lane-liftable."""
-        kind = operand.kind
-        if kind is RCSrcKind.ZERO:
-            return "0", False
-        if kind is RCSrcKind.IMM:
-            return repr(int(operand.index)), False
-        if kind is RCSrcKind.R0 or kind is RCSrcKind.R1:
-            slot = "R0" if kind is RCSrcKind.R0 else "R1"
-            var = self.defs.get((slot, None))
-            if var is None:
-                return None
-            return var, var in self.twod
-        if kind in (RCSrcKind.RCT, RCSrcKind.RCB):
-            return None
-        if kind is RCSrcKind.SRF:
-            if not 0 <= operand.index < self.n_srf:
-                return None
-            return f"S[{int(operand.index)}]", False
-        name = _VWR_SRC[kind]
-        self.read_vwrs.setdefault(name, set()).add(b)
-        self.k_used = True
-        return f"_g{name}[_lofs + _k{b}]", True
-
-    def _rcs(self, instrs, b: int) -> bool:
-        active = [instr for instr in instrs if not instr.is_nop]
-        if not active:
-            return True
-        if len(active) != self.n_rcs:
-            return False
-        first = active[0]
-        if any(instr != first for instr in active[1:]):
-            return False
-        operands = first.operands()
-        a = self._slot_operand(operands[0], b) if operands else ("0", False)
-        bexpr = self._slot_operand(operands[1], b) \
-            if len(operands) > 1 else ("0", False)
-        if a is None or bexpr is None:
-            return False
-        expr = _vec_alu(first.op, a[0], bexpr[0])
-        if expr is None:
-            return False
-        var = self._temp()
-        self.compute.append((var, expr))
-        if a[1] or bexpr[1]:
-            self.twod.add(var)
-        self.defs[("O", None)] = var
-        kind = first.dst.kind
-        if kind is RCDstKind.R0:
-            self.defs[("R0", None)] = var
-        elif kind is RCDstKind.R1:
-            self.defs[("R1", None)] = var
-        elif kind is RCDstKind.SRF:
-            return False
-        elif kind in _VWR_DST:
-            name = _VWR_DST[kind]
-            self.write_vwrs.setdefault(name, set()).add(b)
-            self.k_used = True
-            self.writes.setdefault(name, []).append(
-                (f"_lofs + _k{b}", var)
-            )
-        return True
-
-    SCATTER = "_scat2"
-
-    def _emit_reg_finals(self, lines, indent) -> None:
-        for (kind, _), var in self.defs.items():
-            for cell in range(self.n_rcs):
-                value = f"int({var}[{cell}, -1])" if var in self.twod \
-                    else f"int({var})"
-                if kind == "O":
-                    lines.append(f"{indent}O[{cell}] = {value}")
-                else:
-                    slot = 0 if kind == "R0" else 1
-                    lines.append(f"{indent}R{cell}[{slot}] = {value}")

@@ -12,8 +12,8 @@ The layer that turns a running pool from a black box into a dashboard
 * :class:`MetricsExporter` / :func:`render_prometheus` — a Prometheus
   text exposition endpoint on stdlib :mod:`http.server`, sharing its
   render function with the ``python -m repro.obs --once`` dump;
-* :class:`MonitorModel` / :func:`render_text` / :func:`build_app` — the
-  monitoring TUI (Textual when installed, plain text everywhere).
+* :class:`MonitorModel` / :func:`render_text` — the text monitoring
+  dashboard ``python -m repro.obs`` redraws live.
 
 Quick start::
 
@@ -42,11 +42,9 @@ from repro.obs.exporter import (
 from repro.obs.instruments import METRICS, REGISTRY, Metric, default_bus
 from repro.obs.tui import (
     MonitorModel,
-    build_app,
     render_text,
     snapshot_samples,
     sparkline,
-    textual_available,
 )
 
 __all__ = [
@@ -59,7 +57,6 @@ __all__ = [
     "MetricsExporter",
     "MonitorModel",
     "REGISTRY",
-    "build_app",
     "default_bus",
     "get_bus",
     "install",
@@ -69,6 +66,5 @@ __all__ = [
     "render_text",
     "snapshot_samples",
     "sparkline",
-    "textual_available",
     "uninstall",
 ]

@@ -9,9 +9,9 @@ Modes (docs/observability.md):
                       the stream finishes (Ctrl-C to exit);
 * *default*           monitor a metric source live — a remote exporter
                       with ``--endpoint URL``, else the built-in demo
-                      pool running on a background thread. Uses the
-                      Textual TUI when installed, the plain-text
-                      dashboard with ``--plain`` or when it is not.
+                      pool running on a background thread — by
+                      redrawing the text dashboard every ``--interval``
+                      seconds until the demo finishes or Ctrl-C.
 """
 
 from __future__ import annotations
@@ -30,13 +30,7 @@ from repro.obs.exporter import (
     render_prometheus,
 )
 from repro.obs.instruments import default_bus
-from repro.obs.tui import (
-    MonitorModel,
-    build_app,
-    render_text,
-    snapshot_samples,
-    textual_available,
-)
+from repro.obs.tui import MonitorModel, render_text, snapshot_samples
 
 
 def demo_stream(bus: MetricsBus, windows: int, workers: int,
@@ -76,8 +70,8 @@ def _scraper(endpoint: str):
     return sample
 
 
-def _monitor_plain(sample, interval: float, done) -> None:
-    """The headless dashboard loop: clear, render, sleep, repeat."""
+def _monitor(sample, interval: float, done) -> None:
+    """The dashboard loop: clear, render, sleep, repeat."""
     model = MonitorModel()
     try:
         while True:
@@ -111,10 +105,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--endpoint", metavar="URL", default=None,
         help="monitor a running exporter instead of the built-in demo",
-    )
-    parser.add_argument(
-        "--plain", action="store_true",
-        help="force the plain-text dashboard (no Textual)",
     )
     parser.add_argument(
         "--port", type=int, default=0,
@@ -159,7 +149,7 @@ def main(argv=None) -> int:
             exporter.stop()
         return 0
 
-    # Monitor mode: pick the metric source, then the frontend.
+    # Monitor mode: pick the metric source, then redraw the dashboard.
     done = None
     if args.endpoint is not None:
         sample = _scraper(args.endpoint)
@@ -176,15 +166,7 @@ def main(argv=None) -> int:
         def sample() -> dict:
             return snapshot_samples(bus.snapshot())
 
-    if not args.plain and textual_available():
-        build_app(sample, interval=args.interval).run()
-    else:
-        if not args.plain:
-            print(
-                "textual is not installed; falling back to --plain",
-                file=sys.stderr,
-            )
-        _monitor_plain(sample, args.interval, done)
+    _monitor(sample, args.interval, done)
     return 0
 
 

@@ -65,12 +65,8 @@ METRICS = (
     _m("repro_engine_fallbacks_total", "counter", "launches",
        "Reference-engine fallbacks by kernel label",
        "record_window() from RunResult.fallback_reason"),
-    _m("repro_vector_rejections_total", "counter", "loops",
-       "Vectorizer rejections by reason label",
-       "record_window() from RunResult.superblocks[vector_rejections]"),
     _m("repro_superblock_loops_total", "counter", "loops",
-       "Accelerated loop executions by tier label "
-       "(closed_form|vectorized)",
+       "Accelerated loop executions by tier label (closed_form)",
        "record_window() from RunResult.superblocks"),
     _m("repro_superblock_trips_total", "counter", "trips",
        "Loop trips covered without per-trip dispatch",
@@ -203,7 +199,7 @@ def record_window(bus, result, stats_delta: dict = None,
     """Publish one accepted :class:`~repro.serve.WindowResult`.
 
     Counters cover exactly what the report aggregates — cycles, staging
-    split, per-engine launch tallies, fallback/vector-rejection reasons,
+    split, per-engine launch tallies, fallback reasons,
     superblock counters, energy — so bus totals and the merged
     :class:`~repro.serve.StreamReport` agree counter-for-counter
     (``tests/test_obs.py`` asserts it over a pooled run). ``worker``
@@ -225,15 +221,8 @@ def record_window(bus, result, stats_delta: dict = None,
                 if key == "accelerated_loops":
                     bus.inc("repro_superblock_loops_total", value,
                             tier="closed_form")
-                elif key == "vectorized_loops":
-                    bus.inc("repro_superblock_loops_total", value,
-                            tier="vectorized")
                 elif key == "accelerated_trips":
                     bus.inc("repro_superblock_trips_total", value)
-                elif key == "vector_rejections":
-                    for reason, count in value.items():
-                        bus.inc("repro_vector_rejections_total", count,
-                                reason=reason)
     if result.energy_uj is not None:
         bus.inc("repro_energy_uj_total", result.energy_uj)
         bus.observe("repro_window_energy_uj", result.energy_uj)

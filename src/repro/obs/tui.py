@@ -6,19 +6,10 @@ Split model/view so the dashboard works — and is testable — everywhere:
   local :class:`~repro.obs.MetricsBus` or a scraped exposition
   (:func:`~repro.obs.parse_prometheus`), keeps a short history, and
   derives the live quantities the dashboard shows: per-worker windows/s
-  and queue depth, engine decision mix, fallback/rejection reasons,
+  and queue depth, engine decision mix, fallback reasons,
   energy-per-window trend, checkpoint lag.
-* :func:`render_text` renders the model as a plain-text dashboard — the
-  headless fallback (``python -m repro.obs --plain``) and the CI smoke
-  path.
-* :func:`build_app` builds the Textual application (DataTable-per-pane,
-  message-driven refresh, following the gridworks-scada admin-widget
-  idiom from SNIPPETS.md) **only if** Textual is importable; the CLI
-  falls back to the plain renderer otherwise. Nothing else in this
-  module imports Textual.
-
-Keybindings (Textual app): ``q`` quit · ``p`` pause/resume sampling ·
-``r`` reset the rate baseline (documented in docs/observability.md).
+* :func:`render_text` renders the model as a text dashboard — what
+  ``python -m repro.obs`` redraws every refresh interval.
 """
 
 from __future__ import annotations
@@ -89,7 +80,7 @@ class MonitorModel:
         self.ingest(snapshot_samples(bus.snapshot()), now)
 
     def reset_baseline(self) -> None:
-        """Restart rate computations from the latest tick (key ``r``)."""
+        """Restart rate computations from the latest tick."""
         self._baseline = self.ticks[-1] if self.ticks else None
 
     # -- raw accessors -------------------------------------------------------
@@ -165,18 +156,12 @@ class MonitorModel:
         ]
 
     def reason_rows(self) -> list:
-        """Fallback kernels and vectorizer rejection reasons, tallied."""
-        rows = [
+        """Reference-engine fallbacks, tallied per kernel."""
+        return [
             ("fallback", dict(labels_key).get("kernel", "?"), int(count))
             for labels_key, count
             in sorted(self.family("repro_engine_fallbacks_total").items())
         ]
-        rows += [
-            ("vec-reject", dict(labels_key).get("reason", "?"), int(count))
-            for labels_key, count
-            in sorted(self.family("repro_vector_rejections_total").items())
-        ]
-        return rows
 
     def energy_per_window(self) -> list:
         """µJ/window between consecutive ticks (the trend series)."""
@@ -207,11 +192,11 @@ class MonitorModel:
         return sorted(rows, key=lambda row: (-row[1], row[0]))
 
 
-# -- the plain-text dashboard -------------------------------------------------
+# -- the text dashboard -------------------------------------------------------
 
 
 def render_text(model: MonitorModel) -> str:
-    """The whole dashboard as plain text (headless fallback + CI path)."""
+    """The whole dashboard as plain text."""
     done, total = model.progress()
     lines = [
         "repro live monitor"
@@ -250,111 +235,3 @@ def render_text(model: MonitorModel) -> str:
         mix = "  ".join(f"{event}: {count}" for event, count in resilience)
         lines.append(f"  resilience: {mix}")
     return "\n".join(lines)
-
-
-# -- the Textual application (optional dependency) ----------------------------
-
-
-def textual_available() -> bool:
-    """Whether the Textual toolkit is importable in this environment."""
-    try:
-        import textual  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def build_app(sample, interval: float = 1.0):
-    """Build the Textual monitoring app (requires ``textual``).
-
-    ``sample`` is a zero-argument callable returning the latest samples
-    dict (from :func:`snapshot_samples` or a scraped exposition) — the
-    app owns its :class:`MonitorModel` and refreshes every ``interval``
-    seconds from an event-loop timer, driving
-    :class:`~textual.widgets.DataTable` panes the gridworks-scada way
-    (zebra-striped row tables rebuilt per state update, never mutated
-    from worker threads).
-
-    Raises :class:`RuntimeError` when Textual is not installed; callers
-    (the ``python -m repro.obs`` CLI) fall back to :func:`render_text`.
-    """
-    try:
-        from textual.app import App, ComposeResult
-        from textual.widgets import DataTable, Footer, Header, Static
-    except ImportError as exc:
-        raise RuntimeError(
-            "the monitoring TUI needs the 'textual' package; run "
-            "python -m repro.obs --plain for the text dashboard"
-        ) from exc
-
-    import time as _time
-
-    class MonitorApp(App):
-        """Live pool dashboard over one metric source."""
-
-        TITLE = "repro live monitor"
-        BINDINGS = [
-            ("q", "quit", "Quit"),
-            ("p", "toggle_pause", "Pause"),
-            ("r", "reset_rates", "Reset rates"),
-        ]
-
-        def __init__(self) -> None:
-            super().__init__()
-            self.model = MonitorModel()
-
-        def compose(self) -> ComposeResult:
-            yield Header()
-            yield Static(id="summary")
-            workers = DataTable(id="workers", zebra_stripes=True)
-            workers.cursor_type = "row"
-            yield workers
-            engines = DataTable(id="engines", zebra_stripes=True)
-            engines.cursor_type = "row"
-            yield engines
-            yield Static(id="trend")
-            yield Footer()
-
-        def on_mount(self) -> None:
-            self.query_one("#workers", DataTable).add_columns(
-                "worker", "windows", "windows/s", "queue"
-            )
-            self.query_one("#engines", DataTable).add_columns(
-                "engine", "launches", "share"
-            )
-            self.set_interval(interval, self._tick)
-
-        def _tick(self) -> None:
-            # set_interval callbacks run on the app's event loop, so
-            # ingesting and mutating the DataTables here is thread-safe.
-            self.model.ingest(sample(), _time.monotonic())
-            model = self.model
-            done, total = model.progress()
-            self.query_one("#summary", Static).update(
-                f"{done}/{total} windows · "
-                f"{model.throughput():.2f} windows/s · "
-                f"checkpoint lag {model.checkpoint_lag()}"
-            )
-            workers = self.query_one("#workers", DataTable)
-            workers.clear()
-            for worker, windows, rate, depth in model.worker_rows():
-                workers.add_row(
-                    f"w{worker}", str(windows), f"{rate:.2f}", str(depth)
-                )
-            engines = self.query_one("#engines", DataTable)
-            engines.clear()
-            for engine, count, share in model.engine_rows():
-                engines.add_row(engine, str(count), f"{share:.0%}")
-            trend = model.energy_per_window()
-            self.query_one("#trend", Static).update(
-                f"energy/window {trend[-1]:.2f} uJ  {sparkline(trend)}"
-                if trend else "energy/window –"
-            )
-
-        def action_toggle_pause(self) -> None:
-            self.model.paused = not self.model.paused
-
-        def action_reset_rates(self) -> None:
-            self.model.reset_baseline()
-
-    return MonitorApp()

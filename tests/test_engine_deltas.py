@@ -2,8 +2,7 @@
 
 ``bundle_event_delta`` is asserted against the reference interpreter one
 bundle class at a time (every unit, operand kind and op family), instead
-of only through whole-kernel differentials; ``delta_matrix`` is asserted
-against the per-entry dictionary fold; and the virtual-time scheduler's
+of only through whole-kernel differentials; and the virtual-time scheduler's
 column-interleaving order (least virtual time first, horizon = smallest
 other running column) is pinned down explicitly.
 """
@@ -19,7 +18,7 @@ from repro.core.column import Column
 from repro.core.events import EventCounters
 from repro.core.spm import Scratchpad
 from repro.engine import executor
-from repro.engine.deltas import bundle_event_delta, delta_matrix
+from repro.engine.deltas import bundle_event_delta
 from repro.isa.bundle import make_bundle
 from repro.isa.fields import (
     DST_R0,
@@ -114,34 +113,6 @@ class TestBundleDeltas:
     def test_static_delta_matches_reference_step(self, bundle):
         assert bundle_event_delta(bundle, PARAMS) \
             == _reference_delta(bundle)
-
-
-class TestDeltaMatrix:
-    def test_matrix_fold_equals_dictionary_fold(self):
-        deltas = [
-            tuple(sorted(bundle_event_delta(case[1], PARAMS).items()))
-            for case in BUNDLE_CASES
-        ]
-        events, rows = delta_matrix(deltas)
-        counts = list(range(1, len(deltas) + 1))
-
-        walked = {}
-        for delta, count in zip(deltas, counts):
-            for name, n in delta:
-                walked[name] = walked.get(name, 0) + n * count
-        folded = {}
-        for position, name in enumerate(events):
-            total = sum(
-                row[position] * count for row, count in zip(rows, counts)
-            )
-            if total:
-                folded[name] = total
-        assert folded == {k: v for k, v in walked.items() if v}
-
-    def test_matrix_shape(self):
-        events, rows = delta_matrix([(("a.b", 2),), (("c.d", 1),)])
-        assert events == ("a.b", "c.d")
-        assert rows == [[2, 0], [0, 1]]
 
 
 def _two_column_config(params) -> KernelConfig:

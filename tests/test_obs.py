@@ -39,7 +39,6 @@ from repro.obs import (
     render_text,
     snapshot_samples,
     sparkline,
-    textual_available,
 )
 from repro.serve import serve_trace
 
@@ -332,25 +331,6 @@ def test_monitor_model_rates_and_trend():
     model.paused = True
     model.ingest_bus(bus, now=10.0)
     assert model.ticks[-1][0] == 3.0  # paused: tick dropped
-
-
-@pytest.mark.skipif(
-    not textual_available(), reason="textual is not installed"
-)
-def test_textual_app_builds():  # pragma: no cover - optional dep
-    from repro.obs import build_app
-
-    app = build_app(lambda: {}, interval=0.1)
-    assert app.model is not None
-
-
-def test_build_app_explains_missing_textual():
-    if textual_available():  # pragma: no cover - optional dep
-        pytest.skip("textual installed; error path not reachable")
-    from repro.obs import build_app
-
-    with pytest.raises(RuntimeError, match="--plain"):
-        build_app(lambda: {})
 
 
 # -- StoreStats.as_dict (the satellite fix) -----------------------------------

@@ -1,10 +1,11 @@
 """Differential tests for the superblock tier.
 
-Closed-form fused loops, the NumPy steady state (lane-broadcast and
-per-cell), the runtime guards that drop back to the exact scalar loop
-(counter wrap-around, read-modify-write index reuse), straight-line chain
-fusion, and the RunResult superblock counters — every scenario asserted
-bit-identical against the reference interpreter.
+Closed-form counted loops (including the loop shapes that lap the VWR
+slice, masked/XOR index orbits, per-cell distinct ops and the
+read-modify-write butterfly), the runtime guard that drops back to the
+exact per-trip loop on counter wrap-around, data-dependent loops,
+straight-line chain fusion, and the RunResult superblock counters —
+every scenario asserted bit-identical against the reference interpreter.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import pytest
 from repro.arch import ArchParams
 from repro.asm.builder import ProgramBuilder
 from repro.core.cgra import Vwr2a
-from repro.engine import superblocks
 from repro.engine.compiler import compile_program, superblock_chains
 from repro.isa.fields import (
     DST_R0,
@@ -36,24 +36,13 @@ from repro.isa.rc import RCOp, rc
 
 ENGINES = ("reference", "compiled")
 
-
-@pytest.fixture
-def low_vec_threshold(monkeypatch):
-    """Drop the lane vectorization floor below one slice lap.
-
-    The default 32-word slice cannot host >= 96 distinct trips, so the
-    read-modify-write guard would always fall back; lowering the floor
-    (a compile-time constant read while planning) lets short hazard
-    loops take the vector path. The compile memo is cleared so plans are
-    regenerated under the patched threshold, and again afterwards so no
-    low-threshold compilation leaks into other tests.
-    """
-    from repro.engine import compiler
-
-    monkeypatch.setattr(superblocks, "VEC_MIN_TRIPS_LANES", 4)
-    compiler._MEMO.clear()
-    yield
-    compiler._MEMO.clear()
+#: Distinct per-cell instructions (one per RC of the default geometry).
+_PER_CELL_RCS = [
+    rc(RCOp.SADD, DST_VWR_C, VWR_A, VWR_B),
+    rc(RCOp.SSUB, DST_VWR_C, VWR_A, VWR_B),
+    rc(RCOp.SMAX, DST_VWR_C, VWR_A, VWR_B),
+    rc(RCOp.LXOR, DST_VWR_C, VWR_A, VWR_B),
+]
 
 
 def _full_state(sim: Vwr2a) -> dict:
@@ -119,77 +108,36 @@ def _broadcast_loop(params, trips, op=RCOp.SADD, dst=DST_VWR_C,
 
 class TestClosedFormLoops:
     def test_counted_scalar_loop_bit_identity(self):
-        # 16 trips: below every vectorization threshold — the counted
-        # scalar path (no per-trip branch evaluation) must be exact.
+        # 16 trips (one Table-1 slice pass): the counted loop runs
+        # without per-trip branch evaluation and must be exact.
         result = _run_both(
             lambda p: _broadcast_loop(p, 16), poke=_poke_ramp
         )
         assert result.superblocks["accelerated_loops"] == 1
         assert result.superblocks["accelerated_trips"] == 16
-        assert result.superblocks["vectorized_loops"] == 0
 
-    def test_lane_vectorized_loop_bit_identity(self):
-        # 128 trips on the default 32-word slice: the index sequence laps
-        # the slice 4x, so the scatter carries duplicate indices — NumPy's
-        # in-order assignment must reproduce last-write-wins exactly.
+    @pytest.mark.parametrize("trips, shape", [
+        # The index sequence laps the 32-word slice 4x, so VWR writes
+        # hit the same word repeatedly: last write wins.
+        (128, {}),
+        # Non-affine index update (AND+XOR masks) over SIMD16 lanes.
+        (100, {"op": RCOp.FXPMUL16,
+               "update": inck(3, and_mask=29, xor_mask=5)}),
+        # Distinct per-cell instructions.
+        (266, {"extra_rcs": _PER_CELL_RCS}),
+        # Read-modify-write butterfly (reads VB, writes VB): fresh
+        # indices every trip, then a run that laps the slice.
+        (20, {"dst": DST_VWR_B}),
+        (48, {"dst": DST_VWR_B}),
+    ], ids=["lapping-128", "simd16-xor-orbit-100", "per-cell-266",
+            "butterfly-20", "butterfly-lapping-48"])
+    def test_closed_form_loop_shapes(self, trips, shape):
         result = _run_both(
-            lambda p: _broadcast_loop(p, 128), poke=_poke_ramp
+            lambda p: _broadcast_loop(p, trips, **shape), poke=_poke_ramp
         )
-        assert result.superblocks["vectorized_loops"] == 1
-        assert result.superblocks["accelerated_trips"] == 128
-
-    def test_lane_vectorized_simd16_and_xor_orbit(self):
-        # Non-affine index update (AND+XOR masks) exercises the orbit
-        # walk; FXPMUL16 exercises the vectorized SIMD16 lanes.
-        result = _run_both(
-            lambda p: _broadcast_loop(
-                p, 100, op=RCOp.FXPMUL16,
-                update=inck(3, and_mask=29, xor_mask=5),
-            ),
-            poke=_poke_ramp,
-        )
-        assert result.superblocks["vectorized_loops"] == 1
-
-    def test_per_cell_vectorized_loop_bit_identity(self):
-        # Distinct per-cell instructions: the lane lift bails, the
-        # per-cell generator takes over above its higher threshold.
-        def rcs(params):
-            return [
-                rc(RCOp.SADD, DST_VWR_C, VWR_A, VWR_B),
-                rc(RCOp.SSUB, DST_VWR_C, VWR_A, VWR_B),
-                rc(RCOp.SMAX, DST_VWR_C, VWR_A, VWR_B),
-                rc(RCOp.LXOR, DST_VWR_C, VWR_A, VWR_B),
-            ]
-
-        result = _run_both(
-            lambda p: _broadcast_loop(
-                p, superblocks.VEC_MIN_TRIPS + 10, extra_rcs=rcs(p)
-            ),
-            poke=_poke_ramp,
-        )
-        assert result.superblocks["vectorized_loops"] == 1
-
-    def test_hazard_guard_vector_path_executes(self, low_vec_threshold):
-        # Butterfly shape (reads VB, writes VB), 20 trips on the 32-word
-        # slice: every trip touches a fresh index, so the distinctness
-        # guard admits the gather of loop-entry state.
-        result = _run_both(
-            lambda p: _broadcast_loop(p, 20, dst=DST_VWR_B),
-            poke=_poke_ramp,
-        )
-        assert result.superblocks["vectorized_loops"] == 1
-
-    def test_hazard_guard_falls_back_on_index_reuse(
-        self, low_vec_threshold
-    ):
-        # Same butterfly, 48 trips: the index sequence laps the slice,
-        # the guard must reject the gather and the scalar loop runs.
-        result = _run_both(
-            lambda p: _broadcast_loop(p, 48, dst=DST_VWR_B),
-            poke=_poke_ramp,
-        )
-        assert result.superblocks["vectorized_loops"] == 0
-        assert result.superblocks["accelerated_trips"] == 48
+        assert result.superblocks == {
+            "accelerated_loops": 1, "accelerated_trips": trips,
+        }
 
     def test_counter_wrap_falls_back_to_exact_loop(self):
         # The counter starts near INT32_MAX and wraps mid-loop: the
