@@ -18,11 +18,11 @@ the total trips they covered without per-trip dispatch (the FFT's
 16/32-trip Table-1 loops, each run as one counted loop).
 
 Also measures **short-kernel launch latency** — store + launch of a small
-FIR, regenerated every iteration exactly like the FFT engines regenerate
-their batch kernels — which exercises the configuration-store caches
-(structural encode/hazard memoization) and the per-config SPM-conflict
-verdict cache. The warm-path iterations must perform zero re-encodes,
-zero hazard re-checks and zero conflict re-analyses.
+FIR, asked of its planner every iteration exactly like the FFT engines ask
+for their batch kernels — which exercises the build-once planner memo, the
+identity-keyed configuration store and the per-config SPM-conflict verdict
+stamp. The warm-path iterations must perform zero re-encodes, zero hazard
+re-checks and zero conflict re-analyses.
 
 Kept tier-1-bounded by design: one warm-up flow plus a handful of
 measured flows (~3 s total, reference-dominated). The warm-up populates
@@ -173,13 +173,14 @@ def test_fft2048_speedup_guard(fft_measurements):
 
 
 def test_short_kernel_launch_latency():
-    """Store+launch latency of a small FIR under the config-store cache.
+    """Store+launch latency of a small FIR through the build-once path.
 
-    The kernel is regenerated every iteration (fresh objects, identical
-    code and addresses — the FFT engines' per-launch pattern), so after
-    the cold first store every iteration must dedupe: zero re-encodes,
-    zero hazard re-checks, and a per-config conflict-verdict cache hit
-    (``analysis_hits``) instead of a re-analysis.
+    Every iteration asks the planner for the kernel again (the engines'
+    per-launch pattern). The memoized planner returns the object stored
+    on the cold first iteration, so every warm store is an identity
+    dedup — zero re-encodes, zero hazard re-checks — and the launch
+    reads the conflict verdict stamped on the config (``analysis_hits``)
+    instead of re-analyzing.
     """
     runner = KernelRunner()  # engine="auto", the default
     vwr2a = runner.soc.vwr2a
@@ -211,8 +212,8 @@ def test_short_kernel_launch_latency():
         assert result.engine == "compiled"
     warm_launch = warm_wall / iterations
 
-    # Warm path: the config cache absorbed every re-store, and the
-    # conflict verdict rode on the stored config object.
+    # Warm path: every re-store was an identity dedup, and the conflict
+    # verdict rode on the stored config object.
     warm = stats.as_dict()
     assert warm["encode_misses"] == cold["encode_misses"]
     assert warm["hazard_misses"] == cold["hazard_misses"]

@@ -134,12 +134,11 @@ class Vwr2a:
     def store_kernel(self, config: KernelConfig) -> None:
         """Validate (including hazards) and store a kernel configuration.
 
-        Encoding and hazard checks are cached structurally in the
-        configuration memory (``config_mem.stats`` exposes the counters),
-        so re-storing a structurally identical kernel — the FFT engines
-        regenerate theirs every launch, and the runner/``execute`` flows
-        historically stored twice — performs zero re-encoding and zero
-        hazard re-checks.
+        The memoized planners hand every launch the same config object,
+        so the configuration memory keys on identity: re-storing the held
+        object is a no-op, and a config stamped by an earlier store skips
+        re-validation, re-encoding and hazard re-checks
+        (``config_mem.stats`` exposes the counters).
         """
         self.config_mem.store(config)
 
@@ -151,7 +150,7 @@ class Vwr2a:
         ``compiled`` engines this is also where the cross-column SPM
         analysis runs — its verdict is cached on the stored configuration
         object (``config_mem.stats.analysis_hits``), so warm launches of
-        regenerated kernels skip re-analysis entirely.
+        the planners' build-once kernels skip re-analysis entirely.
         """
         config = self.config_mem.get(name)
         if self._engine.name != "reference":
@@ -174,10 +173,10 @@ class Vwr2a:
     def _conflict_report(self, config: KernelConfig):
         """SPM-conflict verdict of ``config``, cached on the config object.
 
-        The structural store cache dedupes regenerated kernels onto one
-        stored :class:`KernelConfig`, so stamping the verdict on that
-        object makes every warm launch a plain attribute read — no
-        fingerprint hashing, no memo lookup (the analysis memo in
+        The planners build each kernel once, so a warm launch runs the
+        very :class:`KernelConfig` object stored before; stamping the
+        verdict on that object makes every warm launch a plain attribute
+        read — no fingerprint hashing, no memo lookup (the analysis memo in
         :mod:`repro.engine.conflicts` still backs cold misses).
         ``config_mem.stats.analysis_hits/analysis_misses`` count the cache
         behaviour.

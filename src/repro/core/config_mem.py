@@ -6,33 +6,24 @@ kernels both as structured :class:`KernelConfig` objects and as their exact
 binary encodings (``repro.isa.encoding``), so the capacity accounting and
 the load-cycle cost are real.
 
-Because the FFT engines regenerate structurally identical kernels on every
-launch (fresh objects, same code, different ``srf_init``), ``store`` keeps
-two structural caches keyed on the bundle sequence:
-
-* **encode cache** — configuration-word encodings, so re-storing identical
-  code performs zero re-encoding;
-* **hazard cache** — via :func:`repro.core.hazards.check_program_cached`,
-  so re-storing identical code performs zero hazard re-checks.
-
-A store whose name, code *and* ``srf_init`` all match the kernel already
-in the memory is deduplicated outright (``stats.dedup_hits``), which makes
-the historical double-store flow (``KernelRunner.store`` followed by
-``Vwr2a.execute``) free. ``stats`` exposes the hit/miss counters.
+The planners build each kernel once (:mod:`repro.kernels.memo`), so
+``store`` keys on identity. Re-storing the object held under its name is
+skipped (``stats.dedup_hits``). The first store of a config validates,
+hazard-checks and encodes it, then stamps it with the ``params`` it was
+checked under and its words; a stamped config stores into any memory of
+that geometry without repeating the work (``encode_hits``/
+``hazard_hits``). A config built by hand takes the full path on its first
+store. Stored configs are treated as immutable.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 
 from repro.core.errors import ConfigurationError
-from repro.core.hazards import check_program_cached
+from repro.core.hazards import check_program
 from repro.isa.encoding import bundle_bits, encode_bundle
 from repro.isa.program import KernelConfig
-
-#: Encode-cache capacity (bundle sequences, FIFO-evicted).
-_ENCODE_CAP = 512
 
 
 @dataclass
@@ -40,10 +31,10 @@ class StoreStats:
     """Observable cache behaviour of :meth:`ConfigurationMemory.store`."""
 
     stores: int = 0         #: store() calls
-    dedup_hits: int = 0     #: identical name+code+srf_init: store skipped
-    encode_hits: int = 0    #: per-column encode cache hits
+    dedup_hits: int = 0     #: the held object re-stored: store skipped
+    encode_hits: int = 0    #: per-column encodes reused off the stamp
     encode_misses: int = 0  #: per-column encodes actually performed
-    hazard_hits: int = 0    #: per-column hazard re-checks skipped
+    hazard_hits: int = 0    #: per-column hazard checks reused off the stamp
     hazard_misses: int = 0  #: per-column hazard checks actually run
     analysis_hits: int = 0    #: SPM-conflict verdicts reused off the config
     analysis_misses: int = 0  #: SPM-conflict verdicts actually computed
@@ -82,73 +73,39 @@ class ConfigurationMemory:
         self.params = params
         self._kernels = {}
         self._encoded = {}
-        self._encode_cache = OrderedDict()
         self.stats = StoreStats()
-
-    # -- structural caches -------------------------------------------------
-
-    def _encode_program(self, program) -> tuple:
-        key = tuple(program.bundles)
-        words = self._encode_cache.get(key)
-        if words is not None:
-            self.stats.encode_hits += 1
-            self._encode_cache.move_to_end(key)
-            return words
-        self.stats.encode_misses += 1
-        words = tuple(encode_bundle(b) for b in key)
-        self._encode_cache[key] = words
-        if len(self._encode_cache) > _ENCODE_CAP:
-            self._encode_cache.popitem(last=False)
-        return words
-
-    def _is_duplicate(self, config: KernelConfig) -> bool:
-        """True when ``config`` matches the stored kernel of that name."""
-        existing = self._kernels.get(config.name)
-        if existing is None:
-            return False
-        if existing is config:
-            return True
-        if existing.columns.keys() != config.columns.keys():
-            return False
-        for col, program in config.columns.items():
-            stored = existing.columns[col]
-            if tuple(stored.bundles) != tuple(program.bundles):
-                return False
-            if stored.srf_init != program.srf_init:
-                return False
-        return True
 
     # -- store / fetch ------------------------------------------------------
 
     def store(self, config: KernelConfig) -> None:
-        """Validate, hazard-check, encode and store a kernel configuration.
-
-        All three steps are cached structurally (see the module docstring);
-        a byte-identical re-store of an already-stored kernel only stamps
-        the configuration-word fingerprints on the fresh program objects.
-        """
-        self.stats.stores += 1
-        if self._is_duplicate(config):
-            self.stats.dedup_hits += 1
-            encoded = self._encoded[config.name]
-            for col, program in config.columns.items():
-                program._fingerprint = encoded[col]
+        """Validate, hazard-check, encode and store a kernel configuration
+        (each at most once per config object and geometry)."""
+        stats = self.stats
+        stats.stores += 1
+        if self._kernels.get(config.name) is config:
+            stats.dedup_hits += 1
             return
-        config.validate(self.params)
-        encoded = {}
-        for col, program in config.columns.items():
-            if check_program_cached(program.bundles):
-                self.stats.hazard_hits += 1
-            else:
-                self.stats.hazard_misses += 1
-            words = self._encode_program(program)
-            # Encode/decode are exact inverses, so the configuration words
-            # are a lossless structural fingerprint; the compiled engine
-            # and the SPM-conflict analysis key their memos on it (hashing
-            # ints, not instruction trees — kernels regenerated per launch
-            # hit the memos cheaply).
-            program._fingerprint = words
-            encoded[col] = words
+        params = self.params
+        stamp = config.__dict__.get("_stored")
+        if stamp is not None and (stamp[0] is params or stamp[0] == params):
+            encoded = stamp[1]
+            stats.encode_hits += len(encoded)
+            stats.hazard_hits += len(encoded)
+        else:
+            config.validate(params)
+            encoded = {}
+            for col, program in config.columns.items():
+                check_program(program.bundles)
+                words = tuple(map(encode_bundle, program.bundles))
+                # Encode/decode are exact inverses, so the configuration
+                # words are a lossless structural fingerprint; the compile
+                # memo and the SPM-conflict analysis key on it (hashing
+                # ints, not instruction trees).
+                program._fingerprint = words
+                encoded[col] = words
+            stats.hazard_misses += len(encoded)
+            stats.encode_misses += len(encoded)
+            config._stored = (params, encoded)
         self._kernels[config.name] = config
         self._encoded[config.name] = encoded
 

@@ -3,10 +3,11 @@
 Both single-ported resources of a column — the SRF and the VWRs — are
 scheduled at compile time: which unit touches which resource in a bundle is
 fully determined by the configuration word, never by runtime values. The
-checks therefore run once, when a kernel is loaded, and the per-cycle
-execution path stays check-free. This mirrors the hardware reality: the
-paper's kernels are mapped by hand such that no two units ever contend for
-the SRF port or a VWR port.
+checks therefore run once per kernel object, when the configuration memory
+first stores it (its store stamp records that they passed), and the
+per-cycle execution path stays check-free. This mirrors the hardware
+reality: the paper's kernels are mapped by hand such that no two units
+ever contend for the SRF port or a VWR port.
 
 Rules enforced per bundle:
 
@@ -23,16 +24,9 @@ Rules enforced per bundle:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.core.errors import StructuralHazardError
 from repro.isa.bundle import Bundle
 from repro.isa.fields import RCSrcKind
-
-#: Structural memo of hazard-clean bundle sequences (FIFO-evicted).
-#: Failures are not cached: a hazardous program raises every time.
-_CHECKED = OrderedDict()
-_CHECKED_CAP = 512
 
 
 def rc_group_srf_usage(bundle: Bundle):
@@ -108,23 +102,3 @@ def check_program(bundles, base_pc: int = 0) -> None:
     for offset, bundle in enumerate(bundles):
         check_bundle(bundle, base_pc + offset)
 
-
-def check_program_cached(bundles) -> bool:
-    """Hazard-check a program, memoized on the bundle sequence.
-
-    Which unit touches which single-ported resource is fixed by the
-    configuration words, so the verdict is structural: kernels regenerated
-    per launch with identical code (the FFT engines do this constantly)
-    skip the re-check entirely. Returns True on a cache hit, False when
-    the check actually ran; raises :class:`StructuralHazardError` exactly
-    like :func:`check_program`.
-    """
-    key = tuple(bundles)
-    if key in _CHECKED:
-        _CHECKED.move_to_end(key)
-        return True
-    check_program(key)
-    _CHECKED[key] = True
-    if len(_CHECKED) > _CHECKED_CAP:
-        _CHECKED.popitem(last=False)
-    return False

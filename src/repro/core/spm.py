@@ -47,8 +47,9 @@ class Scratchpad:
             )
         self._events.add(Ev.SPM_WIDE_WRITE)
         base = line * self.line_words
+        # Inline to_signed32: one wrap per word, no call.
         self._data[base:base + self.line_words] = [
-            to_signed32(v) for v in values
+            ((v + 2147483648) & 4294967295) - 2147483648 for v in values
         ]
 
     # -- narrow (system-side) interface -----------------------------------
@@ -65,12 +66,11 @@ class Scratchpad:
 
     def read_words(self, addrs) -> list:
         """Batch of narrow-port reads (one event record for the batch)."""
-        data = self._data
-        n_words = self.n_words
-        for addr in addrs:
-            if not 0 <= addr < n_words:
+        if addrs and (min(addrs) < 0 or max(addrs) >= self.n_words):
+            for addr in addrs:
                 self._check_word(addr)
         self._events.add(Ev.SPM_WORD_READ, len(addrs))
+        data = self._data
         return [data[addr] for addr in addrs]
 
     def write_words(self, addr: int, values) -> None:
@@ -79,7 +79,7 @@ class Scratchpad:
             self._check_word(addr if addr < 0 else addr + len(values) - 1)
         self._events.add(Ev.SPM_WORD_WRITE, len(values))
         self._data[addr:addr + len(values)] = [
-            to_signed32(v) for v in values
+            ((v + 2147483648) & 4294967295) - 2147483648 for v in values
         ]
 
     # -- whole-memory state (no events) ------------------------------------
@@ -155,7 +155,7 @@ class Scratchpad:
                 f"({self.n_words} words)"
             )
         self._data[addr:addr + len(values)] = [
-            to_signed32(v) for v in values
+            ((v + 2147483648) & 4294967295) - 2147483648 for v in values
         ]
 
     def _check_line(self, line: int) -> None:

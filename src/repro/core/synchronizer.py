@@ -9,6 +9,7 @@ registers a callback for the interrupt.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 
@@ -25,7 +26,11 @@ class Synchronizer:
     """Tracks running kernels and signals completion interrupts."""
 
     def __init__(self) -> None:
-        self.completions = []
+        #: The most recent completion records (a long-lived platform
+        #: launches without bound; older records are dropped).
+        self.completions = deque(maxlen=256)
+        #: Cycles of every kernel completed so far.
+        self.total_kernel_cycles = 0
         self.irq_pending = False
         self._irq_callback = None
 
@@ -41,6 +46,7 @@ class Synchronizer:
             name=name, cycles=cycles, columns=tuple(columns)
         )
         self.completions.append(record)
+        self.total_kernel_cycles += cycles
         self.irq_pending = True
         if self._irq_callback is not None:
             self._irq_callback(record)
@@ -51,7 +57,3 @@ class Synchronizer:
     def acknowledge(self) -> None:
         """Host CPU clears the interrupt."""
         self.irq_pending = False
-
-    @property
-    def total_kernel_cycles(self) -> int:
-        return sum(c.cycles for c in self.completions)

@@ -162,8 +162,10 @@ class EnergyModel:
         per-component pJ vector once and cached, so no intermediate
         event-counter dict is ever materialized; leakage is charged for
         ``powered_components`` over ``cycles`` exactly like
-        :meth:`report`. Equal to :meth:`report` over the materialized
-        event sum, up to float summation order.
+        :meth:`report`. It sums per block, not per event name, so it can
+        differ from :meth:`report` over the materialized event sum in the
+        last bits; two equal histograms in the same order fold to equal
+        floats.
         """
         by_component = {}
         for delta, count in histogram:
@@ -190,14 +192,16 @@ class EnergyModel:
 
         ``events`` is an event-count dict (e.g. ``EventCounters.diff``);
         ``powered_components`` lists the components whose leakage is
-        charged for the whole window.
+        charged for the whole window. Events fold in sorted name order,
+        so equal event counts give bit-identical energy whatever order
+        the engine inserted them in.
         """
         by_component = {}
 
         def add(component: str, pj: float) -> None:
             by_component[component] = by_component.get(component, 0.0) + pj
 
-        for name, count in events.items():
+        for name, count in sorted(events.items()):
             component = COMPONENT_OF_EVENT.get(name)
             if component is None or name == Ev.CPU_CYCLE:
                 continue

@@ -31,10 +31,11 @@ performs that decode exactly once per program:
   the shared tally at kernel end, multiplying (never iterating) the
   per-trip deltas of fused loops.
 
-Compilation is memoized two ways: per :class:`ColumnProgram` object, and
-structurally by ``(params, bundles)`` — kernels regenerated per launch
-with identical code but different ``srf_init`` (the FFT engines do this
-constantly) hit the structural memo and compile exactly once.
+Compilation is memoized two ways: per :class:`ColumnProgram` object (the
+planners build each kernel once, so warm launches read this stamp), and
+structurally by ``(params, bundles)`` — distinct programs with identical
+code but different ``srf_init`` (an FFT stage's batches) hit the
+structural memo and compile exactly once.
 
 The generated code binds the column's storage (SRF/VWR/SPM backing lists)
 via default arguments at bind time (:class:`repro.engine.executor

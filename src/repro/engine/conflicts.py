@@ -38,8 +38,10 @@ the run.
 
 Results are memoized structurally — keyed on the configuration-word
 fingerprint stamped by the configuration memory plus the ``srf_init``
-values — so the per-launch cost of the analysis on regenerated kernels
-(the FFT engines rebuild configs every launch) is a dictionary hit.
+values. Warm launches never get here: the planners build each kernel once
+and ``Vwr2a`` stamps the verdict on the config object. The memo serves the
+first launch of a new config object whose code and values were analyzed
+before (a hand-built copy, a planner entry rebuilt after eviction).
 """
 
 from __future__ import annotations

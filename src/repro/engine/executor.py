@@ -477,7 +477,8 @@ class AutoEngine:
     """Conflict-aware engine selection (the default).
 
     Runs the compile-time cross-column SPM analysis per launch (memoized
-    structurally, so regenerated kernels pay a dictionary hit): kernels
+    structurally, so a new config object with known code pays a
+    dictionary hit): kernels
     proven conflict-free execute on the compiled fast path; kernels whose
     columns communicate through the SPM mid-kernel fall back to the
     reference interpreter, bit-identically to ``engine="reference"``. The

@@ -37,6 +37,7 @@ from repro.isa.lsu import ld_srf, set_srf, st_srf
 from repro.isa.program import KernelConfig
 from repro.isa.rc import RCOp, rc
 from repro.kernels.macro import ColumnKernelBuilder
+from repro.kernels.memo import planner
 from repro.kernels.runner import KernelRun, KernelRunner
 
 # SRF allocation.
@@ -50,6 +51,7 @@ SRF_POS = 4        #: committed position (RC -> LSU handoff)
 SENTINEL = -1
 
 
+@planner
 def build_delineation_kernel(
     params: ArchParams,
     n_samples: int,

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from repro.isa.fields import DST_R0, R0, R1, DST_R1, dst_srf, imm, srf
 from repro.isa.lcu import addi, blt, seti
 from repro.isa.lsu import ld_srf, st_srf
-from repro.isa.program import ColumnProgram, KernelConfig
+from repro.isa.program import ColumnProgram
 from repro.isa.rc import RCOp, rc
 from repro.kernels.macro import ColumnKernelBuilder
+from repro.kernels.memo import kernel_config, planner
 from repro.kernels.runner import KernelRun, KernelRunner
 
 SRF_A_ADDR = 0
@@ -35,6 +36,7 @@ SRF_VB = 4
 SRF_ACC = 5
 
 
+@planner
 def _diff_column(params, a_word, b_word, out_word, count) -> ColumnProgram:
     """out[j] = a[j] - b[j], scalar (intervals from extrema positions)."""
     kb = ColumnKernelBuilder(params)
@@ -56,6 +58,7 @@ def _diff_column(params, a_word, b_word, out_word, count) -> ColumnProgram:
     return kb.build()
 
 
+@planner
 def _accumulate_column(
     params, a_word, count, out_word, squares: bool, b_word=None
 ) -> ColumnProgram:
@@ -106,18 +109,17 @@ def run_intervals(runner: KernelRunner, insp_spec, exp_spec) -> KernelRun:
     """
     params = runner.soc.params
     (a0, b0, o0, c0), (a1, b1, o1, c1) = insp_spec, exp_spec
-    insp_program = _diff_column(params, a0, b0, o0, c0)
-    exp_program = _diff_column(params, a1, b1, o1, c1)
+    insp, exp = (a0, b0, o0, c0), (a1, b1, o1, c1)
     if params.n_columns >= 2:
-        configs = [KernelConfig(
-            name="intervals",
-            columns={0: insp_program, 1: exp_program},
+        configs = [kernel_config(
+            "intervals", params,
+            (0, _diff_column, insp), (1, _diff_column, exp),
         )]
     else:
         # Single-column geometry: the two streams launch back to back.
         configs = [
-            KernelConfig(name="intervals_insp", columns={0: insp_program}),
-            KernelConfig(name="intervals_exp", columns={0: exp_program}),
+            kernel_config("intervals_insp", params, (0, _diff_column, insp)),
+            kernel_config("intervals_exp", params, (0, _diff_column, exp)),
         ]
     run = KernelRun(name="intervals")
     for config in configs:
@@ -139,11 +141,9 @@ def run_accumulate(
 ) -> ScalarResult:
     """Run one accumulation kernel and read the scalar result back."""
     params = runner.soc.params
-    config = KernelConfig(
-        name=f"acc_{a_word}_{count}_{int(squares)}",
-        columns={0: _accumulate_column(
-            params, a_word, count, out_word, squares, b_word
-        )},
+    config = kernel_config(
+        f"acc_{a_word}_{count}_{int(squares)}", params,
+        (0, _accumulate_column, (a_word, count, out_word, squares, b_word)),
     )
     run = KernelRun(name=config.name)
     result = runner.execute(config, max_cycles=40 * max(count, 1) + 500)

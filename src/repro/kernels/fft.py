@@ -26,7 +26,9 @@ unrolled over the per-stage addresses: the host launches
 ``stages x batches_per_column`` kernels, baking all line addresses into
 the SRF init of each launch (the CPU reprograms kernel parameters between
 launches, Sec. 4.2 — the "programming ... of the kernel parameters"
-overhead the paper mentions). Within a batch:
+overhead the paper mentions). Each distinct launch kernel is built once
+per process (:mod:`repro.kernels.memo`) and re-stored as the same object
+on every later transform. Within a batch:
 
 * products and combines are Table-1 two-bundle elementwise loops;
 * the final butterflies are *fused* passes producing ``a + wb`` into VWR C
@@ -68,6 +70,7 @@ from repro.isa.mxcu import MXCU_NOP, inck
 from repro.isa.program import KernelConfig
 from repro.isa.rc import RCOp, rc
 from repro.kernels.macro import ColumnKernelBuilder
+from repro.kernels.memo import planner
 from repro.kernels.runner import KernelRun, KernelRunner
 from repro.utils.bits import bit_reverse_indices, clog2, is_power_of_two
 from repro.utils.fixed_point import wrap32
@@ -86,13 +89,12 @@ SRF_YI_HI = 6
 SRF_SCRATCH = 7  #: scratch-line walker (post-increment chain)
 
 
+@planner
 def master_twiddles(n: int):
-    """(re, im) 16.15 master table: W_N^k for k = 0 .. N/2-1."""
-    re, im = [], []
-    for k in range(n // 2):
-        angle = -2.0 * math.pi * k / n
-        re.append(int(round(math.cos(angle) * TWIDDLE_ONE)))
-        im.append(int(round(math.sin(angle) * TWIDDLE_ONE)))
+    """(re, im) 16.15 master table: W_N^k for k = 0 .. N/2-1 (tuples)."""
+    angles = [-2.0 * math.pi * k / n for k in range(n // 2)]
+    re = tuple(int(round(math.cos(a) * TWIDDLE_ONE)) for a in angles)
+    im = tuple(int(round(math.sin(a) * TWIDDLE_ONE)) for a in angles)
     return re, im
 
 
@@ -345,13 +347,18 @@ def _batch_column_program(params: ArchParams, addr: BatchAddresses):
     return kb.build()
 
 
+@planner
 def build_batch_kernel(
-    params: ArchParams, per_column: dict, name: str
+    params: ArchParams, per_column, name: str
 ) -> KernelConfig:
-    """One launch: each listed column runs one batch with baked addresses."""
+    """One launch: each listed column runs one batch with baked addresses.
+
+    ``per_column`` maps column -> :class:`BatchAddresses` (a dict, or its
+    tuple of items).
+    """
     columns = {
         col: _batch_column_program(params, addr)
-        for col, addr in per_column.items()
+        for col, addr in per_column
     }
     return KernelConfig(name=name, columns=columns)
 

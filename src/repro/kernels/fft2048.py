@@ -25,7 +25,6 @@ from repro.core.errors import ConfigurationError
 from repro.isa.fields import DST_VWR_B, DST_VWR_C, VWR_A, VWR_B, Vwr
 from repro.isa.lsu import ld_vwr, st_vwr
 from repro.isa.mxcu import MXCU_NOP, inck
-from repro.isa.program import KernelConfig
 from repro.isa.rc import RCOp, rc
 from repro.kernels.fft import (
     FftEngine,
@@ -34,6 +33,7 @@ from repro.kernels.fft import (
     stage_table_lines,
 )
 from repro.kernels.macro import ColumnKernelBuilder
+from repro.kernels.memo import kernel_config, planner
 from repro.kernels.runner import KernelRun, KernelRunner
 from repro.utils.bits import clog2
 from repro.utils.fixed_point import wrap32
@@ -81,6 +81,7 @@ class CombineAddresses:
     scratch: int
 
 
+@planner
 def _combine_column_program(params: ArchParams, addr: CombineAddresses):
     """X[k] / X[k+half] butterflies, in place over the E and O lines."""
     kb = ColumnKernelBuilder(params)
@@ -249,25 +250,23 @@ class SplitFftEngine:
                 self.w_line * line_words,
                 w_words_per_launch,
             )
-            per_col = {}
+            columns = []
             for col in range(n_cols):
                 q = launch * n_cols + col
                 if q >= self.half_lines:
                     continue
-                per_col[col] = CombineAddresses(
-                    er=self.er_line + q,
-                    ei=self.ei_line + q,
-                    o_r=self.or_line + q,
-                    o_i=self.oi_line + q,
-                    w=self.w_line + 2 * col,
-                    scratch=self.scratch_line + 6 * col,
-                )
-            config = KernelConfig(
-                name=f"cfft{self.n}_comb_l{launch}",
-                columns={
-                    col: _combine_column_program(params, addr)
-                    for col, addr in per_col.items()
-                },
+                columns.append((col, _combine_column_program, (
+                    CombineAddresses(
+                        er=self.er_line + q,
+                        ei=self.ei_line + q,
+                        o_r=self.or_line + q,
+                        o_i=self.oi_line + q,
+                        w=self.w_line + 2 * col,
+                        scratch=self.scratch_line + 6 * col,
+                    ),
+                )))
+            config = kernel_config(
+                f"cfft{self.n}_comb_l{launch}", params, *columns
             )
             result = self.runner.execute(config)
             run.config_cycles += result.config_cycles

@@ -32,6 +32,7 @@ from repro.isa.mxcu import MXCU_NOP, inck, setk
 from repro.isa.program import KernelConfig
 from repro.isa.rc import RCOp, rc
 from repro.kernels.macro import ColumnKernelBuilder
+from repro.kernels.memo import planner
 from repro.kernels.runner import KernelRun, KernelRunner
 from repro.utils.fixed_point import wrap32
 
@@ -153,6 +154,7 @@ def _column_program(params, taps, x_line, y_line, n_lines):
     return kb.build()
 
 
+@planner
 def build_fir_kernel(
     params: ArchParams,
     taps,
@@ -161,7 +163,8 @@ def build_fir_kernel(
     y_line: int,
     name: str = None,
 ) -> KernelConfig:
-    """Build the two-column FIR kernel over a staged layout."""
+    """Build the two-column FIR kernel over a staged layout (memoized;
+    ``taps`` keys as a tuple)."""
     if len(taps) != layout.n_taps:
         raise ConfigurationError("taps do not match the layout")
     base = layout.n_lines // params.n_columns

@@ -53,7 +53,6 @@ from repro.isa.fields import (
 from repro.isa.lcu import addi, blt, seti
 from repro.isa.lsu import ld_srf, ld_vwr, set_srf, st_srf, st_vwr
 from repro.isa.mxcu import MXCU_NOP, inck
-from repro.isa.program import KernelConfig
 from repro.isa.rc import RCOp, rc
 from repro.kernels.fft import (
     TWIDDLE_ONE,
@@ -62,6 +61,7 @@ from repro.kernels.fft import (
     stage_table_lines,
 )
 from repro.kernels.macro import ColumnKernelBuilder
+from repro.kernels.memo import kernel_config, planner
 from repro.kernels.runner import KernelRun, KernelRunner
 from repro.utils.bits import clog2, is_power_of_two
 from repro.utils.fixed_point import wrap32
@@ -117,6 +117,7 @@ def rfft_reference_int(samples):
 # Mirror kernel (scalar LSU copy, one array per column)
 # ---------------------------------------------------------------------------
 
+@planner
 def _mirror_column_program(
     params: ArchParams,
     z_word: int,
@@ -184,6 +185,7 @@ def _shifted_add(dst, sign: int):
     ]
 
 
+@planner
 def _gh_column_program(params: ArchParams, addr: RecombAddresses):
     """Phase 1: G/H terms into scratch lines s0..s3."""
     kb = ColumnKernelBuilder(params)
@@ -235,6 +237,7 @@ def _gh_column_program(params: ArchParams, addr: RecombAddresses):
     return kb.build()
 
 
+@planner
 def _xw_column_program(params: ArchParams, addr: RecombAddresses):
     """Phase 2: X = G + W*H from the scratch lines of phase 1."""
     kb = ColumnKernelBuilder(params)
@@ -407,32 +410,27 @@ class RfftEngine:
         )
         xnyq_word = self.nyq_line * line_words
 
-        re_program = _mirror_column_program(
-            params,
+        mirror_program = _mirror_column_program
+        re_args = (
             zr_line * line_words, mr_line * line_words, half,
-            patch=(
-                zr_line * line_words, zi_line * line_words, xnyq_word,
-            ),
+            (zr_line * line_words, zi_line * line_words, xnyq_word),
         )
-        im_program = _mirror_column_program(
-            params,
-            zi_line * line_words, mi_line * line_words, half,
-        )
+        im_args = (zi_line * line_words, mi_line * line_words, half)
         if params.n_columns >= 2:
             # The paper geometry: real and imaginary mirrors run on the
             # two columns concurrently (they touch disjoint arrays).
-            mirror_configs = [KernelConfig(
-                name=f"rfft{self.n}_mirror",
-                columns={0: re_program, 1: im_program},
+            mirror_configs = [kernel_config(
+                f"rfft{self.n}_mirror", params,
+                (0, mirror_program, re_args), (1, mirror_program, im_args),
             )]
         else:
             # Single-column geometry: the same two programs launch back
             # to back on column 0.
             mirror_configs = [
-                KernelConfig(name=f"rfft{self.n}_mirror_re",
-                             columns={0: re_program}),
-                KernelConfig(name=f"rfft{self.n}_mirror_im",
-                             columns={0: im_program}),
+                kernel_config(f"rfft{self.n}_mirror_re", params,
+                              (0, mirror_program, re_args)),
+                kernel_config(f"rfft{self.n}_mirror_im", params,
+                              (0, mirror_program, im_args)),
             ]
         for mirror in mirror_configs:
             result = self.runner.execute(
@@ -453,7 +451,7 @@ class RfftEngine:
                     self.w_line * line_words,
                     hi - lo,
                 )
-            per_col = {}
+            per_col = []
             for col in range(n_cols):
                 q = launch * n_cols + col
                 if q >= max(self.spec_lines, 1):
@@ -462,7 +460,7 @@ class RfftEngine:
                     w_line = self.w_line + 2 * q
                 else:
                     w_line = self.w_line + 2 * col
-                per_col[col] = RecombAddresses(
+                per_col.append((col, RecombAddresses(
                     zre=zr_line + q,
                     zim=zi_line + q,
                     zrre=mr_line + q,
@@ -471,15 +469,12 @@ class RfftEngine:
                     xre=self.xre_line + q,
                     xim=self.xim_line + q,
                     scratch=plan.scratch_line_of(col),
-                )
+                )))
             for phase, builder in (("gh", _gh_column_program),
                                    ("xw", _xw_column_program)):
-                config = KernelConfig(
-                    name=f"rfft{self.n}_{phase}_l{launch}",
-                    columns={
-                        col: builder(params, addr)
-                        for col, addr in per_col.items()
-                    },
+                config = kernel_config(
+                    f"rfft{self.n}_{phase}_l{launch}", params,
+                    *((col, builder, (addr,)) for col, addr in per_col),
                 )
                 result = self.runner.execute(config)
                 run.config_cycles += result.config_cycles

@@ -201,12 +201,12 @@ class KernelRunner:
     # -- kernel launch -----------------------------------------------------------
 
     def store(self, config) -> None:
-        """Store a kernel configuration (structurally cached).
+        """Store a kernel configuration (once per config object).
 
-        Encoding and hazard checks are memoized on the bundle sequence in
-        the configuration memory, and a byte-identical re-store (the
-        historical double-store flow of ``store`` + ``Vwr2a.execute``) is
-        deduplicated outright — see ``soc.vwr2a.config_mem.stats``.
+        Re-storing the held object (the historical double-store flow of
+        ``store`` + ``Vwr2a.execute``) is deduplicated outright, and a
+        config stamped by an earlier store is not re-validated,
+        re-encoded or hazard-checked — see ``soc.vwr2a.config_mem.stats``.
         """
         self.soc.vwr2a.store_kernel(config)
 
@@ -232,9 +232,9 @@ class KernelRunner:
     def warm(self, pipeline, samples) -> None:
         """Run one throwaway window to pre-warm the per-platform caches.
 
-        Populates the configuration-store cache (encode + hazard memos),
-        the compile memo and the SPM-conflict verdicts this runner's
-        platform will hit in steady state, then rewinds the staging
+        Builds, stores and stamps every kernel (store stamps, compiled
+        programs, SPM-conflict verdicts) this runner's platform will hit
+        in steady state, then rewinds the staging
         allocator. Per-window results are history-independent (the
         serving layer's core determinism property), so warming changes
         nothing about subsequently served windows; pool workers use this

@@ -18,6 +18,7 @@ from repro.isa.lsu import ld_vwr, st_vwr
 from repro.isa.program import ColumnProgram, KernelConfig
 from repro.isa.rc import RCOp, rc
 from repro.kernels.macro import ColumnKernelBuilder
+from repro.kernels.memo import planner
 
 #: SRF register allocation of the vector kernels.
 SRF_A_ADDR = 0
@@ -91,6 +92,7 @@ def _column_program(
     return kb.build()
 
 
+@planner
 def elementwise_kernel(
     params: ArchParams,
     op: RCOp,
@@ -114,6 +116,7 @@ def elementwise_kernel(
     )
 
 
+@planner
 def scalar_kernel(
     params: ArchParams,
     op: RCOp,

@@ -62,7 +62,6 @@ class MonitorModel:
 
     def __init__(self, history: int = HISTORY) -> None:
         self.ticks = collections.deque(maxlen=history)
-        self.paused = False
         self._baseline = None
 
     # -- ingest --------------------------------------------------------------
@@ -70,18 +69,12 @@ class MonitorModel:
     def ingest(self, samples: dict, now: float) -> None:
         """Record one sampling tick (``samples`` as from
         :func:`snapshot_samples` / :func:`~repro.obs.parse_prometheus`)."""
-        if self.paused:
-            return
         if self._baseline is None:
             self._baseline = (now, dict(samples))
         self.ticks.append((now, samples))
 
     def ingest_bus(self, bus: MetricsBus, now: float) -> None:
         self.ingest(snapshot_samples(bus.snapshot()), now)
-
-    def reset_baseline(self) -> None:
-        """Restart rate computations from the latest tick."""
-        self._baseline = self.ticks[-1] if self.ticks else None
 
     # -- raw accessors -------------------------------------------------------
 
@@ -199,8 +192,7 @@ def render_text(model: MonitorModel) -> str:
     """The whole dashboard as plain text."""
     done, total = model.progress()
     lines = [
-        "repro live monitor"
-        + (" [paused]" if model.paused else ""),
+        "repro live monitor",
         f"  stream: {done}/{total} windows  "
         f"{model.throughput():.2f} windows/s  "
         f"checkpoint lag: {model.checkpoint_lag()} windows",

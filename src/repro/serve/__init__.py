@@ -8,7 +8,8 @@ sweeps (docs/serving.md):
   fixed-size (optionally overlapping, optionally zero-padded) windows;
 * :class:`StreamScheduler` — feeds a stream through one
   :class:`~repro.kernels.KernelRunner`, amortizing kernel stores
-  (structural config cache), recycling the SRAM staging area between
+  (build-once planners, identity-keyed store), recycling the SRAM staging
+  area between
   windows, double-buffering staged data across two SRAM halves, and
   capturing per-window cycle/event/energy deltas and engine decisions;
 * :class:`StreamReport` / :class:`WindowResult` — per-window and

@@ -4,10 +4,11 @@ One :class:`StreamScheduler` owns a :class:`~repro.kernels.KernelRunner`
 and feeds it a :class:`~repro.serve.WindowStream`, amortizing every
 per-launch cost the single-shot flow pays repeatedly:
 
-* **store once** — kernels regenerated per window dedupe in the
-  configuration memory (PR-2 structural store cache) and reuse their
-  compiled programs and SPM-conflict verdicts; the per-stream cache delta
-  is reported on :attr:`StreamReport.store_stats`;
+* **store once** — the memoized planners hand every window the kernel
+  objects stored before, which the configuration memory dedupes by
+  identity, reusing the compiled programs and SPM-conflict verdicts
+  stamped on them; the per-stream store delta is reported on
+  :attr:`StreamReport.store_stats`;
 * **SRAM recycling** — the staging bump allocator is rewound between
   windows (:meth:`KernelRunner.reset_sram`) instead of growing without
   bound;

@@ -57,14 +57,17 @@ class BankedSram:
 
     def read_words(self, addrs) -> list:
         """Batch of word reads (one event record for the whole batch)."""
-        data = self._data
-        n_words = self.n_words
-        bank_on = self._bank_on
-        words_per_bank = self.words_per_bank
-        for addr in addrs:
-            if not 0 <= addr < n_words or not bank_on[addr // words_per_bank]:
-                self._check_powered(addr)
+        if addrs:
+            # One check of the spanned banks; word by word only when it
+            # fails, so the error names the first bad address.
+            lo, hi = min(addrs), max(addrs)
+            wpb = self.words_per_bank
+            if lo < 0 or hi >= self.n_words \
+                    or not all(self._bank_on[lo // wpb:hi // wpb + 1]):
+                for addr in addrs:
+                    self._check_powered(addr)
         self.events.add(Ev.SRAM_READ, len(addrs))
+        data = self._data
         return [data[addr] for addr in addrs]
 
     def write_words(self, addr: int, values) -> None:
@@ -78,8 +81,9 @@ class BankedSram:
                 if not self._bank_on[bank]:
                     self._check_powered(bank * self.words_per_bank)
         self.events.add(Ev.SRAM_WRITE, len(values))
+        # Inline to_signed32: one wrap per word, no call.
         self._data[addr:addr + len(values)] = [
-            to_signed32(v) for v in values
+            ((v + 2147483648) & 4294967295) - 2147483648 for v in values
         ]
 
     # -- debug/test accessors (no events) ----------------------------------------
@@ -98,7 +102,9 @@ class BankedSram:
             raise AddressError(
                 f"poke of {len(values)} words at {addr} exceeds SRAM"
             )
-        self._data[addr:addr + len(values)] = [to_signed32(v) for v in values]
+        self._data[addr:addr + len(values)] = [
+            ((v + 2147483648) & 4294967295) - 2147483648 for v in values
+        ]
 
     def _check(self, addr: int) -> None:
         if not 0 <= addr < self.n_words:

@@ -8,6 +8,8 @@ permutation used by the FFT kernels and the shuffle unit.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 _WORD_BITS = 32
 _WORD_MASK = (1 << _WORD_BITS) - 1
 _SIGN_BIT = 1 << (_WORD_BITS - 1)
@@ -65,9 +67,10 @@ def bit_reverse(index: int, bits: int) -> int:
     return result
 
 
-def bit_reverse_indices(n: int) -> list:
-    """Bit-reversal permutation for a power-of-two length ``n``."""
+@lru_cache(maxsize=32)
+def bit_reverse_indices(n: int) -> tuple:
+    """Bit-reversal permutation for a power-of-two length ``n`` (cached)."""
     if not is_power_of_two(n):
         raise ValueError(f"length must be a power of two, got {n}")
     bits = clog2(n)
-    return [bit_reverse(i, bits) for i in range(n)]
+    return tuple(bit_reverse(i, bits) for i in range(n))

@@ -4,8 +4,13 @@ Every seed kernel runs twice — once on ``engine="reference"`` (the
 golden per-cycle interpreter) and once on ``engine="compiled"`` — through
 identical staging flows, and the results must agree **exactly**: kernel
 outputs, cycle ledgers, per-column executed-bundle counts, and the full
-platform event snapshot (which the calibrated energy model consumes, so
-event equality implies energy equality).
+platform event snapshot (which the calibrated energy model consumes).
+
+Equal event counts alone do not make the modeled energy equal: the
+engines insert events in different orders, and a float sum depends on
+its order. ``EnergyModel.report`` folds in sorted event-name order, and
+:class:`TestCrossEngineEnergy` asserts exact ``energy_uj`` equality over
+served windows.
 """
 
 from __future__ import annotations
@@ -380,3 +385,34 @@ class TestEngineSemantics:
         for col_index, steps in result.column_steps.items():
             bound = engine._bind(sim.columns[col_index])
             assert sum(bound.pc_histogram()) == steps
+
+
+class TestCrossEngineEnergy:
+    """Modeled window energy is bit-identical across engines."""
+
+    def test_served_windows_have_identical_energy(self):
+        from repro.app import (
+            WINDOW,
+            high_workload_config,
+            low_workload_config,
+            respiration_signal,
+        )
+        from repro.serve import serve_trace
+
+        trace = []
+        for config in (high_workload_config(1), low_workload_config(2)):
+            trace.extend(respiration_signal(8 * WINDOW, config))
+        reports = {
+            engine: serve_trace(trace, "cpu_vwr2a", runner=_runner(engine),
+                                energy_model=True)
+            for engine in ("reference", "compiled")
+        }
+        reference, compiled = reports["reference"], reports["compiled"]
+        assert len(compiled.windows) == 16
+        for ref, comp in zip(reference.windows, compiled.windows):
+            assert comp.events == ref.events
+            assert comp.energy_uj == ref.energy_uj, (
+                f"window {comp.index}: {comp.energy_uj!r} vs "
+                f"{ref.energy_uj!r}"
+            )
+        assert compiled.total_energy_uj == reference.total_energy_uj

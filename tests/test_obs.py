@@ -328,9 +328,6 @@ def test_monitor_model_rates_and_trend():
     assert model._rate(("repro_windows_served_total", ())) == 1.0
     assert model.energy_per_window() == [2.0, 3.0]
     assert len(sparkline([1.0, 2.0, 3.0])) == 3
-    model.paused = True
-    model.ingest_bus(bus, now=10.0)
-    assert model.ticks[-1][0] == 3.0  # paused: tick dropped
 
 
 # -- StoreStats.as_dict (the satellite fix) -----------------------------------

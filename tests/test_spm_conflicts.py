@@ -8,8 +8,8 @@ to the reference interpreter bit-identically, and forcing
 ``engine="compiled"`` on a conflicting kernel raises a diagnostic naming
 the columns and address ranges. Aborted runs (address faults, budget
 overruns) replay cycle-by-cycle so events and column state match the
-interpreter exactly. ``store_kernel`` caches encoding and hazard checks
-structurally, so re-storing identical kernels is free.
+interpreter exactly. ``store_kernel`` stamps each config with its
+validation and encoding, so re-storing a kernel object is free.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.engine import conflicts
 from repro.isa.fields import DST_VWR_B, VWR_A, Vwr, imm
 from repro.isa.lcu import addi, blt, seti
 from repro.isa.lsu import ld_srf, ld_vwr, st_srf, st_vwr
-from repro.isa.program import KernelConfig
+from repro.isa.program import ColumnProgram, KernelConfig
 from repro.isa.rc import RCOp, rc
 from repro.kernels import KernelRunner, run_intervals
 from repro.kernels.fir import build_fir_kernel, plan_fir
@@ -330,10 +330,9 @@ class TestAnalysisCaching:
         sim.execute(config)
         before = dict(conflicts.ANALYSIS_STATS)
         hits_before = sim.config_mem.stats.analysis_hits
-        # A structurally identical, freshly generated config dedupes in
-        # the store cache onto the stored config object, whose stamped
-        # verdict makes the launch a plain attribute read: zero new
-        # footprint computations, zero report-memo lookups.
+        # Rebuilding the kernel returns the stored config object, whose
+        # stamped verdict makes the launch a plain attribute read: zero
+        # new footprint computations, zero report-memo lookups.
         sim.execute(elementwise_kernel(sim.params, RCOp.SSUB, 512, 0, 4, 8))
         after = conflicts.ANALYSIS_STATS
         assert after["footprint_misses"] == before["footprint_misses"]
@@ -350,7 +349,11 @@ class TestAnalysisCaching:
         sim.store_kernel(config)  # stamps the structural fingerprints
         conflicts.analyze_columns(config.columns, sim.params)
         before = dict(conflicts.ANALYSIS_STATS)
-        regenerated = elementwise_kernel(sim.params, RCOp.SSUB, 512, 0, 4, 8)
+        # A hand-built copy: fresh objects, same code and SRF values.
+        regenerated = KernelConfig(name=config.name, columns={
+            col: ColumnProgram(list(p.bundles), dict(p.srf_init))
+            for col, p in config.columns.items()
+        })
         sim.store_kernel(regenerated)
         conflicts.analyze_columns(regenerated.columns, sim.params)
         after = conflicts.ANALYSIS_STATS
@@ -454,11 +457,12 @@ class TestStoreCache:
         stats = sim.config_mem.stats
         encode_misses = stats.encode_misses
         hazard_misses = stats.hazard_misses
-        # Regenerated identical kernel (fresh objects, same code): zero
+        # Rebuilding the kernel returns the stored object: zero
         # re-encoding, zero hazard re-checks.
         regenerated = elementwise_kernel(
             sim.params, RCOp.SMAX, 256, 1, 3, 5, name="cache_probe"
         )
+        assert regenerated is config
         sim.store_kernel(regenerated)
         assert stats.encode_misses == encode_misses
         assert stats.hazard_misses == hazard_misses
@@ -467,26 +471,35 @@ class TestStoreCache:
         for program in regenerated.columns.values():
             assert program._fingerprint is not None
 
-    def test_same_code_different_srf_init_reencodes_nothing(self):
+    def test_same_code_different_srf_init_shares_one_compilation(self):
         sim = Vwr2a()
         taps = lowpass_taps_q15(11, 0.1)
         layout = plan_fir(sim.params, 256, 11)
-        sim.store_kernel(
-            build_fir_kernel(sim.params, taps, layout, 0, layout.n_lines)
-        )
-        stats = sim.config_mem.stats
-        encode_misses = stats.encode_misses
-        hazard_misses = stats.hazard_misses
-        encode_hits = stats.encode_hits
-        # Same bundles, different baked addresses: not a dedup hit (the
-        # stored kernel must change), but encode + hazards still cache.
+        first = build_fir_kernel(sim.params, taps, layout, 0, layout.n_lines)
+        # Same bundles, different baked addresses: a distinct kernel,
+        # encoded to the same configuration words, so the compile memo
+        # (keyed on those words) shares one compilation.
         second = build_fir_kernel(
             sim.params, taps, layout, 8, 8 + layout.n_lines
         )
+        assert second is not first
+        sim.store_kernel(first)
         sim.store_kernel(second)
-        assert stats.encode_misses == encode_misses
-        assert stats.hazard_misses == hazard_misses
-        assert stats.encode_hits == encode_hits + len(second.columns)
+        for col, program in second.columns.items():
+            other = first.columns[col]
+            assert program.srf_init != other.srf_init
+            assert program._fingerprint == other._fingerprint
+            assert program.compiled(sim.params) \
+                is other.compiled(sim.params)
+        # Both configs carry their store stamps: a fresh memory of the
+        # same geometry stores them with zero encodes and hazard checks.
+        fresh = Vwr2a()
+        fresh.store_kernel(first)
+        fresh.store_kernel(second)
+        stats = fresh.config_mem.stats
+        assert stats.encode_misses == stats.hazard_misses == 0
+        assert stats.encode_hits \
+            == len(first.columns) + len(second.columns)
 
     def test_double_store_charges_config_cycles_once_per_launch(self):
         # The historical double-store flow: runner.store + Vwr2a.execute
