@@ -47,9 +47,11 @@ class Scratchpad:
             )
         self._events.add(Ev.SPM_WIDE_WRITE)
         base = line * self.line_words
-        # Inline to_signed32: one wrap per word, no call.
+        # Inline to_signed32: in-range ints pass on two compares, no call.
         self._data[base:base + self.line_words] = [
-            ((v + 2147483648) & 4294967295) - 2147483648 for v in values
+            v if type(v) is int and -2147483648 <= v <= 2147483647
+            else ((v + 2147483648) & 4294967295) - 2147483648
+            for v in values
         ]
 
     # -- narrow (system-side) interface -----------------------------------
@@ -79,7 +81,9 @@ class Scratchpad:
             self._check_word(addr if addr < 0 else addr + len(values) - 1)
         self._events.add(Ev.SPM_WORD_WRITE, len(values))
         self._data[addr:addr + len(values)] = [
-            ((v + 2147483648) & 4294967295) - 2147483648 for v in values
+            v if type(v) is int and -2147483648 <= v <= 2147483647
+            else ((v + 2147483648) & 4294967295) - 2147483648
+            for v in values
         ]
 
     # -- whole-memory state (no events) ------------------------------------
@@ -155,7 +159,9 @@ class Scratchpad:
                 f"({self.n_words} words)"
             )
         self._data[addr:addr + len(values)] = [
-            ((v + 2147483648) & 4294967295) - 2147483648 for v in values
+            v if type(v) is int and -2147483648 <= v <= 2147483647
+            else ((v + 2147483648) & 4294967295) - 2147483648
+            for v in values
         ]
 
     def _check_line(self, line: int) -> None:

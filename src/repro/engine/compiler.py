@@ -6,9 +6,11 @@ and ~10 ``EventCounters.add`` calls tick per column cycle. This module
 performs that decode exactly once per program:
 
 * every bundle is lowered to flat Python source whose operand fetches are
-  resolved into direct list accesses (``VA[96 + k]``, ``S[3]``,
-  ``R2[0]``, ...) and whose ALU semantics are inlined two's-complement
-  expressions;
+  resolved into direct list accesses (``VA[k3]``, ``S[3]``, ``R2[0]``,
+  ...; the slice offsets ``k1 = k + 32``, ... are computed once after
+  each ``k`` write, for the slices the superblock touches) and whose ALU
+  semantics are inlined Python arithmetic under the **operand-range
+  rule** below;
 * straight-line bundle runs between branch targets are fused into one
   generated function per **basic block**, so the execute loop dispatches
   whole blocks instead of cycles;
@@ -31,6 +33,32 @@ performs that decode exactly once per program:
   the shared tally at kernel end, multiplying (never iterating) the
   per-trip deltas of fused loops.
 
+Operand-range rule. Every storage write path (SRF, VWR, SPM, SRAM, the
+RC and LCU registers, ``state_restore``, fault injection) holds only
+int32 values, and an immediate carries its exact value. So each operand
+has a known interval, and each RC/LSU/LCU result gets the interval of
+its unwrapped arithmetic. The int32 wrap is emitted only where that
+interval can leave int32, and then as a **guarded wrap**
+(``if not -2147483648 <= v <= 2147483647: v = <wrap>``): its common path
+is two compares, while the unconditional wrap's 2**31/2**32 constants
+put every result on CPython's multi-digit integer path. In practice:
+
+* ``MOV`` of storage and ``LAND``/``LOR``/``LXOR``/``LNOT`` of int32
+  operands pass through (Python's signed bitwise ops already give the
+  int32 result); ``SMAX``/``SMIN`` are conditional expressions;
+* ``FXPMUL``/``SMUL`` by an immediate need no wrap when the product's
+  interval fits (every FIR tap); ``SADD``/``SSUB``/``SMUL``/``FXPMUL``
+  of two storage operands keep the guarded wrap;
+* ``SLL``, ``SRL`` and the SIMD16 ops keep their unconditional form;
+* the LSU post-increment after an address guard has a proven range and
+  needs no wrap; ``ADDI`` and the counted loops' register
+  reconstruction use the guarded form;
+* SRF and VWR commits of a result whose interval leaves int32 (an
+  SRA/SMAX/SMIN on an out-of-range immediate) wrap, as the reference's
+  storage does; the RC latches keep the raw value, as the reference's
+  do, and a program carrying such an immediate reads its latches as
+  unbounded (see ``_reg_range``).
+
 Compilation is memoized two ways: per :class:`ColumnProgram` object (the
 planners build each kernel once, so warm launches read this stamp), and
 structurally by ``(params, bundles)`` — distinct programs with identical
@@ -45,7 +73,7 @@ via default arguments at bind time (:class:`repro.engine.executor
 from __future__ import annotations
 
 from collections import Counter, OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.errors import ProgramError
 from repro.engine.deltas import bundle_event_delta
@@ -87,47 +115,105 @@ _MEMO = OrderedDict()
 _MEMO_CAP = 256
 
 
-def _w(expr: str) -> str:
-    """Inline ``wrap32``: signed 32-bit two's-complement wrap of ``expr``."""
+#: The int32 interval every storage cell holds (see the module docstring).
+INT32 = (-2147483648, 2147483647)
+
+
+def _fits(rng) -> bool:
+    """True when the interval ``rng`` (``None`` = any int) lies in int32."""
+    return rng is not None and INT32[0] <= rng[0] and rng[1] <= INT32[1]
+
+
+def _full_wrap(expr: str) -> str:
+    """Inline ``wrap32`` of ``expr`` (unconditional; multi-digit arithmetic)."""
     return f"((({expr}) + 2147483648 & 4294967295) - 2147483648)"
 
 
-def _alu_expr(op: RCOp, a: str, b: str) -> str:
-    """Inline source of ``alu_execute(op, a, b)`` (see repro.core.alu)."""
-    if op is RCOp.SADD:
-        return _w(f"({a}) + ({b})")
-    if op is RCOp.SSUB:
-        return _w(f"({a}) - ({b})")
-    if op is RCOp.SMUL:
-        return _w(f"({a}) * ({b})")
-    if op is RCOp.FXPMUL:
-        return _w(f"(({a}) * ({b})) >> 15")
-    if op is RCOp.SLL:
-        return _w(f"(({a}) & 4294967295) << (({b}) & 31)")
-    if op is RCOp.SRL:
-        return _w(f"(({a}) & 4294967295) >> (({b}) & 31)")
-    if op is RCOp.SRA:
-        return f"(({a}) >> (({b}) & 31))"
-    if op is RCOp.LAND:
-        return _w(f"({a}) & ({b}) & 4294967295")
-    if op is RCOp.LOR:
-        return _w(f"(({a}) | ({b})) & 4294967295")
-    if op is RCOp.LXOR:
-        return _w(f"(({a}) ^ ({b})) & 4294967295")
-    if op is RCOp.LNOT:
-        return _w(f"(~({a})) & 4294967295")
+def _assign(target: str, expr: str, rng) -> tuple:
+    """``target = wrap32(expr)`` for ``expr`` in ``rng``: a plain assignment
+    when the interval fits int32, else assignment plus the guarded wrap
+    (two compares on the common path). Returns ``(lines, result range)``."""
+    if _fits(rng):
+        return [f"{target} = {expr}"], rng
+    return [
+        f"{target} = {expr}",
+        f"if not -2147483648 <= {target} <= 2147483647: "
+        f"{target} = (({target} + 2147483648) & 4294967295) - 2147483648",
+    ], INT32
+
+
+def _corners(ra, rb, fn):
+    """Interval of ``fn`` over two operand intervals (None = unbounded),
+    for ops whose extremes over a box lie at its corners: sums, products
+    and their flooring shifts, max and min."""
+    if ra is None or rb is None:
+        return None
+    values = [fn(x, y) for x in ra for y in rb]
+    return min(values), max(values)
+
+
+#: RC op -> (source, exact unwrapped value); the result wraps to int32.
+_WRAPPED = {
+    RCOp.SADD: ("{a} + {b}", lambda x, y: x + y),
+    RCOp.SSUB: ("{a} - {b}", lambda x, y: x - y),
+    RCOp.SMUL: ("{a} * {b}", lambda x, y: x * y),
+    RCOp.FXPMUL: ("({a} * {b}) >> 15", lambda x, y: (x * y) >> 15),
+}
+
+#: The low 32 bits of a bitwise result depend only on the operands' low
+#: 32 bits, and on int32 operands Python's signed bitwise ops already
+#: give the int32 result.
+_BITWISE = {
+    RCOp.LAND: "{a} & {b}",
+    RCOp.LOR: "{a} | {b}",
+    RCOp.LXOR: "{a} ^ {b}",
+    RCOp.LNOT: "~{a}",
+}
+
+#: SMAX/SMIN: (comparison keeping ``a``, interval function).
+_SELECT = {RCOp.SMAX: (">=", max), RCOp.SMIN: ("<=", min)}
+
+#: Ops lowered without range typing (their result is always int32).
+_FIXED = {
+    RCOp.SLL: _full_wrap("({a} & 4294967295) << ({b} & 31)"),
+    RCOp.SRL: _full_wrap("({a} & 4294967295) >> ({b} & 31)"),
+    RCOp.SADD16: "_s16a({a}, {b})",
+    RCOp.SSUB16: "_s16s({a}, {b})",
+    RCOp.FXPMUL16: "_s16m({a}, {b})",
+}
+
+
+def _alu_lines(op: RCOp, var: str, a: tuple, b: tuple) -> tuple:
+    """Lines assigning ``alu_execute(op, a, b)`` to ``var`` (repro.core.alu).
+
+    ``a`` and ``b`` are ``(source, range)`` operands; storage reads range
+    over int32, immediates are points. Returns ``(lines, result range)``;
+    the range of SRA/SMAX/SMIN may leave int32 only through an immediate
+    outside it.
+    """
+    (xa, ra), (xb, rb) = a, b
+    if op in _WRAPPED:
+        source, fn = _WRAPPED[op]
+        return _assign(var, source.format(a=xa, b=xb),
+                       _corners(ra, rb, fn))
+    if op in _BITWISE:
+        return _assign(var, _BITWISE[op].format(a=xa, b=xb),
+                       INT32 if _fits(ra) and _fits(rb) else None)
+    if op in _SELECT:
+        cmp, fn = _SELECT[op]
+        return [f"{var} = {xa} if {xa} {cmp} {xb} else {xb}"], \
+            _corners(ra, rb, fn)
     if op is RCOp.MOV:
-        return _w(a)
-    if op is RCOp.SMAX:
-        return f"max(({a}), ({b}))"
-    if op is RCOp.SMIN:
-        return f"min(({a}), ({b}))"
-    if op is RCOp.SADD16:
-        return f"_s16a(({a}), ({b}))"
-    if op is RCOp.SSUB16:
-        return f"_s16s(({a}), ({b}))"
-    if op is RCOp.FXPMUL16:
-        return f"_s16m(({a}), ({b}))"
+        return _assign(var, xa, ra)
+    if op is RCOp.SRA:
+        # A right shift moves toward 0 / -1, so the operand's hull with
+        # its >> 31 image bounds every shift amount.
+        rng = None if ra is None else (
+            min(ra[0], ra[0] >> 31), max(ra[1], ra[1] >> 31)
+        )
+        return [f"{var} = {xa} >> ({xb} & 31)"], rng
+    if op in _FIXED:
+        return [f"{var} = {_FIXED[op].format(a=xa, b=xb)}"], INT32
     raise ProgramError(f"cannot compile RC op {op!r}")
 
 
@@ -136,6 +222,8 @@ class _BundleCode:
     lines: list
     uses_k: bool = False
     sets_k: bool = False
+    #: VWR slices ``i >= 1`` addressed, each through ``k{i} = k + i * 32``.
+    slices: set = field(default_factory=set)
     #: LCU counter bookkeeping (SETI/ADDI) — kept separable so
     #: closed-form loops can skip it per trip and reconstruct the final
     #: register values from the affine loop summary instead.
@@ -150,12 +238,14 @@ class _BundleCode:
 class _BundleGen:
     """Lowers one bundle into flat source lines."""
 
-    def __init__(self, params) -> None:
+    def __init__(self, params, reg_range) -> None:
         self.params = params
         self.slice_words = params.slice_words
         self.slice_mask = params.slice_words - 1
         self.n_rcs = params.rcs_per_column
         self.srf_entries = params.srf_entries
+        #: Range of RC register / output-latch reads (see _reg_range).
+        self.reg_range = reg_range
 
     # -- operand / guard helpers -----------------------------------------
 
@@ -166,27 +256,35 @@ class _BundleGen:
         if not 0 <= entry < self.srf_entries:
             guards.append(f"_raise_srf({entry}, {self.srf_entries})")
 
-    def _operand(self, operand, i: int, guards: list):
+    def _operand(self, operand, i: int, guards: list, code) -> tuple:
+        """``(source, range)`` of one RC operand read by RC ``i``."""
         kind = operand.kind
         if kind is RCSrcKind.ZERO:
-            return "0", False
+            return "0", (0, 0)
         if kind is RCSrcKind.IMM:
-            return repr(int(operand.index)), False
+            value = int(operand.index)
+            return repr(value), (value, value)
         if kind is RCSrcKind.R0:
-            return f"R{i}[0]", False
+            return f"R{i}[0]", self.reg_range
         if kind is RCSrcKind.R1:
-            return f"R{i}[1]", False
+            return f"R{i}[1]", self.reg_range
         if kind is RCSrcKind.RCT:
-            return f"O[{(i - 1) % self.n_rcs}]", False
+            return f"O[{(i - 1) % self.n_rcs}]", self.reg_range
         if kind is RCSrcKind.RCB:
-            return f"O[{(i + 1) % self.n_rcs}]", False
+            return f"O[{(i + 1) % self.n_rcs}]", self.reg_range
         if kind is RCSrcKind.SRF:
             self._srf_guard(operand.index, guards)
-            return f"S[{int(operand.index)}]", False
-        name = _VWR_SRC_NAMES[kind]
+            return f"S[{int(operand.index)}]", INT32
+        return f"{_VWR_SRC_NAMES[kind]}[{self._slot(i, code)}]", INT32
+
+    @staticmethod
+    def _slot(i: int, code) -> str:
+        """VWR word index of RC ``i``'s slice at the current ``k``."""
+        code.uses_k = True
         if i == 0:
-            return f"{name}[k]", True
-        return f"{name}[{i * self.slice_words} + k]", True
+            return "k"
+        code.slices.add(i)
+        return f"k{i}"
 
     # -- per-unit lowering -------------------------------------------------
 
@@ -237,16 +335,15 @@ class _BundleGen:
         for i, instr in enumerate(instrs):
             if instr.is_nop:
                 continue
-            operands = instr.operands()
-            a_expr, a_k = self._operand(operands[0], i, guards) \
-                if operands else ("0", False)
-            if len(operands) > 1:
-                b_expr, b_k = self._operand(operands[1], i, guards)
-            else:
-                b_expr, b_k = "0", False
-            computes.append(f"v{i} = {_alu_expr(instr.op, a_expr, b_expr)}")
-            code.uses_k |= a_k or b_k
-            # Commit phase: all writes observe cycle-start reads.
+            operands = [self._operand(operand, i, guards, code)
+                        for operand in instr.operands()]
+            operands += [("0", (0, 0))] * (2 - len(operands))
+            lines, rng = _alu_lines(instr.op, f"v{i}", *operands)
+            computes += lines
+            # Commit phase: all writes observe cycle-start reads. SRF and
+            # VWR writes wrap like the reference's storage; the latches
+            # keep the raw result, as the reference's do.
+            stored = f"v{i}" if _fits(rng) else _full_wrap(f"v{i}")
             commits.append(f"O[{i}] = v{i}")
             kind = instr.dst.kind
             if kind is RCDstKind.R0:
@@ -255,12 +352,11 @@ class _BundleGen:
                 commits.append(f"R{i}[1] = v{i}")
             elif kind is RCDstKind.SRF:
                 self._srf_guard(instr.dst.index, guards)
-                commits.append(f"S[{int(instr.dst.index)}] = v{i}")
+                commits.append(f"S[{int(instr.dst.index)}] = {stored}")
             elif kind in _VWR_DST_NAMES:
-                name = _VWR_DST_NAMES[kind]
-                offset = f"{i * self.slice_words} + k" if i else "k"
-                commits.append(f"{name}[{offset}] = v{i}")
-                code.uses_k = True
+                commits.append(
+                    f"{_VWR_DST_NAMES[kind]}[{self._slot(i, code)}] = {stored}"
+                )
         code.lines += computes + commits
 
     def _gen_lsu(self, instr, code, guards) -> None:
@@ -284,7 +380,7 @@ class _BundleGen:
                 lines.append(f"{vwr}[:] = M[_b:_b + {line_words}]")
             else:
                 lines.append(f"M[_b:_b + {line_words}] = {vwr}")
-            self._post_increment(instr, lines)
+            self._post_increment(instr, lines, params.spm_lines)
         elif op in (LSUOp.LD_SRF, LSUOp.ST_SRF):
             self._srf_guard(instr.addr, guards)
             self._srf_guard(instr.data, guards)
@@ -298,7 +394,7 @@ class _BundleGen:
                 lines.append(f"S[{int(instr.data)}] = M[_a]")
             else:
                 lines.append(f"M[_a] = S[{int(instr.data)}]")
-            self._post_increment(instr, lines)
+            self._post_increment(instr, lines, params.spm_words)
         elif op is LSUOp.SET_SRF:
             self._srf_guard(instr.data, guards)
             lines.append(
@@ -309,11 +405,13 @@ class _BundleGen:
         else:
             raise ProgramError(f"cannot compile LSU op {op!r}")
 
-    def _post_increment(self, instr, lines) -> None:
-        if instr.inc:
-            lines.append(
-                f"S[{int(instr.addr)}] = " + _w(f"_a + {int(instr.inc)}")
-            )
+    @staticmethod
+    def _post_increment(instr, lines, bound: int) -> None:
+        """Address write-back; the guard above proved ``0 <= _a < bound``."""
+        inc = int(instr.inc)
+        if inc:
+            lines += _assign(f"S[{int(instr.addr)}]", f"_a + {inc}",
+                             (inc, bound - 1 + inc))[0]
 
     def _gen_lcu_state(self, instr, code, guards) -> None:
         """The LCU's register-file side; control flow is the block's job."""
@@ -321,9 +419,11 @@ class _BundleGen:
         if op is LCUOp.SETI:
             code.lcu_lines = [f"L[{instr.rd}] = {wrap32(instr.imm)}"]
         elif op is LCUOp.ADDI:
-            code.lcu_lines = [
-                f"L[{instr.rd}] = " + _w(f"L[{instr.rd}] + {int(instr.imm)}")
-            ]
+            imm = int(instr.imm)
+            code.lcu_lines = _assign(
+                f"L[{instr.rd}]", f"L[{instr.rd}] + {imm}",
+                (INT32[0] + imm, INT32[1] + imm),
+            )[0]
         elif op is LCUOp.LDSRF:
             self._srf_guard(instr.cmp, guards)
             code.lines.append(f"L[{instr.rd}] = S[{int(instr.cmp)}]")
@@ -536,6 +636,9 @@ def _hoistable_commits(bundles, pcs, body_lines) -> tuple:
                 and (int(cell), int(slot)) not in read_regs
         return False
 
+    # A guarded wrap (``if not ... <= v0 <= ...: v0 = ...``) directly
+    # follows its compute line, before any commit of the temporary, so
+    # the compute line's position stands for both.
     last_assign = {}
     last_commit = {}
     for position, line in enumerate(body_lines):
@@ -573,8 +676,37 @@ def _member_info(members, deltas) -> tuple:
     return tuple(rows)
 
 
+def _reg_range(bundles):
+    """Range of RC register and output-latch reads in ``bundles``.
+
+    The latches hold raw ALU results, which are int32 for int32 operands.
+    Only an SRA/SMAX/SMIN on an immediate outside int32 latches more. The
+    configuration encoding holds 17-bit immediates, so ``Vwr2a`` never
+    runs such a program (nor leaves a wide latch for the next launch); a
+    hand-built one compiled here reads its own latches as unbounded.
+    """
+    for bundle in bundles:
+        for instr in bundle.rcs:
+            for operand in instr.operands():
+                if operand.kind is RCSrcKind.IMM \
+                        and not _fits((operand.index, operand.index)):
+                    return None
+    return INT32
+
+
+def _k_offsets(lines, offsets) -> list:
+    """``lines`` with the slice ``offsets`` recomputed after each ``k``
+    write."""
+    out = []
+    for line in lines:
+        out.append(line)
+        if line.startswith("k = "):
+            out += offsets
+    return out
+
+
 def _compile(bundles, params) -> CompiledProgram:
-    gen = _BundleGen(params)
+    gen = _BundleGen(params, _reg_range(bundles))
     bodies = [gen.gen(bundle) for bundle in bundles]
     deltas = [bundle_event_delta(bundle, params) for bundle in bundles]
     sig = ", ".join(f"{name}={name}" for name in signature_names(params))
@@ -587,6 +719,10 @@ def _compile(bundles, params) -> CompiledProgram:
         last = bundles[pcs[-1]]
         uses_k = any(bodies[pc].uses_k for pc in pcs)
         sets_k = any(bodies[pc].sets_k for pc in pcs)
+        offsets = [
+            f"k{i} = k + {i * params.slice_words}"
+            for i in sorted(set().union(*(bodies[pc].slices for pc in pcs)))
+        ]
         op = last.lcu.op
         is_loop = op in BRANCH_OPS and last.lcu.target == leader
         plan = plan_loop(bundles, pcs, params) if is_loop else None
@@ -598,7 +734,8 @@ def _compile(bundles, params) -> CompiledProgram:
         lines = [f"def {fn_name}({'limit, ' if is_loop else ''}{sig}):"]
         indent = "    "
         if uses_k or sets_k:
-            lines.append(f"{indent}k = col.k")
+            lines += [indent + line
+                      for line in _k_offsets(["k = col.k"], offsets)]
         if counted:
             # Closed-form trip count, computed once at loop entry. While
             # the counter provably stays inside int32, the loop runs as a
@@ -620,8 +757,9 @@ def _compile(bundles, params) -> CompiledProgram:
                 "<= 2147483647:"
             )
             counted_body, post_commits = _hoistable_commits(
-                bundles, pcs,
-                [line for pc in pcs for line in bodies[pc].lines],
+                bundles, pcs, _k_offsets(
+                    [line for pc in pcs for line in bodies[pc].lines], offsets
+                ),
             )
             if counted_body:
                 lines.append(f"{indent}    for _ in range(_t):")
@@ -633,10 +771,9 @@ def _compile(bundles, params) -> CompiledProgram:
                 if sym[0] == "c":
                     lines.append(f"{indent}    L[{reg}] = {sym[1]}")
                 elif sym[1]:
-                    lines.append(
-                        f"{indent}    L[{reg}] = ((L[{reg}] + _t * {sym[1]} "
-                        "+ 2147483648) & 4294967295) - 2147483648"
-                    )
+                    lines += [f"{indent}    {line}" for line in _assign(
+                        f"L[{reg}]", f"L[{reg}] + _t * {sym[1]}", None
+                    )[0]]
             if sets_k:
                 lines.append(f"{indent}    col.k = k")
             lines.append(f"{indent}    return _pc, _t")
@@ -646,9 +783,10 @@ def _compile(bundles, params) -> CompiledProgram:
             body_indent = indent + "    "
         else:
             body_indent = indent
-        for pc in pcs:
-            for line in bodies[pc].all_lines():
-                lines.append(body_indent + line)
+        for line in _k_offsets(
+            [line for pc in pcs for line in bodies[pc].all_lines()], offsets
+        ):
+            lines.append(body_indent + line)
         if is_loop:
             # Taken branch loops internally (bounded by the cycle budget);
             # fall-through or an exhausted limit returns to the dispatcher.

@@ -184,6 +184,20 @@ def build_fir_kernel(
     )
 
 
+@planner
+def fir_gather_orders(layout: FirLayout, params: ArchParams,
+                      n_padded: int) -> tuple:
+    """``(order_in, order_out)`` DMA gathers of a staged layout (memoized).
+
+    Halo reads past the ``n_padded``-word padded input (last slice) clamp
+    to its final zero word.
+    """
+    order_in = tuple(
+        min(i, n_padded - 1) for i in layout.gather_in_order(params)
+    )
+    return order_in, tuple(layout.gather_out_order(params))
+
+
 @dataclass
 class FirRun:
     """Result + cycle ledger of a staged FIR execution."""
@@ -207,9 +221,7 @@ def run_fir(runner: KernelRunner, taps, samples, spm_x_line: int = 0,
         layout.outputs_per_slice * layout.n_slices - len(samples)
         + layout.halo
     )
-    order_in = layout.gather_in_order(params)
-    # Clamp halo reads past the padded tail (last slice) to the zero pad.
-    order_in = [min(i, len(padded) - 1) for i in order_in]
+    order_in, order_out = fir_gather_orders(layout, params, len(padded))
 
     run = KernelRun(name=f"fir_{len(samples)}_{len(taps)}")
     run.dma_in_cycles = runner.stage_in(
@@ -222,7 +234,7 @@ def run_fir(runner: KernelRunner, taps, samples, spm_x_line: int = 0,
     values, run.dma_out_cycles = runner.stage_out(
         spm_y_line * params.line_words,
         len(samples),
-        order=layout.gather_out_order(params),
+        order=order_out,
     )
     return FirRun(samples=values, run=run)
 

@@ -81,9 +81,11 @@ class BankedSram:
                 if not self._bank_on[bank]:
                     self._check_powered(bank * self.words_per_bank)
         self.events.add(Ev.SRAM_WRITE, len(values))
-        # Inline to_signed32: one wrap per word, no call.
+        # Inline to_signed32: in-range ints pass on two compares, no call.
         self._data[addr:addr + len(values)] = [
-            ((v + 2147483648) & 4294967295) - 2147483648 for v in values
+            v if type(v) is int and -2147483648 <= v <= 2147483647
+            else ((v + 2147483648) & 4294967295) - 2147483648
+            for v in values
         ]
 
     # -- debug/test accessors (no events) ----------------------------------------
@@ -103,7 +105,9 @@ class BankedSram:
                 f"poke of {len(values)} words at {addr} exceeds SRAM"
             )
         self._data[addr:addr + len(values)] = [
-            ((v + 2147483648) & 4294967295) - 2147483648 for v in values
+            v if type(v) is int and -2147483648 <= v <= 2147483647
+            else ((v + 2147483648) & 4294967295) - 2147483648
+            for v in values
         ]
 
     def _check(self, addr: int) -> None:
