@@ -70,8 +70,9 @@ class Vwr2a:
     """A VWR2A instance: reconfigurable array + memories + DMA.
 
     ``engine`` selects how kernels execute: ``"auto"`` (the default) runs
-    the compile-time cross-column SPM analysis at ``load_kernel`` and
-    executes conflict-free kernels on the compiled fast path, falling back
+    the compile-time cross-column SPM analysis on a configuration's first
+    launch and executes conflict-free kernels on the compiled fast path
+    (one column after another), falling back
     to the per-cycle reference interpreter when columns communicate
     through the SPM mid-kernel (docs/engine.md); ``"compiled"`` forces the
     fast path (raising :class:`~repro.core.errors.SpmConflictError` on
@@ -142,21 +143,6 @@ class Vwr2a:
         """
         self.config_mem.store(config)
 
-    def load_kernel(self, name: str) -> int:
-        """Copy a stored configuration into the program memories.
-
-        Returns the cycle cost (one cycle per configuration word plus one
-        per initial SRF entry, per column). Under the ``auto`` and
-        ``compiled`` engines this is also where the cross-column SPM
-        analysis runs — its verdict is cached on the stored configuration
-        object (``config_mem.stats.analysis_hits``), so warm launches of
-        the planners' build-once kernels skip re-analysis entirely.
-        """
-        config = self.config_mem.get(name)
-        if self._engine.name != "reference":
-            self._conflict_report(config)
-        return self._install(config)
-
     def _install(self, config: KernelConfig) -> int:
         config_words = 0
         srf_writes = 0
@@ -176,8 +162,8 @@ class Vwr2a:
         The planners build each kernel once, so a warm launch runs the
         very :class:`KernelConfig` object stored before; stamping the
         verdict on that object makes every warm launch a plain attribute
-        read — no fingerprint hashing, no memo lookup (the analysis memo in
-        :mod:`repro.engine.conflicts` still backs cold misses).
+        read — no fingerprint hashing, no memo lookup (the footprint memo
+        in :mod:`repro.engine.conflicts` still backs cold misses).
         ``config_mem.stats.analysis_hits/analysis_misses`` count the cache
         behaviour.
         """
@@ -217,7 +203,13 @@ class Vwr2a:
         return dict(self._engine.decisions)
 
     def run(self, name: str, max_cycles: int = None) -> RunResult:
-        """Load and execute a stored kernel to completion."""
+        """Load and execute a stored kernel to completion.
+
+        The only launch path: installs the configuration (charging its
+        load once) and hands the engine the conflict verdict stamped on
+        the config — ``None`` for the reference engine, which never needs
+        one.
+        """
         if max_cycles is None:
             max_cycles = self.DEFAULT_MAX_CYCLES
         # Single configuration fetch: _install reuses it for the load,
@@ -227,21 +219,20 @@ class Vwr2a:
             if self._engine.name != "reference" else None
         config_cycles = self._install(config)
         active = [self.columns[col] for col in config.columns]
-        cycles = self._engine.run_kernel(
-            self, name, active, max_cycles, report=report
+        info = self._engine.run_kernel(self, name, active, max_cycles, report)
+        self.synchronizer.kernel_finished(
+            name, info.cycles, config.columns.keys()
         )
-        self.synchronizer.kernel_finished(name, cycles, config.columns.keys())
-        info = getattr(self._engine, "last_run_info", None)
         return RunResult(
             name=name,
-            cycles=cycles,
+            cycles=info.cycles,
             config_cycles=config_cycles,
             column_steps={col.index: col.steps for col in active},
-            engine=info.engine if info else self._engine.name,
-            fallback_reason=info.fallback_reason if info else None,
-            spm_conflicts=tuple(info.conflicts) if info else (),
-            superblocks=info.superblocks if info else None,
-            block_histogram=info.histogram if info else (),
+            engine=info.engine,
+            fallback_reason=info.fallback_reason,
+            spm_conflicts=tuple(info.conflicts),
+            superblocks=info.superblocks,
+            block_histogram=info.histogram,
         )
 
     def execute(self, config: KernelConfig, max_cycles: int = None) -> RunResult:

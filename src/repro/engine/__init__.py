@@ -1,7 +1,7 @@
 """Precompiled micro-op execution engine for the VWR2A simulator.
 
-``compile once at load_kernel, execute many`` — see docs/engine.md for the
-design. Select per instance via ``Vwr2a(engine="auto"|"compiled"|
+``compile once at the first launch, execute many`` — see docs/engine.md
+for the design. Select per instance via ``Vwr2a(engine="auto"|"compiled"|
 "reference")``. ``auto`` (the default) runs the compile-time cross-column
 SPM analysis (:mod:`repro.engine.conflicts`) and routes each launch to the
 compiled fast path when proven conflict-free, or to the reference

@@ -453,7 +453,7 @@ class BlockInfo:
     delta: tuple         #: ((event, count), ...) for one execution
     exit_next: int       #: reference PC after EXIT (-1 when not an exit)
     is_loop: bool        #: self-loop fused: fn(limit) -> (next_pc, trips)
-    closed_form: bool    #: loop trips solvable at entry (no horizon needed)
+    closed_form: bool    #: loop trips solvable at entry (one counted run)
     members: tuple       #: ((leader, n_cycles, delta), ...) per basic block
 
 

@@ -1,13 +1,14 @@
 """Compile-time cross-column SPM access analysis.
 
-The compiled engine's virtual-time scheduler synchronizes columns at
-basic-block granularity, so a kernel in which one column reads SPM
-addresses another column writes *mid-kernel* could observe a different
-interleaving than the per-cycle reference interpreter. This module closes
-that soundness hole statically: at ``load_kernel`` every column program is
-abstractly executed over its configuration words to derive the **footprint**
-of SPM addresses it may read and write, and the footprints of concurrently
-live columns are intersected.
+The compiled engine runs the columns of a launch one after another, each
+to EXIT, where the reference interpreter steps them in lock-step. The
+columns share only the SPM, so the two orders are indistinguishable
+unless one column writes an SPM word another column reads or writes. This
+module proves that statically: on a configuration's first launch every
+column program is abstractly executed over its configuration words to
+derive the **footprint** of SPM addresses it may read and write, and the
+footprints of concurrently live columns are intersected. A launch with
+no overlap is admitted to the compiled engine; any overlap is a conflict.
 
 The analysis leans on the same property the static event-delta fold relies
 on (:mod:`repro.engine.deltas`): *which* SPM addresses a kernel touches is
@@ -36,12 +37,14 @@ footprints conflict with everything another column touches). Out-of-range
 addresses end the abstract path, exactly as the ``AddressError`` would end
 the run.
 
-Results are memoized structurally — keyed on the configuration-word
-fingerprint stamped by the configuration memory plus the ``srf_init``
-values. Warm launches never get here: the planners build each kernel once
-and ``Vwr2a`` stamps the verdict on the config object. The memo serves the
-first launch of a new config object whose code and values were analyzed
-before (a hand-built copy, a planner entry rebuilt after eviction).
+Column footprints are memoized structurally — keyed on the
+configuration-word fingerprint stamped by the configuration memory plus
+the ``srf_init`` values — so the reports of different config objects with
+the same columns share their word sets. Warm launches never get here: the
+planners build each kernel once and ``Vwr2a`` stamps the verdict on the
+config object. A new config object whose columns were analyzed before (a
+hand-built copy, a planner entry rebuilt after eviction) re-derives only
+the cheap pairwise intersection.
 """
 
 from __future__ import annotations
@@ -64,21 +67,17 @@ UNKNOWN = object()
 #: Abstract-execution budget per column (bundle steps + accelerated loops).
 MAX_STEPS = 40_000
 
-#: Memo caps (structural keys, FIFO eviction — mirrors the compile memo).
+#: Footprint memo cap (structural keys, FIFO eviction — mirrors the
+#: compile memo).
 _FOOTPRINT_CAP = 512
-_REPORT_CAP = 512
 
 _FOOTPRINT_MEMO = OrderedDict()
-_REPORT_MEMO = OrderedDict()
 
 #: Analysis cache behaviour, observable by tests and benchmarks.
 ANALYSIS_STATS = {
     "footprint_hits": 0,
     "footprint_misses": 0,
-    "report_hits": 0,
-    "report_misses": 0,
 }
-
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +131,7 @@ class ColumnFootprint:
 
 @dataclass(frozen=True)
 class SpmConflict:
-    """One cross-column overlap the block scheduler cannot order safely."""
+    """One cross-column overlap that makes the column order observable."""
 
     kind: str        #: ``"write-read"`` or ``"write-write"``
     writer: int      #: column whose writes overlap
@@ -456,7 +455,7 @@ class _FootprintAnalyzer:
 
 
 # ---------------------------------------------------------------------------
-# Public API (memoized)
+# Public API
 # ---------------------------------------------------------------------------
 
 def _column_key(program, params):
@@ -528,23 +527,14 @@ def _pair_conflicts(col_a, fp_a, col_b, fp_b):
 
 
 def analyze_columns(columns: dict, params) -> ConflictReport:
-    """Cross-column SPM conflict report for one kernel (memoized).
+    """Cross-column SPM conflict report for one kernel.
 
     ``columns`` maps column index to :class:`ColumnProgram`. Kernels using
-    a single column are trivially conflict-free and return instantly.
+    a single column are trivially conflict-free and return instantly; the
+    per-column footprints come from the footprint memo.
     """
     if len(columns) <= 1:
         return EMPTY_REPORT
-    key = tuple(
-        (col, _column_key(columns[col], params))
-        for col in sorted(columns)
-    )
-    report = _REPORT_MEMO.get(key)
-    if report is not None:
-        ANALYSIS_STATS["report_hits"] += 1
-        _REPORT_MEMO.move_to_end(key)
-        return report
-    ANALYSIS_STATS["report_misses"] += 1
     footprints = OrderedDict(
         (col, column_footprint(columns[col], params))
         for col in sorted(columns)
@@ -554,18 +544,7 @@ def analyze_columns(columns: dict, params) -> ConflictReport:
         footprints.items(), 2
     ):
         conflicts.extend(_pair_conflicts(col_a, fp_a, col_b, fp_b))
-    report = ConflictReport(
+    return ConflictReport(
         conflicts=tuple(conflicts),
         footprints=tuple(footprints.items()),
-    )
-    _REPORT_MEMO[key] = report
-    if len(_REPORT_MEMO) > _REPORT_CAP:
-        _REPORT_MEMO.popitem(last=False)
-    return report
-
-
-def analyze_active(active, params) -> ConflictReport:
-    """Report for a list of loaded :class:`~repro.core.column.Column`."""
-    return analyze_columns(
-        {col.index: col.program for col in active}, params
     )

@@ -16,16 +16,16 @@ Two interchangeable engines drive kernel execution for
   deltas) — bit-identical to per-cycle logging because every bundle's
   event delta is static (see :mod:`repro.engine.deltas`).
 
-Multi-column kernels run under a virtual-time scheduler: the column with
-the smallest cycle count advances superblocks until its virtual time
-passes the smallest of the other running columns'. Columns therefore
-synchronize at superblock (not cycle) granularity; the static
-cross-column SPM analysis (:mod:`repro.engine.conflicts`) proves per
-launch that no column writes addresses another column touches, so the
-relaxed ordering is unobservable. Kernels that *do* communicate through
-the SPM mid-kernel raise :class:`~repro.core.errors.SpmConflictError` on
-the forced compiled engine, and are routed to the reference interpreter
-automatically by :class:`AutoEngine` (``engine="auto"``, the default).
+Multi-column kernels run one column after another: each column's
+dispatch loop runs to EXIT in turn, and the launch takes as many cycles
+as its longest column. The static cross-column SPM analysis
+(:mod:`repro.engine.conflicts`) proves per launch that no column writes
+an SPM word another column reads or writes; everything else a column
+touches is private to it, so no column can observe when another one
+ran. Kernels that *do* communicate through the SPM mid-kernel raise
+:class:`~repro.core.errors.SpmConflictError` on the forced compiled
+engine, and are routed to the reference interpreter automatically by
+:class:`AutoEngine` (``engine="auto"``, the default).
 
 Aborted launches (``AddressError`` / ``ProgramError``) are rewound to the
 pre-launch snapshot and replayed cycle-by-cycle on the reference
@@ -42,18 +42,19 @@ from repro.core.alu import _simd16
 from repro.core.errors import AddressError, ProgramError, SpmConflictError
 from repro.core.shuffle import shuffle
 from repro.engine.compiler import compile_program
-from repro.engine.conflicts import EMPTY_REPORT, analyze_active
 from repro.isa.fields import ShuffleMode, Vwr
 from repro.isa.rc import RCOp
 
-#: Per-launch engine decision plus superblock accounting, surfaced on
-#: ``RunResult`` by ``Vwr2a.run``. ``superblocks`` is the accelerated-loop
-#: counter dict (None on the reference path); ``histogram`` the per-block
-#: execution histogram ``((column, leader, count, delta), ...)``.
+#: What ``run_kernel`` returns: the launch's cycle count, the engine
+#: decision and the superblock accounting, surfaced on ``RunResult`` by
+#: ``Vwr2a.run``. ``superblocks`` is the accelerated-loop counter dict
+#: (None on the reference path); ``histogram`` the per-block execution
+#: histogram ``((column, leader, count, delta), ...)``.
 RunInfo = namedtuple(
     "RunInfo",
-    ["engine", "fallback_reason", "conflicts", "superblocks", "histogram"],
-    defaults=(None, ()),
+    ["engine", "cycles", "fallback_reason", "conflicts", "superblocks",
+     "histogram"],
+    defaults=(None, (), None, ()),
 )
 
 
@@ -81,15 +82,12 @@ class ReferenceEngine:
     name = "reference"
 
     def __init__(self) -> None:
-        self.last_run_info = RunInfo("reference", None, ())
         #: Lifetime launch tally by executing engine (``Vwr2a.engine_decisions``).
         self.decisions = Counter()
 
-    def run_kernel(self, vwr2a, name, active, max_cycles,
-                   report=None) -> int:
-        # ``report`` (the pre-verified conflict analysis) is accepted for
-        # interface uniformity; the per-cycle interpreter never needs it.
-        self.last_run_info = RunInfo("reference", None, ())
+    def run_kernel(self, vwr2a, name, active, max_cycles, report) -> RunInfo:
+        # ``report`` (the conflict verdict) is accepted for interface
+        # uniformity; the per-cycle interpreter never needs it.
         self.decisions["reference"] += 1
         cycles = 0
         while any(not col.done for col in active):
@@ -98,7 +96,7 @@ class ReferenceEngine:
             for col in active:
                 col.step()
             cycles += 1
-        return cycles
+        return RunInfo("reference", cycles)
 
 
 class BoundColumn:
@@ -171,7 +169,7 @@ class BoundColumn:
         self.trips_accelerated = 0
 
     def run_to_exit(self, kernel_name: str, max_cycles: int) -> int:
-        """Single-column fast path: dispatch superblocks until EXIT."""
+        """Dispatch superblocks until EXIT; returns the column's cycles."""
         table = self.table
         counts = self.counts
         steps = 0
@@ -207,62 +205,6 @@ class BoundColumn:
             self.steps = steps
             self.pc = pc
         return steps
-
-    def run_until(self, kernel_name: str, max_cycles: int,
-                  horizon: int = None) -> bool:
-        """Advance whole superblocks until the horizon; False once EXITed.
-
-        ``horizon`` (multi-column scheduling) is the smallest virtual
-        time of the *other* running columns: this column executes
-        superblock after superblock and hands control back as soon as its
-        own virtual time passes it (``None`` runs unthrottled to EXIT).
-        Fused self-loops without a closed-form plan are additionally
-        capped so one loop run stops just past the horizon; loops **with**
-        a closed-form plan complete in a single advance however far ahead
-        that lands them — their trip count is proven to depend only on
-        column-private state, and the launch was admitted conflict-free,
-        so the other columns cannot observe the difference.
-        """
-        table = self.table
-        counts = self.counts
-        steps = self.steps
-        pc = self.pc
-        try:
-            while True:
-                entry = table.get(pc)
-                if entry is None:
-                    raise _past_end_error(self.column.index, pc)
-                fn, n_cycles, index, exit_next, is_loop, closed = entry
-                if is_loop:
-                    limit = (max_cycles - steps) // n_cycles
-                    if limit <= 0:
-                        raise _budget_error(kernel_name, max_cycles)
-                    if horizon is not None and not closed:
-                        limit = min(
-                            limit, max(1, (horizon - steps) // n_cycles + 1)
-                        )
-                    pc, trips = fn(limit)
-                    counts[index] += trips
-                    steps += trips * n_cycles
-                    if closed:
-                        self.loops_accelerated += 1
-                        self.trips_accelerated += trips
-                else:
-                    if steps + n_cycles > max_cycles:
-                        raise _budget_error(kernel_name, max_cycles)
-                    counts[index] += 1
-                    steps += n_cycles
-                    pc = fn()
-                    if pc < 0:
-                        pc = exit_next
-                        return False
-                if horizon is not None and steps > horizon:
-                    return True
-        finally:
-            # Persist progress even when aborting (budget / address
-            # errors), so the error-path event fold sees it.
-            self.steps = steps
-            self.pc = pc
 
     def flush(self, events) -> None:
         """Fold the execution histogram into the shared event tally and
@@ -365,8 +307,9 @@ class CompiledEngine:
     Multi-column kernels are admitted only when the static SPM analysis
     proves their footprints disjoint; conflicting kernels raise
     :class:`SpmConflictError` (use ``engine="auto"`` for automatic
-    fallback). Aborted launches replay on the reference interpreter from
-    the pre-launch snapshot, so fault-path events and state are exact.
+    fallback). Admitted columns run one after another, each to EXIT.
+    Aborted launches replay on the reference interpreter from the
+    pre-launch snapshot, so fault-path events and state are exact.
     """
 
     name = "compiled"
@@ -376,7 +319,6 @@ class CompiledEngine:
 
     def __init__(self) -> None:
         self._bound = {}
-        self.last_run_info = RunInfo("compiled", None, ())
         #: Lifetime launch tally by executing engine (``Vwr2a.engine_decisions``).
         self.decisions = Counter()
 
@@ -393,35 +335,34 @@ class CompiledEngine:
             per_column.popitem(last=False)
         return bound
 
-    def run_kernel(self, vwr2a, name, active, max_cycles,
-                   report=None) -> int:
-        # ``report`` lets AutoEngine hand down its already-verified
-        # analysis instead of re-hashing the memo key per launch.
-        if report is None:
-            report = analyze_active(active, vwr2a.params) \
-                if len(active) > 1 else EMPTY_REPORT
+    def run_kernel(self, vwr2a, name, active, max_cycles, report) -> RunInfo:
         if report.conflicts:
             raise SpmConflictError(name, report.conflicts)
-        self.last_run_info = RunInfo("compiled", None, ())
         self.decisions["compiled"] += 1
         snapshot = _snapshot_launch(vwr2a, active)
         bounds = [self._bind(col) for col in active]
         for bound in bounds:
             bound.begin()
         try:
-            if len(bounds) == 1:
-                cycles = bounds[0].run_to_exit(name, max_cycles)
-            else:
-                cycles = self._interleave(bounds, name, max_cycles)
+            # The verdict proves no column writes an SPM word another
+            # reads or writes, so running each column to EXIT in turn is
+            # indistinguishable from the reference's lock-step; the
+            # launch lasts as long as its longest column.
+            cycles = max(
+                bound.run_to_exit(name, max_cycles) for bound in bounds
+            )
         except (AddressError, ProgramError) as fault:
             # Aborted kernel: rewind to the pre-launch state and replay on
             # the per-cycle interpreter. Conflict-free kernels execute
             # deterministically, so the replay reaches the same fault —
+            # the first in lock-step order, whichever column raised here —
             # with events and column state accounted cycle by cycle,
             # including the final partial bundle, exactly like the
             # reference (docs/engine.md).
             _restore_launch(vwr2a, snapshot)
-            ReferenceEngine().run_kernel(vwr2a, name, active, max_cycles)
+            ReferenceEngine().run_kernel(
+                vwr2a, name, active, max_cycles, report
+            )
             # A completed replay means the two engines disagree on whether
             # the kernel faults at all — an engine bug, never silently
             # reported as the stale compiled-path exception.
@@ -443,50 +384,24 @@ class CompiledEngine:
             for stat, value in bound.superblock_stats().items():
                 superblocks[stat] += value
             histogram.extend(bound.block_histogram())
-        self.last_run_info = RunInfo(
-            "compiled", None, (), superblocks, tuple(histogram)
+        return RunInfo(
+            "compiled", cycles, superblocks=superblocks,
+            histogram=tuple(histogram),
         )
-        return cycles
-
-    @staticmethod
-    def _interleave(bounds, name, max_cycles) -> int:
-        """Virtual-time scheduling: the column with the smallest cycle
-        count advances whole superblocks until its virtual time passes
-        the smallest of the other running columns' (the reference
-        interleaves per cycle; the conflict analysis proves the coarser
-        alignment unobservable). Fused self-loops without a closed-form
-        trip plan are capped at that horizon so one run cannot race
-        arbitrarily far ahead; once only one column is still running it
-        executes unthrottled to EXIT (done columns no longer step in the
-        reference either)."""
-        running = list(bounds)
-        while running:
-            best = running[0]
-            horizon = None
-            for bound in running[1:]:
-                if bound.steps < best.steps:
-                    best, horizon = bound, best.steps
-                elif horizon is None or bound.steps < horizon:
-                    horizon = bound.steps
-            if not best.run_until(name, max_cycles, horizon):
-                running.remove(best)
-        return max(bound.steps for bound in bounds)
 
 
 class AutoEngine:
     """Conflict-aware engine selection (the default).
 
-    Runs the compile-time cross-column SPM analysis per launch (memoized
-    structurally, so a new config object with known code pays a
-    dictionary hit): kernels
-    proven conflict-free execute on the compiled fast path; kernels whose
-    columns communicate through the SPM mid-kernel fall back to the
-    reference interpreter, bit-identically to ``engine="reference"``. The
-    decision is surfaced on ``RunResult.engine`` /
-    ``RunResult.fallback_reason`` / ``RunResult.spm_conflicts``.
-    ``Vwr2a.run`` hands the verdict down from its per-config cache
-    (``config_mem.stats.analysis_hits``), so warm launches skip the
-    analysis memo lookup entirely.
+    ``Vwr2a.run`` hands every launch the cross-column SPM verdict stamped
+    on its configuration (computed once per config object,
+    ``config_mem.stats.analysis_hits/analysis_misses``): kernels proven
+    conflict-free execute on the compiled fast path, one column after
+    another; kernels whose columns communicate through the SPM mid-kernel
+    fall back to the reference interpreter, bit-identically to
+    ``engine="reference"``. The decision is surfaced on
+    ``RunResult.engine`` / ``RunResult.fallback_reason`` /
+    ``RunResult.spm_conflicts``.
     """
 
     name = "auto"
@@ -494,7 +409,6 @@ class AutoEngine:
     def __init__(self) -> None:
         self.compiled = CompiledEngine()
         self.reference = ReferenceEngine()
-        self.last_run_info = RunInfo("compiled", None, ())
 
     @property
     def decisions(self) -> Counter:
@@ -507,20 +421,14 @@ class AutoEngine:
         """
         return self.compiled.decisions + self.reference.decisions
 
-    def run_kernel(self, vwr2a, name, active, max_cycles,
-                   report=None) -> int:
-        if report is None:
-            report = analyze_active(active, vwr2a.params) \
-                if len(active) > 1 else EMPTY_REPORT
+    def run_kernel(self, vwr2a, name, active, max_cycles, report) -> RunInfo:
         if report.conflicts:
-            self.last_run_info = RunInfo(
-                "reference", report.reason(), report.conflicts
+            info = self.reference.run_kernel(
+                vwr2a, name, active, max_cycles, report
             )
-            return self.reference.run_kernel(
-                vwr2a, name, active, max_cycles
+            return info._replace(
+                fallback_reason=report.reason(), conflicts=report.conflicts
             )
-        cycles = self.compiled.run_kernel(
-            vwr2a, name, active, max_cycles, report=report
+        return self.compiled.run_kernel(
+            vwr2a, name, active, max_cycles, report
         )
-        self.last_run_info = self.compiled.last_run_info
-        return cycles

@@ -66,7 +66,7 @@ class ColumnProgram:
 
         Memoized per object and structurally (identical bundle sequences
         share one compilation, whatever their ``srf_init``); used by the
-        ``compiled`` execution engine at ``load_kernel`` time.
+        ``compiled`` execution engine when it binds a launch.
         """
         from repro.engine.compiler import compile_program
 
@@ -114,8 +114,9 @@ class KernelConfig:
     def spm_conflicts(self, params):
         """Footprint hook: cross-column SPM conflict report of this kernel.
 
-        The ``auto`` engine consults this at ``load_kernel`` to decide
-        whether the launch may use the compiled fast path; returns a
+        The verdict ``Vwr2a.run`` stamps on the config at its first
+        launch; the ``auto`` engine reads it to decide whether the launch
+        may use the compiled fast path. Returns a
         :class:`~repro.engine.conflicts.ConflictReport`.
         """
         from repro.engine.conflicts import analyze_columns

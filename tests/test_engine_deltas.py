@@ -1,10 +1,10 @@
-"""Isolation tests for the static event-delta layer and the scheduler.
+"""Isolation tests for the static event-delta layer and the column order.
 
 ``bundle_event_delta`` is asserted against the reference interpreter one
 bundle class at a time (every unit, operand kind and op family), instead
-of only through whole-kernel differentials; and the virtual-time scheduler's
-column-interleaving order (least virtual time first, horizon = smallest
-other running column) is pinned down explicitly.
+of only through whole-kernel differentials; and the compiled engine's
+column order (each column's dispatch loop to EXIT in turn, cycles = the
+longest column) is pinned down explicitly.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.isa.lsu import ld_srf, ld_vwr, set_srf, shuf, st_srf, st_vwr
 from repro.isa.mxcu import MXCUInstr, MXCUOp, inck, setk
 from repro.isa.program import ColumnProgram, KernelConfig
 from repro.isa.rc import RCOp, rc
+from test_spm_conflicts import _full_state
 
 PARAMS = ArchParams()
 
@@ -116,7 +117,7 @@ class TestBundleDeltas:
 
 
 def _two_column_config(params) -> KernelConfig:
-    """Asymmetric two-column kernel (different virtual-time profiles)."""
+    """Asymmetric two-column kernel (different per-column cycle counts)."""
     columns = {}
     for col, bound in enumerate((5, 17)):
         b = ProgramBuilder(n_rcs=params.rcs_per_column)
@@ -131,56 +132,27 @@ def _two_column_config(params) -> KernelConfig:
     return KernelConfig(name="order", columns=columns)
 
 
-class TestSchedulerInterleavingOrder:
-    def test_least_virtual_time_column_advances_first(self, monkeypatch):
+class TestColumnOrder:
+    def test_columns_run_to_exit_one_after_another(self, monkeypatch):
         calls = []
-        original = executor.BoundColumn.run_until
+        original = executor.BoundColumn.run_to_exit
 
-        def recording(self, name, max_cycles, horizon=None):
-            before = self.steps
-            alive = original(self, name, max_cycles, horizon)
-            calls.append(
-                (self.column.index, before, horizon, self.steps, alive)
+        def recording(self, name, max_cycles):
+            calls.append(self.column.index)
+            return original(self, name, max_cycles)
+
+        monkeypatch.setattr(executor.BoundColumn, "run_to_exit", recording)
+        states = {}
+        for engine in ("reference", "compiled"):
+            sim = Vwr2a(engine=engine)
+            result = sim.execute(_two_column_config(sim.params))
+            assert result.cycles == max(result.column_steps.values())
+            states[engine] = (
+                result.cycles,
+                result.column_steps,
+                _full_state(sim, 0),
+                _full_state(sim, 1),
             )
-            return alive
-
-        monkeypatch.setattr(executor.BoundColumn, "run_until", recording)
-        sim = Vwr2a(engine="compiled")
-        sim.execute(_two_column_config(sim.params))
-
-        assert calls, "multi-column kernel must go through the scheduler"
-        # Replay the scheduler's contract: at every pick, the chosen
-        # column's virtual time is minimal among running columns, the
-        # horizon equals the smallest of the *other* running columns',
-        # and the column hands control back just past that horizon.
-        steps = {0: 0, 1: 0}
-        running = {0, 1}
-        for index, before, horizon, after, alive in calls:
-            assert index in running
-            assert before == steps[index]
-            others = [steps[c] for c in running if c != index]
-            if others:
-                assert before <= min(others)
-                assert horizon == min(others)
-            else:
-                assert horizon is None
-            if alive:
-                assert after > horizon
-            else:
-                running.remove(index)
-            steps[index] = after
-
-    def test_single_column_bypasses_the_scheduler(self, monkeypatch):
-        called = []
-        monkeypatch.setattr(
-            executor.CompiledEngine, "_interleave",
-            staticmethod(
-                lambda *args: called.append(args) or 0
-            ),
-        )
-        sim = Vwr2a(engine="compiled")
-        b = ProgramBuilder(n_rcs=sim.params.rcs_per_column)
-        b.emit(lcu=seti(0, 0))
-        b.exit()
-        sim.execute(KernelConfig(name="one", columns={0: b.build()}))
-        assert called == []
+        # One dispatch loop per column, in column order, each to EXIT.
+        assert calls == [0, 1]
+        assert states["compiled"] == states["reference"]

@@ -2,14 +2,15 @@
 
 Covers the soundness hole closed on top of the compiled engine: kernels
 whose columns communicate through the SPM mid-kernel must never run on the
-block-granularity scheduler. ``engine="auto"`` (the default) proves seed
-kernels conflict-free and keeps them compiled, routes conflicting kernels
-to the reference interpreter bit-identically, and forcing
-``engine="compiled"`` on a conflicting kernel raises a diagnostic naming
-the columns and address ranges. Aborted runs (address faults, budget
-overruns) replay cycle-by-cycle so events and column state match the
-interpreter exactly. ``store_kernel`` stamps each config with its
-validation and encoding, so re-storing a kernel object is free.
+compiled engine, which runs columns one after another.
+``engine="auto"`` (the default) proves seed kernels conflict-free and
+keeps them compiled, routes conflicting kernels to the reference
+interpreter bit-identically, and forcing ``engine="compiled"`` on a
+conflicting kernel raises a diagnostic naming the columns and address
+ranges. Aborted runs (address faults, budget overruns) replay
+cycle-by-cycle so events and column state match the interpreter exactly.
+``store_kernel`` stamps each config with its validation and encoding, so
+re-storing a kernel object is free.
 """
 
 from __future__ import annotations
@@ -70,6 +71,25 @@ def _faulting_config() -> KernelConfig:
     b.emit(lsu=st_vwr(Vwr.B, 0, inc=1), lcu=blt(0, 40, "l"))
     b.exit()
     return KernelConfig(name="walk_off_spm", columns={0: b.build()})
+
+
+def _spin_column(bound: int = 60000) -> ColumnProgram:
+    """A column that counts to ``bound`` without touching the SPM."""
+    b = ProgramBuilder(n_rcs=4)
+    b.emit(lcu=seti(0, 0))
+    b.label("s")
+    b.emit(lcu=addi(0, 1))
+    b.emit(lcu=blt(0, bound, "s"))
+    b.exit()
+    return b.build()
+
+
+def _late_fault_config() -> KernelConfig:
+    """Column 1 walks off the SPM after column 0 has EXITed."""
+    faulting = _faulting_config().columns[0]
+    return KernelConfig(
+        name="late_fault", columns={0: _spin_column(2), 1: faulting}
+    )
 
 
 def _full_state(sim: Vwr2a, col_index: int = 0) -> dict:
@@ -332,82 +352,88 @@ class TestAnalysisCaching:
         hits_before = sim.config_mem.stats.analysis_hits
         # Rebuilding the kernel returns the stored config object, whose
         # stamped verdict makes the launch a plain attribute read: zero
-        # new footprint computations, zero report-memo lookups.
+        # new footprint computations.
         sim.execute(elementwise_kernel(sim.params, RCOp.SSUB, 512, 0, 4, 8))
         after = conflicts.ANALYSIS_STATS
         assert after["footprint_misses"] == before["footprint_misses"]
-        assert after["report_misses"] == before["report_misses"]
         assert sim.config_mem.stats.analysis_hits > hits_before
         assert sim.config_mem.stats.analysis_misses == 1
 
-    def test_report_memo_backs_fresh_config_objects(self):
-        # The conflicts-module memo still serves analyses that bypass the
-        # runner-level verdict cache (fresh KernelConfig objects analyzed
-        # directly, e.g. by a different platform instance).
+    def test_footprint_memo_backs_fresh_config_objects(self):
+        # A config object the stamp has never seen (a hand-built copy:
+        # fresh objects, same code and SRF values) is re-analyzed from
+        # the footprint memo without abstractly executing any column.
         sim = Vwr2a()
-        config = elementwise_kernel(sim.params, RCOp.SSUB, 512, 0, 4, 8)
+        config = _producer_consumer()
         sim.store_kernel(config)  # stamps the structural fingerprints
         conflicts.analyze_columns(config.columns, sim.params)
         before = dict(conflicts.ANALYSIS_STATS)
-        # A hand-built copy: fresh objects, same code and SRF values.
         regenerated = KernelConfig(name=config.name, columns={
             col: ColumnProgram(list(p.bundles), dict(p.srf_init))
             for col, p in config.columns.items()
         })
         sim.store_kernel(regenerated)
-        conflicts.analyze_columns(regenerated.columns, sim.params)
+        report = conflicts.analyze_columns(regenerated.columns, sim.params)
         after = conflicts.ANALYSIS_STATS
         assert after["footprint_misses"] == before["footprint_misses"]
-        assert after["report_misses"] == before["report_misses"]
-        assert after["report_hits"] > before["report_hits"]
+        assert after["footprint_hits"] \
+            == before["footprint_hits"] + len(config.columns)
+        assert report == conflicts.analyze_columns(
+            config.columns, sim.params
+        )
 
-    def test_repeated_load_kernel_does_not_reanalyze(self):
+    def test_repeated_runs_do_not_reanalyze(self):
         sim = Vwr2a()
         config = elementwise_kernel(sim.params, RCOp.SADD, 256, 0, 2, 4)
         sim.store_kernel(config)
-        sim.load_kernel(config.name)
-        before = dict(conflicts.ANALYSIS_STATS)
-        for _ in range(3):
-            sim.load_kernel(config.name)
-        assert conflicts.ANALYSIS_STATS["footprint_misses"] \
-            == before["footprint_misses"]
-        assert conflicts.ANALYSIS_STATS["report_misses"] \
-            == before["report_misses"]
+        for _ in range(4):
+            sim.run(config.name)
+        assert sim.config_mem.stats.analysis_misses == 1
 
 
 class TestAbortAccounting:
     """docs/engine.md caveat closed: aborted runs fold cycle-by-cycle."""
 
-    @pytest.mark.parametrize("engine", ("compiled", "auto"))
-    def test_address_fault_matches_reference_exactly(self, engine):
+    @pytest.mark.parametrize("engine,config", [
+        pytest.param("compiled", _faulting_config, id="compiled"),
+        pytest.param("auto", _faulting_config, id="auto"),
+        # Column 0 has already EXITed when column 1 faults: the compiled
+        # engine has run column 0 to EXIT and must rewind it too.
+        pytest.param(
+            "compiled", _late_fault_config, id="compiled-second-column"
+        ),
+    ])
+    def test_address_fault_matches_reference_exactly(self, engine, config):
         states = {}
         for name in ("reference", engine):
             sim = Vwr2a(engine=name)
             sim.spm.poke_words(0, [i % 1000 for i in range(512)])
             with pytest.raises(AddressError) as excinfo:
-                sim.execute(_faulting_config())
-            states[name] = (str(excinfo.value), _full_state(sim))
+                sim.execute(config())
+            states[name] = (
+                str(excinfo.value), _full_state(sim, 0), _full_state(sim, 1)
+            )
         assert states["reference"] == states[engine]
 
     def test_budget_overrun_matches_reference_mid_block(self):
         # max_cycles falls inside a block: the reference interpreter stops
         # mid-block; the compiled engine must replay to the same point.
-        states = {}
-        for engine in ("reference", "compiled"):
-            sim = Vwr2a(engine=engine)
-            b = ProgramBuilder(n_rcs=4)
-            b.emit(lcu=seti(0, 0))
-            b.label("s")
-            b.emit(lcu=addi(0, 1))
-            b.emit(lcu=blt(0, 60000, "s"))
-            b.exit()
-            sim.store_kernel(
-                KernelConfig(name="spin", columns={0: b.build()})
-            )
-            with pytest.raises(ProgramError, match="exceeded 101 cycles"):
-                sim.run("spin", max_cycles=101)
-            states[engine] = _full_state(sim)
-        assert states["reference"] == states["compiled"]
+        # Second layout: the overrun is in column 1, after column 0 has
+        # EXITed.
+        for columns in (
+            {0: _spin_column()},
+            {0: _spin_column(3), 1: _spin_column()},
+        ):
+            states = {}
+            for engine in ("reference", "compiled"):
+                sim = Vwr2a(engine=engine)
+                sim.store_kernel(KernelConfig(name="spin", columns=columns))
+                with pytest.raises(
+                    ProgramError, match="exceeded 101 cycles"
+                ):
+                    sim.run("spin", max_cycles=101)
+                states[engine] = (_full_state(sim, 0), _full_state(sim, 1))
+            assert states["reference"] == states["compiled"]
 
     def test_multi_column_fault_matches_reference(self):
         # Column 0 faults while column 1 is still looping; the replay must

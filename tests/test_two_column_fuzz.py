@@ -1,0 +1,101 @@
+"""Generated two-column differential for the SPM-conflict proof.
+
+The compiled engine runs the columns of an admitted launch one after
+another, each to EXIT; the reference interpreter steps them in
+lock-step. The two orders agree only when no column writes an SPM word
+another column reads or writes, which :func:`analyze_columns` proves per
+launch. Hypothesis draws two-column kernels — a counted loop with a
+drawn trip count, line loads and stores at drawn bases (overlapping
+each other, or walking off either end of the SPM) and one RC op — and
+checks, for every draw:
+
+* ``auto`` equals ``reference`` on cycles, events, SPM and both columns'
+  state, or raises the same error and leaves the same state;
+* ``compiled`` raises :class:`SpmConflictError` exactly when the analysis
+  reports a conflict, and otherwise also equals ``reference``.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.arch import DEFAULT_PARAMS
+from repro.asm.builder import ProgramBuilder
+from repro.core.cgra import Vwr2a
+from repro.core.errors import SimulationError, SpmConflictError
+from repro.engine.conflicts import analyze_columns
+from repro.isa.fields import DST_VWR_B, VWR_A, Vwr, imm
+from repro.isa.lcu import addi, blt, seti
+from repro.isa.lsu import ld_vwr, st_vwr
+from repro.isa.program import KernelConfig
+from repro.isa.rc import RCOp, rc
+from test_spm_conflicts import _full_state
+
+SPM_LINES = DEFAULT_PARAMS.spm_lines
+HALF = SPM_LINES // 2
+
+
+def bases(index: int):
+    """Line bases for column ``index``: its own half of the SPM (disjoint
+    walks), anywhere (overlapping the other column), or the last few
+    lines (post-increment walks fault off the end)."""
+    return st.one_of(
+        st.sampled_from(range(index * HALF, (index + 1) * HALF - 4)),
+        st.sampled_from(range(SPM_LINES)),
+        st.sampled_from(range(SPM_LINES - 3, SPM_LINES)),
+    )
+
+
+RC_OPS = (RCOp.SADD, RCOp.SSUB, RCOp.SMUL, RCOp.FXPMUL, RCOp.LXOR,
+          RCOp.SMAX, RCOp.SRA)
+
+#: Deterministic full-range int32 SPM contents (SMUL results wrap).
+SPM_INIT = [
+    ((i * 2654435761) % (1 << 32)) - (1 << 31)
+    for i in range(DEFAULT_PARAMS.spm_words)
+]
+
+
+@st.composite
+def column(draw, index: int):
+    """One column: a counted loop of LD_VWR, one RC op and ST_VWR."""
+    b = ProgramBuilder(n_rcs=DEFAULT_PARAMS.rcs_per_column)
+    b.srf(0, draw(bases(index)))
+    b.srf(1, draw(bases(index)))
+    op = draw(st.sampled_from(RC_OPS))
+    value = draw(st.integers(-(1 << 16), (1 << 16) - 1)) \
+        if op is not RCOp.SRA else draw(st.integers(0, 31))
+    b.emit(lcu=seti(0, 0))
+    b.label("loop")
+    b.emit(lsu=ld_vwr(Vwr.A, 0, inc=draw(st.sampled_from((-1, 0, 1, 2)))))
+    b.emit(rcs=[rc(op, DST_VWR_B, VWR_A, imm(value))]
+           * DEFAULT_PARAMS.rcs_per_column, lcu=addi(0, 1))
+    b.emit(lsu=st_vwr(Vwr.B, 1, inc=draw(st.sampled_from((-1, 0, 1)))),
+           lcu=blt(0, draw(st.integers(1, 8)), "loop"))
+    b.exit()
+    return b.build()
+
+
+def _launch(engine: str, config: KernelConfig):
+    sim = Vwr2a(engine=engine)
+    sim.spm.poke_words(0, SPM_INIT)
+    try:
+        result = sim.execute(config)
+        outcome = ("ok", result.cycles, result.column_steps)
+    except SimulationError as error:
+        outcome = (type(error).__name__, str(error))
+    return outcome, _full_state(sim, 0), _full_state(sim, 1)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.tuples(column(0), column(1)))
+def test_generated_two_column_kernels_match_reference(pair):
+    config = KernelConfig(name="fuzz", columns=dict(enumerate(pair)))
+    reference = _launch("reference", config)
+    assert _launch("auto", config) == reference
+    compiled = _launch("compiled", config)
+    if analyze_columns(config.columns, DEFAULT_PARAMS).conflicts:
+        assert compiled[0][0] == SpmConflictError.__name__
+    else:
+        assert compiled == reference
