@@ -33,37 +33,20 @@ class RunResult:
     fallback_reason: str = None   #: why ``auto`` chose the reference path
     spm_conflicts: tuple = ()     #: SpmConflict records behind the fallback
     superblocks: dict = None      #: closed-form loop counters (compiled runs)
-    block_histogram: tuple = ()   #: ((column, leader, count, delta), ...)
+    events: tuple = ()     #: ((event, count), ...) of the launch, sorted
 
     @property
     def total_cycles(self) -> int:
         return self.cycles + self.config_cycles
 
-    def energy_by_block(self, model) -> dict:
-        """Histogram-native per-block energy attribution.
-
-        Maps ``(column, leader)`` to the per-component pJ dict of that
-        basic block's executions, folded straight from the static event
-        deltas (:meth:`repro.energy.EnergyModel.fold_histogram`) — no
-        intermediate event-counter materialization. Empty for launches
-        executed on the reference interpreter (which has no block
-        histogram); leakage and staging energy are window-level concerns
-        and are deliberately not attributed here.
-        """
-        grouped = {}
-        for column, leader, count, delta in self.block_histogram:
-            grouped.setdefault((column, leader), []).append((delta, count))
-        return {
-            key: model.fold_histogram(rows).by_component
-            for key, rows in grouped.items()
-        }
-
     def energy_pj(self, model) -> dict:
-        """Per-component pJ of this launch's datapath activity (folded)."""
-        return model.fold_histogram(
-            (delta, count)
-            for _, _, count, delta in self.block_histogram
-        ).by_component
+        """Per-component pJ of this launch's datapath activity.
+
+        Folded from the launch's own event delta, so it is the same on
+        every engine; leakage and staging energy are window-level
+        concerns and are deliberately not attributed here.
+        """
+        return model.fold_histogram(((self.events, 1),)).by_component
 
 
 class Vwr2a:
@@ -72,14 +55,13 @@ class Vwr2a:
     ``engine`` selects how kernels execute: ``"auto"`` (the default) runs
     the compile-time cross-column SPM analysis on a configuration's first
     launch and executes conflict-free kernels on the compiled fast path
-    (one column after another), falling back
-    to the per-cycle reference interpreter when columns communicate
-    through the SPM mid-kernel (docs/engine.md); ``"compiled"`` forces the
-    fast path (raising :class:`~repro.core.errors.SpmConflictError` on
-    conflicting kernels); ``"reference"`` is the original cycle-by-cycle
-    interpreter (``Column.step``), kept as the golden model. All engines
-    produce identical cycle counts and event snapshots; ``RunResult``
-    records which engine ran and why.
+    (one column after another), falling back to the per-cycle reference
+    interpreter when columns communicate through the SPM mid-kernel
+    (docs/engine.md); ``"reference"`` is the original cycle-by-cycle
+    interpreter (``Column.step``), kept as the golden model. Both engines
+    produce identical cycle counts, event snapshots and per-launch event
+    deltas; ``RunResult`` records which engine ran (``"compiled"`` or
+    ``"reference"``) and why.
     """
 
     #: Runaway guard for kernel execution.
@@ -232,7 +214,7 @@ class Vwr2a:
             fallback_reason=info.fallback_reason,
             spm_conflicts=tuple(info.conflicts),
             superblocks=info.superblocks,
-            block_histogram=info.histogram,
+            events=info.events,
         )
 
     def execute(self, config: KernelConfig, max_cycles: int = None) -> RunResult:

@@ -57,26 +57,3 @@ class BrownoutError(SimulationError):
         )
         self.domain = domain
         self.cycles_in = cycles_in
-
-
-class SpmConflictError(SimulationError):
-    """A kernel's columns communicate through the SPM mid-kernel.
-
-    Raised when the compiled engine is *forced* onto a kernel whose static
-    cross-column SPM analysis found overlapping footprints (running its
-    columns one after another could diverge from the reference's
-    lock-step).
-    ``engine="auto"`` routes such kernels to the reference interpreter
-    instead of raising. ``conflicts`` holds the offending
-    :class:`repro.engine.conflicts.SpmConflict` records.
-    """
-
-    def __init__(self, kernel: str, conflicts) -> None:
-        detail = "; ".join(str(c) for c in conflicts)
-        super().__init__(
-            f"kernel {kernel!r} has cross-column SPM conflicts, so the "
-            "compiled engine cannot run its columns one after another "
-            f"({detail}); run it with engine='auto' or engine='reference'"
-        )
-        self.kernel = kernel
-        self.conflicts = tuple(conflicts)

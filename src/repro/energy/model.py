@@ -126,22 +126,31 @@ class EnergyModel:
         self.clock_hz = clock_hz
         self._delta_memo = {}
 
+    def _fold_events(self, items, by_component: dict) -> dict:
+        """Add each event's ``count x pJ`` to its component, in ``items`` order.
+
+        The one event -> component loop behind :meth:`report` and the
+        memoized delta fold: equal ``(event, count)`` sequences fold to
+        bit-identical floats.
+        """
+        for name, count in items:
+            component = COMPONENT_OF_EVENT.get(name)
+            if component is None or name == Ev.CPU_CYCLE:
+                continue
+            by_component[component] = by_component.get(component, 0.0) \
+                + count * self.table.event_energy(name)
+        return by_component
+
     def _delta_components(self, delta: tuple) -> dict:
         """Per-component pJ of ONE execution of a static event delta.
 
-        Memoized on the delta tuple: block deltas are compile-time
-        constants shared across launches, so the histogram fold multiplies
-        cached component vectors instead of walking events.
+        Memoized on the delta tuple: launch deltas of deterministic
+        kernels repeat, so the fold multiplies cached component vectors
+        instead of walking events.
         """
         folded = self._delta_memo.get(delta)
         if folded is None:
-            folded = {}
-            for name, count in delta:
-                component = COMPONENT_OF_EVENT.get(name)
-                if component is None or name == Ev.CPU_CYCLE:
-                    continue
-                folded[component] = folded.get(component, 0.0) \
-                    + count * self.table.event_energy(name)
+            folded = self._fold_events(delta, {})
             if len(self._delta_memo) >= self._DELTA_MEMO_CAP:
                 self._delta_memo.clear()
             self._delta_memo[delta] = folded
@@ -153,19 +162,17 @@ class EnergyModel:
         cycles: int = 0,
         powered_components=(),
     ) -> EnergyReport:
-        """Energy of a per-block execution histogram (the fast path).
+        """Energy of a histogram of event deltas (per-kernel energy).
 
-        ``histogram`` iterates ``(delta, count)`` pairs — a block's static
-        event delta (``((event, count), ...)``, as
-        :attr:`repro.core.RunResult.block_histogram` carries them) and how
-        many times the block executed. Each distinct delta is folded to a
-        per-component pJ vector once and cached, so no intermediate
-        event-counter dict is ever materialized; leakage is charged for
+        ``histogram`` iterates ``(delta, count)`` pairs — an event delta
+        ``((event, count), ...)`` in sorted event-name order (as
+        :attr:`repro.core.RunResult.events` carries a launch's) and how
+        many times it occurred. Each distinct delta is folded to a
+        per-component pJ vector once and cached; leakage is charged for
         ``powered_components`` over ``cycles`` exactly like
-        :meth:`report`. It sums per block, not per event name, so it can
-        differ from :meth:`report` over the materialized event sum in the
-        last bits; two equal histograms in the same order fold to equal
-        floats.
+        :meth:`report`. A single ``(delta, 1)`` pair folds bit-identically
+        to :meth:`report` of the same events without leakage, so equal
+        launch deltas give equal energy on every engine.
         """
         by_component = {}
         for delta, count in histogram:
@@ -196,16 +203,11 @@ class EnergyModel:
         so equal event counts give bit-identical energy whatever order
         the engine inserted them in.
         """
-        by_component = {}
+        by_component = self._fold_events(sorted(events.items()), {})
 
         def add(component: str, pj: float) -> None:
             by_component[component] = by_component.get(component, 0.0) + pj
 
-        for name, count in sorted(events.items()):
-            component = COMPONENT_OF_EVENT.get(name)
-            if component is None or name == Ev.CPU_CYCLE:
-                continue
-            add(component, count * self.table.event_energy(name))
         for component in powered_components:
             leak = self.table.leakage_pj_per_cycle.get(component, 0.0)
             add(component, leak * cycles)

@@ -1,11 +1,13 @@
 """Precompiled micro-op execution engine for the VWR2A simulator.
 
 ``compile once at the first launch, execute many`` — see docs/engine.md
-for the design. Select per instance via ``Vwr2a(engine="auto"|"compiled"|
-"reference")``. ``auto`` (the default) runs the compile-time cross-column
-SPM analysis (:mod:`repro.engine.conflicts`) and routes each launch to the
-compiled fast path when proven conflict-free, or to the reference
-interpreter when columns communicate through the SPM mid-kernel.
+for the design. Select per instance via
+``Vwr2a(engine="auto"|"reference")``. ``auto`` (the default) runs the
+compile-time cross-column SPM analysis (:mod:`repro.engine.conflicts`)
+and routes each launch to the compiled fast path when proven
+conflict-free, or to the reference interpreter when columns communicate
+through the SPM mid-kernel. Either way the launch reports its own event
+delta, which per-kernel energy folds from.
 """
 
 from repro.core.errors import ConfigurationError
@@ -21,14 +23,12 @@ from repro.engine.deltas import bundle_event_delta
 from repro.engine.executor import (
     AutoEngine,
     BoundColumn,
-    CompiledEngine,
     ReferenceEngine,
 )
 
 #: Engine registry: name -> factory.
 ENGINES = {
     AutoEngine.name: AutoEngine,
-    CompiledEngine.name: CompiledEngine,
     ReferenceEngine.name: ReferenceEngine,
 }
 
@@ -48,7 +48,6 @@ __all__ = [
     "AutoEngine",
     "BoundColumn",
     "ColumnFootprint",
-    "CompiledEngine",
     "CompiledProgram",
     "ConflictReport",
     "ReferenceEngine",

@@ -454,7 +454,7 @@ class BlockInfo:
     exit_next: int       #: reference PC after EXIT (-1 when not an exit)
     is_loop: bool        #: self-loop fused: fn(limit) -> (next_pc, trips)
     closed_form: bool    #: loop trips solvable at entry (one counted run)
-    members: tuple       #: ((leader, n_cycles, delta), ...) per basic block
+    members: tuple       #: ((leader, n_cycles), ...) per basic block
 
 
 class CompiledProgram:
@@ -665,17 +665,6 @@ def _hoistable_commits(bundles, pcs, body_lines) -> tuple:
     return loop_lines, list(post)
 
 
-def _member_info(members, deltas) -> tuple:
-    """Per-basic-block (leader, n_cycles, delta) rows of one superblock."""
-    rows = []
-    for pcs in members:
-        delta = Counter()
-        for pc in pcs:
-            delta.update(deltas[pc])
-        rows.append((pcs[0], len(pcs), tuple(sorted(delta.items()))))
-    return tuple(rows)
-
-
 def _reg_range(bundles):
     """Range of RC register and output-latch reads in ``bundles``.
 
@@ -829,7 +818,7 @@ def _compile(bundles, params) -> CompiledProgram:
             exit_next=(pcs[-1] + 1) if op is LCUOp.EXIT else -1,
             is_loop=is_loop,
             closed_form=plan is not None,
-            members=_member_info(members, deltas),
+            members=tuple((m[0], len(m)) for m in members),
         ))
 
     source = "\n\n".join(sources)

@@ -21,9 +21,10 @@ Each compiled superblock carries the summed delta of its bundles
 (:attr:`repro.engine.compiler.BlockInfo.delta`). At kernel end the
 executor walks the executed superblocks once, multiplying each delta by
 its execution count (:meth:`repro.engine.executor.BoundColumn.flush`,
-memoized per count vector), and the histogram-native energy path
-(:meth:`repro.energy.EnergyModel.fold_histogram`) consumes the same
-static rows.
+memoized per count vector); the columns' totals become the launch's
+event delta (``RunResult.events``), the same record the reference
+interpreter reports and per-kernel energy folds from
+(:meth:`repro.energy.EnergyModel.fold_histogram`).
 """
 
 from __future__ import annotations

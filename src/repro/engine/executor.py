@@ -1,11 +1,11 @@
-"""Execution engines: the compiled block dispatcher and the reference loop.
+"""Execution engines: the conflict-aware compiled path and the reference loop.
 
 Two interchangeable engines drive kernel execution for
 :class:`repro.core.cgra.Vwr2a`:
 
 * :class:`ReferenceEngine` — the original cycle-by-cycle interpreter
   (``Column.step`` per column per cycle). It is the golden model.
-* :class:`CompiledEngine` — binds each column's
+* :class:`AutoEngine` — binds each column's
   :class:`~repro.engine.compiler.CompiledProgram` to the column's storage
   and dispatches whole superblocks (fused straight-line chains and
   self-loops; closed-form loops complete a full run as one counted loop
@@ -22,10 +22,12 @@ as its longest column. The static cross-column SPM analysis
 (:mod:`repro.engine.conflicts`) proves per launch that no column writes
 an SPM word another column reads or writes; everything else a column
 touches is private to it, so no column can observe when another one
-ran. Kernels that *do* communicate through the SPM mid-kernel raise
-:class:`~repro.core.errors.SpmConflictError` on the forced compiled
-engine, and are routed to the reference interpreter automatically by
-:class:`AutoEngine` (``engine="auto"``, the default).
+ran. Kernels that *do* communicate through the SPM mid-kernel run on the
+reference interpreter instead, bit-identically to ``engine="reference"``.
+
+Both engines report the launch's own event delta (``RunInfo.events``,
+``((event, count), ...)`` in sorted event-name order) — the one record
+per-kernel energy folds from, whichever engine executed.
 
 Aborted launches (``AddressError`` / ``ProgramError``) are rewound to the
 pre-launch snapshot and replayed cycle-by-cycle on the reference
@@ -39,22 +41,22 @@ from collections import Counter, OrderedDict, namedtuple
 from functools import partial
 
 from repro.core.alu import _simd16
-from repro.core.errors import AddressError, ProgramError, SpmConflictError
+from repro.core.errors import AddressError, ProgramError
 from repro.core.shuffle import shuffle
 from repro.engine.compiler import compile_program
 from repro.isa.fields import ShuffleMode, Vwr
 from repro.isa.rc import RCOp
 
-#: What ``run_kernel`` returns: the launch's cycle count, the engine
-#: decision and the superblock accounting, surfaced on ``RunResult`` by
-#: ``Vwr2a.run``. ``superblocks`` is the accelerated-loop counter dict
-#: (None on the reference path); ``histogram`` the per-block execution
-#: histogram ``((column, leader, count, delta), ...)``.
+#: What ``run_kernel`` returns: the launch's cycle count, its event
+#: delta, the engine decision and the superblock accounting, surfaced on
+#: ``RunResult`` by ``Vwr2a.run``. ``events`` is ``((event, count), ...)``
+#: in sorted event-name order; ``superblocks`` is the accelerated-loop
+#: counter dict (None on the reference path).
 RunInfo = namedtuple(
     "RunInfo",
-    ["engine", "cycles", "fallback_reason", "conflicts", "superblocks",
-     "histogram"],
-    defaults=(None, (), None, ()),
+    ["engine", "cycles", "events", "fallback_reason", "conflicts",
+     "superblocks"],
+    defaults=(None, (), None),
 )
 
 
@@ -76,6 +78,22 @@ def _raise_srf(entry: int, n_entries: int):
     raise AddressError(f"SRF entry {entry} out of range [0, {n_entries})")
 
 
+def _lockstep(vwr2a, name, active, max_cycles) -> RunInfo:
+    """Step the active columns cycle by cycle (``Column.step``) to EXIT."""
+    events = vwr2a.events
+    before = events.snapshot()
+    cycles = 0
+    while any(not col.done for col in active):
+        if cycles >= max_cycles:
+            raise _budget_error(name, max_cycles)
+        for col in active:
+            col.step()
+        cycles += 1
+    return RunInfo(
+        "reference", cycles, tuple(sorted(events.diff(before).items()))
+    )
+
+
 class ReferenceEngine:
     """The golden per-cycle interpreter (``Column.step`` in lock-step)."""
 
@@ -89,14 +107,7 @@ class ReferenceEngine:
         # ``report`` (the conflict verdict) is accepted for interface
         # uniformity; the per-cycle interpreter never needs it.
         self.decisions["reference"] += 1
-        cycles = 0
-        while any(not col.done for col in active):
-            if cycles >= max_cycles:
-                raise _budget_error(name, max_cycles)
-            for col in active:
-                col.step()
-            cycles += 1
-        return RunInfo("reference", cycles)
+        return _lockstep(vwr2a, name, active, max_cycles)
 
 
 class BoundColumn:
@@ -130,10 +141,9 @@ class BoundColumn:
         self.loops_accelerated = 0
         self.trips_accelerated = 0
         # Execution histograms of deterministic kernels repeat launch
-        # after launch: the event fold and the per-block histogram rows
-        # are memoized on the count vector (bounded; cleared wholesale).
+        # after launch: the event fold is memoized on the count vector
+        # (bounded; cleared wholesale).
         self._fold_memo = {}
-        self._hist_memo = {}
 
     @staticmethod
     def _namespace(column) -> dict:
@@ -206,18 +216,19 @@ class BoundColumn:
             self.pc = pc
         return steps
 
-    def flush(self, events) -> None:
+    def flush(self, events) -> tuple:
         """Fold the execution histogram into the shared event tally and
         sync the column's architectural bookkeeping (also on aborts).
 
         Walks the executed superblocks' static deltas, memoized per count
-        vector. Totals are emitted in sorted event-name order, so the
-        shared tally's insertion order (and every float sum downstream)
-        depends only on the events that ticked, not on block order.
+        vector, and returns the column's event totals as ``((event,
+        count), ...)`` in sorted event-name order — so the shared tally's
+        insertion order (and every float sum downstream) depends only on
+        the events that ticked, not on block order.
         """
         key = tuple(self.counts)
-        totals = self._fold_memo.get(key)
-        if totals is None:
+        memo = self._fold_memo.get(key)
+        if memo is None:
             walked = {}
             for blk in self.compiled.blocks:
                 count = key[blk.index]
@@ -226,17 +237,20 @@ class BoundColumn:
                 for name, n in blk.delta:
                     walked[name] = walked.get(name, 0) + n * count
             totals = {name: walked[name] for name in sorted(walked)}
+            memo = (totals, tuple(totals.items()))
             if len(self._fold_memo) > 64:
                 self._fold_memo.clear()
-            self._fold_memo[key] = totals
-        events.add_many(totals)
+            self._fold_memo[key] = memo
+        events.add_many(memo[0])
         self.column.steps = self.steps
         self.column.pc = self.pc
+        return memo[1]
 
-    def finish(self, events) -> None:
+    def finish(self, events) -> tuple:
         """Successful-completion fold: flush, then mark the column done."""
-        self.flush(events)
+        delta = self.flush(events)
         self.column.done = True
+        return delta
 
     def pc_histogram(self) -> list:
         """Per-PC executed-bundle counts (diagnostics / tests)."""
@@ -244,42 +258,10 @@ class BoundColumn:
         for blk in self.compiled.blocks:
             count = self.counts[blk.index]
             if count:
-                for leader, n_cycles, _ in blk.members:
+                for leader, n_cycles in blk.members:
                     for pc in range(leader, leader + n_cycles):
                         histogram[pc] += count
         return histogram
-
-    def block_histogram(self) -> tuple:
-        """Executed basic blocks as ``(column, leader, count, delta)`` rows.
-
-        Superblocks expand to their member blocks (each member executes
-        exactly once per superblock execution), so the rows stay at
-        basic-block granularity — the unit the histogram-native energy
-        fold (:meth:`repro.energy.EnergyModel.fold_histogram`) attributes
-        pJ to.
-        """
-        key = tuple(self.counts)
-        rows = self._hist_memo.get(key)
-        if rows is None:
-            column = self.column.index
-            rows = []
-            for blk in self.compiled.blocks:
-                count = key[blk.index]
-                if count:
-                    for leader, _, delta in blk.members:
-                        rows.append((column, leader, count, delta))
-            rows = tuple(rows)
-            if len(self._hist_memo) > 64:
-                self._hist_memo.clear()
-            self._hist_memo[key] = rows
-        return rows
-
-    def superblock_stats(self) -> dict:
-        """Closed-form loop accounting of the last run."""
-        return {
-            "accelerated_loops": self.loops_accelerated,
-            "accelerated_trips": self.trips_accelerated,
-        }
 
 
 def _mode_shuffle(mode, slice_words, a, b):
@@ -301,25 +283,43 @@ def _restore_launch(vwr2a, snapshot) -> None:
         col.state_restore(state)
 
 
-class CompiledEngine:
-    """Compile-once / execute-many engine (the fast path).
+def _merge_deltas(deltas) -> tuple:
+    """Sum per-column ``((event, count), ...)`` totals, sorted by event."""
+    if len(deltas) == 1:
+        return deltas[0]
+    merged = {}
+    for delta in deltas:
+        for name, n in delta:
+            merged[name] = merged.get(name, 0) + n
+    return tuple(sorted(merged.items()))
 
-    Multi-column kernels are admitted only when the static SPM analysis
-    proves their footprints disjoint; conflicting kernels raise
-    :class:`SpmConflictError` (use ``engine="auto"`` for automatic
-    fallback). Admitted columns run one after another, each to EXIT.
-    Aborted launches replay on the reference interpreter from the
-    pre-launch snapshot, so fault-path events and state are exact.
+
+class AutoEngine:
+    """Conflict-aware engine: the compiled fast path (the default).
+
+    ``Vwr2a.run`` hands every launch the cross-column SPM verdict stamped
+    on its configuration (computed once per config object,
+    ``config_mem.stats.analysis_hits/analysis_misses``): kernels proven
+    conflict-free execute on the compiled fast path, one column after
+    another, each to EXIT; kernels whose columns communicate through the
+    SPM mid-kernel fall back to the reference interpreter,
+    bit-identically to ``engine="reference"``. The decision is surfaced
+    on ``RunResult.engine`` / ``RunResult.fallback_reason`` /
+    ``RunResult.spm_conflicts``. Aborted compiled launches replay on the
+    reference interpreter from the pre-launch snapshot, so fault-path
+    events and state are exact.
     """
 
-    name = "compiled"
+    name = "auto"
 
     #: Bound programs kept per column (identity-keyed, FIFO-evicted).
     CACHE_CAP = 128
 
     def __init__(self) -> None:
         self._bound = {}
-        #: Lifetime launch tally by executing engine (``Vwr2a.engine_decisions``).
+        #: Lifetime launch tally by executing engine
+        #: (``Vwr2a.engine_decisions``); it ticks when a launch is routed,
+        #: so launches that later abort count too, and fault replays don't.
         self.decisions = Counter()
 
     def _bind(self, column) -> BoundColumn:
@@ -337,7 +337,11 @@ class CompiledEngine:
 
     def run_kernel(self, vwr2a, name, active, max_cycles, report) -> RunInfo:
         if report.conflicts:
-            raise SpmConflictError(name, report.conflicts)
+            self.decisions["reference"] += 1
+            info = _lockstep(vwr2a, name, active, max_cycles)
+            return info._replace(
+                fallback_reason=report.reason(), conflicts=report.conflicts
+            )
         self.decisions["compiled"] += 1
         snapshot = _snapshot_launch(vwr2a, active)
         bounds = [self._bind(col) for col in active]
@@ -360,9 +364,7 @@ class CompiledEngine:
             # including the final partial bundle, exactly like the
             # reference (docs/engine.md).
             _restore_launch(vwr2a, snapshot)
-            ReferenceEngine().run_kernel(
-                vwr2a, name, active, max_cycles, report
-            )
+            _lockstep(vwr2a, name, active, max_cycles)
             # A completed replay means the two engines disagree on whether
             # the kernel faults at all — an engine bug, never silently
             # reported as the stale compiled-path exception.
@@ -378,57 +380,12 @@ class CompiledEngine:
                 bound.flush(vwr2a.events)
             raise
         superblocks = {"accelerated_loops": 0, "accelerated_trips": 0}
-        histogram = []
+        deltas = []
         for bound in bounds:
-            bound.finish(vwr2a.events)
-            for stat, value in bound.superblock_stats().items():
-                superblocks[stat] += value
-            histogram.extend(bound.block_histogram())
+            deltas.append(bound.finish(vwr2a.events))
+            superblocks["accelerated_loops"] += bound.loops_accelerated
+            superblocks["accelerated_trips"] += bound.trips_accelerated
         return RunInfo(
-            "compiled", cycles, superblocks=superblocks,
-            histogram=tuple(histogram),
-        )
-
-
-class AutoEngine:
-    """Conflict-aware engine selection (the default).
-
-    ``Vwr2a.run`` hands every launch the cross-column SPM verdict stamped
-    on its configuration (computed once per config object,
-    ``config_mem.stats.analysis_hits/analysis_misses``): kernels proven
-    conflict-free execute on the compiled fast path, one column after
-    another; kernels whose columns communicate through the SPM mid-kernel
-    fall back to the reference interpreter, bit-identically to
-    ``engine="reference"``. The decision is surfaced on
-    ``RunResult.engine`` / ``RunResult.fallback_reason`` /
-    ``RunResult.spm_conflicts``.
-    """
-
-    name = "auto"
-
-    def __init__(self) -> None:
-        self.compiled = CompiledEngine()
-        self.reference = ReferenceEngine()
-
-    @property
-    def decisions(self) -> Counter:
-        """Lifetime launch tally by the engine that actually executed.
-
-        Derived from the sub-engines' own counters (they tick on every
-        launch routed to them, including launches that later abort), so
-        there is exactly one tally to keep consistent —
-        ``Vwr2a.engine_decisions`` exposes it.
-        """
-        return self.compiled.decisions + self.reference.decisions
-
-    def run_kernel(self, vwr2a, name, active, max_cycles, report) -> RunInfo:
-        if report.conflicts:
-            info = self.reference.run_kernel(
-                vwr2a, name, active, max_cycles, report
-            )
-            return info._replace(
-                fallback_reason=report.reason(), conflicts=report.conflicts
-            )
-        return self.compiled.run_kernel(
-            vwr2a, name, active, max_cycles, report
+            "compiled", cycles, _merge_deltas(deltas),
+            superblocks=superblocks,
         )

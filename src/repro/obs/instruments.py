@@ -78,7 +78,7 @@ METRICS = (
        "Per-window modeled-energy distribution",
        "record_window() from WindowResult.energy_uj"),
     _m("repro_kernel_energy_pj_total", "counter", "pJ",
-       "Histogram-folded datapath energy by kernel label",
+       "Datapath energy by kernel label (every launch's event delta)",
        "record_window() from WindowResult.kernel_energy_pj"),
     _m("repro_config_store_total", "counter", "events",
        "Config-store cache counters by event label "

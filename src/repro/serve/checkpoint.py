@@ -32,10 +32,14 @@ from dataclasses import dataclass, field, is_dataclass
 from repro.core.errors import ConfigurationError
 from repro.obs.bus import get_bus
 
-#: Bump when CheckpointState stops being readable by older code.
+#: Bump when CheckpointState stops being readable by older code, or when
+#: the windows it holds would no longer match windows this code serves
+#: (a resumed report must not mix the two).
 #: v2 added the quarantine ledger (``failed``) and resilience counters;
-#: v3 added per-worker fleet namespaces.
-FORMAT_VERSION = 3
+#: v3 added per-worker fleet namespaces; v4 folds ``kernel_energy_pj``
+#: from every launch's own event delta (v3 windows carry the old
+#: compiled-only block fold, or ``{}`` for reference-tier windows).
+FORMAT_VERSION = 4
 
 
 def describe(obj) -> str:

@@ -66,10 +66,9 @@ class WindowResult:
     staging_in_cycles: int   #: DMA cycles staging data in (SRAM -> SPM)
     staging_out_cycles: int  #: DMA cycles staging results out (SPM -> SRAM)
     energy_uj: float = None  #: modeled energy, when the scheduler has a model
-    #: Histogram-folded datapath pJ per kernel name (compiled launches
-    #: only; None when the scheduler has no energy model). The per-block
-    #: attribution behind it stays available on each launch's
-    #: ``RunResult.energy_by_block``.
+    #: Datapath pJ per kernel name, folded from each launch's own event
+    #: delta (``RunResult.events``) on whichever engine ran it; None when
+    #: the scheduler has no energy model.
     kernel_energy_pj: dict = None
 
     @property
@@ -235,13 +234,13 @@ class StreamReport:
 
     @property
     def energy_by_kernel(self) -> dict:
-        """Histogram-folded datapath pJ per kernel, summed over windows.
+        """Datapath pJ per kernel, summed over windows.
 
         The per-window attribution (:attr:`WindowResult.kernel_energy_pj`)
         aggregated stream-wide; empty when the stream was served without
-        an energy model. Covers the column-datapath events of compiled
-        launches — leakage, staging DMA and CPU energy remain part of the
-        window-level ``energy_uj`` model.
+        an energy model. Covers the column-datapath events of every launch,
+        whichever engine executed it — leakage, staging DMA and CPU energy
+        remain part of the window-level ``energy_uj`` model.
         """
         total = {}
         for w in self.windows:

@@ -229,19 +229,15 @@ class StreamScheduler:
                 energy_uj = app_energy_uj(
                     self.energy_model, self.config, app
                 )
-            # Histogram-native per-kernel attribution: fold each compiled
-            # launch's static block deltas straight to pJ (no event-dict
-            # materialization; reference-fallback launches carry no
-            # histogram and are attributed nothing here).
+            # Per-kernel attribution: fold each launch's own event delta
+            # (the same record on every engine) to pJ.
             kernel_energy = {}
             for result in log[log_start:]:
-                if result.block_histogram:
-                    folded = self.energy_model.fold_histogram(
-                        (delta, count)
-                        for _, _, count, delta in result.block_histogram
-                    ).total_pj
-                    kernel_energy[result.name] = \
-                        kernel_energy.get(result.name, 0.0) + folded
+                folded = self.energy_model.fold_histogram(
+                    ((result.events, 1),)
+                ).total_pj
+                kernel_energy[result.name] = \
+                    kernel_energy.get(result.name, 0.0) + folded
         return WindowResult(
             index=window.index,
             start=window.start,

@@ -122,15 +122,15 @@ def test_report_component_scoping(model):
 
 
 # ---------------------------------------------------------------------------
-# Histogram-native folding (the superblock-tier energy fast path)
+# Per-launch folding (kernel energy from each launch's own event delta)
 # ---------------------------------------------------------------------------
 
-def _compiled_fft_launches():
-    """Kernel launches of a compiled FFT-256 flow (with histograms)."""
+def _fft_launches(engine: str = "auto"):
+    """Kernel launches of an FFT-256 flow on ``engine``."""
     from repro.kernels import FftEngine, KernelRunner
     from repro.soc.platform import BiosignalSoC
 
-    runner = KernelRunner(soc=BiosignalSoC(engine="compiled"))
+    runner = KernelRunner(soc=BiosignalSoC(engine=engine))
     log = []
     runner.launch_log = log
     signal = [((i * 37 + (i * i) % 211) % 2000) - 1000 for i in range(256)]
@@ -139,27 +139,17 @@ def _compiled_fft_launches():
 
 
 def test_fold_histogram_equals_per_event_energy(model):
-    """Differential: histogram-folded == per-event energy, per launch."""
-    launches = _compiled_fft_launches()
+    """Differential: a launch's folded delta == per-event energy, exactly."""
+    launches = _fft_launches()
     assert launches
     for result in launches:
-        assert result.block_histogram  # compiled path carries histograms
-        materialized = {}
-        for _, _, count, delta in result.block_histogram:
-            for name, n in delta:
-                materialized[name] = materialized.get(name, 0) + n * count
-        folded = model.fold_histogram(
-            (delta, count)
-            for _, _, count, delta in result.block_histogram
-        )
+        assert result.engine == "compiled"
+        assert result.events
+        folded = model.fold_histogram(((result.events, 1),))
         direct = model.report(
-            materialized, cycles=0, powered_components=()
+            dict(result.events), cycles=0, powered_components=()
         )
-        assert set(folded.by_component) == set(direct.by_component)
-        for component, pj in direct.by_component.items():
-            assert folded.by_component[component] == pytest.approx(
-                pj, rel=1e-9
-            )
+        assert folded.by_component == direct.by_component
 
 
 def test_fold_histogram_leakage_matches_report(model):
@@ -176,24 +166,18 @@ def test_fold_histogram_leakage_matches_report(model):
     assert folded.cycles == direct.cycles == 500
 
 
-def test_run_result_block_attribution_sums_to_launch_energy(model):
-    launches = _compiled_fft_launches()
-    result = max(launches, key=lambda r: len(r.block_histogram))
-    per_block = result.energy_by_block(model)
-    assert per_block  # (column, leader) -> component pJ
-    totals = {}
-    for folded in per_block.values():
-        for component, pj in folded.items():
-            totals[component] = totals.get(component, 0.0) + pj
-    launch_totals = result.energy_pj(model)
-    assert set(totals) == set(launch_totals)
-    for component, pj in launch_totals.items():
-        assert totals[component] == pytest.approx(pj, rel=1e-9)
+def test_run_result_energy_is_the_same_on_every_engine(model):
+    auto, reference = _fft_launches("auto"), _fft_launches("reference")
+    assert [r.engine for r in auto] == ["compiled"] * len(auto)
+    assert [r.engine for r in reference] == ["reference"] * len(reference)
+    for a, b in zip(auto, reference, strict=True):
+        assert a.events == b.events
+        assert a.energy_pj(model) == b.energy_pj(model)
+        assert a.energy_pj(model)
 
 
-def test_reference_launches_fold_to_nothing(model):
+def test_launch_without_events_folds_to_nothing(model):
     from repro.core.cgra import RunResult
 
     empty = RunResult(name="r", cycles=1, config_cycles=0, column_steps={})
     assert empty.energy_pj(model) == {}
-    assert empty.energy_by_block(model) == {}

@@ -2,9 +2,10 @@
 
 ``bundle_event_delta`` is asserted against the reference interpreter one
 bundle class at a time (every unit, operand kind and op family), instead
-of only through whole-kernel differentials; and the compiled engine's
-column order (each column's dispatch loop to EXIT in turn, cycles = the
-longest column) is pinned down explicitly.
+of only through whole-kernel differentials; the compiled path's column
+order (each column's dispatch loop to EXIT in turn, cycles = the longest
+column) is pinned down explicitly; and every engine's per-launch event
+record (``RunResult.events``) is checked against the shared tally.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from repro.arch import ArchParams
 from repro.asm.builder import ProgramBuilder
 from repro.core.cgra import Vwr2a
 from repro.core.column import Column
-from repro.core.events import EventCounters
+from repro.core.events import Ev, EventCounters
 from repro.core.spm import Scratchpad
 from repro.engine import executor
 from repro.engine.deltas import bundle_event_delta
@@ -41,7 +42,7 @@ from repro.isa.lsu import ld_srf, ld_vwr, set_srf, shuf, st_srf, st_vwr
 from repro.isa.mxcu import MXCUInstr, MXCUOp, inck, setk
 from repro.isa.program import ColumnProgram, KernelConfig
 from repro.isa.rc import RCOp, rc
-from test_spm_conflicts import _full_state
+from test_spm_conflicts import _full_state, _producer_consumer
 
 PARAMS = ArchParams()
 
@@ -143,10 +144,13 @@ class TestColumnOrder:
 
         monkeypatch.setattr(executor.BoundColumn, "run_to_exit", recording)
         states = {}
-        for engine in ("reference", "compiled"):
+        for engine in ("reference", "auto"):
             sim = Vwr2a(engine=engine)
             result = sim.execute(_two_column_config(sim.params))
             assert result.cycles == max(result.column_steps.values())
+            assert result.engine == (
+                "reference" if engine == "reference" else "compiled"
+            )
             states[engine] = (
                 result.cycles,
                 result.column_steps,
@@ -155,4 +159,45 @@ class TestColumnOrder:
             )
         # One dispatch loop per column, in column order, each to EXIT.
         assert calls == [0, 1]
-        assert states["compiled"] == states["reference"]
+        assert states["auto"] == states["reference"]
+
+
+def _one_column_config(params) -> KernelConfig:
+    return KernelConfig(
+        name="one", columns={0: _two_column_config(params).columns[1]}
+    )
+
+
+class TestLaunchEvents:
+    """``RunResult.events`` is the launch's own slice of the shared tally."""
+
+    @pytest.mark.parametrize("engine", ["reference", "auto"])
+    @pytest.mark.parametrize("build,path", [
+        pytest.param(_one_column_config, "compiled", id="one-column"),
+        pytest.param(_two_column_config, "compiled", id="two-column"),
+        pytest.param(
+            lambda params: _producer_consumer(), "reference",
+            id="conflicting",
+        ),
+    ])
+    def test_events_equal_the_launch_diff(self, engine, build, path):
+        sim = Vwr2a(engine=engine)
+        config = build(sim.params)
+        sim.store_kernel(config)
+        before = sim.events.snapshot()
+        result = sim.run(config.name)
+        assert result.engine == ("reference" if engine == "reference"
+                                 else path)
+        # The launch diff minus the configuration load, which the run
+        # charges before the engine starts.
+        programs = config.columns.values()
+        load = {
+            Ev.CONFIG_WORD: sum(len(p.bundles) for p in programs),
+            Ev.SRF_WRITE: sum(len(p.srf_init) for p in programs),
+        }
+        expected = sim.events.diff(before)
+        for name, n in load.items():
+            expected[name] = expected.get(name, 0) - n
+        expected = {name: n for name, n in expected.items() if n}
+        assert dict(result.events) == expected
+        assert [name for name, _ in result.events] == sorted(expected)

@@ -1,16 +1,17 @@
-"""Differential tests: compiled engine vs the reference interpreter.
+"""Differential tests: compiled fast path vs the reference interpreter.
 
 Every seed kernel runs twice — once on ``engine="reference"`` (the
-golden per-cycle interpreter) and once on ``engine="compiled"`` — through
-identical staging flows, and the results must agree **exactly**: kernel
-outputs, cycle ledgers, per-column executed-bundle counts, and the full
-platform event snapshot (which the calibrated energy model consumes).
+golden per-cycle interpreter) and once on ``engine="auto"``, where every
+seed kernel takes the compiled fast path — through identical staging
+flows, and the results must agree **exactly**: kernel outputs, cycle
+ledgers, per-column executed-bundle counts, and the full platform event
+snapshot (which the calibrated energy model consumes).
 
 Equal event counts alone do not make the modeled energy equal: the
 engines insert events in different orders, and a float sum depends on
-its order. ``EnergyModel.report`` folds in sorted event-name order, and
-:class:`TestCrossEngineEnergy` asserts exact ``energy_uj`` equality over
-served windows.
+its order. ``EnergyModel.report`` and the per-launch delta fold both fold
+in sorted event-name order, and :class:`TestCrossEngineEnergy` asserts
+exact window and per-kernel energy equality over served windows.
 """
 
 from __future__ import annotations
@@ -55,7 +56,13 @@ from repro.kernels import (
 )
 from repro.soc.platform import BiosignalSoC
 
-ENGINES = ("reference", "compiled")
+ENGINES = ("reference", "auto")
+
+#: Both engine options, with test ids naming the path each one exercises.
+ENGINE_PARAMS = (
+    pytest.param("reference", id="reference"),
+    pytest.param("auto", id="compiled"),
+)
 
 
 def _runner(engine: str) -> KernelRunner:
@@ -76,11 +83,13 @@ def _run_both(flow):
         runner = _runner(engine)
         payloads[engine] = flow(runner)
         runners[engine] = runner
+    # Seed kernels are conflict-free: ``auto`` ran every launch compiled.
+    assert set(runners["auto"].soc.vwr2a.engine_decisions) == {"compiled"}
     return payloads, runners
 
 
 def _assert_platform_equal(runners) -> None:
-    ref, cmp_ = runners["reference"], runners["compiled"]
+    ref, cmp_ = runners["reference"], runners["auto"]
     assert ref.soc.events.snapshot() == cmp_.soc.events.snapshot()
     assert ref.soc.cpu.active_cycles == cmp_.soc.cpu.active_cycles
     assert ref.soc.cpu.sleep_cycles == cmp_.soc.cpu.sleep_cycles
@@ -101,7 +110,7 @@ class TestKernelEquivalence:
         payloads, runners = _run_both(
             lambda r: run_fir(r, taps, samples)
         )
-        ref, cmp_ = payloads["reference"], payloads["compiled"]
+        ref, cmp_ = payloads["reference"], payloads["auto"]
         assert ref.samples == cmp_.samples
         _assert_kernel_run_equal(ref.run, cmp_.run)
         _assert_platform_equal(runners)
@@ -112,7 +121,7 @@ class TestKernelEquivalence:
         payloads, runners = _run_both(
             lambda r: run_delineation(r, samples, 600)
         )
-        ref, cmp_ = payloads["reference"], payloads["compiled"]
+        ref, cmp_ = payloads["reference"], payloads["auto"]
         assert ref.maxima == cmp_.maxima
         assert ref.minima == cmp_.minima
         _assert_kernel_run_equal(ref.run, cmp_.run)
@@ -127,7 +136,7 @@ class TestKernelEquivalence:
             return FftEngine(runner, n).run(re, im)
 
         payloads, runners = _run_both(flow)
-        ref, cmp_ = payloads["reference"], payloads["compiled"]
+        ref, cmp_ = payloads["reference"], payloads["auto"]
         assert ref.re == cmp_.re and ref.im == cmp_.im
         _assert_kernel_run_equal(ref.run, cmp_.run)
         _assert_platform_equal(runners)
@@ -139,7 +148,7 @@ class TestKernelEquivalence:
             return RfftEngine(runner, 512).run(x)
 
         payloads, runners = _run_both(flow)
-        ref, cmp_ = payloads["reference"], payloads["compiled"]
+        ref, cmp_ = payloads["reference"], payloads["auto"]
         assert ref.re == cmp_.re and ref.im == cmp_.im
         _assert_kernel_run_equal(ref.run, cmp_.run)
         _assert_platform_equal(runners)
@@ -152,7 +161,7 @@ class TestKernelEquivalence:
             return SplitFftEngine(runner, 2048).run(re, im)
 
         payloads, runners = _run_both(flow)
-        ref, cmp_ = payloads["reference"], payloads["compiled"]
+        ref, cmp_ = payloads["reference"], payloads["auto"]
         assert ref.re == cmp_.re and ref.im == cmp_.im
         _assert_kernel_run_equal(ref.run, cmp_.run)
         _assert_platform_equal(runners)
@@ -183,13 +192,14 @@ class TestKernelEquivalence:
             return out
 
         payloads, runners = _run_both(flow)
-        assert payloads["reference"] == payloads["compiled"]
+        assert payloads["reference"] == payloads["auto"]
         _assert_platform_equal(runners)
 
 
 def _asymmetric_config(params: ArchParams) -> KernelConfig:
     """Two columns with identical code but different SRF loop bounds, so
-    their control flow diverges — exercises the virtual-time scheduler."""
+    their control flow diverges — column 1 runs on after column 0 EXITs,
+    and the launch lasts as long as the longer column."""
     columns = {}
     for col, (bound, line) in enumerate(((5, 0), (11, 1))):
         b = ProgramBuilder(n_rcs=params.rcs_per_column)
@@ -284,6 +294,9 @@ class TestEngineSemantics:
                 columns={0: _torture_program(sim.params)},
             )
             result = sim.execute(config)
+            assert result.engine == (
+                "reference" if engine == "reference" else "compiled"
+            )
             col = sim.columns[0]
             states[engine] = {
                 "cycles": result.cycles,
@@ -299,7 +312,7 @@ class TestEngineSemantics:
                 "k": col.k,
                 "pc": col.pc,
             }
-        assert states["reference"] == states["compiled"]
+        assert states["reference"] == states["auto"]
 
     def test_multi_column_divergent_control_flow(self):
         results = {}
@@ -314,13 +327,15 @@ class TestEngineSemantics:
                 sim.spm.peek_words(0, 256),
                 {v: sim.columns[0].vwr_words(v) for v in sim.columns[0].vwrs},
             )
-        ref, cmp_ = results["reference"], results["compiled"]
+        ref, cmp_ = results["reference"], results["auto"]
+        assert cmp_.engine == "compiled"
         assert ref.cycles == cmp_.cycles
         assert ref.config_cycles == cmp_.config_cycles
         assert ref.column_steps == cmp_.column_steps
-        assert snapshots["reference"] == snapshots["compiled"]
+        assert ref.events == cmp_.events
+        assert snapshots["reference"] == snapshots["auto"]
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_max_cycles_guard(self, engine):
         params = ArchParams()
         b = ProgramBuilder(n_rcs=params.rcs_per_column)
@@ -332,8 +347,12 @@ class TestEngineSemantics:
         sim.store_kernel(KernelConfig(name="spin", columns={0: b.build()}))
         with pytest.raises(ProgramError, match="exceeded 100 cycles"):
             sim.run("spin", max_cycles=100)
+        # The aborted launch still counts, once, on the path it took.
+        assert sim.engine_decisions == {
+            "reference" if engine == "reference" else "compiled": 1
+        }
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_run_past_end_guard(self, engine):
         from repro.isa.bundle import make_bundle
 
@@ -347,21 +366,25 @@ class TestEngineSemantics:
         sim.store_kernel(KernelConfig(name="noexit", columns={0: program}))
         with pytest.raises(ProgramError, match="ran past the program"):
             sim.run("noexit", max_cycles=100)
+        assert sim.engine_decisions == {
+            "reference" if engine == "reference" else "compiled": 1
+        }
 
     def test_engine_selection(self):
         assert Vwr2a().engine == "auto"
-        assert Vwr2a(engine="compiled").engine == "compiled"
         assert Vwr2a(engine="reference").engine == "reference"
-        with pytest.raises(ConfigurationError, match="unknown engine"):
-            Vwr2a(engine="turbo")
+        for name in ("turbo", "compiled"):
+            with pytest.raises(ConfigurationError, match="unknown engine"):
+                Vwr2a(engine=name)
         with pytest.raises(ConfigurationError, match="conflicts"):
             KernelRunner(
-                soc=BiosignalSoC(engine="reference"), engine="compiled"
+                soc=BiosignalSoC(engine="reference"), engine="auto"
             )
 
     def test_compiled_programs_are_memoized_structurally(self):
-        sim = Vwr2a(engine="compiled")
+        sim = Vwr2a(engine="auto")
         run1 = sim.execute(_asymmetric_config(sim.params))
+        assert run1.engine == "compiled"
         # A fresh, structurally identical config (new objects, same code)
         # must reuse the compiled form via the fingerprint memo.
         config = _asymmetric_config(sim.params)
@@ -378,9 +401,10 @@ class TestEngineSemantics:
         assert run2.cycles == run1.cycles
 
     def test_pc_histogram_matches_column_steps(self):
-        sim = Vwr2a(engine="compiled")
+        sim = Vwr2a(engine="auto")
         config = _asymmetric_config(sim.params)
         result = sim.execute(config)
+        assert result.engine == "compiled"
         engine = sim._engine
         for col_index, steps in result.column_steps.items():
             bound = engine._bind(sim.columns[col_index])
@@ -388,7 +412,7 @@ class TestEngineSemantics:
 
 
 class TestCrossEngineEnergy:
-    """Modeled window energy is bit-identical across engines."""
+    """Modeled window and per-kernel energy are bit-identical across engines."""
 
     def test_served_windows_have_identical_energy(self):
         from repro.app import (
@@ -405,14 +429,20 @@ class TestCrossEngineEnergy:
         reports = {
             engine: serve_trace(trace, "cpu_vwr2a", runner=_runner(engine),
                                 energy_model=True)
-            for engine in ("reference", "compiled")
+            for engine in ENGINES
         }
-        reference, compiled = reports["reference"], reports["compiled"]
+        reference, compiled = reports["reference"], reports["auto"]
         assert len(compiled.windows) == 16
+        assert set(compiled.engine_counts) == {"compiled"}
         for ref, comp in zip(reference.windows, compiled.windows):
             assert comp.events == ref.events
             assert comp.energy_uj == ref.energy_uj, (
                 f"window {comp.index}: {comp.energy_uj!r} vs "
                 f"{ref.energy_uj!r}"
             )
+            assert comp.kernel_energy_pj == ref.kernel_energy_pj
+            assert [r.events for r in comp.launches] \
+                == [r.events for r in ref.launches]
         assert compiled.total_energy_uj == reference.total_energy_uj
+        assert reference.energy_by_kernel
+        assert compiled.energy_by_kernel == reference.energy_by_kernel

@@ -326,16 +326,23 @@ class TestSequentialResilience:
             FaultSpec(kind="spm_bitflip", window=0, addr=2, bit=1,
                       persist=99, compiled_only=True),
         ))
-        report = StreamScheduler(
-            pipeline=VaddPipeline(), fault_plan=plan, max_retries=1,
-        ).run(chaos_stream)
-        assert report.n_failed == 0
-        assert report.resilience["reference_recoveries"] == 1
-        # Bit-identical in everything simulated; the engine decisions of
-        # the recovered window honestly differ.
-        assert report.identical_to(chaos_baseline, engines=False) is None
-        assert "engine decisions differ" in \
-            report.identical_to(chaos_baseline)
+        for energy_model in (None, True):
+            baseline = chaos_baseline if energy_model is None else \
+                StreamScheduler(
+                    pipeline=VaddPipeline(), energy_model=energy_model,
+                ).run(chaos_stream)
+            report = StreamScheduler(
+                pipeline=VaddPipeline(), fault_plan=plan, max_retries=1,
+                energy_model=energy_model,
+            ).run(chaos_stream)
+            assert report.n_failed == 0
+            assert report.resilience["reference_recoveries"] == 1
+            # Bit-identical in everything simulated, per-kernel energy
+            # included; the engine decisions of the recovered window
+            # honestly differ.
+            assert report.identical_to(baseline, engines=False) is None
+            assert "engine decisions differ" in report.identical_to(baseline)
+            assert bool(report.energy_by_kernel) == bool(energy_model)
 
     def test_reference_fallback_can_be_disabled(self, chaos_stream):
         plan = FaultPlan(specs=(

@@ -252,12 +252,14 @@ def test_hoisted_commits_follow_guarded_wrap():
     assert "\n        O[0] = v0\n" in source
     assert "\n            " + GUARD_PREFIX + "v0 <= 2147483647:" in source
     states = {}
-    for engine in ("reference", "compiled"):
+    for engine in ("reference", "auto"):
         sim = Vwr2a(engine=engine)
         sim.spm.poke_words(0, [INT32_MAX - 3 * i for i in range(256)])
         result = sim.execute(KernelConfig(name="hoist", columns={0: program}))
         col = sim.columns[0]
-        states[engine] = (sim.spm.snapshot(), _state(col), result.cycles)
+        states[result.engine] = (
+            sim.spm.snapshot(), _state(col), result.cycles
+        )
     assert states["compiled"] == states["reference"]
     col_state = states["compiled"][1]
     # The loop really wrapped: 2 * (INT32_MAX - x) leaves int32.

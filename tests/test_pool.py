@@ -74,6 +74,7 @@ def assert_windows_bit_identical(left, right):
         assert a.cycles == b.cycles
         assert a.events == b.events
         assert a.energy_uj == b.energy_uj
+        assert a.kernel_energy_pj == b.kernel_energy_pj
         assert a.staging_in_cycles == b.staging_in_cycles
         assert a.staging_out_cycles == b.staging_out_cycles
         assert [r.engine for r in a.launches] \
@@ -348,6 +349,19 @@ class TestCheckpointResume:
         # setting: pool- and single-written checkpoints interchange.
         PoolScheduler(config="cpu_vwr2a", workers=2, energy_model=True) \
             .run(short, StreamCheckpoint(path))
+
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_stale_format_version_refuses_to_resume(self, tmp_path, version):
+        # v3 windows folded kernel energy from compiled block histograms
+        # only: resuming one would mix two attributions in one report.
+        path = tmp_path / "stale.ckpt"
+        checkpoint = StreamCheckpoint(path, every=1)
+        checkpoint.mark(CheckpointState(
+            fingerprint={"version": version, "n_windows": 9}
+        ))
+        with pytest.raises(ConfigurationError,
+                           match=f"format version {version}"):
+            checkpoint.load()
 
     def test_checkpoint_cadence_and_clear(self, tmp_path):
         path = tmp_path / "cadence.ckpt"

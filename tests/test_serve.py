@@ -206,9 +206,9 @@ class TestStreamBitIdentity:
         assert report.energy_by_kernel == {}
 
     def test_per_kernel_energy_attribution(self, streamed):
-        # Histogram-native attribution: every compiled launch folds its
-        # static block deltas; the per-window map must equal folding the
-        # launches directly, and the stream aggregate must sum windows.
+        # Every launch folds its own event delta; the per-window map must
+        # equal folding the launches directly, and the stream aggregate
+        # must sum windows.
         from repro.energy import default_model
 
         model = default_model()
@@ -216,13 +216,10 @@ class TestStreamBitIdentity:
             assert win.kernel_energy_pj
             expected = {}
             for result in win.launches:
-                folded = model.fold_histogram(
-                    (delta, count)
-                    for _, _, count, delta in result.block_histogram
-                ).total_pj
+                folded = model.fold_histogram(((result.events, 1),)).total_pj
                 expected[result.name] = \
                     expected.get(result.name, 0.0) + folded
-            assert win.kernel_energy_pj == pytest.approx(expected)
+            assert win.kernel_energy_pj == expected
         aggregate = streamed.energy_by_kernel
         assert set(aggregate) == {
             name for w in streamed.windows for name in w.kernel_energy_pj

@@ -5,10 +5,10 @@ whose columns communicate through the SPM mid-kernel must never run on the
 compiled engine, which runs columns one after another.
 ``engine="auto"`` (the default) proves seed kernels conflict-free and
 keeps them compiled, routes conflicting kernels to the reference
-interpreter bit-identically, and forcing ``engine="compiled"`` on a
-conflicting kernel raises a diagnostic naming the columns and address
-ranges. Aborted runs (address faults, budget overruns) replay
-cycle-by-cycle so events and column state match the interpreter exactly.
+interpreter bit-identically, with a fallback reason naming the columns
+and address ranges. Aborted compiled runs (address faults, budget
+overruns) replay cycle-by-cycle so events and column state match the
+interpreter exactly.
 ``store_kernel`` stamps each config with its validation and encoding, so
 re-storing a kernel object is free.
 """
@@ -21,7 +21,7 @@ from repro.arch import DEFAULT_PARAMS
 from repro.asm.builder import ProgramBuilder
 from repro.baselines import lowpass_taps_q15
 from repro.core.cgra import Vwr2a
-from repro.core.errors import AddressError, ProgramError, SpmConflictError
+from repro.core.errors import AddressError, ProgramError
 from repro.engine import conflicts
 from repro.isa.fields import DST_VWR_B, VWR_A, Vwr, imm
 from repro.isa.lcu import addi, blt, seti
@@ -222,17 +222,16 @@ class TestAutoSelection:
         assert states["reference"] == states["auto"]
 
     def test_forced_compiled_raises_named_diagnostic(self):
-        sim = Vwr2a(engine="compiled")
-        with pytest.raises(SpmConflictError) as excinfo:
-            sim.execute(_producer_consumer())
-        message = str(excinfo.value)
+        # The conflicting launch runs on the reference; the diagnostic
+        # naming columns and words rides on the result.
+        sim = Vwr2a()
+        result = sim.execute(_producer_consumer())
+        message = result.fallback_reason
         assert "column 0" in message and "column 1" in message
         assert f"[{2 * LINE_WORDS}..{3 * LINE_WORDS - 1}]" in message
-        assert excinfo.value.conflicts[0].words[0] == 2 * LINE_WORDS
-        # The refused launch must not have executed a single cycle.
-        assert all(col.steps == 0 for col in sim.columns)
-        assert sim.spm.peek_words(0, 4 * LINE_WORDS) \
-            == [0] * (4 * LINE_WORDS)
+        assert result.spm_conflicts[0].words[0] == 2 * LINE_WORDS
+        assert result.engine == "reference"
+        assert sim.engine_decisions == {"reference": 1}
 
     def test_write_write_overlap_is_a_conflict(self):
         columns = {}
@@ -394,18 +393,15 @@ class TestAnalysisCaching:
 class TestAbortAccounting:
     """docs/engine.md caveat closed: aborted runs fold cycle-by-cycle."""
 
-    @pytest.mark.parametrize("engine,config", [
-        pytest.param("compiled", _faulting_config, id="compiled"),
-        pytest.param("auto", _faulting_config, id="auto"),
+    @pytest.mark.parametrize("config", [
+        pytest.param(_faulting_config, id="auto"),
         # Column 0 has already EXITed when column 1 faults: the compiled
-        # engine has run column 0 to EXIT and must rewind it too.
-        pytest.param(
-            "compiled", _late_fault_config, id="compiled-second-column"
-        ),
+        # path has run column 0 to EXIT and must rewind it too.
+        pytest.param(_late_fault_config, id="compiled-second-column"),
     ])
-    def test_address_fault_matches_reference_exactly(self, engine, config):
+    def test_address_fault_matches_reference_exactly(self, config):
         states = {}
-        for name in ("reference", engine):
+        for name in ("reference", "auto"):
             sim = Vwr2a(engine=name)
             sim.spm.poke_words(0, [i % 1000 for i in range(512)])
             with pytest.raises(AddressError) as excinfo:
@@ -413,7 +409,10 @@ class TestAbortAccounting:
             states[name] = (
                 str(excinfo.value), _full_state(sim, 0), _full_state(sim, 1)
             )
-        assert states["reference"] == states[engine]
+        # The aborted launch counts once as compiled; its reference
+        # replay does not tick the tally.
+        assert sim.engine_decisions == {"compiled": 1}
+        assert states["reference"] == states["auto"]
 
     def test_budget_overrun_matches_reference_mid_block(self):
         # max_cycles falls inside a block: the reference interpreter stops
@@ -425,7 +424,7 @@ class TestAbortAccounting:
             {0: _spin_column(3), 1: _spin_column()},
         ):
             states = {}
-            for engine in ("reference", "compiled"):
+            for engine in ("reference", "auto"):
                 sim = Vwr2a(engine=engine)
                 sim.store_kernel(KernelConfig(name="spin", columns=columns))
                 with pytest.raises(
@@ -433,7 +432,8 @@ class TestAbortAccounting:
                 ):
                     sim.run("spin", max_cycles=101)
                 states[engine] = (_full_state(sim, 0), _full_state(sim, 1))
-            assert states["reference"] == states["compiled"]
+            assert sim.engine_decisions == {"compiled": 1}
+            assert states["reference"] == states["auto"]
 
     def test_multi_column_fault_matches_reference(self):
         # Column 0 faults while column 1 is still looping; the replay must
@@ -461,7 +461,7 @@ class TestAbortAccounting:
             )
 
         states = {}
-        for engine in ("reference", "compiled"):
+        for engine in ("reference", "auto"):
             sim = Vwr2a(engine=engine)
             with pytest.raises(AddressError) as excinfo:
                 sim.execute(config())
@@ -470,7 +470,8 @@ class TestAbortAccounting:
                 _full_state(sim, 0),
                 _full_state(sim, 1),
             )
-        assert states["reference"] == states["compiled"]
+        assert sim.engine_decisions == {"compiled": 1}
+        assert states["reference"] == states["auto"]
 
 
 class TestStoreCache:

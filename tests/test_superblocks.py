@@ -34,7 +34,7 @@ from repro.isa.mxcu import inck, setk
 from repro.isa.program import KernelConfig
 from repro.isa.rc import RCOp, rc
 
-ENGINES = ("reference", "compiled")
+ENGINES = ("reference", "auto")
 
 #: Distinct per-cell instructions (one per RC of the default geometry).
 _PER_CELL_RCS = [
@@ -72,11 +72,13 @@ def _run_both(config_builder, params=None, poke=None):
         config = config_builder(sim.params)
         results[engine] = sim.execute(config)
         states[engine] = _full_state(sim)
-    assert states["reference"] == states["compiled"]
-    ref, cmp_ = results["reference"], results["compiled"]
+    assert states["reference"] == states["auto"]
+    ref, cmp_ = results["reference"], results["auto"]
+    assert cmp_.engine == "compiled"
     assert ref.cycles == cmp_.cycles
     assert ref.column_steps == cmp_.column_steps
-    return results["compiled"]
+    assert ref.events == cmp_.events
+    return cmp_
 
 
 def _poke_ramp(sim: Vwr2a) -> None:
@@ -231,12 +233,7 @@ class TestChainFusion:
         assert len(compiled.blocks) == 1
         assert len(compiled.blocks[0].members) == 3
 
-        states = {}
-        for engine in ENGINES:
-            sim = Vwr2a(engine=engine)
-            sim.execute(KernelConfig(name="chain", columns={0: program}))
-            states[engine] = _full_state(sim)
-        assert states["reference"] == states["compiled"]
+        _run_both(lambda _: KernelConfig(name="chain", columns={0: program}))
 
     def test_branch_target_blocks_stay_dispatchable(self):
         # A chain must not swallow a block that another branch targets:
@@ -255,12 +252,7 @@ class TestChainFusion:
         leaders = [chain[0][0] for chain in chains]
         assert 1 in leaders  # "head" leads its own (loop) superblock
 
-        states = {}
-        for engine in ENGINES:
-            sim = Vwr2a(engine=engine)
-            sim.execute(KernelConfig(name="multi", columns={0: program}))
-            states[engine] = _full_state(sim)
-        assert states["reference"] == states["compiled"]
+        _run_both(lambda _: KernelConfig(name="multi", columns={0: program}))
 
     def test_multi_block_loop_fuses_and_accelerates(self):
         # Tail branches back to the chain head: the whole chain becomes
@@ -291,13 +283,15 @@ class TestChainFusion:
                 KernelConfig(name="nest", columns={0: program})
             )
             states[engine] = _full_state(sim)
-        assert states["reference"] == states["compiled"]
-        assert results["compiled"].superblocks["accelerated_trips"] == 40
+        assert states["reference"] == states["auto"]
+        assert results["auto"].engine == "compiled"
+        assert results["auto"].superblocks["accelerated_trips"] == 40
 
     def test_pc_histogram_covers_superblock_members(self):
-        sim = Vwr2a(engine="compiled")
+        sim = Vwr2a(engine="auto")
         config = _broadcast_loop(sim.params, 16)
         result = sim.execute(config)
+        assert result.engine == "compiled"
         bound = sim._engine._bind(sim.columns[0])
         assert sum(bound.pc_histogram()) == result.column_steps[0]
 
@@ -307,13 +301,12 @@ class TestRunResultSuperblocks:
         sim = Vwr2a(engine="reference")
         result = sim.execute(_broadcast_loop(sim.params, 16))
         assert result.superblocks is None
-        assert result.block_histogram == ()
+        # ... but the launch's own event delta, like every engine.
+        assert dict(result.events)["column.cycle"] == result.column_steps[0]
 
-    def test_block_histogram_counts_match_column_steps(self):
-        sim = Vwr2a(engine="compiled")
+    def test_launch_events_count_column_steps(self):
+        sim = Vwr2a(engine="auto")
         result = sim.execute(_broadcast_loop(sim.params, 16))
-        total = sum(
-            count * dict(delta).get("column.cycle", 0)
-            for _, _, count, delta in result.block_histogram
-        )
-        assert total == result.column_steps[0]
+        assert result.engine == "compiled"
+        assert dict(result.events)["column.cycle"] \
+            == result.column_steps[0]

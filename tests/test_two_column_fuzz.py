@@ -9,10 +9,12 @@ drawn trip count, line loads and stores at drawn bases (overlapping
 each other, or walking off either end of the SPM) and one RC op — and
 checks, for every draw:
 
-* ``auto`` equals ``reference`` on cycles, events, SPM and both columns'
-  state, or raises the same error and leaves the same state;
-* ``compiled`` raises :class:`SpmConflictError` exactly when the analysis
-  reports a conflict, and otherwise also equals ``reference``.
+* ``auto`` equals ``reference`` on cycles, the launch's event delta,
+  the event tally, SPM and both columns' state, or raises the same error
+  and leaves the same state;
+* ``auto`` routes the launch to the reference exactly when the analysis
+  reports a conflict (read from ``engine_decisions``, which also counts
+  launches that abort).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 from repro.arch import DEFAULT_PARAMS
 from repro.asm.builder import ProgramBuilder
 from repro.core.cgra import Vwr2a
-from repro.core.errors import SimulationError, SpmConflictError
+from repro.core.errors import SimulationError
 from repro.engine.conflicts import analyze_columns
 from repro.isa.fields import DST_VWR_B, VWR_A, Vwr, imm
 from repro.isa.lcu import addi, blt, seti
@@ -78,24 +80,24 @@ def column(draw, index: int):
 
 
 def _launch(engine: str, config: KernelConfig):
+    """The launch's outcome and state, plus the engine's launch tally."""
     sim = Vwr2a(engine=engine)
     sim.spm.poke_words(0, SPM_INIT)
     try:
         result = sim.execute(config)
-        outcome = ("ok", result.cycles, result.column_steps)
+        outcome = ("ok", result.cycles, result.column_steps, result.events)
     except SimulationError as error:
         outcome = (type(error).__name__, str(error))
-    return outcome, _full_state(sim, 0), _full_state(sim, 1)
+    state = outcome, _full_state(sim, 0), _full_state(sim, 1)
+    return state, sim.engine_decisions
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.tuples(column(0), column(1)))
 def test_generated_two_column_kernels_match_reference(pair):
     config = KernelConfig(name="fuzz", columns=dict(enumerate(pair)))
-    reference = _launch("reference", config)
-    assert _launch("auto", config) == reference
-    compiled = _launch("compiled", config)
-    if analyze_columns(config.columns, DEFAULT_PARAMS).conflicts:
-        assert compiled[0][0] == SpmConflictError.__name__
-    else:
-        assert compiled == reference
+    reference, _ = _launch("reference", config)
+    auto, decisions = _launch("auto", config)
+    assert auto == reference
+    conflicting = analyze_columns(config.columns, DEFAULT_PARAMS).conflicts
+    assert decisions == {"reference" if conflicting else "compiled": 1}
