@@ -126,17 +126,28 @@ class Vwr2a:
         self.config_mem.store(config)
 
     def _install(self, config: KernelConfig) -> int:
-        config_words = 0
-        srf_writes = 0
+        """Load the column programs; charge the configuration load.
+
+        The load's ``{config.word, srf.write}`` tally is a property of the
+        config object alone, so it is computed at the config's first
+        launch and stamped on it, as :meth:`_conflict_report` stamps the
+        SPM-conflict verdict.
+        """
         for col, program in config.columns.items():
             self.columns[col].load(program)
-            config_words += len(program.bundles)
-            srf_writes += len(program.srf_init)
-        self.events.add_many({
-            Ev.CONFIG_WORD: config_words, Ev.SRF_WRITE: srf_writes,
-        })
+        stamp = config.__dict__.get("_install")
+        if stamp is None:
+            config_words = srf_writes = 0
+            for program in config.columns.values():
+                config_words += len(program.bundles)
+                srf_writes += len(program.srf_init)
+            stamp = config._install = (
+                {Ev.CONFIG_WORD: config_words, Ev.SRF_WRITE: srf_writes},
+                config_words + srf_writes,
+            )
+        self.events.add_many(stamp[0])
         self.synchronizer.kernel_started(config.name, config.columns.keys())
-        return config_words + srf_writes
+        return stamp[1]
 
     def _conflict_report(self, config: KernelConfig):
         """SPM-conflict verdict of ``config``, cached on the config object.

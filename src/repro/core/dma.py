@@ -34,10 +34,14 @@ class Dma:
     # -- system memory -> SPM ----------------------------------------------
 
     def to_spm(self, sram, src_word: int, dst_word: int, n_words: int) -> int:
-        """Copy ``n_words`` from system memory into the SPM; return cycles."""
-        return self.to_spm_gather(
-            sram, range(src_word, src_word + n_words), dst_word
-        )
+        """Copy ``n_words`` from system memory into the SPM; return cycles.
+
+        Each side checks its span once and the words move as one slice;
+        events are still charged per word.
+        """
+        _check_length(n_words)
+        self.spm.write_span(dst_word, sram.read_span(src_word, n_words))
+        return self._transfer_cycles(n_words)
 
     def to_spm_gather(self, sram, src_words, dst_word: int) -> int:
         """Gather system-memory words (arbitrary order, repeats allowed)
@@ -46,31 +50,34 @@ class Dma:
         Uses the batch word interfaces: one event record per burst instead
         of one per word (identical counts, far less accounting overhead).
         """
-        src_words = list(src_words)
-        self.spm.write_words(dst_word, sram.read_words(src_words))
-        return self._transfer_cycles(len(src_words))
+        values = sram.read_words(list(src_words))
+        self.spm.write_span(dst_word, values)
+        return self._transfer_cycles(len(values))
 
     # -- SPM -> system memory ----------------------------------------------
 
     def from_spm(self, sram, src_word: int, dst_word: int, n_words: int) -> int:
         """Copy ``n_words`` from the SPM into system memory; return cycles."""
-        return self.from_spm_gather(
-            sram, range(src_word, src_word + n_words), dst_word
-        )
+        _check_length(n_words)
+        sram.write_span(dst_word, self.spm.read_span(src_word, n_words))
+        return self._transfer_cycles(n_words)
 
     def from_spm_gather(self, sram, src_words, dst_word: int) -> int:
         """Gather SPM words (arbitrary order — used to compact the FIR
         kernel's sparse output) into consecutive system-memory words."""
-        src_words = list(src_words)
-        sram.write_words(dst_word, self.spm.read_words(src_words))
-        return self._transfer_cycles(len(src_words))
+        values = self.spm.read_words(list(src_words))
+        sram.write_span(dst_word, values)
+        return self._transfer_cycles(len(values))
 
     # -- cost model ---------------------------------------------------------
 
     def _transfer_cycles(self, n_words: int) -> int:
-        if n_words < 0:
-            raise AddressError(f"negative transfer length {n_words}")
         if n_words == 0:
             return 0
         self.events.add_many({Ev.DMA_SETUP: 1, Ev.DMA_BEAT: n_words})
         return self.setup_cycles + self.bus.burst_cycles(n_words)
+
+
+def _check_length(n_words: int) -> None:
+    if n_words < 0:
+        raise AddressError(f"negative transfer length {n_words}")

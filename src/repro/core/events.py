@@ -78,14 +78,15 @@ class EventCounters:
         """Bulk-record a ``{name: count}`` batch in one update.
 
         Equivalent to calling :meth:`add` per entry (zero counts are
-        skipped so snapshots stay free of empty keys); used by the wide
-        DMA paths and by the compiled engine's end-of-kernel event fold.
+        skipped so snapshots stay free of empty keys), in one pass; used by
+        the DMA, the configuration load and the compiled engine's
+        once-per-launch event fold.
         """
-        if any(count == 0 for count in counts.values()):
-            counts = {
-                name: count for name, count in counts.items() if count
-            }
-        self._counts.update(counts)
+        tally = self._counts
+        get = tally.get
+        for name, count in counts.items():
+            if count:
+                tally[name] = get(name, 0) + count
 
     def get(self, name: str) -> int:
         return self._counts.get(name, 0)

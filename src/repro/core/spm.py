@@ -75,16 +75,30 @@ class Scratchpad:
         data = self._data
         return [data[addr] for addr in addrs]
 
+    def read_span(self, addr: int, n_words: int) -> list:
+        """``n_words`` consecutive narrow-port reads as one slice copy."""
+        self._check_span(addr, n_words)
+        self._events.add(Ev.SPM_WORD_READ, n_words)
+        return self._data[addr:addr + n_words]
+
+    def write_span(self, addr: int, words) -> None:
+        """Consecutive narrow-port writes of storage words (one slice).
+
+        For copies out of another memory (the DMA): SRAM and SPM only
+        ever hold int32, so the words are stored without a re-wrap.
+        """
+        n_words = len(words)
+        self._check_span(addr, n_words)
+        self._events.add(Ev.SPM_WORD_WRITE, n_words)
+        self._data[addr:addr + n_words] = words
+
     def write_words(self, addr: int, values) -> None:
-        """Batch of consecutive narrow-port writes (bulk event record)."""
-        if addr < 0 or addr + len(values) > self.n_words:
-            self._check_word(addr if addr < 0 else addr + len(values) - 1)
-        self._events.add(Ev.SPM_WORD_WRITE, len(values))
-        self._data[addr:addr + len(values)] = [
+        """Consecutive narrow-port writes of host values (wrapped)."""
+        self.write_span(addr, [
             v if type(v) is int and -2147483648 <= v <= 2147483647
             else ((v + 2147483648) & 4294967295) - 2147483648
             for v in values
-        ]
+        ])
 
     # -- whole-memory state (no events) ------------------------------------
 
@@ -163,6 +177,13 @@ class Scratchpad:
             else ((v + 2147483648) & 4294967295) - 2147483648
             for v in values
         ]
+
+    def _check_span(self, addr: int, n_words: int) -> None:
+        """One bounds check of ``[addr, addr + n_words)``; word by word only
+        when it fails, so the error names the first bad address."""
+        if n_words and (addr < 0 or addr + n_words > self.n_words):
+            for word in range(addr, addr + n_words):
+                self._check_word(word)
 
     def _check_line(self, line: int) -> None:
         if not 0 <= line < self.n_lines:

@@ -11,10 +11,11 @@ Two interchangeable engines drive kernel execution for
   self-loops; closed-form loops complete a full run as one counted loop
   in one dispatch, see :mod:`repro.engine.superblocks`).
   Event counting happens as per-superblock execution histograms folded
-  into the shared :class:`~repro.core.events.EventCounters` once at kernel
-  end (:meth:`BoundColumn.finish`, a memoized walk of the blocks' static
-  deltas) — bit-identical to per-cycle logging because every bundle's
-  event delta is static (see :mod:`repro.engine.deltas`).
+  into the shared :class:`~repro.core.events.EventCounters` once per
+  launch (:meth:`AutoEngine._fold`, a walk of the blocks' static deltas
+  memoized per distinct launch) — bit-identical to per-cycle logging
+  because every bundle's event delta is static (see
+  :mod:`repro.engine.deltas`).
 
 Multi-column kernels run one column after another: each column's
 dispatch loop runs to EXIT in turn, and the launch takes as many cycles
@@ -140,10 +141,6 @@ class BoundColumn:
         self.pc = 0
         self.loops_accelerated = 0
         self.trips_accelerated = 0
-        # Execution histograms of deterministic kernels repeat launch
-        # after launch: the event fold is memoized on the count vector
-        # (bounded; cleared wholesale).
-        self._fold_memo = {}
 
     @staticmethod
     def _namespace(column) -> dict:
@@ -216,41 +213,11 @@ class BoundColumn:
             self.pc = pc
         return steps
 
-    def flush(self, events) -> tuple:
-        """Fold the execution histogram into the shared event tally and
-        sync the column's architectural bookkeeping (also on aborts).
-
-        Walks the executed superblocks' static deltas, memoized per count
-        vector, and returns the column's event totals as ``((event,
-        count), ...)`` in sorted event-name order — so the shared tally's
-        insertion order (and every float sum downstream) depends only on
-        the events that ticked, not on block order.
-        """
-        key = tuple(self.counts)
-        memo = self._fold_memo.get(key)
-        if memo is None:
-            walked = {}
-            for blk in self.compiled.blocks:
-                count = key[blk.index]
-                if not count:
-                    continue
-                for name, n in blk.delta:
-                    walked[name] = walked.get(name, 0) + n * count
-            totals = {name: walked[name] for name in sorted(walked)}
-            memo = (totals, tuple(totals.items()))
-            if len(self._fold_memo) > 64:
-                self._fold_memo.clear()
-            self._fold_memo[key] = memo
-        events.add_many(memo[0])
+    def sync(self) -> None:
+        """Copy the dispatch loop's progress onto the column (also on
+        aborts); the launch's events fold in :meth:`AutoEngine._fold`."""
         self.column.steps = self.steps
         self.column.pc = self.pc
-        return memo[1]
-
-    def finish(self, events) -> tuple:
-        """Successful-completion fold: flush, then mark the column done."""
-        delta = self.flush(events)
-        self.column.done = True
-        return delta
 
     def pc_histogram(self) -> list:
         """Per-PC executed-bundle counts (diagnostics / tests)."""
@@ -283,17 +250,6 @@ def _restore_launch(vwr2a, snapshot) -> None:
         col.state_restore(state)
 
 
-def _merge_deltas(deltas) -> tuple:
-    """Sum per-column ``((event, count), ...)`` totals, sorted by event."""
-    if len(deltas) == 1:
-        return deltas[0]
-    merged = {}
-    for delta in deltas:
-        for name, n in delta:
-            merged[name] = merged.get(name, 0) + n
-    return tuple(sorted(merged.items()))
-
-
 class AutoEngine:
     """Conflict-aware engine: the compiled fast path (the default).
 
@@ -314,9 +270,13 @@ class AutoEngine:
 
     #: Bound programs kept per column (identity-keyed, FIFO-evicted).
     CACHE_CAP = 128
+    #: Launch event folds kept (keyed on bound programs and count
+    #: vectors, FIFO-evicted).
+    FOLD_CAP = 256
 
     def __init__(self) -> None:
         self._bound = {}
+        self._folds = {}
         #: Lifetime launch tally by executing engine
         #: (``Vwr2a.engine_decisions``); it ticks when a launch is routed,
         #: so launches that later abort count too, and fault replays don't.
@@ -376,16 +336,46 @@ class AutoEngine:
         except BaseException:
             # Non-simulation aborts (e.g. KeyboardInterrupt) still account
             # the blocks executed so far, at block granularity.
+            vwr2a.events.add_many(self._fold(bounds)[0])
             for bound in bounds:
-                bound.flush(vwr2a.events)
+                bound.sync()
             raise
+        totals, events = self._fold(bounds)
+        vwr2a.events.add_many(totals)
         superblocks = {"accelerated_loops": 0, "accelerated_trips": 0}
-        deltas = []
         for bound in bounds:
-            deltas.append(bound.finish(vwr2a.events))
+            bound.sync()
+            bound.column.done = True
             superblocks["accelerated_loops"] += bound.loops_accelerated
             superblocks["accelerated_trips"] += bound.trips_accelerated
-        return RunInfo(
-            "compiled", cycles, _merge_deltas(deltas),
-            superblocks=superblocks,
-        )
+        return RunInfo("compiled", cycles, events, superblocks=superblocks)
+
+    def _fold(self, bounds) -> tuple:
+        """The launch's event totals, memoized per (bound programs, count
+        vectors).
+
+        Deterministic kernels repeat their execution histograms launch
+        after launch, so one walk of the executed superblocks' static
+        deltas serves every repeat. Returns ``(totals, events)``: the
+        ``{event: count}`` update for the shared tally, inserted in sorted
+        event-name order (so the tally's order, and every float sum
+        downstream, depends only on the events that ticked), and the same
+        totals as the sorted ``((event, count), ...)`` of ``RunInfo``.
+        """
+        key = tuple((bound, tuple(bound.counts)) for bound in bounds)
+        fold = self._folds.get(key)
+        if fold is None:
+            walked = {}
+            for bound, counts in key:
+                for blk in bound.compiled.blocks:
+                    count = counts[blk.index]
+                    if not count:
+                        continue
+                    for name, n in blk.delta:
+                        walked[name] = walked.get(name, 0) + n * count
+            totals = {name: walked[name] for name in sorted(walked)}
+            fold = (totals, tuple(totals.items()))
+            if len(self._folds) >= self.FOLD_CAP:
+                del self._folds[next(iter(self._folds))]
+            self._folds[key] = fold
+        return fold

@@ -117,6 +117,10 @@ class KernelRunner:
 
     def sram_alloc(self, n_words: int) -> int:
         """Reserve a block of system SRAM; returns its word address."""
+        if n_words < 0:
+            raise ConfigurationError(
+                f"SRAM allocation of a negative size ({n_words} words)"
+            )
         base = self._sram_next
         if base + n_words > self._sram_limit:
             raise ConfigurationError(
@@ -170,7 +174,7 @@ class KernelRunner:
         Returns DMA cycles.
         """
         base = self.sram_alloc(len(values))
-        self.soc.sram.poke_words(base, list(values))
+        self.soc.sram.poke_words(base, values)
         if order is None:
             cycles = self.soc.dma_to_vwr2a(base, spm_word, len(values))
         else:

@@ -61,32 +61,39 @@ class BankedSram:
             # One check of the spanned banks; word by word only when it
             # fails, so the error names the first bad address.
             lo, hi = min(addrs), max(addrs)
-            wpb = self.words_per_bank
-            if lo < 0 or hi >= self.n_words \
-                    or not all(self._bank_on[lo // wpb:hi // wpb + 1]):
-                for addr in addrs:
-                    self._check_powered(addr)
+            if not self._span_ok(lo, hi - lo + 1):
+                self._check_each(addrs)
         self.events.add(Ev.SRAM_READ, len(addrs))
         data = self._data
         return [data[addr] for addr in addrs]
 
+    def read_span(self, addr: int, n_words: int) -> list:
+        """``n_words`` consecutive word reads as one checked slice copy."""
+        if not self._span_ok(addr, n_words):
+            self._check_each(range(addr, addr + n_words))
+        self.events.add(Ev.SRAM_READ, n_words)
+        return self._data[addr:addr + n_words]
+
+    def write_span(self, addr: int, words) -> None:
+        """Consecutive word writes of storage words, as one slice copy.
+
+        For copies out of another memory (the DMA): SPM and SRAM only
+        ever hold int32, so the words are stored without a re-wrap.
+        """
+        n_words = len(words)
+        if not self._span_ok(addr, n_words):
+            self._check_each(range(addr, addr + n_words))
+        self.events.add(Ev.SRAM_WRITE, n_words)
+        self._data[addr:addr + n_words] = words
+
     def write_words(self, addr: int, values) -> None:
-        """Batch of consecutive word writes (bulk event record)."""
-        if values:
-            self._check(addr)
-            self._check(addr + len(values) - 1)
-            first = addr // self.words_per_bank
-            last = (addr + len(values) - 1) // self.words_per_bank
-            for bank in range(first, last + 1):
-                if not self._bank_on[bank]:
-                    self._check_powered(bank * self.words_per_bank)
-        self.events.add(Ev.SRAM_WRITE, len(values))
+        """Consecutive word writes of host values (wrapped to int32)."""
         # Inline to_signed32: in-range ints pass on two compares, no call.
-        self._data[addr:addr + len(values)] = [
+        self.write_span(addr, [
             v if type(v) is int and -2147483648 <= v <= 2147483647
             else ((v + 2147483648) & 4294967295) - 2147483648
             for v in values
-        ]
+        ])
 
     # -- debug/test accessors (no events) ----------------------------------------
 
@@ -115,6 +122,20 @@ class BankedSram:
             raise AddressError(
                 f"SRAM word address {addr} out of range [0, {self.n_words})"
             )
+
+    def _span_ok(self, addr: int, n_words: int) -> bool:
+        """One check of ``[addr, addr + n_words)``: bounds and bank power."""
+        if n_words <= 0:
+            return True
+        last = addr + n_words - 1
+        wpb = self.words_per_bank
+        return addr >= 0 and last < self.n_words \
+            and all(self._bank_on[addr // wpb:last // wpb + 1])
+
+    def _check_each(self, addrs) -> None:
+        """Word-by-word check: the error names the first bad address."""
+        for addr in addrs:
+            self._check_powered(addr)
 
     def _check_powered(self, addr: int) -> None:
         self._check(addr)

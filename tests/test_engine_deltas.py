@@ -10,6 +10,9 @@ record (``RunResult.events``) is checked against the shared tally.
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from repro.arch import ArchParams
@@ -42,6 +45,7 @@ from repro.isa.lsu import ld_srf, ld_vwr, set_srf, shuf, st_srf, st_vwr
 from repro.isa.mxcu import MXCUInstr, MXCUOp, inck, setk
 from repro.isa.program import ColumnProgram, KernelConfig
 from repro.isa.rc import RCOp, rc
+from repro.kernels.delineation import build_delineation_kernel
 from test_spm_conflicts import _full_state, _producer_consumer
 
 PARAMS = ArchParams()
@@ -188,16 +192,56 @@ class TestLaunchEvents:
         result = sim.run(config.name)
         assert result.engine == ("reference" if engine == "reference"
                                  else path)
-        # The launch diff minus the configuration load, which the run
-        # charges before the engine starts.
-        programs = config.columns.values()
-        load = {
-            Ev.CONFIG_WORD: sum(len(p.bundles) for p in programs),
-            Ev.SRF_WRITE: sum(len(p.srf_init) for p in programs),
-        }
-        expected = sim.events.diff(before)
-        for name, n in load.items():
-            expected[name] = expected.get(name, 0) - n
-        expected = {name: n for name, n in expected.items() if n}
+        expected = _launch_diff(sim, config, before)
         assert dict(result.events) == expected
         assert [name for name, _ in result.events] == sorted(expected)
+
+    @pytest.mark.parametrize("cap", [executor.AutoEngine.FOLD_CAP, 1])
+    def test_data_dependent_launches_fold_per_count_vector(
+        self, monkeypatch, cap
+    ):
+        """A delineation scan's block counts follow its window, so two
+        windows run alternately keep two count vectors of one bound
+        program in the launch-fold memo; every launch's events still
+        equal its own tally diff, and the memo stays within its cap."""
+        monkeypatch.setattr(executor.AutoEngine, "FOLD_CAP", cap)
+        sim = Vwr2a(engine="auto")
+        params = sim.params
+        n = 96
+        rng = random.Random(7)
+        windows = [
+            [rng.randint(-400, 400) for _ in range(n)],
+            [int(300 * math.sin(i / 5)) for i in range(n)],
+        ]
+        out_word = 2 * params.line_words
+        config = build_delineation_kernel(
+            params, n, 50, 0, out_word, out_word + n + 2
+        )
+        sim.store_kernel(config)
+        seen = []
+        for launch in range(6):
+            sim.spm.poke_words(0, windows[launch % 2])
+            before = sim.events.snapshot()
+            result = sim.run(config.name)
+            assert result.engine == "compiled"
+            assert dict(result.events) == _launch_diff(sim, config, before)
+            seen.append(result.events)
+            assert len(sim._engine._folds) <= cap
+        assert seen[0] != seen[1]
+        assert seen[0::2] == [seen[0]] * 3 and seen[1::2] == [seen[1]] * 3
+        if cap > 1:
+            assert len(sim._engine._folds) == 2
+
+
+def _launch_diff(sim, config, before) -> dict:
+    """The launch's tally diff minus the configuration load, which the
+    run charges before the engine starts."""
+    programs = config.columns.values()
+    load = {
+        Ev.CONFIG_WORD: sum(len(p.bundles) for p in programs),
+        Ev.SRF_WRITE: sum(len(p.srf_init) for p in programs),
+    }
+    expected = sim.events.diff(before)
+    for name, n in load.items():
+        expected[name] = expected.get(name, 0) - n
+    return {name: n for name, n in expected.items() if n}
