@@ -30,6 +30,11 @@ identity-keyed configuration store and the per-config SPM-conflict verdict
 stamp. The warm-path iterations must perform zero re-encodes, zero hazard
 re-checks and zero conflict re-analyses.
 
+Also records the **codegen** size of the same flow (recorded, not
+guarded): the generated source lines of the FFT-2048 program set and
+the builtin ``compile()`` seconds they take, the cold cost every engine
+change to the code generator moves.
+
 Kept tier-1-bounded by design: one warm-up flow plus a handful of
 measured flows (~3 s total, reference-dominated). The warm-up populates
 the compile-once caches — the compiled engine's steady state is precisely
@@ -44,7 +49,9 @@ import pytest
 
 from bench_io import update_bench
 from repro.baselines import lowpass_taps_q15
+from repro.engine.compiler import compile_program
 from repro.kernels import KernelRunner, SplitFftEngine
+from repro.kernels.fft2048 import split_fft_reference_int
 from repro.kernels.fir import build_fir_kernel, plan_fir
 from repro.soc.platform import BiosignalSoC
 
@@ -67,9 +74,14 @@ def _measure(engine: str, repeats: int = REPEATS) -> dict:
     runner = KernelRunner(soc=BiosignalSoC(engine=engine))
     vwr2a = runner.soc.vwr2a
     fft = SplitFftEngine(runner, 2048)
+    fft.prepare()
+    # The twiddle tables stay where prepare() put them; every flow
+    # re-stages its own buffers above them.
+    base = runner.sram_alloc(0)
+    runner.set_sram_region(base, runner.soc.sram.n_words - base)
     re = _signal(2048)
     im = _signal(2048, scale=700)
-    fft.run(re, im)  # warm-up: compile/analysis caches, twiddle staging
+    fft.run(re, im)  # warm-up: compile/analysis caches
 
     original_run = vwr2a.run
     staging = {"wall": 0.0, "depth": 0}
@@ -106,9 +118,10 @@ def _measure(engine: str, repeats: int = REPEATS) -> dict:
             vwr2a.run = original_run
         acc["staging_wall"] = staging["wall"]
         if first_spectrum is None:
-            # The FFT flow reuses SPM-resident state across repetitions,
-            # so spectra are only comparable at equal repetition index;
-            # the engines must agree on the first measured flow.
+            # The engines must agree on the first measured flow, and it
+            # must be the transform.
+            assert [list(out.re), list(out.im)] \
+                == [list(v) for v in split_fft_reference_int(re, im)]
             first_spectrum = (out.re[:4], out.im[:4])
         if best is None or acc["wall"] < best["wall"]:
             best = acc
@@ -284,5 +297,36 @@ def test_short_kernel_launch_latency():
             "warm_iterations": iterations,
             "kernel_cycles": cold_result.cycles,
             "store_stats_after_warm": warm,
+        },
+    })
+
+
+def test_codegen_fft2048():
+    """Size of the generated code for the FFT-2048 program set: source
+    lines of every distinct compiled program and the best-of-5 builtin
+    ``compile()`` seconds over all of them (recorded, not guarded)."""
+    runner = KernelRunner()
+    SplitFftEngine(runner, 2048).run(_signal(2048), _signal(2048))
+    vwr2a = runner.soc.vwr2a
+    programs = {}
+    for name in vwr2a.config_mem.kernels():
+        for program in vwr2a.config_mem.get(name).columns.values():
+            compiled = compile_program(program, vwr2a.params)
+            programs[id(compiled)] = compiled
+    lines = sum(len(c.listing().splitlines()) for c in programs.values())
+    best = None
+    for _ in range(5):
+        start = time.perf_counter()
+        for compiled in programs.values():
+            compile(compiled.source, "<codegen-bench>", "exec")
+        wall = time.perf_counter() - start
+        best = wall if best is None else min(best, wall)
+    assert lines > 0
+    update_bench({
+        "codegen": {
+            "metric": "generated source of the FFT-2048 program set",
+            "programs": len(programs),
+            "source_lines": lines,
+            "compile_seconds": best,
         },
     })

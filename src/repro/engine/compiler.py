@@ -17,7 +17,8 @@ performs that decode exactly once per program:
 * a block whose terminating branch targets its own leader (the Table-1
   two-bundle vector loop) is additionally fused into a **self-loop**: the
   generated function iterates internally and reports how many trips it
-  made, eliminating per-iteration dispatch entirely;
+  made (more than its ``limit``, when the cycle budget runs out),
+  eliminating per-iteration dispatch entirely;
 * straight-line block chains (single successor feeding a single
   predecessor) are fused into **superblocks** — one generated function,
   one dispatch, one event fold per chain execution — and a chain whose
@@ -27,7 +28,9 @@ performs that decode exactly once per program:
   machinery shared with the SPM-conflict analysis,
   :mod:`repro.engine.superblocks`) compute their **trip count once** at
   loop entry and run a counted loop with no per-trip branch evaluation,
-  reconstructing the LCU registers from the loop's affine summary;
+  reconstructing the LCU registers from the loop's affine summary. Such
+  a loop has no per-trip twin: where its counter would leave int32 it
+  raises ``_CounterWrap``, and the launch replays on the reference;
 * each block carries the static event delta of one execution
   (:mod:`repro.engine.deltas`) — the executor folds ``delta x count`` into
   the shared tally at kernel end, multiplying (never iterating) the
@@ -451,9 +454,9 @@ class BlockInfo:
     n_cycles: int        #: bundles (= cycles) per straight execution
     fn_name: str
     delta: tuple         #: ((event, count), ...) for one execution
-    exit_next: int       #: reference PC after EXIT (-1 when not an exit)
-    is_loop: bool        #: self-loop fused: fn(limit) -> (next_pc, trips)
-    closed_form: bool    #: loop trips solvable at entry (one counted run)
+    next_pc: int         #: PC after EXIT, or a loop's fall-through
+    is_loop: bool        #: self-loop fused: fn(limit) -> trips
+    closed_form: bool    #: trips solved at entry (one counted run)
     members: tuple       #: ((leader, n_cycles), ...) per basic block
 
 
@@ -719,79 +722,55 @@ def _compile(bundles, params) -> CompiledProgram:
             sym[0] != "u" for sym in plan.lcu_sym.values()
         )
 
+        body = _k_offsets(
+            [line for pc in pcs for line in bodies[pc].all_lines()], offsets
+        )
         fn_name = f"_b{leader}"
         lines = [f"def {fn_name}({'limit, ' if is_loop else ''}{sig}):"]
-        indent = "    "
         if uses_k or sets_k:
-            lines += [indent + line
-                      for line in _k_offsets(["k = col.k"], offsets)]
+            lines += _k_offsets(["k = col.k"], offsets)
         if counted:
-            # Closed-form trip count, computed once at loop entry. While
-            # the counter provably stays inside int32, the loop runs as a
-            # counted loop without per-trip branch evaluation and
-            # reconstructs the LCU registers from the affine summary.
-            # Counter wrap-around falls through to the exact per-trip
-            # loop below.
-            lines.append(f"{indent}_v0 = L[{plan.counter}]")
-            lines.append(f"{indent}_bnd = {bound_expr(plan)}")
-            for line in trip_count_lines(plan):
-                lines.append(indent + line)
-            lines.append(f"{indent}if _t is None or _t > limit:")
-            lines.append(f"{indent}    _t = limit")
-            lines.append(f"{indent}    _pc = {leader}")
-            lines.append(f"{indent}else:")
-            lines.append(f"{indent}    _pc = {pcs[-1] + 1}")
-            lines.append(
-                f"{indent}if -2147483648 <= _v0 + _t * {plan.delta} "
-                "<= 2147483647:"
-            )
+            # Trip count solved once at loop entry. It holds while the
+            # counter stays inside int32 over the trips the budget
+            # allows; past that the launch replays on the reference. A
+            # loop needing more than ``limit`` trips returns at once.
+            lines += [f"_v0 = L[{plan.counter}]",
+                      f"_bnd = {bound_expr(plan)}", *trip_count_lines(plan),
+                      "_n = limit if _t is None or _t > limit else _t",
+                      f"if not -2147483648 <= _v0 + _n * {plan.delta} "
+                      f"<= 2147483647: raise _CounterWrap(col.index, {leader})",
+                      "if _n != _t: return limit + 1"]
+            # The LCU lines stay out of the body: the registers are
+            # rebuilt from the affine summary after the loop.
             counted_body, post_commits = _hoistable_commits(
                 bundles, pcs, _k_offsets(
                     [line for pc in pcs for line in bodies[pc].lines], offsets
                 ),
             )
             if counted_body:
-                lines.append(f"{indent}    for _ in range(_t):")
-                for line in counted_body:
-                    lines.append(f"{indent}        {line}")
-            for line in post_commits:
-                lines.append(f"{indent}    {line}")
+                lines.append("for _ in range(_t):")
+                lines += ["    " + line for line in counted_body]
+            lines += post_commits
             for reg, sym in sorted(plan.lcu_sym.items()):
                 if sym[0] == "c":
-                    lines.append(f"{indent}    L[{reg}] = {sym[1]}")
+                    lines.append(f"L[{reg}] = {sym[1]}")
                 elif sym[1]:
-                    lines += [f"{indent}    {line}" for line in _assign(
-                        f"L[{reg}]", f"L[{reg}] + _t * {sym[1]}", None
-                    )[0]]
-            if sets_k:
-                lines.append(f"{indent}    col.k = k")
-            lines.append(f"{indent}    return _pc, _t")
-        if is_loop:
-            lines.append(f"{indent}_n = 0")
-            lines.append(f"{indent}while True:")
-            body_indent = indent + "    "
+                    lines += _assign(f"L[{reg}]", f"L[{reg}] + _t * {sym[1]}",
+                                     None)[0]
+            ret = "return _t"
+        elif is_loop:
+            # Per-trip loop: the taken branch loops internally; a trip
+            # count above ``limit`` tells the dispatcher the budget ran out.
+            lines += ["_n = 0", "while True:"]
+            lines += ["    " + line for line in body]
+            lines += [
+                "    _n += 1",
+                f"    if not {_branch_cond(last.lcu)}: break",
+                "    if _n >= limit: return _n + 1",
+            ]
+            ret = "return _n"
         else:
-            body_indent = indent
-        for line in _k_offsets(
-            [line for pc in pcs for line in bodies[pc].all_lines()], offsets
-        ):
-            lines.append(body_indent + line)
-        if is_loop:
-            # Taken branch loops internally (bounded by the cycle budget);
-            # fall-through or an exhausted limit returns to the dispatcher.
-            lines.append(f"{body_indent}_n += 1")
-            lines.append(f"{body_indent}if {_branch_cond(last.lcu)}:")
-            lines.append(f"{body_indent}    if _n < limit: continue")
-            lines.append(f"{body_indent}    _pc = {leader}")
-            lines.append(f"{body_indent}else:")
-            lines.append(f"{body_indent}    _pc = {pcs[-1] + 1}")
-            lines.append(f"{body_indent}break")
-            if sets_k:
-                lines.append(f"{indent}col.k = k")
-            lines.append(f"{indent}return _pc, _n")
-        else:
-            if sets_k:
-                lines.append(f"{indent}col.k = k")
+            lines += body
             if op is LCUOp.JUMP:
                 ret = f"return {last.lcu.target}"
             elif op is LCUOp.EXIT:
@@ -803,7 +782,10 @@ def _compile(bundles, params) -> CompiledProgram:
                 )
             else:
                 ret = f"return {pcs[-1] + 1}"
-            lines.append(indent + ret)
+        if sets_k:
+            lines.append("col.k = k")
+        lines.append(ret)
+        lines[1:] = ["    " + line for line in lines[1:]]
         sources.append("\n".join(lines))
 
         delta = Counter()
@@ -815,9 +797,9 @@ def _compile(bundles, params) -> CompiledProgram:
             n_cycles=len(pcs),
             fn_name=fn_name,
             delta=tuple(sorted(delta.items())),
-            exit_next=(pcs[-1] + 1) if op is LCUOp.EXIT else -1,
+            next_pc=pcs[-1] + 1,
             is_loop=is_loop,
-            closed_form=plan is not None,
+            closed_form=counted,
             members=tuple((m[0], len(m)) for m in members),
         ))
 

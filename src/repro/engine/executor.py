@@ -33,7 +33,9 @@ per-kernel energy folds from, whichever engine executed.
 Aborted launches (``AddressError`` / ``ProgramError``) are rewound to the
 pre-launch snapshot and replayed cycle-by-cycle on the reference
 interpreter, so events and column state after a fault are bit-identical to
-per-cycle execution — not just block-aligned.
+per-cycle execution — not just block-aligned. A closed-form loop whose
+counter would leave int32 bails the same way and returns the reference
+result; any other interruption just rewinds.
 """
 
 from __future__ import annotations
@@ -77,6 +79,11 @@ def _past_end_error(column_index: int, pc: int) -> ProgramError:
 
 def _raise_srf(entry: int, n_entries: int):
     raise AddressError(f"SRF entry {entry} out of range [0, {n_entries})")
+
+
+class _CounterWrap(Exception):
+    """``(column, loop PC)``: a closed-form loop's counter would leave
+    int32, so its trip count does not hold (no paper kernel gets here)."""
 
 
 def _lockstep(vwr2a, name, active, max_cycles) -> RunInfo:
@@ -131,14 +138,12 @@ class BoundColumn:
                 namespace[blk.fn_name],
                 blk.n_cycles,
                 blk.index,
-                blk.exit_next,
+                blk.next_pc,
                 blk.is_loop,
                 blk.closed_form,
             )
         self.table = table
         self.counts = [0] * len(compiled.blocks)
-        self.steps = 0
-        self.pc = 0
         self.loops_accelerated = 0
         self.trips_accelerated = 0
 
@@ -154,6 +159,7 @@ class BoundColumn:
             "O": column.rc_out,
             "L": column.lcu_regs,
             "AddressError": AddressError,
+            "_CounterWrap": _CounterWrap,
             "_raise_srf": _raise_srf,
             "_s16a": partial(_simd16, RCOp.SADD16),
             "_s16s": partial(_simd16, RCOp.SSUB16),
@@ -170,54 +176,44 @@ class BoundColumn:
 
     def begin(self) -> None:
         self.counts = [0] * len(self.compiled.blocks)
-        self.steps = 0
-        self.pc = 0
         self.loops_accelerated = 0
         self.trips_accelerated = 0
 
     def run_to_exit(self, kernel_name: str, max_cycles: int) -> int:
-        """Dispatch superblocks until EXIT; returns the column's cycles."""
+        """Dispatch superblocks until EXIT, leaving the column there;
+        returns the column's cycles. An abort leaves the column mid-run,
+        for the caller to rewind."""
         table = self.table
         counts = self.counts
         steps = 0
         pc = 0
-        try:
-            while True:
-                entry = table.get(pc)
-                if entry is None:
-                    raise _past_end_error(self.column.index, pc)
-                fn, n_cycles, index, exit_next, is_loop, closed = entry
-                if is_loop:
-                    limit = (max_cycles - steps) // n_cycles
-                    if limit <= 0:
-                        raise _budget_error(kernel_name, max_cycles)
-                    pc, trips = fn(limit)
-                    counts[index] += trips
-                    steps += trips * n_cycles
-                    if closed:
-                        self.loops_accelerated += 1
-                        self.trips_accelerated += trips
-                else:
-                    if steps + n_cycles > max_cycles:
-                        raise _budget_error(kernel_name, max_cycles)
-                    counts[index] += 1
-                    steps += n_cycles
-                    pc = fn()
-                    if pc < 0:
-                        pc = exit_next
-                        break
-        finally:
-            # Persist progress even when aborting (budget / address
-            # errors), so the error-path event fold sees it.
-            self.steps = steps
-            self.pc = pc
+        while True:
+            entry = table.get(pc)
+            if entry is None:
+                raise _past_end_error(self.column.index, pc)
+            fn, n_cycles, index, next_pc, is_loop, closed = entry
+            if is_loop:
+                limit = (max_cycles - steps) // n_cycles
+                trips = fn(limit)
+                if trips > limit:
+                    raise _budget_error(kernel_name, max_cycles)
+                counts[index] += trips
+                steps += trips * n_cycles
+                pc = next_pc
+                if closed:
+                    self.loops_accelerated += 1
+                    self.trips_accelerated += trips
+            else:
+                if steps + n_cycles > max_cycles:
+                    raise _budget_error(kernel_name, max_cycles)
+                counts[index] += 1
+                steps += n_cycles
+                pc = fn()
+                if pc < 0:
+                    break
+        column = self.column
+        column.steps, column.pc, column.done = steps, next_pc, True
         return steps
-
-    def sync(self) -> None:
-        """Copy the dispatch loop's progress onto the column (also on
-        aborts); the launch's events fold in :meth:`AutoEngine._fold`."""
-        self.column.steps = self.steps
-        self.column.pc = self.pc
 
     def pc_histogram(self) -> list:
         """Per-PC executed-bundle counts (diagnostics / tests)."""
@@ -278,8 +274,8 @@ class AutoEngine:
         self._bound = {}
         self._folds = {}
         #: Lifetime launch tally by executing engine
-        #: (``Vwr2a.engine_decisions``); it ticks when a launch is routed,
-        #: so launches that later abort count too, and fault replays don't.
+        #: (``Vwr2a.engine_decisions``): a compiled fault counts as
+        #: compiled, a counter-wrap replay as reference.
         self.decisions = Counter()
 
     def _bind(self, column) -> BoundColumn:
@@ -302,7 +298,6 @@ class AutoEngine:
             return info._replace(
                 fallback_reason=report.reason(), conflicts=report.conflicts
             )
-        self.decisions["compiled"] += 1
         snapshot = _snapshot_launch(vwr2a, active)
         bounds = [self._bind(col) for col in active]
         for bound in bounds:
@@ -315,7 +310,17 @@ class AutoEngine:
             cycles = max(
                 bound.run_to_exit(name, max_cycles) for bound in bounds
             )
+        except _CounterWrap as wrap:
+            # A loop's closed form does not hold: the launch runs, and
+            # counts, on the per-cycle interpreter.
+            _restore_launch(vwr2a, snapshot)
+            self.decisions["reference"] += 1
+            column, pc = wrap.args
+            info = _lockstep(vwr2a, name, active, max_cycles)
+            return info._replace(fallback_reason=f"column {column}: the "
+                                 f"counter of the loop at PC {pc} leaves int32")
         except (AddressError, ProgramError) as fault:
+            self.decisions["compiled"] += 1
             # Aborted kernel: rewind to the pre-launch state and replay on
             # the per-cycle interpreter. Conflict-free kernels execute
             # deterministically, so the replay reaches the same fault —
@@ -334,18 +339,15 @@ class AutoEngine:
                 "completed; please report"
             ) from fault
         except BaseException:
-            # Non-simulation aborts (e.g. KeyboardInterrupt) still account
-            # the blocks executed so far, at block granularity.
-            vwr2a.events.add_many(self._fold(bounds)[0])
-            for bound in bounds:
-                bound.sync()
+            # Non-simulation aborts (e.g. KeyboardInterrupt) leave the
+            # launch undone: nothing it ran is kept or counted.
+            _restore_launch(vwr2a, snapshot)
             raise
+        self.decisions["compiled"] += 1
         totals, events = self._fold(bounds)
         vwr2a.events.add_many(totals)
         superblocks = {"accelerated_loops": 0, "accelerated_trips": 0}
         for bound in bounds:
-            bound.sync()
-            bound.column.done = True
             superblocks["accelerated_loops"] += bound.loops_accelerated
             superblocks["accelerated_trips"] += bound.trips_accelerated
         return RunInfo("compiled", cycles, events, superblocks=superblocks)

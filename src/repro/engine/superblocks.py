@@ -139,7 +139,7 @@ def trip_count(op: LCUOp, delta: int, v0: int, bound: int):
     bounded only by the cycle budget. The closed form ignores 32-bit
     counter wrap-around; callers must not use it when
     ``v0 + trips * delta`` leaves the int32 range (the generated code
-    guards this at runtime and falls back to the scalar loop).
+    guards this at runtime and replays the launch on the reference).
     """
     if op is LCUOp.BLT:
         if delta <= 0:

@@ -469,6 +469,8 @@ class FftRun:
     im: list
     run: KernelRun
     prepare_cycles: int = 0
+    #: SRAM words where a collected spectrum's re / im halves sit.
+    sram: tuple = None
 
 
 class FftEngine:
@@ -597,21 +599,18 @@ class FftEngine:
                 result = self.runner.execute(config)
                 run.config_cycles += result.config_cycles
                 run.compute_cycles += result.cycles
-        res_r, res_i = plan.result_lines
+        words = [line * params.line_words for line in plan.result_lines]
+        memory = self.runner.soc.vwr2a.spm
+        sram = None
         if collect:
-            out_r, c1 = self.runner.stage_out(
-                res_r * params.line_words, plan.n
-            )
-            out_i, c2 = self.runner.stage_out(
-                res_i * params.line_words, plan.n
-            )
-            run.dma_out_cycles = c1 + c2
-        else:
-            spm = self.runner.soc.vwr2a.spm
-            out_r = spm.peek_words(res_r * params.line_words, plan.n)
-            out_i = spm.peek_words(res_i * params.line_words, plan.n)
-        return FftRun(re=out_r, im=out_i, run=run,
-                      prepare_cycles=self.prepare_cycles)
+            staged = [self.runner.stage_out_sram(word, plan.n)
+                      for word in words]
+            words = sram = tuple(word for word, _ in staged)
+            memory = self.runner.soc.sram
+            run.dma_out_cycles = sum(cycles for _, cycles in staged)
+        return FftRun(re=memory.peek_words(words[0], plan.n),
+                      im=memory.peek_words(words[1], plan.n), run=run,
+                      prepare_cycles=self.prepare_cycles, sram=sram)
 
     def _stream_table(self, sram_base: int, n_words: int) -> int:
         cycles = self.runner.soc.dma_to_vwr2a(

@@ -232,13 +232,12 @@ class SplitFftEngine:
             run.dma_out_cycles += sub_run.dma_out_cycles
 
         # O is already in place (the second transform's result buffer);
-        # bring E back from SRAM into the dead ping-pong buffer.
-        run.dma_in_cycles += self.runner.stage_in(
-            e_run.re, self.er_line * line_words
-        )
-        run.dma_in_cycles += self.runner.stage_in(
-            e_run.im, self.ei_line * line_words
-        )
+        # DMA E back from where its stage-out left it in SRAM into the
+        # dead ping-pong buffer.
+        for sram_word, line in zip(e_run.sram, (self.er_line, self.ei_line)):
+            run.dma_in_cycles += self.runner.soc.dma_to_vwr2a(
+                sram_word, line * line_words, self.half
+            )
 
         n_cols = params.n_columns
         launches = -(-self.half_lines // n_cols)

@@ -189,6 +189,12 @@ class KernelRunner:
 
     def stage_out(self, spm_word: int, n_words: int, order=None):
         """SPM -> SRAM (optionally gathered); returns (values, cycles)."""
+        base, cycles = self.stage_out_sram(spm_word, n_words, order)
+        return self.soc.sram.peek_words(base, n_words), cycles
+
+    def stage_out_sram(self, spm_word: int, n_words: int, order=None):
+        """:meth:`stage_out` that reports where the words now sit in SRAM
+        instead of reading them back; returns (SRAM word, cycles)."""
         base = self.sram_alloc(n_words)
         if order is None:
             cycles = self.soc.dma_from_vwr2a(spm_word, base, n_words)
@@ -200,7 +206,7 @@ class KernelRunner:
             self.soc.cpu.sleep(cycles)
             self.soc.power.advance(cycles)
         self.staging_cycles["out"] += cycles
-        return self.soc.sram.peek_words(base, n_words), cycles
+        return base, cycles
 
     # -- kernel launch -----------------------------------------------------------
 

@@ -22,7 +22,7 @@ from repro.arch import ArchParams
 from repro.asm.builder import ProgramBuilder
 from repro.baselines import lowpass_taps_q15
 from repro.core.cgra import Vwr2a
-from repro.core.errors import ConfigurationError, ProgramError
+from repro.core.errors import AddressError, ConfigurationError, ProgramError
 from repro.isa.fields import (
     DST_R0,
     DST_R1,
@@ -226,6 +226,15 @@ def _asymmetric_config(params: ArchParams) -> KernelConfig:
     return KernelConfig(name="asym", columns=columns)
 
 
+def _launch_state(sim: Vwr2a) -> tuple:
+    """Event tally, SPM and every column's state (copies)."""
+    return (
+        sim.events.snapshot(),
+        sim.spm.snapshot(),
+        [col.state_snapshot() for col in sim.columns],
+    )
+
+
 def _torture_program(params: ArchParams) -> ColumnProgram:
     """Single column exercising every operand kind, ALU op class, LSU op,
     shuffle mode, MXCU variant and LCU compare kind."""
@@ -369,6 +378,61 @@ class TestEngineSemantics:
         assert sim.engine_decisions == {
             "reference" if engine == "reference" else "compiled": 1
         }
+
+    @staticmethod
+    def _interrupt_last_column(sim, error):
+        """Warm-run a two-column kernel, then make its last column's
+        bound block run and raise ``error``; returns the config name and
+        the engine-entry states the next launch records."""
+        params = sim.params
+        columns = {}
+        for col in (0, 1):
+            b = ProgramBuilder(n_rcs=params.rcs_per_column)
+            b.srf(0, col)
+            b.emit(lsu=ld_vwr(Vwr.A, 0), mxcu=setk(0))
+            b.emit(rcs=[rc(RCOp.SADD, DST_VWR_C, VWR_A, imm(col + 1))] * 4,
+                   lcu=seti(0, 3))
+            b.emit(lsu=st_vwr(Vwr.C, 0))
+            b.exit()
+            columns[col] = b.build()
+        sim.spm.poke_words(0, list(range(2 * params.line_words)))
+        assert sim.execute(KernelConfig(name="bump", columns=columns)) \
+            .engine == "compiled"
+        engine = sim._engine
+        bound = engine._bind(sim.columns[1])
+        fn, *rest = bound.table[0]
+
+        def interrupted():
+            fn()
+            raise error
+
+        bound.table[0] = (interrupted, *rest)
+        entry_states = []
+        run_kernel = engine.run_kernel
+
+        def recorded(*args):
+            entry_states.append(_launch_state(sim))
+            return run_kernel(*args)
+
+        engine.run_kernel = recorded
+        return "bump", entry_states
+
+    def test_interrupted_compiled_launch_rewinds(self):
+        # Column 0 has run to EXIT and column 1 has written its SPM line
+        # when the interrupt lands: the launch is undone, not half kept.
+        sim = Vwr2a(engine="auto")
+        name, entry = self._interrupt_last_column(sim, KeyboardInterrupt)
+        decisions = sim.engine_decisions
+        with pytest.raises(KeyboardInterrupt):
+            sim.run(name)
+        assert _launch_state(sim) == entry[0]
+        assert sim.engine_decisions == decisions
+
+    def test_compiled_abort_with_completing_replay_is_divergence(self):
+        sim = Vwr2a(engine="auto")
+        name, _ = self._interrupt_last_column(sim, AddressError("stray"))
+        with pytest.raises(ProgramError, match="engine divergence"):
+            sim.run(name)
 
     def test_engine_selection(self):
         assert Vwr2a().engine == "auto"

@@ -9,7 +9,8 @@ rule's three parts:
   int32 included) agrees with ``alu_execute`` and with the reference
   column, commits included;
 * hoisted commits stay exact behind the guarded wrap;
-* the hot kernels' counted loops carry no unconditional wrap.
+* the hot kernels' counted loops carry no unconditional wrap, and each
+  of their closed-form loops is emitted once, as its counted body.
 
 They also pin the premise: every storage write path leaves only int32
 ints, whatever it is handed.
@@ -17,6 +18,7 @@ ints, whatever it is handed.
 
 from __future__ import annotations
 
+import ast
 from collections import OrderedDict
 
 import pytest
@@ -53,8 +55,10 @@ from repro.isa.lsu import ld_srf, ld_vwr, st_srf, st_vwr
 from repro.isa.mxcu import inck, setk
 from repro.isa.program import KernelConfig
 from repro.isa.rc import RC_NOP, UNARY_OPS, RCOp, rc
+from repro.app import WINDOW, respiration_signal
 from repro.kernels import KernelRunner, SplitFftEngine
 from repro.kernels.fir import build_fir_kernel, plan_fir
+from repro.serve import serve_trace
 from repro.soc.sram import BankedSram
 
 INT32_MIN, INT32_MAX = -2**31, 2**31 - 1
@@ -245,12 +249,14 @@ def test_hoisted_commits_follow_guarded_wrap():
     params = ArchParams()
     program = _hoisting_program(params)
     source = compile_program(program, params).source
-    assert "for _ in range(_t):" in source
-    # Hoisted after the counted loop (one indent level above its body),
-    # behind the in-loop guarded wrap of the same temporary.
+    assert "\n    for _ in range(_t):\n" in source
+    # The latch commit hoists after the counted loop (one indent level
+    # above its body), behind the in-loop guarded wrap of the same
+    # temporary; R0's commit stays in the body, since the SMUL
+    # reassigns v0 later in the trip.
+    assert "\n    O[0] = v0\n" in source
     assert "\n        R0[0] = v0\n" in source
-    assert "\n        O[0] = v0\n" in source
-    assert "\n            " + GUARD_PREFIX + "v0 <= 2147483647:" in source
+    assert "\n        " + GUARD_PREFIX + "v0 <= 2147483647:" in source
     states = {}
     for engine in ("reference", "auto"):
         sim = Vwr2a(engine=engine)
@@ -324,6 +330,47 @@ def test_fft2048_counted_loops_carry_only_guarded_wraps():
     full, guarded = _wraps(bodies)
     assert full == 0
     assert guarded > 0
+
+
+def _stored_programs(vwr2a) -> list:
+    """Compiled form of every column program in ``vwr2a``'s store."""
+    return [
+        compile_program(program, vwr2a.params)
+        for name in vwr2a.config_mem.kernels()
+        for program in vwr2a.config_mem.get(name).columns.values()
+    ]
+
+
+def test_paper_kernels_emit_each_closed_form_loop_once():
+    """Every closed-form loop the paper kernels compile (the FFT-2048
+    set, FIR and a served MBioTracker stream) is one counted ``for``:
+    no ``while`` and no second, per-trip copy of its body."""
+    fft = KernelRunner()
+    SplitFftEngine(fft, 2048).run([0] * 2048, [0] * 2048)
+    stream = KernelRunner()
+    serve_trace(respiration_signal(2 * WINDOW), runner=stream)
+    params = ArchParams()
+    layout = plan_fir(params, 240, 11)
+    fir = build_fir_kernel(params, [133] * 11, layout, 0, layout.n_lines)
+    programs = _stored_programs(fft.soc.vwr2a) \
+        + _stored_programs(stream.soc.vwr2a) \
+        + [compile_program(p, params) for p in fir.columns.values()]
+    loops = 0
+    for program in programs:
+        functions = {
+            node.name: node for node in ast.parse(program.source).body
+        }
+        for block in program.blocks:
+            if not block.closed_form:
+                continue
+            statements = [
+                node for node in ast.walk(functions[block.fn_name])
+                if isinstance(node, (ast.For, ast.While))
+            ]
+            assert [type(node) for node in statements] == [ast.For], \
+                block.fn_name
+            loops += 1
+    assert loops > 0
 
 
 # -- the premise: storage holds only int32 ---------------------------------

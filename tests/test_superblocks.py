@@ -2,10 +2,11 @@
 
 Closed-form counted loops (including the loop shapes that lap the VWR
 slice, masked/XOR index orbits, per-cell distinct ops and the
-read-modify-write butterfly), the runtime guard that drops back to the
-exact per-trip loop on counter wrap-around, data-dependent loops,
-straight-line chain fusion, and the RunResult superblock counters —
-every scenario asserted bit-identical against the reference interpreter.
+read-modify-write butterfly), the runtime guard that replays a launch on
+the reference interpreter when a loop counter would wrap around int32,
+data-dependent loops, straight-line chain fusion, and the RunResult
+superblock counters — every scenario asserted bit-identical against the
+reference interpreter.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ class TestClosedFormLoops:
 
     def test_counter_wrap_falls_back_to_exact_loop(self):
         # The counter starts near INT32_MAX and wraps mid-loop: the
-        # closed form is invalid, the runtime range guard must route the
-        # run through the per-trip loop (which wraps exactly).
+        # closed form is invalid, so the runtime range guard rewinds the
+        # launch and replays it on the reference, naming the loop.
         def config(params):
             b = ProgramBuilder(n_rcs=params.rcs_per_column)
             b.srf(4, 2**31 - 40)  # SETI immediates are narrow; SRF isn't
@@ -156,8 +157,20 @@ class TestClosedFormLoops:
             b.exit()
             return KernelConfig(name="wrap", columns={0: b.build()})
 
-        result = _run_both(config)
-        assert result.superblocks["accelerated_loops"] == 1
+        results = {}
+        states = {}
+        for engine in ENGINES:
+            sim = Vwr2a(engine=engine)
+            results[engine] = sim.execute(config(sim.params))
+            states[engine] = _full_state(sim)
+        assert states["reference"] == states["auto"]
+        ref, auto = results["reference"], results["auto"]
+        assert (auto.cycles, auto.events) == (ref.cycles, ref.events)
+        assert auto.engine == "reference"
+        assert auto.fallback_reason \
+            == "column 0: the counter of the loop at PC 1 leaves int32"
+        assert auto.superblocks is None
+        assert sim.engine_decisions == {"reference": 1}
 
     def test_data_dependent_loop_bails_out_mid_kernel(self):
         # First loop closed-form; second loop's bound is loaded from the
