@@ -49,8 +49,8 @@ def main() -> None:
     print(sweep.run(respiration_signal(2 * WINDOW)).table())
 
     # -- 3. the Pareto campaign ---------------------------------------------
-    print("\nexploration campaign (default grid, pooled)")
-    report = ExplorationCampaign(windows=1, workers=2).run()
+    print("\nexploration campaign (default grid)")
+    report = ExplorationCampaign(windows=1).run()
     print(report.summary())
 
 

@@ -16,7 +16,6 @@ Run with: ``PYTHONPATH=src python examples/fleet_serving.py``
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import tempfile
 import time
@@ -24,38 +23,10 @@ import time
 from repro.app import WINDOW, respiration_signal
 from repro.faults import FaultPlan, FaultSpec
 from repro.serve import StreamCheckpoint, StreamScheduler, WindowStream
-from repro.serve.net import FleetServer, run_worker
-from repro.serve.pool import _default_start_method
+from repro.serve.net import FleetServer, reap, spawn_workers
 
 N_WINDOWS = 6
 WORKERS = 2
-
-
-def spawn_workers(host: str, port: int, n: int) -> list:
-    ctx = multiprocessing.get_context(_default_start_method())
-    procs = []
-    for i in range(n):
-        proc = ctx.Process(
-            target=run_worker,
-            args=(host, port),
-            kwargs={
-                "name": f"fleet-{i}",
-                "heartbeat_interval": 0.25,
-                "reconnect_timeout": 60.0,
-            },
-            daemon=True,
-        )
-        proc.start()
-        procs.append(proc)
-    return procs
-
-
-def reap(procs) -> None:
-    for proc in procs:
-        proc.join(timeout=10.0)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=10.0)
 
 
 def main() -> None:

@@ -1,13 +1,13 @@
-"""Architecture design-space exploration (the ROADMAP's pool-scale item).
+"""Architecture design-space exploration.
 
 Three pieces on top of the :class:`~repro.arch.ArchSpec` refactor:
 
 * :mod:`repro.explore.space` — the default grid of valid design points
   around the paper's synthesized geometry;
-* :mod:`repro.explore.kernels` — picklable single-kernel window
-  workloads (real FFT, FIR) that pool workers serve per design point;
-* :mod:`repro.explore.campaign` — the campaign sharding specs × kernels
-  across the pooled :class:`~repro.serve.ParameterSweep` and folding the
+* :mod:`repro.explore.kernels` — single-kernel window workloads (real
+  FFT, FIR) served per design point;
+* :mod:`repro.explore.campaign` — the campaign running specs × kernels
+  as one :class:`~repro.serve.ParameterSweep` and folding the
   stream reports into a cycles-vs-energy
   :class:`~repro.explore.pareto.ParetoReport` (also
   ``python -m repro.explore`` for the CI smoke job).

@@ -1,13 +1,14 @@
-"""Pool-scale architecture exploration: specs × kernels → Pareto report.
+"""Architecture exploration: specs × kernels → Pareto report.
 
-An :class:`ExplorationCampaign` shards a grid of
+An :class:`ExplorationCampaign` runs a grid of
 :class:`~repro.arch.ArchSpec` design points × single-kernel workloads
-(:mod:`repro.explore.kernels`) across the pooled
+(:mod:`repro.explore.kernels`) as one
 :class:`~repro.serve.ParameterSweep` — every (spec, kernel) case serves
-the same synthetic trace on its own platform, energy auto-calibrated per
-design point (:func:`repro.energy.model_for`) — and folds the per-case
-stream reports into a :class:`~repro.explore.pareto.ParetoReport` of
-cycles vs energy per window.
+the same synthetic trace on its design point's shared runner, energy
+auto-calibrated per design point (:func:`repro.energy.model_for`) — and
+folds the per-case stream reports into a
+:class:`~repro.explore.pareto.ParetoReport` of cycles vs energy per
+window.
 
 The module doubles as the CI smoke job::
 
@@ -36,14 +37,12 @@ class ExplorationCampaign:
     ``specs`` defaults to :func:`~repro.explore.space.design_space`;
     ``kernels`` names workloads from :data:`~repro.explore.kernels.KERNELS`;
     ``windows`` sizes the served stream (each window is one kernel
-    invocation); ``workers > 1`` shards the (spec, kernel) cases across a
-    process pool.
+    invocation).
     """
 
     def __init__(self, specs: list[ArchSpec] | None = None,
                  kernels: tuple[str, ...] = KERNELS,
-                 windows: int = 2, window: int | None = None,
-                 workers: int | None = 2) -> None:
+                 windows: int = 2, window: int | None = None) -> None:
         self.specs = list(specs) if specs is not None else design_space()
         if not self.specs:
             raise ConfigurationError("exploration needs at least one spec")
@@ -69,7 +68,6 @@ class ExplorationCampaign:
             window = WINDOW
         self.windows = windows
         self.window = window
-        self.workers = workers
 
     def _cases(self) -> list[SweepCase]:
         return [
@@ -93,7 +91,6 @@ class ExplorationCampaign:
             cases=self._cases(),
             window=self.window,
             hop=self.window,
-            workers=self.workers,
         )
         results = sweep.run(trace)
         wall = time.perf_counter() - start
@@ -136,7 +133,6 @@ class ExplorationCampaign:
                 "kernels": list(self.kernels),
                 "windows": self.windows,
                 "window": self.window,
-                "workers": self.workers,
                 "wall_seconds": wall,
                 "complete": complete,
             },
@@ -169,7 +165,6 @@ def main(argv=None) -> int:
         "--specs", default=None,
         help="comma-separated spec names from the default design space",
     )
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the Pareto report as JSON",
@@ -196,7 +191,6 @@ def main(argv=None) -> int:
 
     campaign = ExplorationCampaign(
         specs=specs, kernels=kernels, windows=windows,
-        workers=args.workers,
     )
     report = campaign.run()
     print(report.summary())

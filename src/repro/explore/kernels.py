@@ -21,7 +21,7 @@ from repro.kernels.fir import run_fir
 from repro.kernels.rfft import RfftEngine
 from repro.kernels.runner import KernelRunner
 
-#: Kernel workloads the exploration campaign can shard across the pool.
+#: Kernel workloads the exploration campaign measures per design point.
 KERNELS = ("rfft", "fir")
 
 
@@ -58,8 +58,9 @@ class KernelPipeline:
 
     ``kernel`` selects the workload: ``"rfft"`` runs the window-sized
     real FFT (Table 2's transform step), ``"fir"`` the q15 low-pass
-    filter (Table 4). Frozen + module-level so pool workers receive it
-    by value, mirroring :class:`~repro.app.mbiotracker.WindowPipeline`.
+    filter (Table 4). Frozen and module-level, like
+    :class:`~repro.app.mbiotracker.WindowPipeline`, so any serving
+    transport can take it by value.
     """
 
     kernel: str

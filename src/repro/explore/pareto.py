@@ -60,7 +60,7 @@ class ParetoReport:
     """All measured design points plus their Pareto classification."""
 
     points: list[DesignPoint] = field(default_factory=list)
-    #: campaign metadata (kernels, windows, workers, wall seconds, ...)
+    #: campaign metadata (kernels, windows, wall seconds, ...)
     meta: dict = field(default_factory=dict)
 
     @property

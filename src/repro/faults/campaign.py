@@ -294,115 +294,17 @@ class FaultCampaign:
 
     def _run_cell(self, stream, baseline, kind: str, rate: float,
                   persist: int, cell_seed: int) -> CampaignCell:
-        from repro.serve import PoolScheduler
-
         plan = FaultPlan.generate(
             cell_seed, stream.n_windows, {kind: rate},
             window=stream.window, persist=persist,
             compiled_only=self.compiled_only,
         )
-        if kind in NET_FAULTS:
-            return self._run_cell_fleet(
-                stream, baseline, plan, kind, rate, persist, cell_seed,
-            )
-        respawn_limit = self.respawn_limit
-        if respawn_limit is None:
-            # Every scheduled process fault can take a worker with it up
-            # to once per persisting attempt; +1 spare for slop.
-            respawn_limit = sum(
-                min(spec.persist, self.max_retries + 2)
-                for spec in plan.specs
-                if spec.kind in ("worker_kill", "worker_hang")
-            ) + 1
-        pool = PoolScheduler(
-            config=self.config,
-            workers=self.workers,
-            params=self.params,
-            pipeline=self.pipeline,
-            energy_model=self.energy_model,
-            fault_plan=plan,
-            max_retries=self.max_retries,
-            reference_fallback=self.reference_fallback,
-            respawn_limit=respawn_limit,
-            heartbeat_timeout=self.heartbeat_timeout,
-        )
+        transport = "fleet" if kind in NET_FAULTS else "pool"
         start = time.perf_counter()
-        injected = pool.run(stream)
-        wall = time.perf_counter() - start
-        mismatch = served_identical(injected, baseline)
-        return CampaignCell(
-            kind=kind,
-            rate=rate,
-            persist=persist,
-            seed=cell_seed,
-            recoverable=self.recoverable(persist),
-            n_faults=len(plan),
-            n_windows=stream.n_windows,
-            n_served=injected.n_windows,
-            n_quarantined=injected.n_failed,
-            bit_identical=mismatch is None,
-            mismatch=mismatch,
-            resilience=dict(injected.resilience),
-            wall_seconds=wall,
-        )
-
-    def _run_cell_fleet(self, stream, baseline, plan, kind: str,
-                        rate: float, persist: int,
-                        cell_seed: int) -> CampaignCell:
-        """One ``net_*`` cell: a loopback TCP fleet instead of the pool.
-
-        The server injects task-side faults through its own
-        :class:`~repro.serve.net.framing.NetGate`; result-side specs
-        ride to the workers with the spec frame. Worker processes are
-        expendable (daemonized, terminated on exit) — the resilience
-        story is the server's to prove.
-        """
-        import multiprocessing
-
-        from repro.serve.net.server import FleetServer
-        from repro.serve.net.worker import run_worker
-        from repro.serve.pool import _default_start_method
-
-        server = FleetServer(
-            config=self.config,
-            params=self.params,
-            pipeline=self.pipeline,
-            energy_model=self.energy_model,
-            fault_plan=plan,
-            max_retries=self.max_retries,
-            reference_fallback=self.reference_fallback,
-            task_deadline=self.task_deadline or 3.0,
-            heartbeat_timeout=self.heartbeat_timeout or 10.0,
-            register_timeout=60.0,
-            local_fallback=False,
-        )
-        host, port = server.bind()
-        ctx = multiprocessing.get_context(_default_start_method())
-        procs = []
-        start = time.perf_counter()
-        try:
-            for i in range(self.workers):
-                proc = ctx.Process(
-                    target=run_worker,
-                    args=(host, port),
-                    kwargs={
-                        "name": f"fleet-{i}",
-                        "heartbeat_interval": 0.25,
-                        "reconnect_timeout": 30.0,
-                        "process_faults": True,
-                    },
-                    daemon=True,
-                )
-                proc.start()
-                procs.append(proc)
-            injected = server.run(stream)
-        finally:
-            server.close()
-            for proc in procs:
-                proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5.0)
+        if transport == "fleet":
+            injected = self._serve_fleet(stream, plan)
+        else:
+            injected = self._serve_pool(stream, plan)
         wall = time.perf_counter() - start
         mismatch = served_identical(injected, baseline)
         return CampaignCell(
@@ -419,8 +321,66 @@ class FaultCampaign:
             mismatch=mismatch,
             resilience=dict(injected.resilience),
             wall_seconds=wall,
-            transport="fleet",
+            transport=transport,
         )
+
+    def _serve_pool(self, stream, plan):
+        """Serve one cell through the self-healing process pool."""
+        from repro.serve import PoolScheduler
+
+        respawn_limit = self.respawn_limit
+        if respawn_limit is None:
+            # Every scheduled process fault can take a worker with it up
+            # to once per persisting attempt; +1 spare for slop.
+            respawn_limit = sum(
+                min(spec.persist, self.max_retries + 2)
+                for spec in plan.specs
+                if spec.kind in ("worker_kill", "worker_hang")
+            ) + 1
+        return PoolScheduler(
+            config=self.config,
+            workers=self.workers,
+            params=self.params,
+            pipeline=self.pipeline,
+            energy_model=self.energy_model,
+            fault_plan=plan,
+            max_retries=self.max_retries,
+            reference_fallback=self.reference_fallback,
+            respawn_limit=respawn_limit,
+            heartbeat_timeout=self.heartbeat_timeout,
+        ).run(stream)
+
+    def _serve_fleet(self, stream, plan):
+        """Serve one ``net_*`` cell: a loopback TCP fleet, not the pool.
+
+        The server injects task-side faults through its own
+        :class:`~repro.serve.net.framing.NetGate`; result-side specs
+        ride to the workers with the spec frame. Worker processes are
+        expendable (daemonized, terminated on exit) — the resilience
+        story is the server's to prove.
+        """
+        from repro.serve.net import FleetServer, reap, spawn_workers
+
+        server = FleetServer(
+            config=self.config,
+            params=self.params,
+            pipeline=self.pipeline,
+            energy_model=self.energy_model,
+            fault_plan=plan,
+            max_retries=self.max_retries,
+            reference_fallback=self.reference_fallback,
+            task_deadline=self.task_deadline or 3.0,
+            heartbeat_timeout=self.heartbeat_timeout or 10.0,
+            register_timeout=60.0,
+            local_fallback=False,
+        )
+        host, port = server.bind()
+        procs = spawn_workers(host, port, self.workers)
+        try:
+            return server.run(stream)
+        finally:
+            server.close()
+            reap(procs)
 
 
 def served_identical(report, baseline) -> str:

@@ -17,7 +17,7 @@ sweeps (docs/serving.md):
   double-buffer pipelining estimate;
 * :class:`ParameterSweep` / :class:`SweepCase` / :class:`SweepReport` —
   the same trace replayed under N application variants on one shared
-  runner (or across a case-sharded process pool with ``workers=N``);
+  runner per design point;
 * :class:`PoolScheduler` — the same stream sharded across N worker
   processes, each owning its own simulated platform, merged back into
   an order-stable, bit-identical :class:`StreamReport`

@@ -91,14 +91,15 @@ def describe(obj) -> str:
 def describe_energy(model) -> str:
     """Restart-stable description of a scheduler's energy model setting.
 
-    ``None`` (energy off) and the calibrated default model must never be
+    Energy off and the calibrated default model must never be
     confused across a resume — half the windows would carry µJ values
-    and the other half ``None``. The ``True`` sentinel and an instance
-    equal to :func:`repro.energy.default_model` both describe as
-    ``"default"``, so pool- and single-process-written checkpoints stay
-    interchangeable whichever spelling the resuming side uses.
+    and the other half ``None``. ``None`` and ``False`` both describe as
+    ``"none"``; the ``True`` sentinel and an instance equal to
+    :func:`repro.energy.default_model` both describe as ``"default"``, so
+    pool- and single-process-written checkpoints stay interchangeable
+    whichever spelling the resuming side uses.
     """
-    if model is None:
+    if model is None or model is False:
         return "none"
     if model is True:
         return "default"

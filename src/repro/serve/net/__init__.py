@@ -13,8 +13,9 @@ The socket transport for the serving stack (docs/distributed.md):
   (:mod:`repro.serve.net.server`);
 * :class:`FleetWorker` — the auto-reconnecting client that serves
   attempts on its own platform via the same
-  :class:`~repro.serve.scheduler.AttemptServer` core pool workers use
-  (:mod:`repro.serve.net.worker`);
+  :class:`~repro.serve.scheduler.AttemptServer` core pool workers use,
+  with :func:`spawn_workers`/:func:`reap` starting and releasing local
+  worker processes (:mod:`repro.serve.net.worker`);
 * ``python -m repro.serve.net`` — ``server``/``worker`` entry points
   plus the ``smoke`` loopback chaos drill CI runs
   (:mod:`repro.serve.net.__main__`).
@@ -37,7 +38,12 @@ from repro.serve.net.framing import (
     send_frame,
 )
 from repro.serve.net.server import FleetServer
-from repro.serve.net.worker import FleetWorker, run_worker
+from repro.serve.net.worker import (
+    FleetWorker,
+    reap,
+    run_worker,
+    spawn_workers,
+)
 
 __all__ = [
     "ConnectionClosed",
@@ -52,6 +58,8 @@ __all__ = [
     "encode_frame",
     "free_port",
     "read_frame",
+    "reap",
     "run_worker",
     "send_frame",
+    "spawn_workers",
 ]

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 import tempfile
@@ -120,43 +119,13 @@ def _cmd_worker(args) -> int:
     return _WORKER_EXIT.get(reason, 1)
 
 
-def _spawn_workers(host: str, port: int, n: int):
-    from repro.serve.net.worker import run_worker
-    from repro.serve.pool import _default_start_method
-
-    ctx = multiprocessing.get_context(_default_start_method())
-    procs = []
-    for i in range(n):
-        proc = ctx.Process(
-            target=run_worker,
-            args=(host, port),
-            kwargs={
-                "name": f"smoke-{i}",
-                "heartbeat_interval": 0.25,
-                "reconnect_timeout": 60.0,
-                "process_faults": True,
-            },
-            daemon=True,
-        )
-        proc.start()
-        procs.append(proc)
-    return procs
-
-
-def _reap(procs) -> None:
-    for proc in procs:
-        proc.join(timeout=5.0)
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=5.0)
-
-
 def _cmd_smoke(args) -> int:
     from repro.app.mbiotracker import WINDOW
     from repro.app.signals import respiration_signal
     from repro.faults import FaultPlan, FaultSpec
     from repro.serve import StreamCheckpoint, StreamScheduler, WindowStream
     from repro.serve.net.server import FleetServer
+    from repro.serve.net.worker import reap, spawn_workers
 
     n = args.windows
     stream = WindowStream(respiration_signal(n * WINDOW), window=WINDOW)
@@ -201,7 +170,7 @@ def _cmd_smoke(args) -> int:
         server = server_for(stop_after=half)
         host, port = server.bind()
         server_for.port = port  # session 2 rebinds the same port
-        procs = _spawn_workers(host, port, args.workers)
+        procs = spawn_workers(host, port, args.workers)
         try:
             t1 = time.perf_counter()
             partial = server.run(
@@ -221,7 +190,7 @@ def _cmd_smoke(args) -> int:
             print(f"session 2 (resumed): {report.n_windows} served in "
                   f"{time.perf_counter() - t2:.2f}s")
         finally:
-            _reap(procs)
+            reap(procs)
 
     mismatch = report.identical_to(baseline, engines=False)
     complete = report.n_windows == stream.n_windows and not report.n_failed

@@ -33,6 +33,7 @@ lethal exactly like pool workers.
 
 from __future__ import annotations
 
+import multiprocessing
 import socket
 import time
 import traceback
@@ -45,6 +46,7 @@ from repro.serve.net.framing import (
     send_frame,
 )
 from repro.serve.ledger import Task
+from repro.serve.pool import _default_start_method
 from repro.serve.scheduler import AttemptServer
 from repro.serve.stream import Window
 
@@ -292,3 +294,33 @@ def run_worker(host: str, port: int, name: str = None,
         reconnect_timeout=reconnect_timeout,
         process_faults=process_faults,
     ).run()
+
+
+def spawn_workers(host: str, port: int, n: int) -> list:
+    """Start ``n`` fleet worker processes dialing ``host:port``.
+
+    Each is a daemon :func:`run_worker` process named ``fleet-{i}``,
+    heartbeating every 0.25 s with process faults armed, started with
+    the pool's start method. Release them with :func:`reap`.
+    """
+    ctx = multiprocessing.get_context(_default_start_method())
+    procs = []
+    for i in range(n):
+        proc = ctx.Process(
+            target=run_worker,
+            args=(host, port),
+            kwargs={"name": f"fleet-{i}", "heartbeat_interval": 0.25},
+            daemon=True,
+        )
+        proc.start()
+        procs.append(proc)
+    return procs
+
+
+def reap(procs) -> None:
+    """Join worker processes, terminating any still alive after 5 s."""
+    for proc in procs:
+        proc.join(timeout=5.0)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=5.0)

@@ -60,13 +60,7 @@ from repro.obs.bus import get_bus
 from repro.obs.instruments import record_pool_state, record_worker_retired
 from repro.serve.ledger import MAX_RETRIES, check_retries
 from repro.serve.report import StreamReport
-from repro.serve.scheduler import (
-    AttemptServer,
-    StreamScheduler,
-    _resolve_job,
-    _serve_session,
-)
-from repro.serve.stream import WindowStream
+from repro.serve.scheduler import AttemptServer, _resolve_job, _serve_session
 
 #: Seconds between liveness checks while waiting on worker results.
 _POLL_SECONDS = 0.1
@@ -194,7 +188,8 @@ class _Feeder:
 
 def _default_start_method() -> str:
     """``"fork"`` on Linux (workers inherit warm structural memos),
-    ``"spawn"`` everywhere else — the one policy for pools and sweeps.
+    ``"spawn"`` everywhere else — the one policy for every process pool
+    and fleet worker.
 
     Fork is deliberately not preferred on macOS even though it is
     available there: CPython switched its default to spawn (bpo-33725)
@@ -632,82 +627,3 @@ class PoolScheduler:
                 f"pool workers disagree on the engine: {sorted(engines)}"
             )
         return engines.pop() if engines else self.engine
-
-
-# -- parameter sweeps over the pool -----------------------------------------
-
-
-@dataclass(frozen=True)
-class _SweepCasePayload:
-    """One sweep case shipped to a worker process — all picklable.
-
-    The (possibly huge) trace deliberately does not ride along: it is
-    installed once per worker by :func:`_sweep_worker_init`, not once
-    per case.
-    """
-
-    name: str
-    config: str
-    params: object
-    window: int
-    hop: int
-    tail: str
-    energy_model: object
-    double_buffer: bool
-    runner_factory: object
-    #: Picklable (runner, samples) -> result callable; wins over
-    #: config/params when set (see SweepCase.pipeline).
-    pipeline: object = None
-
-
-#: The sweep trace, installed worker-side by the pool initializer.
-_SWEEP_TRACE = None
-
-
-def _sweep_worker_init(trace) -> None:
-    global _SWEEP_TRACE
-    _SWEEP_TRACE = trace
-
-
-def _sweep_case_main(payload: _SweepCasePayload):
-    """Serve one sweep case on a fresh worker-side platform."""
-    scheduler = StreamScheduler(
-        config=payload.config,
-        params=payload.params,
-        pipeline=payload.pipeline,
-        runner=payload.runner_factory(),
-        double_buffer=payload.double_buffer,
-        energy_model=payload.energy_model,
-    )
-    stream = WindowStream(
-        _SWEEP_TRACE, window=payload.window, hop=payload.hop,
-        tail=payload.tail,
-    )
-    return payload.name, scheduler.run(stream)
-
-
-def run_sweep_cases(payloads, trace, workers: int,
-                    start_method: str = None):
-    """Run sweep cases across a process pool; yields ``(name, report)``.
-
-    Case order is preserved. Used by
-    :class:`~repro.serve.ParameterSweep` when constructed with
-    ``workers > 1``; each case gets a fresh platform, so per-window
-    results match the shared-runner sweep bit-for-bit (history
-    independence again) while ``store_stats`` reflect each case's own
-    cold stores. ``trace`` is shipped once per worker (free under
-    ``fork``), not once per case.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context(
-        start_method if start_method is not None
-        else _default_start_method()
-    )
-    payloads = list(payloads)
-    max_workers = max(1, min(workers, len(payloads)))
-    with ProcessPoolExecutor(
-        max_workers=max_workers, mp_context=context,
-        initializer=_sweep_worker_init, initargs=(trace,),
-    ) as pool:
-        yield from pool.map(_sweep_case_main, payloads)

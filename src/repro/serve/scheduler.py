@@ -77,14 +77,32 @@ def _resolve_job(config: str, params, pipeline):
     return getattr(pipeline, "config", config), pipeline
 
 
+def _resolve_energy(setting, spec=None):
+    """The :class:`~repro.energy.EnergyModel` an ``energy_model=`` setting
+    names, or ``None`` for energy off.
+
+    ``None`` and ``False`` both turn energy off; an instance is used
+    verbatim; ``True`` is the calibrated model —
+    :func:`~repro.energy.default_model`, or
+    :func:`~repro.energy.model_for` on ``spec`` when one is given.
+    """
+    if setting is None or setting is False:
+        return None
+    if setting is not True:
+        return setting
+    from repro.energy import default_model, model_for
+
+    return default_model() if spec is None else model_for(spec)
+
+
 class StreamScheduler:
     """Runs a window stream through one runner with amortized staging.
 
     ``pipeline`` is any ``(runner, samples) -> result`` callable; when
     omitted it is built from ``config``/``params`` via
     :func:`repro.app.mbiotracker.window_pipeline` (the MBioTracker
-    application). ``energy_model`` may be ``None`` (skip energy), ``True``
-    (use :func:`repro.energy.default_model`) or an
+    application). ``energy_model`` may be ``None`` or ``False`` (skip
+    energy), ``True`` (use :func:`repro.energy.default_model`) or an
     :class:`~repro.energy.EnergyModel` instance; energy is only computed
     for results that carry application steps.
 
@@ -115,11 +133,7 @@ class StreamScheduler:
         self.runner = runner if runner is not None else KernelRunner()
         self.reset_sram = reset_sram
         self.double_buffer = double_buffer
-        if energy_model is True:
-            from repro.energy import default_model
-
-            energy_model = default_model()
-        self.energy_model = energy_model if energy_model is not None else None
+        self.energy_model = _resolve_energy(energy_model)
         self.max_retries = check_retries(max_retries)
         self.reference_fallback = reference_fallback
         self.fault_plan = fault_plan

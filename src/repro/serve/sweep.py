@@ -22,7 +22,7 @@ from repro.core.errors import ConfigurationError
 from repro.energy.model import EnergyModel
 from repro.kernels.runner import KernelRunner
 from repro.serve.report import StreamReport
-from repro.serve.scheduler import StreamScheduler
+from repro.serve.scheduler import StreamScheduler, _resolve_energy
 from repro.serve.stream import WindowStream
 
 
@@ -40,7 +40,7 @@ class SweepCase:
     config: str = "cpu_vwr2a"       #: platform configuration
     params: AppParams | None = None  #: AppParams override (None = paper)
     arch: ArchSpec | None = None     #: design point (None = sweep default)
-    #: Picklable ``(runner, samples) -> result`` callable serving each
+    #: ``(runner, samples) -> result`` callable serving each
     #: window instead of the MBioTracker pipeline (e.g. a single-kernel
     #: workload from :mod:`repro.explore.kernels`). Wins over
     #: ``config``/``params`` exactly as in :class:`StreamScheduler`.
@@ -104,7 +104,8 @@ class ParameterSweep:
 
     ``energy_model=True`` (the default) calibrates per design point:
     default-spec cases get :func:`repro.energy.default_model`, arch cases
-    get :func:`repro.energy.model_for` on their spec. An explicit
+    get :func:`repro.energy.model_for` on their spec. ``None`` or
+    ``False`` turns energy off. An explicit
     :class:`~repro.energy.EnergyModel` is applied to every case verbatim —
     only meaningful when all cases share one design point.
     """
@@ -113,8 +114,7 @@ class ParameterSweep:
                  window: int | None = None, hop: int | None = None,
                  tail: str = "drop", runner: KernelRunner | None = None,
                  energy_model: EnergyModel | bool | None = True,
-                 double_buffer: bool = True,
-                 workers: int | None = None) -> None:
+                 double_buffer: bool = True) -> None:
         self.cases: list[SweepCase] = []
         names: set[str] = set()
         for case in cases:
@@ -136,26 +136,10 @@ class ParameterSweep:
         self.hop = hop
         self.tail = tail
         self.runner = runner if runner is not None else KernelRunner()
-        self._auto_energy = energy_model is True
-        if energy_model is True:
-            from repro.energy import default_model
-
-            # Calibrate once here, not once per case scheduler.
-            energy_model = default_model()
-        self.energy_model: EnergyModel | None = (
-            energy_model if energy_model is not None else None
-        )
+        self._energy_setting = energy_model
+        # Calibrate once here, not once per case scheduler.
+        self.energy_model: EnergyModel | None = _resolve_energy(energy_model)
         self.double_buffer = double_buffer
-        if workers is not None and workers < 1:
-            raise ConfigurationError(
-                f"a sweep pool needs at least one worker, got {workers}"
-            )
-        if workers is not None and workers > 1 and runner is not None:
-            raise ConfigurationError(
-                "a pooled sweep builds one runner per case; a shared "
-                "runner and workers>1 are mutually exclusive"
-            )
-        self.workers = workers
         #: spec fingerprint -> shared runner for that design point
         self._spec_runners: dict[str, KernelRunner] = {}
 
@@ -170,24 +154,18 @@ class ParameterSweep:
 
     def _case_energy(self, case: SweepCase) -> EnergyModel | None:
         """The energy model serving ``case`` (spec-calibrated if auto)."""
-        if self._auto_energy and case.arch is not None \
-                and case.arch != self.runner.spec:
-            from repro.energy import model_for
-
-            return model_for(case.arch)
-        return self.energy_model
+        if case.arch is None or case.arch == self.runner.spec:
+            return self.energy_model
+        return _resolve_energy(self._energy_setting, case.arch)
 
     def run(self, trace) -> SweepReport:
         """Serve ``trace`` under every case; returns the sweep report.
 
-        With ``workers > 1`` the cases shard across a process pool, one
-        fresh platform per case (per-window results are bit-identical to
-        the shared-runner sweep; cross-case cache amortization is traded
-        for case-level parallelism — see docs/parallel.md).
+        Cases run one after another on their design point's shared
+        runner. To parallelize one long case, serve it alone through
+        :class:`~repro.serve.PoolScheduler`; its per-window results are
+        bit-identical to the sweep's (see docs/parallel.md).
         """
-        if self.workers is not None and self.workers > 1 \
-                and len(self.cases) > 1:
-            return self._run_pooled(trace)
         stream = WindowStream(
             trace, window=self.window, hop=self.hop, tail=self.tail
         )
@@ -202,29 +180,4 @@ class ParameterSweep:
                 energy_model=self._case_energy(case),
             )
             report.reports[case.name] = scheduler.run(stream)
-        return report
-
-    def _run_pooled(self, trace) -> SweepReport:
-        from repro.kernels.runner import RunnerFactory
-        from repro.serve.pool import _SweepCasePayload, run_sweep_cases
-
-        payloads = [
-            _SweepCasePayload(
-                name=case.name,
-                config=case.config,
-                params=case.params,
-                pipeline=case.pipeline,
-                window=self.window,
-                hop=self.hop,
-                tail=self.tail,
-                energy_model=self._case_energy(case),
-                double_buffer=self.double_buffer,
-                runner_factory=RunnerFactory(spec=case.arch),
-            )
-            for case in self.cases
-        ]
-        report = SweepReport()
-        for name, case_report in run_sweep_cases(
-                payloads, tuple(trace), self.workers):
-            report.reports[name] = case_report
         return report

@@ -130,7 +130,7 @@ class TestExplorationCampaign:
     def test_serial_mini_campaign(self):
         campaign = ExplorationCampaign(
             specs=[DEFAULT_SPEC, DEFAULT_SPEC.vary("1col", n_columns=1)],
-            kernels=("fir",), windows=1, workers=None,
+            kernels=("fir",), windows=1,
         )
         report = campaign.run()
         assert report.meta["complete"]
@@ -142,9 +142,9 @@ class TestExplorationCampaign:
             assert set(point.kernel_cycles) == {"fir"}
         assert report.front_names  # at least one non-dominated point
 
-    def test_pooled_full_grid(self):
-        """The acceptance sweep: >= 8 specs x 2 kernels over the pool."""
-        campaign = ExplorationCampaign(windows=1, workers=2)
+    def test_full_grid(self):
+        """The acceptance sweep: >= 8 specs x 2 kernels."""
+        campaign = ExplorationCampaign(windows=1)
         assert len(campaign.specs) >= 8 and len(campaign.kernels) >= 2
         report = campaign.run()
         assert report.meta["complete"]

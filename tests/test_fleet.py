@@ -41,10 +41,11 @@ from repro.serve.net import (
     FleetWorker,
     FrameBuffer,
     FrameError,
-    decode_body,
     encode_frame,
     free_port,
+    reap,
     run_worker,
+    spawn_workers,
 )
 from repro.serve.net.framing import corrupt_frame
 from repro.serve.pool import _default_start_method
@@ -531,3 +532,23 @@ class TestWorkerLifecycle:
             reconnect_timeout=0.5, process_faults=False,
         )
         assert reason == "unreachable"
+
+    def test_spawned_worker_processes_serve_and_are_reaped(
+            self, stream, single, tmp_path):
+        """The one start/stop pair of every multi-process fleet."""
+        checkpoint = StreamCheckpoint(tmp_path / "spawned.ckpt", every=1)
+        server = FleetServer(
+            config="cpu_vwr2a", energy_model=True, register_timeout=60.0,
+            local_fallback=False,
+        )
+        host, port = server.bind()
+        procs = spawn_workers(host, port, 2)
+        try:
+            report = server.run(stream, checkpoint)
+        finally:
+            server.close()
+            reap(procs)
+        assert_windows_bit_identical(single, report)
+        assert report.total_energy_uj == single.total_energy_uj
+        assert not any(proc.is_alive() for proc in procs)
+        assert set(checkpoint.load().namespaces) <= {"fleet-0", "fleet-1"}

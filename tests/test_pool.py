@@ -9,8 +9,8 @@ including streams whose kernels trigger the reference-engine fallback
 mid-stream, and runs that are killed and resumed from a
 :class:`StreamCheckpoint` (with a different worker count, or across the
 pool/single-process boundary). On top of that: the mergeable report
-arithmetic, checkpoint persistence semantics, pooled parameter sweeps
-and the pickling contract of the worker spec.
+arithmetic, checkpoint persistence semantics, sweep cases served alone
+on the pool and the pickling contract of the worker spec.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ import pytest
 
 from repro.app import WINDOW, AppParams, respiration_signal
 from repro.app.mbiotracker import window_pipeline
+from repro.arch import DEFAULT_SPEC
 from repro.core.errors import ConfigurationError
+from repro.energy import model_for
 from repro.isa.rc import RCOp
 from repro.kernels import KernelRunner, RunnerFactory, elementwise_kernel
 from repro.serve import (
@@ -570,29 +572,48 @@ class TestWorkerPlumbing:
         assert_windows_bit_identical(single, warmed)
 
 
-class TestPooledSweep:
-    def test_pooled_sweep_matches_shared_runner_sweep(self, trace):
+class TestSweepCaseOnPool:
+    def test_sweep_cases_match_pool_served_alone(self, trace):
+        """Each case of a shared-runner sweep equals the same case served
+        alone by the process pool on its own design point."""
         cases = [
             SweepCase(name="paper", config="cpu_vwr2a"),
             SweepCase(name="short_fir", config="cpu_vwr2a",
                       params=AppParams(fir_taps=7)),
+            SweepCase(name="narrow", config="cpu_vwr2a",
+                      arch=DEFAULT_SPEC.vary("narrow", vwr_words=64)),
         ]
         two_windows = trace[:2 * WINDOW]
-        shared = ParameterSweep(cases=cases).run(two_windows)
-        pooled = ParameterSweep(cases=cases, workers=2).run(two_windows)
-        assert pooled.cases == shared.cases
-        for name in pooled.cases:
-            assert_windows_bit_identical(shared[name], pooled[name])
-            assert pooled[name].total_energy_uj \
-                == shared[name].total_energy_uj
+        sweep = ParameterSweep(cases=cases).run(two_windows)
+        assert sweep.cases == [case.name for case in cases]
+        for case in cases:
+            alone = PoolScheduler(
+                config=case.config, workers=2, params=case.params,
+                energy_model=(
+                    True if case.arch is None else model_for(case.arch)
+                ),
+                runner_factory=RunnerFactory(spec=case.arch),
+            ).run(WindowStream(two_windows, window=WINDOW))
+            assert_windows_bit_identical(sweep[case.name], alone)
+            assert alone.total_energy_uj == sweep[case.name].total_energy_uj
 
-    def test_sweep_rejects_bad_worker_count(self):
-        with pytest.raises(ConfigurationError):
-            ParameterSweep(cases=["cpu"], workers=0)
 
-    def test_sweep_rejects_shared_runner_with_workers(self):
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
-            ParameterSweep(
-                cases=["cpu", "cpu_vwr2a"], runner=KernelRunner(),
-                workers=2,
-            )
+def test_energy_model_false_means_off_on_every_scheduler(trace, tmp_path):
+    """``energy_model=False`` is ``None`` under another spelling: no
+    energy, the same windows, and the same checkpoint fingerprint."""
+    one_window = trace[:WINDOW]
+    stream = WindowStream(one_window, window=WINDOW)
+    path = str(tmp_path / "off.ckpt")
+    off = StreamScheduler(energy_model=None).run(stream, checkpoint=path)
+    assert off.total_energy_uj is None
+    reports = [
+        serve_trace(one_window, energy_model=False),
+        ParameterSweep(["cpu_vwr2a"], energy_model=False)
+        .run(one_window)["cpu_vwr2a"],
+        PoolScheduler(workers=1, energy_model=False).run(stream),
+        # A resume may spell "off" either way.
+        StreamScheduler(energy_model=False).run(stream, checkpoint=path),
+    ]
+    for report in reports:
+        assert report.total_energy_uj is None
+        assert_windows_bit_identical(off, report)

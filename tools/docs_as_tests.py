@@ -36,9 +36,10 @@ import traceback
 
 #: Example scripts executed end-to-end alongside the doc blocks. Most
 #: examples double as fenced blocks somewhere in docs/; the ones listed
-#: here have no doc twin (multi-process orchestration does not fit a
-#: cumulative doc namespace) and would otherwise rot unexecuted.
-EXAMPLE_SCRIPTS = ("examples/fleet_serving.py",)
+#: here have no doc twin (multi-process orchestration or a whole
+#: design-space campaign does not fit a cumulative doc namespace) and
+#: would otherwise rot unexecuted.
+EXAMPLE_SCRIPTS = ("examples/fleet_serving.py", "examples/design_space.py")
 
 #: ```python ...\n<body>``` — the info string after "python" carries
 #: flags (currently just "fragment"). The fence may be indented (a
