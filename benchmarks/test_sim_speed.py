@@ -74,11 +74,7 @@ def _measure(engine: str, repeats: int = REPEATS) -> dict:
     runner = KernelRunner(soc=BiosignalSoC(engine=engine))
     vwr2a = runner.soc.vwr2a
     fft = SplitFftEngine(runner, 2048)
-    fft.prepare()
-    # The twiddle tables stay where prepare() put them; every flow
-    # re-stages its own buffers above them.
-    base = runner.sram_alloc(0)
-    runner.set_sram_region(base, runner.soc.sram.n_words - base)
+    fft.prepare()  # reserves its SRAM twiddle tables below staging
     re = _signal(2048)
     im = _signal(2048, scale=700)
     fft.run(re, im)  # warm-up: compile/analysis caches

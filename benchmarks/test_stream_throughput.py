@@ -7,8 +7,8 @@ Serves the same long respiration trace twice through the full MBioTracker
   :class:`KernelRunner` (fresh SoC, fresh configuration memory, fresh
   engine bindings) per window, one ``run_application`` call each;
 * **batched** — one :func:`repro.serve.serve_trace` call: a single runner
-  whose kernel stores dedupe structurally, whose SRAM staging area is
-  recycled and double-buffered, and whose compiled programs/bindings are
+  whose kernel stores dedupe structurally, whose SRAM staging region is
+  rewound before every window, and whose compiled programs/bindings are
   reused across windows.
 
 Writes the ``stream_windows_per_s`` entry into ``BENCH_sim_speed.json``

@@ -2,9 +2,9 @@
 
 Mirrors docs/serving.md: slice a multi-minute synthetic recording into
 512-sample windows, serve them through one StreamScheduler (kernels
-stored once, SRAM staging double-buffered), read the per-window and
-aggregate report, then sweep the same trace across application variants
-on the same runner.
+stored once, one SRAM staging region rewound per window), read the
+per-window and aggregate report, then sweep the same trace across
+application variants on the same runner.
 
 Run:  python examples/stream_serving.py
 """
@@ -32,7 +32,8 @@ def main() -> None:
               f"launches {sum(win.engine_counts.values())}")
 
     saved = report.overlap_saved_cycles
-    print(f"\ndouble-buffer overlap: {saved} cycles hidden "
+    print(f"\nstaging overlap model: {saved} cycles a double-buffered "
+          "staging area would hide "
           f"({report.pipelined_total_cycles} pipelined vs "
           f"{report.total_cycles} sequential)")
 

@@ -133,20 +133,18 @@ def _assemble_features(insp, exp, bands) -> list:
 
 
 def run_application(samples, config: str, runner: KernelRunner = None,
-                    reset_sram: bool = True,
                     params: AppParams = None) -> AppResult:
     """Run one MBioTracker window in the given configuration.
 
-    A caller-provided ``runner`` is reused across windows: by default its
-    SRAM bump allocator is rewound first (staging buffers are per-window;
-    without the rewind a few windows overflow the SRAM). Pass
-    ``reset_sram=False`` if you keep your own SRAM-resident buffers
-    allocated through that runner and manage the allocator yourself.
+    A caller-provided ``runner`` is reused across windows: the window
+    stages from the base of the runner's staging region, and the region
+    is left as it was found. Keep your own SRAM-resident buffers below
+    it (:meth:`KernelRunner.reserve_sram`).
     ``params`` overrides the pipeline's tunables (:class:`AppParams`).
 
     This is a thin single-window client of the stream API: multi-window
     traces are better served through :func:`repro.serve.serve_trace`,
-    which amortizes kernel stores and double-buffers the staging area.
+    which amortizes kernel stores across windows.
     """
     if len(samples) != WINDOW:
         raise ConfigurationError(
@@ -160,7 +158,6 @@ def run_application(samples, config: str, runner: KernelRunner = None,
 
     scheduler = StreamScheduler(
         config=config, params=params, runner=runner,
-        reset_sram=reset_sram, double_buffer=False,
     )
     report = scheduler.run(WindowStream(samples, window=WINDOW))
     return report.windows[0].app

@@ -401,7 +401,6 @@ def served_identical(report, baseline) -> str:
         engine=baseline.engine,
         window=baseline.window,
         hop=baseline.hop,
-        double_buffered=baseline.double_buffered,
     )
     for window in baseline.windows:
         if window.index in indices:

@@ -518,7 +518,8 @@ class FftEngine:
     # -- one-time setup (accelerator-ROM equivalent) -------------------------
 
     def prepare(self) -> int:
-        """Upload twiddle tables (resident) or pre-stage them in SRAM."""
+        """Upload twiddle tables (resident) or park them in reserved SRAM
+        (:meth:`KernelRunner.reserve_sram`)."""
         if self._prepared:
             return self.prepare_cycles
         plan = self.plan
@@ -529,7 +530,7 @@ class FftEngine:
                 base = plan.table_line_of_stage(t) * self.params.line_words
                 cycles += self.runner.stage_in(words, base)
             else:
-                sram_base = self.runner.sram_alloc(len(words))
+                sram_base = self.runner.reserve_sram(len(words))
                 self.runner.soc.sram.poke_words(sram_base, words)
                 self._table_sram[t] = (sram_base, len(words))
         self.prepare_cycles = cycles

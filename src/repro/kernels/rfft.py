@@ -379,9 +379,8 @@ class RfftEngine:
                 words, self.w_line * self.params.line_words
             )
         else:
-            sram_base = self.runner.sram_alloc(len(words))
-            self.runner.soc.sram.poke_words(sram_base, words)
-            self._w_sram = sram_base
+            self._w_sram = self.runner.reserve_sram(len(words))
+            self.runner.soc.sram.poke_words(self._w_sram, words)
         self.prepare_cycles = cycles
         self._prepared = True
         return cycles

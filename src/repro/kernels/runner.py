@@ -130,14 +130,19 @@ class KernelRunner:
         self._sram_next = base + n_words
         return base
 
+    @property
+    def sram_region(self) -> tuple:
+        """The staging region as ``(base, n_words)`` (the whole SRAM by
+        default)."""
+        return self._sram_base, self._sram_limit - self._sram_base
+
     def set_sram_region(self, base: int, n_words: int) -> None:
         """Constrain the staging allocator to ``[base, base + n_words)``.
 
-        The stream scheduler double-buffers windows by alternating between
-        two half-SRAM regions: window *k*'s staged data (including its
-        staged-out results) stays intact in its half while window *k+1*
-        allocates from the other. Resets the bump pointer to ``base``.
-        DMA cost is purely length-based, so a region switch changes no
+        Resets the bump pointer to ``base``. SRAM below ``base`` is left
+        alone by staging: the stream scheduler rewinds to the region it
+        found before every window and restores it after the stream. DMA
+        cost is purely length-based, so where the region sits changes no
         cycle or event accounting.
         """
         if n_words <= 0:
@@ -153,16 +158,28 @@ class KernelRunner:
         self._sram_limit = base + n_words
         self._sram_next = base
 
-    def reset_sram(self) -> None:
-        """Rewind the SRAM bump allocator to its region base (word 0 by
-        default).
+    def reserve_sram(self, n_words: int) -> int:
+        """Keep a block of system SRAM out of staging; returns its word
+        address.
 
-        Staging buffers are transient per processing window; long-running
-        multi-window applications (``repro.app.mbiotracker``,
-        ``repro.serve``) call this between windows to reuse the staging
-        area instead of overflowing. Any engine holding data resident in
-        *SRAM* across windows must re-stage it afterwards (SPM-resident
-        data is unaffected).
+        The block is allocated like :meth:`sram_alloc`, then the staging
+        region restarts above it, so :meth:`reset_sram` and later staging
+        never overwrite it. Engines park their SRAM twiddle tables here.
+        The block is released only when the region is set again
+        (:meth:`set_sram_region`), as a stream scheduler does before
+        every window.
+        """
+        base = self.sram_alloc(n_words)
+        self.set_sram_region(base + n_words, self._sram_limit - base - n_words)
+        return base
+
+    def reset_sram(self) -> None:
+        """Rewind the SRAM bump allocator to its region base.
+
+        Staging buffers are transient; a multi-window flow on one runner
+        calls this between windows to reuse the staging area instead of
+        overflowing. Blocks taken with :meth:`reserve_sram` sit below
+        the region base and survive the rewind.
         """
         self._sram_next = self._sram_base
 
@@ -244,21 +261,22 @@ class KernelRunner:
 
         Builds, stores and stamps every kernel (store stamps, compiled
         programs, SPM-conflict verdicts) this runner's platform will hit
-        in steady state, then rewinds the staging
-        allocator. Per-window results are history-independent (the
-        serving layer's core determinism property), so warming changes
+        in steady state, then restores the staging region it found.
+        Per-window results are history-independent (the serving layer's
+        core determinism property), so warming changes
         nothing about subsequently served windows; pool workers use this
         hook to take the cold-cache cost before their first real window.
         The launch log is suspended so the warm-up leaves no trace in
         per-window reports.
         """
         log = self.launch_log
+        region = self.sram_region
         self.launch_log = None
         try:
             pipeline(self, samples)
         finally:
             self.launch_log = log
-            self.reset_sram()
+            self.set_sram_region(*region)
 
     def events_snapshot(self) -> dict:
         return self.soc.events.snapshot()

@@ -125,7 +125,7 @@ METRICS = (
        "serve/net/server.py hello handling"),
     _m("repro_net_retries_total", "counter", "retries",
        "Fleet retry-ladder rungs spent, by reason label "
-       "(deadline|disconnect|desync|heartbeat|fault|quarantine)",
+       "(deadline|disconnect|desync|heartbeat|fault)",
        "serve/net/server.py retried() on WindowLedger retry verdicts"),
     _m("repro_net_checksum_failures_total", "counter", "frames",
        "Frames dropped for a checksum/decode failure (recoverable)",
@@ -133,9 +133,6 @@ METRICS = (
     _m("repro_net_heartbeat_misses_total", "counter", "workers",
        "Fleet workers retired for heartbeat silence",
        "serve/net/server.py liveness scan"),
-    _m("repro_net_worker_quarantines_total", "counter", "workers",
-       "Fleet workers benched by the circuit breaker",
-       "serve/net/server.py strike()"),
     # -- checkpointing -------------------------------------------------------
     _m("repro_checkpoint_lag_windows", "gauge", "windows",
        "Windows completed since the last checkpoint flush",
@@ -307,13 +304,12 @@ def record_net_retry(bus, reason: str, n: int = 1) -> None:
 def record_net_event(bus, event: str, n: int = 1) -> None:
     """Publish one fleet liveness event counter.
 
-    ``event`` is ``reconnect``, ``checksum_failure``,
-    ``heartbeat_miss`` or ``worker_quarantine`` — each maps to its own
+    ``event`` is ``reconnect``, ``checksum_failure`` or
+    ``heartbeat_miss`` — each maps to its own
     registered family (explicit names beat a label soup for alerting).
     """
     bus.inc({
         "reconnect": "repro_net_reconnects_total",
         "checksum_failure": "repro_net_checksum_failures_total",
         "heartbeat_miss": "repro_net_heartbeat_misses_total",
-        "worker_quarantine": "repro_net_worker_quarantines_total",
     }[event], n)

@@ -8,13 +8,12 @@ sweeps (docs/serving.md):
   fixed-size (optionally overlapping, optionally zero-padded) windows;
 * :class:`StreamScheduler` — feeds a stream through one
   :class:`~repro.kernels.KernelRunner`, amortizing kernel stores
-  (build-once planners, identity-keyed store), recycling the SRAM staging
-  area between
-  windows, double-buffering staged data across two SRAM halves, and
-  capturing per-window cycle/event/energy deltas and engine decisions;
+  (build-once planners, identity-keyed store), rewinding the runner's
+  own SRAM staging region before every window, and capturing per-window
+  cycle/event/energy deltas and engine decisions;
 * :class:`StreamReport` / :class:`WindowResult` — per-window and
   aggregate results, including the engine/fallback mix and the
-  double-buffer pipelining estimate;
+  staging-overlap pipelining estimate;
 * :class:`ParameterSweep` / :class:`SweepCase` / :class:`SweepReport` —
   the same trace replayed under N application variants on one shared
   runner per design point;
@@ -51,8 +50,7 @@ from repro.serve.sweep import ParameterSweep, SweepCase, SweepReport
 
 def serve_trace(trace, config: str = "cpu_vwr2a", window: int = None,
                 hop: int = None, tail: str = "drop", runner=None,
-                params=None, energy_model=True,
-                double_buffer: bool = True, workers: int = None,
+                params=None, energy_model=True, workers: int = None,
                 checkpoint=None) -> StreamReport:
     """Serve a long trace in one call: slice, schedule, report.
 
@@ -82,11 +80,11 @@ def serve_trace(trace, config: str = "cpu_vwr2a", window: int = None,
             )
         return PoolScheduler(
             config=config, workers=workers, params=params,
-            double_buffer=double_buffer, energy_model=energy_model,
+            energy_model=energy_model,
         ).run(stream, checkpoint=checkpoint)
     scheduler = StreamScheduler(
         config=config, runner=runner, params=params,
-        double_buffer=double_buffer, energy_model=energy_model,
+        energy_model=energy_model,
     )
     return scheduler.run(stream, checkpoint=checkpoint)
 

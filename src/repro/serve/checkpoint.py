@@ -38,8 +38,9 @@ from repro.obs.bus import get_bus
 #: v2 added the quarantine ledger (``failed``) and resilience counters;
 #: v3 added per-worker fleet namespaces; v4 folds ``kernel_energy_pj``
 #: from every launch's own event delta (v3 windows carry the old
-#: compiled-only block fold, or ``{}`` for reference-tier windows).
-FORMAT_VERSION = 4
+#: compiled-only block fold, or ``{}`` for reference-tier windows); v5
+#: drops the staging-policy key (every window stages one way now).
+FORMAT_VERSION = 5
 
 
 def describe(obj) -> str:
@@ -115,8 +116,7 @@ def describe_energy(model) -> str:
     return describe(model)
 
 
-def stream_fingerprint(stream, config: str, engine: str,
-                       double_buffered: bool, pipeline=None,
+def stream_fingerprint(stream, config: str, engine: str, pipeline=None,
                        energy_model=None) -> dict:
     """Identity of one serving job: what a checkpoint may resume.
 
@@ -141,7 +141,6 @@ def stream_fingerprint(stream, config: str, engine: str,
         "n_windows": stream.n_windows,
         "config": config,
         "engine": engine,
-        "double_buffered": double_buffered,
         "pipeline": describe(pipeline),
         "energy": describe_energy(energy_model),
     }

@@ -365,7 +365,7 @@ class WindowLedger:
         return False
 
     def finalize(self, config: str, engine: str, stream,
-                 double_buffered: bool, partial: bool = False):
+                 partial: bool = False):
         """The session's :class:`~repro.serve.StreamReport`.
 
         A session that accounted no window (replaying a complete
@@ -382,7 +382,7 @@ class WindowLedger:
             )
         report = StreamReport(
             config, engine, getattr(stream, "window", 0),
-            getattr(stream, "hop", 0), double_buffered=double_buffered,
+            getattr(stream, "hop", 0),
         )
         return finalize_session(
             report, state, self.checkpoint,

@@ -8,8 +8,8 @@ The socket transport for the serving stack (docs/distributed.md):
   family of :mod:`repro.faults` at this layer;
 * :class:`FleetServer` — shards a window stream over remote workers
   with per-task deadlines, exponential-backoff retries, heartbeat
-  liveness, idempotent at-least-once delivery, a circuit breaker and a
-  degradation ladder down to local serving
+  liveness, idempotent at-least-once delivery and a degradation
+  ladder down to local serving
   (:mod:`repro.serve.net.server`);
 * :class:`FleetWorker` — the auto-reconnecting client that serves
   attempts on its own platform via the same

@@ -31,7 +31,7 @@ import tempfile
 import time
 
 #: Worker exit reasons -> process exit codes (``worker`` subcommand).
-_WORKER_EXIT = {"fin": 0, "quarantine": 2, "unreachable": 3, "spec_error": 4}
+_WORKER_EXIT = {"fin": 0, "unreachable": 3, "spec_error": 4}
 
 
 def _add_server_args(parser) -> None:

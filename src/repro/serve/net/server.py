@@ -33,9 +33,6 @@ that fails fast on the first worker error:
   under the same name; its platform survives, the spec is only
   re-shipped when the digest changed (e.g. a different job), and the
   reconnect is tallied per worker in the checkpoint's namespaces.
-* **Circuit breaker** (``breaker_threshold``) — strikes accumulate per
-  worker (deadline misses, checksum failures, desyncs, disconnects);
-  past the threshold the worker is benched for the session and told so.
 * **Degradation ladder** (``local_fallback``) — no registration within
   ``register_timeout`` falls back to the in-process
   :class:`~repro.serve.PoolScheduler` loop; losing every worker mid-run
@@ -112,8 +109,8 @@ class FleetServer:
     """Serve window streams over registered remote fleet workers.
 
     Platform/job parameters (``config``/``params``/``pipeline``/
-    ``energy_model``/``double_buffer``/``runner_factory``/``warm``) mean
-    exactly what they mean on :class:`~repro.serve.PoolScheduler`; the
+    ``energy_model``/``runner_factory``/``warm``) mean exactly what
+    they mean on :class:`~repro.serve.PoolScheduler`; the
     robustness knobs are documented in the module docstring and
     docs/distributed.md. ``port=0`` binds an OS-assigned port —
     :meth:`bind` returns the actual address so workers (and tests) can
@@ -128,7 +125,7 @@ class FleetServer:
     def __init__(self, config: str = "cpu_vwr2a",
                  host: str = "127.0.0.1", port: int = 0,
                  params=None, pipeline=None, energy_model=None,
-                 double_buffer: bool = True, runner_factory=None,
+                 runner_factory=None,
                  warm: bool = False, prefetch: int = 2,
                  fault_plan=None, max_retries: int = MAX_RETRIES,
                  reference_fallback: bool = True,
@@ -137,9 +134,7 @@ class FleetServer:
                  backoff_cap: float = 2.0,
                  heartbeat_timeout: float = None,
                  register_timeout: float = 10.0,
-                 breaker_threshold: int = None,
                  local_fallback: bool = True,
-                 local_workers: int = 2,
                  respawn_limit: int = 0,
                  stop_after: int = None) -> None:
         if task_deadline is not None and task_deadline <= 0:
@@ -156,11 +151,6 @@ class FleetServer:
             raise ConfigurationError(
                 "register_timeout must be positive seconds, got "
                 f"{register_timeout}"
-            )
-        if breaker_threshold is not None and breaker_threshold < 1:
-            raise ConfigurationError(
-                "breaker_threshold must be >= 1 strike (or None to "
-                f"disable the circuit breaker), got {breaker_threshold}"
             )
         if stop_after is not None and stop_after < 1:
             raise ConfigurationError(
@@ -186,9 +176,8 @@ class FleetServer:
         # pipeline defaults, spec validation) and as the first rung of
         # the degradation ladder.
         self._local = PoolScheduler(
-            config=config, workers=local_workers, params=params,
-            pipeline=pipeline, energy_model=energy_model,
-            double_buffer=double_buffer, runner_factory=runner_factory,
+            config=config, params=params, pipeline=pipeline,
+            energy_model=energy_model, runner_factory=runner_factory,
             warm=warm, prefetch=prefetch, fault_plan=platform_plan,
             max_retries=max_retries,
             reference_fallback=reference_fallback,
@@ -198,7 +187,6 @@ class FleetServer:
         self.config = self._local.config
         self.pipeline = self._local.pipeline
         self.energy_model = self._local.energy_model
-        self.double_buffer = double_buffer
         self.host = host
         self.port = port
         self.prefetch = prefetch
@@ -209,14 +197,12 @@ class FleetServer:
         self.backoff_cap = backoff_cap
         self.heartbeat_timeout = heartbeat_timeout
         self.register_timeout = register_timeout
-        self.breaker_threshold = breaker_threshold
         self.local_fallback = local_fallback
         self.stop_after = stop_after
         self._listener = None
         self._resilient = (
             fault_plan is not None or task_deadline is not None
-            or heartbeat_timeout is not None
-            or breaker_threshold is not None or respawn_limit > 0
+            or heartbeat_timeout is not None or respawn_limit > 0
         )
 
     @property
@@ -291,9 +277,9 @@ class FleetServer:
         """Serve every unaccounted window; returns the workers' engine.
 
         The ledger owns the windows; this loop owns the sockets:
-        framing, heartbeats, deadlines, the circuit breaker and
-        reconnects. It ends early at the ledger's ``stop_after``, and
-        worker errors raise :class:`PoolWorkerError` like the pool's.
+        framing, heartbeats, deadlines and reconnects. It ends early at
+        the ledger's ``stop_after``, and worker errors raise
+        :class:`PoolWorkerError` like the pool's.
         """
         state = ledger.state
         spec_payload, spec_digest = self._spec_frame(stream)
@@ -311,8 +297,6 @@ class FleetServer:
         # so a worker re-registering after a *server* restart counts as
         # the reconnect it is from the worker's point of view.
         known = set(state.namespaces)
-        strikes = {}     # name -> circuit-breaker strikes
-        benched = set()  # names quarantined by the breaker
         engines = set()
         failure = None
         ever_ready = False
@@ -348,22 +332,6 @@ class FleetServer:
             bus = get_bus()
             if verdict == "retry" and bus is not None:
                 record_net_retry(bus, reason)
-
-        def strike(conn, n: int = 1) -> None:
-            if conn.name is None or self.breaker_threshold is None:
-                return
-            strikes[conn.name] = strikes.get(conn.name, 0) + n
-            if (
-                strikes[conn.name] >= self.breaker_threshold
-                and conn.name not in benched
-            ):
-                benched.add(conn.name)
-                ledger.tally({"worker_quarantines": 1})
-                bus = get_bus()
-                if bus is not None:
-                    record_net_event(bus, "worker_quarantine")
-                send(conn, {"type": "quarantine"})
-                retire_conn(conn, "quarantine")
 
         def close_conn(conn) -> None:
             conns.pop(conn.sock.fileno(), None)
@@ -422,14 +390,9 @@ class FleetServer:
             if kind != "hello" and conn.name is None:
                 # Data frames from a peer that never registered: a
                 # protocol violation, not a scheduling event.
-                strike(conn)
                 return
             if kind == "hello":
                 name = msg.get("name") or f"anon-{conn.sock.fileno()}"
-                if name in benched:
-                    send(conn, {"type": "quarantine"})
-                    close_conn(conn)
-                    return
                 stale = workers.get(name)
                 if stale is not None and stale is not conn:
                     # The worker reconnected before its old connection
@@ -502,7 +465,6 @@ class FleetServer:
                     # is unusable. In-flight windows ride the ladder;
                     # a real worker will reconnect.
                     ledger.tally({"net_desyncs": 1})
-                    strike(conn)
                     retire_conn(conn, "desync")
                     return
                 if item is None:
@@ -511,7 +473,6 @@ class FleetServer:
                     ledger.tally({"net_checksum_failures": 1})
                     if bus is not None:
                         record_net_event(bus, "checksum_failure")
-                    strike(conn)
                     continue
                 if bus is not None:
                     record_net_frames(bus, "in")
@@ -522,7 +483,6 @@ class FleetServer:
                     # the protocol (hostile or byte-lucky corruption):
                     # never the server's problem to crash over.
                     ledger.tally({"net_protocol_errors": 1})
-                    strike(conn)
                 if conn.sock.fileno() < 0:
                     return  # the frame handler closed the connection
 
@@ -557,9 +517,7 @@ class FleetServer:
                         bus = get_bus()
                         if bus is not None:
                             record_net_event(bus, "heartbeat_miss")
-                        strike(conn)
-                        if conn.name in workers:
-                            retire_conn(conn, "heartbeat")
+                        retire_conn(conn, "heartbeat")
             for conn, index in ledger.expired():
                 verdict = ledger.spoil(
                     conn, index, ("net_deadline",),
@@ -570,7 +528,6 @@ class FleetServer:
                     continue  # already retired with its connection
                 ledger.tally({"net_deadline_misses": 1})
                 retried(verdict, "deadline")
-                strike(conn)
 
         try:
             while failure is None and not state.complete \
@@ -616,7 +573,6 @@ class FleetServer:
                             config=self.config,
                             runner=self._local.runner_factory(),
                             pipeline=self.pipeline,
-                            double_buffer=self.double_buffer,
                             energy_model=self.energy_model,
                             fault_plan=self._local.fault_plan,
                         )._serve_remaining, label="local")

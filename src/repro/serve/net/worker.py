@@ -59,9 +59,8 @@ class FleetWorker:
     """Serve windows for one fleet server until released.
 
     :meth:`run` returns the exit reason: ``"fin"`` (stream complete,
-    server released us), ``"quarantine"`` (the server's circuit breaker
-    benched us), or ``"unreachable"`` (no server accepted a connection
-    for ``reconnect_timeout`` continuous seconds).
+    server released us) or ``"unreachable"`` (no server accepted a
+    connection for ``reconnect_timeout`` continuous seconds).
     """
 
     def __init__(self, host: str, port: int, name: str = None,
@@ -208,8 +207,6 @@ class FleetWorker:
             return self._serve_task(sock, msg, payload)
         elif kind == "fin":
             return "fin"
-        elif kind == "quarantine":
-            return "quarantine"
         # Unknown control frames are ignored: wire compatibility.
         return None
 

@@ -243,7 +243,6 @@ class _WorkerSpec:
 
     config: str
     pipeline: object
-    double_buffer: bool
     energy_model: object
     runner_factory: object
     warm_samples: tuple
@@ -327,7 +326,7 @@ class PoolScheduler:
 
     def __init__(self, config: str = "cpu_vwr2a", workers: int = 2,
                  params=None, pipeline=None, energy_model=None,
-                 double_buffer: bool = True, runner_factory=None,
+                 runner_factory=None,
                  warm: bool = False, prefetch: int = 4,
                  start_method: str = None, fault_plan=None,
                  max_retries: int = MAX_RETRIES,
@@ -362,7 +361,6 @@ class PoolScheduler:
         self.config, self.pipeline = _resolve_job(config, params, pipeline)
         self.workers = workers
         self.energy_model = energy_model
-        self.double_buffer = double_buffer
         self.runner_factory = (
             runner_factory if runner_factory is not None else RunnerFactory()
         )
@@ -429,7 +427,6 @@ class PoolScheduler:
         spec = _WorkerSpec(
             config=self.config,
             pipeline=self.pipeline,
-            double_buffer=self.double_buffer,
             energy_model=self.energy_model,
             runner_factory=self.runner_factory,
             warm_samples=warm_samples,

@@ -5,7 +5,7 @@ returns: one :class:`WindowResult` per window (cycles, event deltas, the
 kernel launches with their engine/fallback decisions, staging DMA split,
 optional energy) plus stream-level aggregates — total cycles and events,
 the engine decision mix, configuration-store cache deltas, and the
-double-buffer pipelining estimate.
+staging-overlap pipelining estimate.
 """
 
 from __future__ import annotations
@@ -120,7 +120,6 @@ class StreamReport:
     windows: list = field(default_factory=list)  #: WindowResult per window
     wall_seconds: float = 0.0   #: host wall-clock time spent serving
     store_stats: dict = field(default_factory=dict)  #: config-store cache delta
-    double_buffered: bool = False  #: whether staging alternated SRAM halves
     #: FailedWindow per quarantined window (retry budget exhausted),
     #: index-ordered. Empty on every healthy run.
     failed_windows: list = field(default_factory=list)
@@ -159,12 +158,12 @@ class StreamReport:
         """Absorb ``other`` (a disjoint shard of the same stream).
 
         Both reports must describe the same stream shape and platform
-        (config, engine, window, hop, staging policy); their windows must
+        (config, engine, window, hop); their windows must
         not overlap. Windows interleave by index, store stats add, and
         wall time accumulates (shards measured by concurrent workers are
         better timed by the pool itself). Returns ``self``.
         """
-        for name in ("config", "engine", "window", "hop", "double_buffered"):
+        for name in ("config", "engine", "window", "hop"):
             if getattr(self, name) != getattr(other, name):
                 raise ConfigurationError(
                     f"cannot merge stream reports with different {name}: "
@@ -268,21 +267,19 @@ class StreamReport:
             return float("inf") if self.windows else 0.0
         return self.n_windows / self.wall_seconds
 
-    # -- double-buffer pipelining model -------------------------------------
+    # -- staging-overlap pipelining model -----------------------------------
 
     @property
     def overlap_saved_cycles(self) -> int:
-        """Platform cycles the double-buffered timeline hides.
+        """Platform cycles a double-buffered staging timeline would hide.
 
-        With staging alternating between two SRAM halves, window *k+1*'s
-        stage-in DMA can proceed while the host drains window *k*'s
-        staged-out results, so consecutive windows overlap by
+        With staging alternating between two SRAM buffers, window *k+1*'s
+        stage-in DMA could proceed while the host drains window *k*'s
+        staged-out results, so consecutive windows would overlap by
         ``min(out_k, in_k+1)`` cycles. This is a model over the per-window
-        staging ledgers — the simulated per-window results themselves stay
-        bit-identical to sequential execution.
+        staging ledgers: the served windows themselves stage one after
+        another in one region, bit-identical to sequential execution.
         """
-        if not self.double_buffered:
-            return 0
         return sum(
             min(prev.staging_out_cycles, cur.staging_in_cycles)
             for prev, cur in zip(self.windows, self.windows[1:])
@@ -290,7 +287,7 @@ class StreamReport:
 
     @property
     def pipelined_total_cycles(self) -> int:
-        """Modeled stream makespan with double-buffered staging overlap."""
+        """Modeled stream makespan with the staging overlap hidden."""
         return self.total_cycles - self.overlap_saved_cycles
 
     # -- bit-identity -------------------------------------------------------
@@ -346,10 +343,9 @@ class StreamReport:
         lines = [
             f"stream: {self.n_windows} windows of {self.window} "
             f"(hop {self.hop}) under {self.config!r} [engine={self.engine}]",
-            f"  cycles: {self.total_cycles} total"
-            + (f", {self.pipelined_total_cycles} pipelined "
-               f"(-{self.overlap_saved_cycles} overlap)"
-               if self.double_buffered else ""),
+            f"  cycles: {self.total_cycles} total, "
+            f"{self.pipelined_total_cycles} pipelined "
+            f"(-{self.overlap_saved_cycles} overlap)",
         ]
         if self.total_energy_uj is not None:
             lines.append(f"  energy: {self.total_energy_uj:.2f} uJ")

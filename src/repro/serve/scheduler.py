@@ -9,15 +9,14 @@ per-launch cost the single-shot flow pays repeatedly:
   identity, reusing the compiled programs and SPM-conflict verdicts
   stamped on them; the per-stream store delta is reported on
   :attr:`StreamReport.store_stats`;
-* **SRAM recycling** — the staging bump allocator is rewound between
-  windows (:meth:`KernelRunner.reset_sram`) instead of growing without
-  bound;
-* **double-buffered staging** — staging alternates between two half-SRAM
-  regions, so window *k*'s staged data (including staged-out results)
-  survives while window *k+1* stages in. DMA cost is length-based, so the
-  alternation changes no cycle or event accounting — per-window results
-  are bit-identical to a sequential ``run_application`` loop, and the
-  hidden-latency estimate is reported separately
+* **one staging region** — the scheduler records the runner's staging
+  region (:attr:`KernelRunner.sram_region`) when it is built; every
+  window rewinds it, the stream leaves it as found, and serving never
+  writes SRAM outside it (a caller's own buffers go below it, see
+  :meth:`KernelRunner.reserve_sram`). Per-window results are
+  bit-identical to a sequential ``run_application`` loop; the staging
+  latency a double-buffered platform would hide is a model over the
+  per-window staging ledgers
   (:attr:`StreamReport.overlap_saved_cycles`);
 * **per-window deltas** — events, cycles, kernel launches (with their
   engine/fallback decisions off :class:`~repro.core.RunResult`) and
@@ -47,7 +46,7 @@ def _serve_session(scheduler, stream, checkpoint, **policy):
         stream, checkpoint,
         lambda: stream_fingerprint(
             stream, scheduler.config, scheduler.engine,
-            scheduler.double_buffer, pipeline=scheduler.pipeline,
+            pipeline=scheduler.pipeline,
             energy_model=scheduler.energy_model,
         ),
         max_retries=scheduler.max_retries,
@@ -59,8 +58,7 @@ def _serve_session(scheduler, stream, checkpoint, **policy):
         with ledger:
             engine = scheduler._serve_remaining(stream, ledger)
     return ledger.finalize(
-        scheduler.config, engine, stream, scheduler.double_buffer,
-        partial=ledger.stopped,
+        scheduler.config, engine, stream, partial=ledger.stopped,
     )
 
 
@@ -106,10 +104,9 @@ class StreamScheduler:
     :class:`~repro.energy.EnergyModel` instance; energy is only computed
     for results that carry application steps.
 
-    ``double_buffer`` alternates staging between two half-SRAM regions
-    (see the module docstring); ``reset_sram`` controls the plain rewind
-    used when double buffering is off — pass ``False`` only if you manage
-    SRAM-resident buffers through the runner yourself.
+    Every window stages in the runner's staging region as it was when
+    the scheduler was built (see the module docstring); SRAM outside it
+    is never written.
 
     ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) turns on the
     resilience layer of docs/robustness.md: faults are injected per
@@ -125,14 +122,12 @@ class StreamScheduler:
 
     def __init__(self, config: str = "cpu_vwr2a",
                  runner: KernelRunner = None, params=None,
-                 pipeline=None, reset_sram: bool = True,
-                 double_buffer: bool = True, energy_model=None,
+                 pipeline=None, energy_model=None,
                  fault_plan=None, max_retries: int = MAX_RETRIES,
                  reference_fallback: bool = True) -> None:
         self.config, self.pipeline = _resolve_job(config, params, pipeline)
         self.runner = runner if runner is not None else KernelRunner()
-        self.reset_sram = reset_sram
-        self.double_buffer = double_buffer
+        self._sram_region = self.runner.sram_region
         self.energy_model = _resolve_energy(energy_model)
         self.max_retries = check_retries(max_retries)
         self.reference_fallback = reference_fallback
@@ -204,9 +199,7 @@ class StreamScheduler:
         finally:
             if owns_log:
                 runner.launch_log = None
-            if self.double_buffer:
-                # Leave the runner with its full staging area again.
-                runner.set_sram_region(0, runner.soc.sram.n_words)
+            runner.set_sram_region(*self._sram_region)
         return self.engine
 
     # -- one window ---------------------------------------------------------
@@ -214,18 +207,13 @@ class StreamScheduler:
     def serve_window(self, window, log) -> WindowResult:
         """Serve one :class:`~repro.serve.Window` on this scheduler's runner.
 
-        The pool workers' unit of work: stages the window under the
-        scheduler's SRAM policy, runs the pipeline, and captures the
-        per-window cycle/event/staging/energy deltas. ``log`` must be the
-        runner's active launch log.
+        The pool workers' unit of work: rewinds the staging region, runs
+        the pipeline, and captures the per-window cycle/event/staging/
+        energy deltas. ``log`` must be the runner's active launch log.
         """
         runner = self.runner
         soc = runner.soc
-        if self.double_buffer:
-            half = soc.sram.n_words // 2
-            runner.set_sram_region((window.index % 2) * half, half)
-        elif self.reset_sram:
-            runner.reset_sram()
+        runner.set_sram_region(*self._sram_region)
         events_before = soc.events.snapshot()
         cpu_before = soc.cpu.active_cycles + soc.cpu.sleep_cycles
         staging_before = dict(runner.staging_cycles)
@@ -306,7 +294,6 @@ class AttemptServer:
             config=spec.config,
             runner=runner,
             pipeline=spec.pipeline,
-            double_buffer=spec.double_buffer,
             energy_model=spec.energy_model,
         )
         if spec.warm_samples is not None:
@@ -335,8 +322,6 @@ class AttemptServer:
                 config=primary.config,
                 runner=runner,
                 pipeline=primary.pipeline,
-                reset_sram=primary.reset_sram,
-                double_buffer=primary.double_buffer,
                 energy_model=primary.energy_model,
             )
         return self._ref

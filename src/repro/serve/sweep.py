@@ -113,8 +113,7 @@ class ParameterSweep:
     def __init__(self, cases: Iterable[SweepCase | str],
                  window: int | None = None, hop: int | None = None,
                  tail: str = "drop", runner: KernelRunner | None = None,
-                 energy_model: EnergyModel | bool | None = True,
-                 double_buffer: bool = True) -> None:
+                 energy_model: EnergyModel | bool | None = True) -> None:
         self.cases: list[SweepCase] = []
         names: set[str] = set()
         for case in cases:
@@ -139,7 +138,6 @@ class ParameterSweep:
         self._energy_setting = energy_model
         # Calibrate once here, not once per case scheduler.
         self.energy_model: EnergyModel | None = _resolve_energy(energy_model)
-        self.double_buffer = double_buffer
         #: spec fingerprint -> shared runner for that design point
         self._spec_runners: dict[str, KernelRunner] = {}
 
@@ -176,7 +174,6 @@ class ParameterSweep:
                 params=case.params,
                 pipeline=case.pipeline,
                 runner=self._case_runner(case),
-                double_buffer=self.double_buffer,
                 energy_model=self._case_energy(case),
             )
             report.reports[case.name] = scheduler.run(stream)

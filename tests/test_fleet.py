@@ -344,7 +344,6 @@ def _subset(report, indices):
     out = StreamReport(
         config=report.config, engine=report.engine,
         window=report.window, hop=report.hop,
-        double_buffered=report.double_buffered,
     )
     for window in report.windows:
         if window.index in indices:
@@ -469,7 +468,7 @@ class TestDegradation:
     def test_no_workers_degrades_to_local_pool(self, stream, single):
         server = FleetServer(
             config="cpu_vwr2a", energy_model=True,
-            register_timeout=0.4, local_fallback=True, local_workers=2,
+            register_timeout=0.4, local_fallback=True,
         )
         report = server.run(stream)
         assert_windows_bit_identical(single, report)

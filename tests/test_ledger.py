@@ -270,8 +270,7 @@ class LedgerMachine(RuleBasedStateMachine):
         assert ledger.stalled(True) is None
         for index in range(N_WINDOWS):
             assert (index in state.results) != (index in state.failed)
-        report = ledger.finalize("model", "auto", stream=None,
-                                 double_buffered=False)
+        report = ledger.finalize("model", "auto", stream=None)
         assert report.n_windows + report.n_failed == N_WINDOWS
         snap = self.bus.snapshot()
         assert snap.counter("repro_windows_served_total") \

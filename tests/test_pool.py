@@ -116,7 +116,6 @@ class TestPoolBitIdentity:
         assert pooled.config == single.config == "cpu_vwr2a"
         assert pooled.engine == single.engine == "auto"
         assert pooled.window == WINDOW and pooled.hop == WINDOW
-        assert pooled.double_buffered
         assert pooled.windows_per_second > 0
         assert "windows" in pooled.summary()
 
@@ -352,10 +351,11 @@ class TestCheckpointResume:
         PoolScheduler(config="cpu_vwr2a", workers=2, energy_model=True) \
             .run(short, StreamCheckpoint(path))
 
-    @pytest.mark.parametrize("version", [1, 3])
+    @pytest.mark.parametrize("version", [1, 3, 4])
     def test_stale_format_version_refuses_to_resume(self, tmp_path, version):
         # v3 windows folded kernel energy from compiled block histograms
-        # only: resuming one would mix two attributions in one report.
+        # only: resuming one would mix two attributions in one report;
+        # v4 fingerprints still carry the retired staging-policy key.
         path = tmp_path / "stale.ckpt"
         checkpoint = StreamCheckpoint(path, every=1)
         checkpoint.mark(CheckpointState(
@@ -385,7 +385,6 @@ class TestMergeArithmetic:
     def _report(self, indices):
         report = StreamReport(
             config="c", engine="auto", window=4, hop=4,
-            double_buffered=True,
         )
         for index in indices:
             report.add_window(WindowResult(
@@ -499,8 +498,8 @@ class TestWorkerPlumbing:
 
         ints = WindowStream([1, 2, 3, 4], window=2)
         floats = WindowStream([1.4, 2.4, 3.4, 4.4], window=2)
-        assert stream_fingerprint(ints, "c", "auto", True)["trace_sha256"] \
-            != stream_fingerprint(floats, "c", "auto", True)["trace_sha256"]
+        assert stream_fingerprint(ints, "c", "auto")["trace_sha256"] \
+            != stream_fingerprint(floats, "c", "auto")["trace_sha256"]
 
     def test_custom_pipeline_parameters_pin_the_fingerprint(self):
         # Same non-dataclass pipeline class, different instance

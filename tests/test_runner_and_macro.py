@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch import ArchParams, DEFAULT_PARAMS
+from repro.arch import DEFAULT_PARAMS, DEFAULT_SPEC, ArchParams
 from repro.core import Vwr2a
 from repro.core.errors import ConfigurationError, ProgramError
 from repro.core.synchronizer import Synchronizer
@@ -23,6 +23,15 @@ class TestRunnerStaging:
         assert b == a + 100
         with pytest.raises(ConfigurationError):
             r.sram_alloc(10**9)
+
+    def test_reserve_sram_moves_the_region_above_the_block(self):
+        r = KernelRunner()
+        n_words = r.soc.sram.n_words
+        r.sram_alloc(10)  # transient: the block lands above it
+        assert r.reserve_sram(100) == 10
+        assert r.sram_region == (110, n_words - 110)
+        r.reset_sram()
+        assert r.sram_alloc(1) == 110
 
     def test_stage_roundtrip_identity(self):
         r = KernelRunner()
@@ -144,3 +153,62 @@ class TestSynchronizer:
         # The platform acknowledged the IRQ after the CPU "woke up".
         assert not r.soc.irq.pending("vwr2a")
         assert r.soc.vwr2a.synchronizer.completions[0].name == "noop"
+
+
+SPM16K = DEFAULT_SPEC.vary("spm16K", spm_bytes=16 * 1024)
+
+
+def _points(n: int, seed: int) -> list:
+    return [((i * seed + (i * i) % 97) % 4001) - 2000 for i in range(n)]
+
+
+class TestEngineTablesSurviveReset:
+    """Engines reserve their SRAM twiddle tables below the staging region,
+    so a ``reset_sram()`` between transforms cannot overwrite them.
+
+    The complex transforms stream their tables at the paper's 32 KiB SPM
+    (their layouts do not fit 16 KiB); the real FFT's inner transform
+    streams its stage tables at 16 KiB, the spec where MBioTracker
+    windows keep them in SRAM.
+    """
+
+    def test_fft_1024(self):
+        from repro.kernels.fft import FftEngine, cg_fft_reference_int
+
+        runner = KernelRunner()
+        fft = FftEngine(runner, 1024)
+        assert not fft.plan.resident_tables
+        re, im = _points(1024, 31), _points(1024, 17)
+        golden = cg_fft_reference_int(re, im)
+        for _ in range(2):
+            out = fft.run(re, im)
+            assert (out.re, out.im) == golden
+            runner.reset_sram()
+
+    def test_split_fft_2048(self):
+        from repro.kernels.fft2048 import (
+            SplitFftEngine,
+            split_fft_reference_int,
+        )
+
+        runner = KernelRunner()
+        fft = SplitFftEngine(runner, 2048)
+        re, im = _points(2048, 29), _points(2048, 13)
+        golden = split_fft_reference_int(re, im)
+        for _ in range(2):
+            out = fft.run(re, im)
+            assert (out.re, out.im) == golden
+            runner.reset_sram()
+
+    def test_rfft_512(self):
+        from repro.kernels.rfft import RfftEngine, rfft_reference_int
+
+        runner = KernelRunner(spec=SPM16K)
+        rfft = RfftEngine(runner, 512)
+        assert not rfft.cfft.plan.resident_tables
+        samples = _points(512, 23)
+        golden = rfft_reference_int(samples)
+        for _ in range(2):
+            out = rfft.run(samples)
+            assert (out.re, out.im) == golden
+            runner.reset_sram()

@@ -1,8 +1,8 @@
 """The batched window-stream serving subsystem (``repro.serve``).
 
 The load-bearing property: serving a long trace through the stream
-scheduler — store-once kernel caching, SRAM recycling, double-buffered
-staging — is **bit-identical** per window (cycles, events, features,
+scheduler — store-once kernel caching, one rewound SRAM staging region
+— is **bit-identical** per window (cycles, events, features,
 labels) to the historical sequential ``run_application`` loop, including
 streams whose kernels trigger the reference-engine fallback mid-stream.
 On top of that: window slicing semantics, SRAM staging regions, sweep
@@ -176,8 +176,7 @@ class TestStreamBitIdentity:
         # encode miss belongs to the cold first window.
         assert stats["encode_misses"] <= stats["stores"] / N_STREAM_WINDOWS
 
-    def test_double_buffer_overlap_estimate(self, streamed):
-        assert streamed.double_buffered
+    def test_staging_overlap_estimate(self, streamed):
         assert streamed.overlap_saved_cycles > 0
         assert streamed.pipelined_total_cycles \
             == streamed.total_cycles - streamed.overlap_saved_cycles
@@ -371,31 +370,35 @@ class TestStagingRegions:
         with pytest.raises(ConfigurationError):
             runner.set_sram_region(n_words - 8, 16)
 
-    def test_scheduler_alternates_halves_and_restores(self, trace):
-        bases = []
-
-        def spy(runner, samples):
-            bases.append(runner._sram_base)
-            return run_application(
-                samples, "cpu_vwr2a", runner, reset_sram=False
-            )
+    def test_scheduler_keeps_the_runner_region(self, trace):
+        from repro.app import window_pipeline
 
         runner = KernelRunner()
-        half = runner.soc.sram.n_words // 2
+        sram = runner.soc.sram
+        region = (1000, sram.n_words - 1000)
+        runner.set_sram_region(*region)
+        pinned = [(37 * i) % 2001 - 1000 for i in range(1000)]
+        sram.poke_words(0, pinned)
+        pipeline = window_pipeline("cpu_vwr2a")
+        regions = []
+
+        def spy(runner, samples):
+            regions.append(runner.sram_region)
+            return pipeline(runner, samples)
+
         StreamScheduler(pipeline=spy, config="cpu_vwr2a", runner=runner) \
-            .run(WindowStream(trace, window=WINDOW))
-        assert bases == [0, half, 0]
-        # The runner leaves the stream with its full staging area back.
-        assert runner._sram_base == 0
-        assert runner._sram_limit == runner.soc.sram.n_words
+            .run(WindowStream(trace[:2 * WINDOW], window=WINDOW))
+        # Every window rewinds the region the runner had; serving never
+        # writes below it and leaves the region as it found it.
+        assert regions == [region, region]
+        assert sram.peek_words(0, 1000) == pinned
+        assert runner.sram_region == region
 
     def test_nested_run_application_lands_in_outer_launch_log(self, trace):
         # A pipeline delegating to run_application (itself a stream
         # client) must still surface its launches on the outer report.
         def nested(runner, samples):
-            return run_application(
-                samples, "cpu_vwr2a", runner, reset_sram=False
-            )
+            return run_application(samples, "cpu_vwr2a", runner)
 
         report = StreamScheduler(
             pipeline=nested, config="cpu_vwr2a",
@@ -414,13 +417,14 @@ class TestRunApplicationThinClient:
         run_application(trace[:WINDOW], "cpu_vwr2a", runner)
         assert runner._sram_next == watermark
 
-    def test_reset_sram_false_preserves_allocations(self, trace):
+    def test_buffers_reserved_below_the_region_survive(self, trace):
         runner = KernelRunner()
-        runner.sram_alloc(100)
-        run_application(
-            trace[:WINDOW], "cpu_vwr2a", runner, reset_sram=False
-        )
-        assert runner._sram_next > 100
+        base = runner.reserve_sram(100)
+        mine = list(range(-50, 50))
+        runner.soc.sram.poke_words(base, mine)
+        run_application(trace[:WINDOW], "cpu_vwr2a", runner)
+        assert runner.soc.sram.peek_words(base, 100) == mine
+        assert runner.sram_region == (100, runner.soc.sram.n_words - 100)
 
     def test_params_override_changes_the_pipeline(self, trace):
         window = trace[:WINDOW]
