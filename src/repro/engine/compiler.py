@@ -1,4 +1,4 @@
-"""Bundle predecoder: ColumnProgram -> basic-block micro-op closures.
+"""Bundle predecoder: ColumnProgram -> one generated function.
 
 The reference interpreter re-decodes every bundle on every cycle: enum
 ``is``-chains select the unit semantics, operand kinds are re-dispatched,
@@ -11,30 +11,33 @@ performs that decode exactly once per program:
   each ``k`` write, for the slices the superblock touches) and whose ALU
   semantics are inlined Python arithmetic under the **operand-range
   rule** below;
-* straight-line bundle runs between branch targets are fused into one
-  generated function per **basic block**, so the execute loop dispatches
-  whole blocks instead of cycles;
-* a block whose terminating branch targets its own leader (the Table-1
-  two-bundle vector loop) is additionally fused into a **self-loop**: the
-  generated function iterates internally and reports how many trips it
-  made (more than its ``limit``, when the cycle budget runs out),
-  eliminating per-iteration dispatch entirely;
-* straight-line block chains (single successor feeding a single
-  predecessor) are fused into **superblocks** — one generated function,
-  one dispatch, one event fold per chain execution — and a chain whose
-  tail branches back to the chain head becomes a fused multi-block
-  self-loop;
+* straight-line bundle runs between branch targets form **basic
+  blocks**, and straight-line block chains (single successor feeding a
+  single predecessor) fuse into **superblocks**;
+* the program becomes **one generated function**, ``_run(limit, C)``: a
+  ``while True:`` loop holding one ``if pc == <leader>:`` arm per
+  superblock, in leader-PC order. An arm counts its execution into
+  ``C`` and its cycles into ``steps``, then transfers control: a forward
+  target sets ``pc`` and falls into its later arm; a backward target (a
+  loop, self-loops included) sets ``pc``, returns ``steps`` once they
+  pass the cycle budget ``limit``, and continues the loop; a target past
+  the program raises in place; EXIT stores ``col.pc`` and ``col.k`` and
+  returns ``steps``. Every CFG lowers this way, irreducible ones
+  included, and every cycle in it passes a back edge, so the budget
+  check bounds every run;
 * self-loops whose trip state is provably concrete (the closed-form
   machinery shared with the SPM-conflict analysis,
   :mod:`repro.engine.superblocks`) compute their **trip count once** at
   loop entry and run a counted loop with no per-trip branch evaluation,
   reconstructing the LCU registers from the loop's affine summary. Such
   a loop has no per-trip twin: where its counter would leave int32 it
-  raises ``_CounterWrap``, and the launch replays on the reference;
+  raises ``_CounterWrap``, and the launch replays on the reference. It
+  counts its trips into its block's slot of ``C`` and its entry into a
+  slot after the block slots;
 * each block carries the static event delta of one execution
   (:mod:`repro.engine.deltas`) — the executor folds ``delta x count`` into
   the shared tally at kernel end, multiplying (never iterating) the
-  per-trip deltas of fused loops.
+  per-trip deltas of counted loops.
 
 Operand-range rule. Every storage write path (SRF, VWR, SPM, SRAM, the
 RC and LCU registers, ``state_restore``, fault injection) holds only
@@ -68,8 +71,8 @@ structurally by ``(params, bundles)`` — distinct programs with identical
 code but different ``srf_init`` (an FFT stage's batches) hit the
 structural memo and compile exactly once.
 
-The generated code binds the column's storage (SRF/VWR/SPM backing lists)
-via default arguments at bind time (:class:`repro.engine.executor
+The generated function binds the column's storage (SRF/VWR/SPM backing
+lists) via default arguments at bind time (:class:`repro.engine.executor
 .BoundColumn`), so the hot path performs only local-variable indexing.
 """
 
@@ -449,13 +452,9 @@ def _branch_cond(instr) -> str:
 class BlockInfo:
     """Static description of one compiled superblock (fused block chain)."""
 
-    index: int
+    index: int           #: slot of its execution count in ``C``
     leader: int          #: PC of the superblock's first bundle
-    n_cycles: int        #: bundles (= cycles) per straight execution
-    fn_name: str
     delta: tuple         #: ((event, count), ...) for one execution
-    next_pc: int         #: PC after EXIT, or a loop's fall-through
-    is_loop: bool        #: self-loop fused: fn(limit) -> trips
     closed_form: bool    #: trips solved at entry (one counted run)
     members: tuple       #: ((leader, n_cycles), ...) per basic block
 
@@ -514,7 +513,7 @@ def block_pcs(bundles) -> list:
 
 
 def signature_names(params) -> list:
-    """Bind-time names the generated functions take as default args."""
+    """Bind-time names the generated function takes as default args."""
     names = ["col", "S", "M", "VA", "VB", "VC", "O", "L"]
     names += [f"R{i}" for i in range(params.rcs_per_column)]
     return names
@@ -526,8 +525,8 @@ def superblock_chains(bundles) -> list:
     A chain extends while the current block has exactly one successor
     (fall-through or JUMP) that is another block's leader with exactly one
     predecessor — so every execution of the head runs the whole chain, and
-    no other control flow can enter mid-chain (the fused function stays
-    the only way to reach its members, keeping the per-block execution
+    no other control flow can enter mid-chain (the chain's arm stays the
+    only way to reach its members, keeping the per-block execution
     histogram exact). Single-block self-loops stay their own superblock; a
     chain whose *tail* branches back to the chain head becomes a fused
     multi-block self-loop.
@@ -697,49 +696,64 @@ def _k_offsets(lines, offsets) -> list:
     return out
 
 
+def _transfer(target: int, leader: int, leaders: set) -> list:
+    """Lines ending the arm of superblock ``leader`` with a jump to
+    ``target``: fall into a later arm, loop back to an earlier one (or
+    this one) past the budget check, or fault past the program."""
+    if target not in leaders:
+        return [f"raise _past_end_error(col.index, {target})"]
+    if target > leader:
+        return [f"pc = {target}"]
+    return ([f"pc = {target}"] if target != leader else []) \
+        + ["if steps > limit: return steps", "continue"]
+
+
 def _compile(bundles, params) -> CompiledProgram:
     gen = _BundleGen(params, _reg_range(bundles))
     bodies = [gen.gen(bundle) for bundle in bundles]
     deltas = [bundle_event_delta(bundle, params) for bundle in bundles]
     sig = ", ".join(f"{name}={name}" for name in signature_names(params))
+    chains = superblock_chains(bundles)
+    leaders = {members[0][0] for members in chains}
+    sets_k = any(body.sets_k for body in bodies)
 
+    lines = [f"def _run(limit, C, {sig}):", "steps = 0", "pc = 0"]
+    if sets_k or any(body.uses_k for body in bodies):
+        lines.append("k = col.k")
+    lines.append("while True:")
     blocks = []
-    sources = []
-    for index, members in enumerate(superblock_chains(bundles)):
+    #: Counted loops' entry slots follow the block slots in ``C``.
+    entry = len(chains)
+    for index, members in enumerate(chains):
         pcs = [pc for member in members for pc in member]
         leader = pcs[0]
-        last = bundles[pcs[-1]]
-        uses_k = any(bodies[pc].uses_k for pc in pcs)
-        sets_k = any(bodies[pc].sets_k for pc in pcs)
+        n = len(pcs)
+        last = bundles[pcs[-1]].lcu
         offsets = [
             f"k{i} = k + {i * params.slice_words}"
             for i in sorted(set().union(*(bodies[pc].slices for pc in pcs)))
         ]
-        op = last.lcu.op
-        is_loop = op in BRANCH_OPS and last.lcu.target == leader
-        plan = plan_loop(bundles, pcs, params) if is_loop else None
+
+        loops = last.op in BRANCH_OPS and last.target == leader
+        plan = plan_loop(bundles, pcs, params) if loops else None
         counted = plan is not None and all(
             sym[0] != "u" for sym in plan.lcu_sym.values()
         )
-
-        body = _k_offsets(
-            [line for pc in pcs for line in bodies[pc].all_lines()], offsets
-        )
-        fn_name = f"_b{leader}"
-        lines = [f"def {fn_name}({'limit, ' if is_loop else ''}{sig}):"]
-        if uses_k or sets_k:
-            lines += _k_offsets(["k = col.k"], offsets)
+        arm = list(offsets)
         if counted:
             # Trip count solved once at loop entry. It holds while the
             # counter stays inside int32 over the trips the budget
             # allows; past that the launch replays on the reference. A
-            # loop needing more than ``limit`` trips returns at once.
-            lines += [f"_v0 = L[{plan.counter}]",
-                      f"_bnd = {bound_expr(plan)}", *trip_count_lines(plan),
-                      "_n = limit if _t is None or _t > limit else _t",
-                      f"if not -2147483648 <= _v0 + _n * {plan.delta} "
-                      f"<= 2147483647: raise _CounterWrap(col.index, {leader})",
-                      "if _n != _t: return limit + 1"]
+            # loop needing more trips than the budget allows returns at
+            # once.
+            arm += ["if steps > limit: return steps",
+                    f"_v0 = L[{plan.counter}]",
+                    f"_bnd = {bound_expr(plan)}", *trip_count_lines(plan),
+                    f"_n = (limit - steps) // {n}",
+                    "if _t is not None and _t < _n: _n = _t",
+                    f"if not -2147483648 <= _v0 + _n * {plan.delta} "
+                    f"<= 2147483647: raise _CounterWrap(col.index, {leader})",
+                    "if _n != _t: return limit + 1"]
             # The LCU lines stay out of the body: the registers are
             # rebuilt from the affine summary after the loop.
             counted_body, post_commits = _hoistable_commits(
@@ -748,45 +762,39 @@ def _compile(bundles, params) -> CompiledProgram:
                 ),
             )
             if counted_body:
-                lines.append("for _ in range(_t):")
-                lines += ["    " + line for line in counted_body]
-            lines += post_commits
+                arm.append("for _ in range(_t):")
+                arm += ["    " + line for line in counted_body]
+            arm += post_commits
             for reg, sym in sorted(plan.lcu_sym.items()):
                 if sym[0] == "c":
-                    lines.append(f"L[{reg}] = {sym[1]}")
+                    arm.append(f"L[{reg}] = {sym[1]}")
                 elif sym[1]:
-                    lines += _assign(f"L[{reg}]", f"L[{reg}] + _t * {sym[1]}",
-                                     None)[0]
-            ret = "return _t"
-        elif is_loop:
-            # Per-trip loop: the taken branch loops internally; a trip
-            # count above ``limit`` tells the dispatcher the budget ran out.
-            lines += ["_n = 0", "while True:"]
-            lines += ["    " + line for line in body]
-            lines += [
-                "    _n += 1",
-                f"    if not {_branch_cond(last.lcu)}: break",
-                "    if _n >= limit: return _n + 1",
-            ]
-            ret = "return _n"
+                    arm += _assign(f"L[{reg}]", f"L[{reg}] + _t * {sym[1]}",
+                                   None)[0]
+            arm += [f"C[{index}] += _t", f"C[{entry}] += 1",
+                    f"steps += _t * {n}",
+                    *_transfer(pcs[-1] + 1, leader, leaders)]
+            entry += 1
         else:
-            lines += body
-            if op is LCUOp.JUMP:
-                ret = f"return {last.lcu.target}"
-            elif op is LCUOp.EXIT:
-                ret = "return -1"
-            elif op in BRANCH_OPS:
-                ret = (
-                    f"return {last.lcu.target} if {_branch_cond(last.lcu)} "
-                    f"else {pcs[-1] + 1}"
-                )
+            arm += _k_offsets(
+                [line for pc in pcs for line in bodies[pc].all_lines()],
+                offsets,
+            )
+            arm += [f"C[{index}] += 1", f"steps += {n}"]
+            if last.op is LCUOp.EXIT:
+                arm += [f"col.pc = {pcs[-1] + 1}",
+                        *(["col.k = k"] if sets_k else []), "return steps"]
+            elif last.op in BRANCH_OPS:
+                taken = _transfer(last.target, leader, leaders)
+                fall = _transfer(pcs[-1] + 1, leader, leaders)
+                arm += [f"if {_branch_cond(last)}:",
+                        *["    " + line for line in taken], "else:",
+                        *["    " + line for line in fall]]
             else:
-                ret = f"return {pcs[-1] + 1}"
-        if sets_k:
-            lines.append("col.k = k")
-        lines.append(ret)
-        lines[1:] = ["    " + line for line in lines[1:]]
-        sources.append("\n".join(lines))
+                arm += _transfer(last.target if last.op is LCUOp.JUMP
+                                 else pcs[-1] + 1, leader, leaders)
+        lines.append(f"    if pc == {leader}:")
+        lines += ["        " + line for line in arm]
 
         delta = Counter()
         for pc in pcs:
@@ -794,15 +802,12 @@ def _compile(bundles, params) -> CompiledProgram:
         blocks.append(BlockInfo(
             index=index,
             leader=leader,
-            n_cycles=len(pcs),
-            fn_name=fn_name,
             delta=tuple(sorted(delta.items())),
-            next_pc=pcs[-1] + 1,
-            is_loop=is_loop,
             closed_form=counted,
             members=tuple((m[0], len(m)) for m in members),
         ))
 
-    source = "\n\n".join(sources)
+    lines[1:] = ["    " + line for line in lines[1:]]
+    source = "\n".join(lines)
     code = compile(source, "<vwr2a-compiled-program>", "exec")
     return CompiledProgram(params, source, code, blocks, len(bundles))

@@ -7,10 +7,10 @@ Two interchangeable engines drive kernel execution for
   (``Column.step`` per column per cycle). It is the golden model.
 * :class:`AutoEngine` — binds each column's
   :class:`~repro.engine.compiler.CompiledProgram` to the column's storage
-  and dispatches whole superblocks (fused straight-line chains and
-  self-loops; closed-form loops complete a full run as one counted loop
-  in one dispatch, see :mod:`repro.engine.superblocks`).
-  Event counting happens as per-superblock execution histograms folded
+  and calls its one generated function, which runs the column to EXIT
+  (forward edges fall through, back edges loop; closed-form loops run
+  as one counted loop, see :mod:`repro.engine.superblocks`).
+  Event counting happens as per-superblock execution counts folded
   into the shared :class:`~repro.core.events.EventCounters` once per
   launch (:meth:`AutoEngine._fold`, a walk of the blocks' static deltas
   memoized per distinct launch) — bit-identical to per-cycle logging
@@ -18,8 +18,8 @@ Two interchangeable engines drive kernel execution for
   :mod:`repro.engine.deltas`).
 
 Multi-column kernels run one column after another: each column's
-dispatch loop runs to EXIT in turn, and the launch takes as many cycles
-as its longest column. The static cross-column SPM analysis
+generated function runs to EXIT in turn, and the launch takes as many
+cycles as its longest column. The static cross-column SPM analysis
 (:mod:`repro.engine.conflicts`) proves per launch that no column writes
 an SPM word another column reads or writes; everything else a column
 touches is private to it, so no column can observe when another one
@@ -33,7 +33,10 @@ per-kernel energy folds from, whichever engine executed.
 Aborted launches (``AddressError`` / ``ProgramError``) are rewound to the
 pre-launch snapshot and replayed cycle-by-cycle on the reference
 interpreter, so events and column state after a fault are bit-identical to
-per-cycle execution — not just block-aligned. A closed-form loop whose
+per-cycle execution — not just block-aligned. The generated code checks
+the cycle budget only at back edges, counted-loop entry and EXIT, so a
+run may pass the budget by a few blocks before it stops; the replay
+makes that invisible too. A closed-form loop whose
 counter would leave int32 bails the same way and returns the reference
 result; any other interruption just rewinds.
 """
@@ -123,8 +126,8 @@ class BoundColumn:
 
     Binding executes the generated module once, capturing the column's SRF
     / VWR / SPM backing lists and register files as default arguments of
-    the block functions; re-running the same kernel afterwards only resets
-    the execution histogram.
+    its one function, ``fn(limit, counts)``; re-running the same kernel
+    afterwards only starts a fresh count vector.
     """
 
     def __init__(self, column, compiled) -> None:
@@ -132,20 +135,12 @@ class BoundColumn:
         self.compiled = compiled
         namespace = self._namespace(column)
         exec(compiled.code, namespace)
-        table = {}
-        for blk in compiled.blocks:
-            table[blk.leader] = (
-                namespace[blk.fn_name],
-                blk.n_cycles,
-                blk.index,
-                blk.next_pc,
-                blk.is_loop,
-                blk.closed_form,
-            )
-        self.table = table
-        self.counts = [0] * len(compiled.blocks)
-        self.loops_accelerated = 0
-        self.trips_accelerated = 0
+        self.fn = namespace["_run"]
+        #: Execution count per superblock, then one entry count per
+        #: closed-form loop.
+        self.counts = [0] * (len(compiled.blocks) + sum(
+            blk.closed_form for blk in compiled.blocks
+        ))
 
     @staticmethod
     def _namespace(column) -> dict:
@@ -160,6 +155,7 @@ class BoundColumn:
             "L": column.lcu_regs,
             "AddressError": AddressError,
             "_CounterWrap": _CounterWrap,
+            "_past_end_error": _past_end_error,
             "_raise_srf": _raise_srf,
             "_s16a": partial(_simd16, RCOp.SADD16),
             "_s16s": partial(_simd16, RCOp.SSUB16),
@@ -174,45 +170,15 @@ class BoundColumn:
             )
         return g
 
-    def begin(self) -> None:
-        self.counts = [0] * len(self.compiled.blocks)
-        self.loops_accelerated = 0
-        self.trips_accelerated = 0
-
     def run_to_exit(self, kernel_name: str, max_cycles: int) -> int:
-        """Dispatch superblocks until EXIT, leaving the column there;
-        returns the column's cycles. An abort leaves the column mid-run,
-        for the caller to rewind."""
-        table = self.table
-        counts = self.counts
-        steps = 0
-        pc = 0
-        while True:
-            entry = table.get(pc)
-            if entry is None:
-                raise _past_end_error(self.column.index, pc)
-            fn, n_cycles, index, next_pc, is_loop, closed = entry
-            if is_loop:
-                limit = (max_cycles - steps) // n_cycles
-                trips = fn(limit)
-                if trips > limit:
-                    raise _budget_error(kernel_name, max_cycles)
-                counts[index] += trips
-                steps += trips * n_cycles
-                pc = next_pc
-                if closed:
-                    self.loops_accelerated += 1
-                    self.trips_accelerated += trips
-            else:
-                if steps + n_cycles > max_cycles:
-                    raise _budget_error(kernel_name, max_cycles)
-                counts[index] += 1
-                steps += n_cycles
-                pc = fn()
-                if pc < 0:
-                    break
+        """Run the column to EXIT and leave it there; returns its cycles.
+        An abort leaves the column mid-run, for the caller to rewind."""
+        self.counts = counts = [0] * len(self.counts)
+        steps = self.fn(max_cycles, counts)
+        if steps > max_cycles:
+            raise _budget_error(kernel_name, max_cycles)
         column = self.column
-        column.steps, column.pc, column.done = steps, next_pc, True
+        column.steps, column.done = steps, True
         return steps
 
     def pc_histogram(self) -> list:
@@ -300,8 +266,6 @@ class AutoEngine:
             )
         snapshot = _snapshot_launch(vwr2a, active)
         bounds = [self._bind(col) for col in active]
-        for bound in bounds:
-            bound.begin()
         try:
             # The verdict proves no column writes an SPM word another
             # reads or writes, so running each column to EXIT in turn is
@@ -344,39 +308,43 @@ class AutoEngine:
             _restore_launch(vwr2a, snapshot)
             raise
         self.decisions["compiled"] += 1
-        totals, events = self._fold(bounds)
+        totals, events, superblocks = self._fold(bounds)
         vwr2a.events.add_many(totals)
-        superblocks = {"accelerated_loops": 0, "accelerated_trips": 0}
-        for bound in bounds:
-            superblocks["accelerated_loops"] += bound.loops_accelerated
-            superblocks["accelerated_trips"] += bound.trips_accelerated
-        return RunInfo("compiled", cycles, events, superblocks=superblocks)
+        return RunInfo("compiled", cycles, events,
+                       superblocks=dict(superblocks))
 
     def _fold(self, bounds) -> tuple:
-        """The launch's event totals, memoized per (bound programs, count
-        vectors).
+        """The launch's event totals and loop accounting, memoized per
+        (bound programs, count vectors).
 
         Deterministic kernels repeat their execution histograms launch
         after launch, so one walk of the executed superblocks' static
-        deltas serves every repeat. Returns ``(totals, events)``: the
-        ``{event: count}`` update for the shared tally, inserted in sorted
-        event-name order (so the tally's order, and every float sum
-        downstream, depends only on the events that ticked), and the same
-        totals as the sorted ``((event, count), ...)`` of ``RunInfo``.
+        deltas serves every repeat. Returns ``(totals, events,
+        superblocks)``: the ``{event: count}`` update for the shared
+        tally, inserted in sorted event-name order (so the tally's order,
+        and every float sum downstream, depends only on the events that
+        ticked), the same totals as the sorted ``((event, count), ...)``
+        of ``RunInfo``, and the closed-form loops' entries and trips.
         """
         key = tuple((bound, tuple(bound.counts)) for bound in bounds)
         fold = self._folds.get(key)
         if fold is None:
             walked = {}
+            loops = trips = 0
             for bound, counts in key:
-                for blk in bound.compiled.blocks:
+                blocks = bound.compiled.blocks
+                for blk in blocks:
                     count = counts[blk.index]
                     if not count:
                         continue
+                    if blk.closed_form:
+                        trips += count
                     for name, n in blk.delta:
                         walked[name] = walked.get(name, 0) + n * count
+                loops += sum(counts[len(blocks):])
             totals = {name: walked[name] for name in sorted(walked)}
-            fold = (totals, tuple(totals.items()))
+            fold = (totals, tuple(totals.items()),
+                    {"accelerated_loops": loops, "accelerated_trips": trips})
             if len(self._folds) >= self.FOLD_CAP:
                 del self._folds[next(iter(self._folds))]
             self._folds[key] = fold

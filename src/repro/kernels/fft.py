@@ -530,9 +530,8 @@ class FftEngine:
                 base = plan.table_line_of_stage(t) * self.params.line_words
                 cycles += self.runner.stage_in(words, base)
             else:
-                sram_base = self.runner.reserve_sram(len(words))
-                self.runner.soc.sram.poke_words(sram_base, words)
-                self._table_sram[t] = (sram_base, len(words))
+                self._table_sram[t] = (self.runner.reserve_sram(words),
+                                       len(words))
         self.prepare_cycles = cycles
         self._prepared = True
         return cycles

@@ -209,8 +209,7 @@ class SplitFftEngine:
             return self.prepare_cycles
         cycles = self.sub.prepare()
         words = stage_table_lines(self.params, self.n, clog2(self.n) - 1)
-        self._w_sram = self.runner.reserve_sram(len(words))
-        self.runner.soc.sram.poke_words(self._w_sram, words)
+        self._w_sram = self.runner.reserve_sram(words)
         self.prepare_cycles = cycles
         self._prepared = True
         return cycles

@@ -379,8 +379,7 @@ class RfftEngine:
                 words, self.w_line * self.params.line_words
             )
         else:
-            self._w_sram = self.runner.reserve_sram(len(words))
-            self.runner.soc.sram.poke_words(self._w_sram, words)
+            self._w_sram = self.runner.reserve_sram(words)
         self.prepare_cycles = cycles
         self._prepared = True
         return cycles

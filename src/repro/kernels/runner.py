@@ -96,6 +96,8 @@ class KernelRunner:
         self._sram_base = 0
         self._sram_limit = self.soc.sram.n_words
         self._sram_next = 0
+        #: Blocks taken with :meth:`reserve_sram`: words -> address.
+        self._reserved = {}
         #: Cumulative DMA cycles spent staging in/out through this runner;
         #: ``repro.serve`` diffs it per window for its pipelining model.
         self.staging_cycles = {"in": 0, "out": 0}
@@ -157,20 +159,37 @@ class KernelRunner:
         self._sram_base = base
         self._sram_limit = base + n_words
         self._sram_next = base
+        self._reserved = {}
 
-    def reserve_sram(self, n_words: int) -> int:
-        """Keep a block of system SRAM out of staging; returns its word
-        address.
+    def reserve_sram(self, words) -> int:
+        """Park ``words`` in system SRAM out of staging; returns the word
+        address of the block that holds them.
 
-        The block is allocated like :meth:`sram_alloc`, then the staging
-        region restarts above it, so :meth:`reset_sram` and later staging
-        never overwrite it. Engines park their SRAM twiddle tables here.
-        The block is released only when the region is set again
+        The block is allocated like :meth:`sram_alloc` and filled, then
+        the staging region restarts above it, so :meth:`reset_sram` and
+        later staging never overwrite it. Engines park their SRAM
+        twiddle tables here. A block that already holds the same words
+        on this runner is returned instead of a copy, so engines built
+        over and over on one runner share their tables. Blocks are
+        released only when the region is set again
         (:meth:`set_sram_region`), as a stream scheduler does before
         every window.
         """
-        base = self.sram_alloc(n_words)
-        self.set_sram_region(base + n_words, self._sram_limit - base - n_words)
+        words = tuple(words)
+        sram = self.soc.sram
+        reserved = self._reserved
+        base = reserved.get(words)
+        if base is not None \
+                and sram.peek_words(base, len(words)) == list(words):
+            return base
+        base = self.sram_alloc(len(words))
+        sram.poke_words(base, words)
+        # Moving the region forgets the blocks below it; those taken
+        # here stay held.
+        self.set_sram_region(base + len(words),
+                             self._sram_limit - base - len(words))
+        reserved[words] = base
+        self._reserved = reserved
         return base
 
     def reset_sram(self) -> None:

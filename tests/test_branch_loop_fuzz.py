@@ -15,6 +15,9 @@ single-column kernels of that shape:
   back to the loop head), optionally after latching the value into the
   running register and committing an RC result to the SPM through
   ``ST_SRF`` and a second drawn pointer;
+* sometimes a second way into the loop: a ``JUMP`` or a drawn branch
+  before the loop head that enters one arm directly, so the loop has
+  two entries and its CFG is irreducible, like ``delineate``'s;
 * sometimes a ``max_cycles`` budget that cuts the loop short.
 
 For every draw, ``auto`` equals ``reference`` on the outcome (error type
@@ -121,6 +124,11 @@ def kernels(draw) -> dict:
         )),
         "fall": draw(arms()),
         "taken": draw(arms()),
+        "entry": draw(st.none() | st.tuples(
+            st.sampled_from(("jump", *sorted(BRANCHES))),
+            st.sampled_from(("fall", "taken")),
+            st.integers(-8, 8),
+        )),
         "max_cycles": draw(st.none() | st.integers(1, 120)),
     }
 
@@ -149,6 +157,12 @@ def _config(kernel: dict) -> KernelConfig:
     b.srf(SRF_STORE, kernel["store"][0])
     b.emit(lcu=seti(REG_TRIP, 0))
     b.emit(lcu=seti(REG_RUNNING, kernel["running"]))
+    if kernel["entry"] is not None:
+        kind, arm, value = kernel["entry"]
+        if kind == "jump":
+            b.emit(lcu=jump(arm))
+        else:
+            b.emit(lcu=BRANCHES[kind](REG_RUNNING, value, arm))
     b.label("loop")
     b.emit(lcu=bge(REG_TRIP, kernel["trips"], "done"))
     b.emit(lsu=ld_srf(SRF_VALUE, SRF_LOAD, inc=kernel["load"][1]),
@@ -157,6 +171,7 @@ def _config(kernel: dict) -> KernelConfig:
     b.emit(lcu=BRANCHES[kernel["branch"]](
         REG_VALUE, kernel["cmp"], "taken"
     ))
+    b.label("fall")
     _emit_arm(b, kernel["fall"], kernel["store"][1])
     b.label("taken")
     _emit_arm(b, kernel["taken"], kernel["store"][1])

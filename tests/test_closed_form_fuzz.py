@@ -20,9 +20,14 @@ event tally and the full column and SPM state; and ``auto`` counts the
 launch under ``reference`` exactly when the counter leaves int32 on a
 trip the budget allows, naming the loop on ``RunResult.fallback_reason``
 when the launch completes.
+
+``FUZZ_EXAMPLES`` raises the example count for a longer run (CI runs
+one); the default keeps the fixed-seed run in tier-1 short.
 """
 
 from __future__ import annotations
+
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +48,7 @@ INT32_MIN, INT32_MAX = -2**31, 2**31 - 1
 IMM_MIN, IMM_MAX = -2**16, 2**16 - 1
 #: Trips the loop model follows before calling a loop endless.
 MODEL_TRIPS = 400
+EXAMPLES = int(os.environ.get("FUZZ_EXAMPLES", "200"))
 
 
 def near_edges(reach: int):
@@ -165,7 +171,7 @@ def _launch(engine: str, config: KernelConfig, max_cycles: int):
     return (outcome, _full_state(sim)), sim.engine_decisions, reason
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None)
 @given(loops())
 def test_generated_closed_form_loops_match_reference(loop):
     config = _config(loop)

@@ -382,8 +382,8 @@ class TestEngineSemantics:
     @staticmethod
     def _interrupt_last_column(sim, error):
         """Warm-run a two-column kernel, then make its last column's
-        bound block run and raise ``error``; returns the config name and
-        the engine-entry states the next launch records."""
+        bound program run and raise ``error``; returns the config name
+        and the engine-entry states the next launch records."""
         params = sim.params
         columns = {}
         for col in (0, 1):
@@ -400,13 +400,13 @@ class TestEngineSemantics:
             .engine == "compiled"
         engine = sim._engine
         bound = engine._bind(sim.columns[1])
-        fn, *rest = bound.table[0]
+        fn = bound.fn
 
-        def interrupted():
-            fn()
+        def interrupted(*args):
+            fn(*args)
             raise error
 
-        bound.table[0] = (interrupted, *rest)
+        bound.fn = interrupted
         entry_states = []
         run_kernel = engine.run_kernel
 

@@ -79,6 +79,9 @@ KINDS = {
 }
 
 GUARD_PREFIX = "if not -2147483648 <= "
+#: Indent of a superblock's code: the body of its ``if pc == <leader>:``
+#: arm, inside the generated function's ``while True:`` loop.
+ARM = " " * 12
 
 
 @pytest.fixture
@@ -153,7 +156,7 @@ def test_generated_alu_matches_reference(op):
         builder.exit()
         program = builder.build()
         cmp_.load(program)
-        block = BoundColumn(cmp_, compile_program(program, params)).table[0][0]
+        bound = BoundColumn(cmp_, compile_program(program, params))
         for va in EDGES if a_val is None else (a_val,):
             for vb in EDGES if b_val is None else (b_val,):
                 ref.load(program)
@@ -161,7 +164,7 @@ def test_generated_alu_matches_reference(op):
                 ref.step()
                 cmp_.load(program)
                 _prime(cmp_, va, vb)
-                block()
+                bound.run_to_exit(op.name, 10)
                 expected = alu_execute(op, va, vb)
                 assert cmp_.rc_out[1] == expected == cmp_.rc_out[2], \
                     (op, a, b, va, vb)
@@ -249,14 +252,14 @@ def test_hoisted_commits_follow_guarded_wrap():
     params = ArchParams()
     program = _hoisting_program(params)
     source = compile_program(program, params).source
-    assert "\n    for _ in range(_t):\n" in source
+    assert f"\n{ARM}for _ in range(_t):\n" in source
     # The latch commit hoists after the counted loop (one indent level
     # above its body), behind the in-loop guarded wrap of the same
     # temporary; R0's commit stays in the body, since the SMUL
     # reassigns v0 later in the trip.
-    assert "\n    O[0] = v0\n" in source
-    assert "\n        R0[0] = v0\n" in source
-    assert "\n        " + GUARD_PREFIX + "v0 <= 2147483647:" in source
+    assert f"\n{ARM}O[0] = v0\n" in source
+    assert f"\n{ARM}    R0[0] = v0\n" in source
+    assert f"\n{ARM}    " + GUARD_PREFIX + "v0 <= 2147483647:" in source
     states = {}
     for engine in ("reference", "auto"):
         sim = Vwr2a(engine=engine)
@@ -342,9 +345,10 @@ def _stored_programs(vwr2a) -> list:
 
 
 def test_paper_kernels_emit_each_closed_form_loop_once():
-    """Every closed-form loop the paper kernels compile (the FFT-2048
-    set, FIR and a served MBioTracker stream) is one counted ``for``:
-    no ``while`` and no second, per-trip copy of its body."""
+    """Every program the paper kernels compile (the FFT-2048 set, FIR and
+    a served MBioTracker stream) is one function, and each of its
+    closed-form loops is one counted ``for``: no ``while`` and no
+    second, per-trip copy of its body."""
     fft = KernelRunner()
     SplitFftEngine(fft, 2048).run([0] * 2048, [0] * 2048)
     stream = KernelRunner()
@@ -357,18 +361,21 @@ def test_paper_kernels_emit_each_closed_form_loop_once():
         + [compile_program(p, params) for p in fir.columns.values()]
     loops = 0
     for program in programs:
-        functions = {
-            node.name: node for node in ast.parse(program.source).body
-        }
+        body = ast.parse(program.source).body
+        assert [type(node) for node in body] == [ast.FunctionDef]
+        (function,) = body
+        (dispatch,) = [node for node in function.body
+                       if isinstance(node, ast.While)]
+        arms = {arm.test.comparators[0].value: arm for arm in dispatch.body}
         for block in program.blocks:
             if not block.closed_form:
                 continue
             statements = [
-                node for node in ast.walk(functions[block.fn_name])
+                node for node in ast.walk(arms[block.leader])
                 if isinstance(node, (ast.For, ast.While))
             ]
             assert [type(node) for node in statements] == [ast.For], \
-                block.fn_name
+                block.leader
             loops += 1
     assert loops > 0
 

@@ -28,7 +28,7 @@ class TestRunnerStaging:
         r = KernelRunner()
         n_words = r.soc.sram.n_words
         r.sram_alloc(10)  # transient: the block lands above it
-        assert r.reserve_sram(100) == 10
+        assert r.reserve_sram([0] * 100) == 10
         assert r.sram_region == (110, n_words - 110)
         r.reset_sram()
         assert r.sram_alloc(1) == 110
@@ -196,6 +196,25 @@ class TestEngineTablesSurviveReset:
         re, im = _points(2048, 29), _points(2048, 13)
         golden = split_fft_reference_int(re, im)
         for _ in range(2):
+            out = fft.run(re, im)
+            assert (out.re, out.im) == golden
+            runner.reset_sram()
+
+    def test_split_fft_2048_engines_share_their_tables(self):
+        """Engines built over and over on one runner reuse the table
+        blocks the first one reserved instead of filling the SRAM."""
+        from repro.kernels.fft2048 import (
+            SplitFftEngine,
+            split_fft_reference_int,
+        )
+
+        runner = KernelRunner()
+        re, im = _points(2048, 29), _points(2048, 13)
+        golden = split_fft_reference_int(re, im)
+        for _ in range(10):
+            fft = SplitFftEngine(runner, 2048)
+            fft.prepare()
+            runner.reset_sram()
             out = fft.run(re, im)
             assert (out.re, out.im) == golden
             runner.reset_sram()

@@ -419,9 +419,8 @@ class TestRunApplicationThinClient:
 
     def test_buffers_reserved_below_the_region_survive(self, trace):
         runner = KernelRunner()
-        base = runner.reserve_sram(100)
         mine = list(range(-50, 50))
-        runner.soc.sram.poke_words(base, mine)
+        base = runner.reserve_sram(mine)
         run_application(trace[:WINDOW], "cpu_vwr2a", runner)
         assert runner.soc.sram.peek_words(base, 100) == mine
         assert runner.sram_region == (100, runner.soc.sram.n_words - 100)

@@ -29,7 +29,7 @@ from repro.isa.fields import (
     imm,
     srf,
 )
-from repro.isa.lcu import addi, bge, blt, jump, ldsrf, seti
+from repro.isa.lcu import BRANCH_OPS, addi, bge, blt, jump, ldsrf, seti
 from repro.isa.lsu import ld_vwr, st_vwr
 from repro.isa.mxcu import inck, setk
 from repro.isa.program import KernelConfig
@@ -283,7 +283,13 @@ class TestChainFusion:
         b.exit()
         program = b.build()
         compiled = compile_program(program, params)
-        loops = [blk for blk in compiled.blocks if blk.is_loop]
+
+        def loops_back(blk) -> bool:
+            """The superblock's tail branches back to its leader."""
+            tail = program.bundles[sum(blk.members[-1]) - 1].lcu
+            return tail.op in BRANCH_OPS and tail.target == blk.leader
+
+        loops = [blk for blk in compiled.blocks if loops_back(blk)]
         assert len(loops) == 1
         assert len(loops[0].members) == 2
         assert loops[0].closed_form

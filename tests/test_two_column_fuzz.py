@@ -15,9 +15,14 @@ checks, for every draw:
 * ``auto`` routes the launch to the reference exactly when the analysis
   reports a conflict (read from ``engine_decisions``, which also counts
   launches that abort).
+
+``FUZZ_EXAMPLES`` raises the example count for a longer run (CI runs
+one); the default keeps the fixed-seed run in tier-1 short.
 """
 
 from __future__ import annotations
+
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +40,7 @@ from repro.isa.rc import RCOp, rc
 from test_spm_conflicts import _full_state
 
 SPM_LINES = DEFAULT_PARAMS.spm_lines
+EXAMPLES = int(os.environ.get("FUZZ_EXAMPLES", "150"))
 HALF = SPM_LINES // 2
 
 
@@ -92,7 +98,7 @@ def _launch(engine: str, config: KernelConfig):
     return state, sim.engine_decisions
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None)
 @given(st.tuples(column(0), column(1)))
 def test_generated_two_column_kernels_match_reference(pair):
     config = KernelConfig(name="fuzz", columns=dict(enumerate(pair)))
