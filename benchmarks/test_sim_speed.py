@@ -26,9 +26,12 @@ recorded but not guarded.
 Also measures **short-kernel launch latency** — store + launch of a small
 FIR, asked of its planner every iteration exactly like the FFT engines ask
 for their batch kernels — which exercises the build-once planner memo, the
-identity-keyed configuration store and the per-config SPM-conflict verdict
-stamp. The warm-path iterations must perform zero re-encodes, zero hazard
-re-checks and zero conflict re-analyses.
+identity-keyed configuration store and the array's per-config launch
+record. The warm-path iterations must perform zero re-encodes, zero hazard
+re-checks and zero conflict re-analyses. One more warm store + launch runs
+under :func:`sys.settrace` and records the Python calls and bytecode
+instructions it executes (recorded, not guarded): host-independent counts
+of the launch path's work.
 
 Also records the **codegen** size of the same flow (recorded, not
 guarded): the generated source lines of the FFT-2048 program set and
@@ -43,6 +46,7 @@ the compile-once / execute-many regime the engine exists for.
 
 from __future__ import annotations
 
+import sys
 import time
 
 import pytest
@@ -242,7 +246,7 @@ def test_short_kernel_launch_latency():
     per-launch pattern). The memoized planner returns the object stored
     on the cold first iteration, so every warm store is an identity
     dedup — zero re-encodes, zero hazard re-checks — and the launch
-    reads the conflict verdict stamped on the config (``analysis_hits``)
+    reuses the config's launch record on the array (``analysis_hits``)
     instead of re-analyzing.
     """
     runner = KernelRunner()  # engine="auto", the default
@@ -276,13 +280,14 @@ def test_short_kernel_launch_latency():
     warm_launch = warm_wall / iterations
 
     # Warm path: every re-store was an identity dedup, and the conflict
-    # verdict rode on the stored config object.
+    # verdict rode on the config's launch record.
     warm = stats.as_dict()
     assert warm["encode_misses"] == cold["encode_misses"]
     assert warm["hazard_misses"] == cold["hazard_misses"]
     assert warm["analysis_misses"] == cold["analysis_misses"]
     assert warm["dedup_hits"] >= iterations
     assert warm["analysis_hits"] >= iterations
+    calls, opcodes = _trace_counts(store_and_launch)
 
     update_bench({
         "short_kernel_launch": {
@@ -293,8 +298,34 @@ def test_short_kernel_launch_latency():
             "warm_iterations": iterations,
             "kernel_cycles": cold_result.cycles,
             "store_stats_after_warm": warm,
+            "python_calls": calls,
+            "opcodes": opcodes,
         },
     })
+
+
+def _trace_counts(fn) -> tuple:
+    """``(python_calls, opcodes)`` one call of ``fn`` executes, counted
+    with :func:`sys.settrace`; any tracer already set is restored."""
+    counts = [0, 0]
+
+    def opcode(frame, event, arg):
+        if event == "opcode":
+            counts[1] += 1
+        return opcode
+
+    def call(frame, event, arg):
+        counts[0] += 1
+        frame.f_trace_opcodes = True
+        return opcode
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return tuple(counts)
 
 
 def test_codegen_fft2048():

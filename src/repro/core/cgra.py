@@ -15,7 +15,7 @@ from repro.core.column import Column
 from repro.core.config_mem import ConfigurationMemory
 from repro.core.dma import Dma
 from repro.core.errors import ConfigurationError
-from repro.core.events import Ev, EventCounters
+from repro.core.events import EventCounters
 from repro.core.spm import Scratchpad
 from repro.core.synchronizer import Synchronizer
 from repro.isa.program import KernelConfig
@@ -54,18 +54,20 @@ class Vwr2a:
 
     ``engine`` selects how kernels execute: ``"auto"`` (the default) runs
     the compile-time cross-column SPM analysis on a configuration's first
-    launch and executes conflict-free kernels on the compiled fast path
-    (one column after another), falling back to the per-cycle reference
-    interpreter when columns communicate through the SPM mid-kernel
-    (docs/engine.md); ``"reference"`` is the original cycle-by-cycle
-    interpreter (``Column.step``), kept as the golden model. Both engines
-    produce identical cycle counts, event snapshots and per-launch event
-    deltas; ``RunResult`` records which engine ran (``"compiled"`` or
-    ``"reference"``) and why.
+    launch on this array and executes conflict-free kernels on the
+    compiled fast path (one column after another), falling back to the
+    per-cycle reference interpreter when columns communicate through the
+    SPM mid-kernel (docs/engine.md); ``"reference"`` is the original
+    cycle-by-cycle interpreter (``Column.step``), kept as the golden
+    model. Both engines produce identical cycle counts, event snapshots
+    and per-launch event deltas; ``RunResult`` records which engine ran
+    (``"compiled"`` or ``"reference"``) and why.
     """
 
     #: Runaway guard for kernel execution.
     DEFAULT_MAX_CYCLES = 10_000_000
+    #: Launch records kept (keyed on the config object, FIFO-evicted).
+    LAUNCH_CAP = 128
 
     def __init__(
         self,
@@ -102,6 +104,9 @@ class Vwr2a:
         ]
         self.config_mem = ConfigurationMemory(params)
         self.synchronizer = Synchronizer()
+        #: ``id(config)`` -> its launch record on this array; the record
+        #: holds the config, so the id cannot be reused while it is kept.
+        self._launches = {}
         self.dma = None
         if bus is not None:
             self.attach_bus(bus, dma_setup_cycles)
@@ -125,58 +130,6 @@ class Vwr2a:
         """
         self.config_mem.store(config)
 
-    def _install(self, config: KernelConfig) -> int:
-        """Load the column programs; charge the configuration load.
-
-        The load's ``{config.word, srf.write}`` tally is a property of the
-        config object alone, so it is computed at the config's first
-        launch and stamped on it, as :meth:`_conflict_report` stamps the
-        SPM-conflict verdict.
-        """
-        for col, program in config.columns.items():
-            self.columns[col].load(program)
-        stamp = config.__dict__.get("_install")
-        if stamp is None:
-            config_words = srf_writes = 0
-            for program in config.columns.values():
-                config_words += len(program.bundles)
-                srf_writes += len(program.srf_init)
-            stamp = config._install = (
-                {Ev.CONFIG_WORD: config_words, Ev.SRF_WRITE: srf_writes},
-                config_words + srf_writes,
-            )
-        self.events.add_many(stamp[0])
-        self.synchronizer.kernel_started(config.name, config.columns.keys())
-        return stamp[1]
-
-    def _conflict_report(self, config: KernelConfig):
-        """SPM-conflict verdict of ``config``, cached on the config object.
-
-        The planners build each kernel once, so a warm launch runs the
-        very :class:`KernelConfig` object stored before; stamping the
-        verdict on that object makes every warm launch a plain attribute
-        read — no fingerprint hashing, no memo lookup (the footprint memo
-        in :mod:`repro.engine.conflicts` still backs cold misses).
-        ``config_mem.stats.analysis_hits/analysis_misses`` count the cache
-        behaviour.
-        """
-        stats = self.config_mem.stats
-        cached = config.__dict__.get("_analysis")
-        if cached is not None and cached[0] is self.params:
-            stats.analysis_hits += 1
-            return cached[1]
-        stats.analysis_misses += 1
-        if len(config.columns) > 1:
-            from repro.engine.conflicts import analyze_columns
-
-            report = analyze_columns(config.columns, self.params)
-        else:
-            from repro.engine.conflicts import EMPTY_REPORT
-
-            report = EMPTY_REPORT
-        config._analysis = (self.params, report)
-        return report
-
     # -- execution -----------------------------------------------------------
 
     @property
@@ -198,35 +151,33 @@ class Vwr2a:
     def run(self, name: str, max_cycles: int = None) -> RunResult:
         """Load and execute a stored kernel to completion.
 
-        The only launch path: installs the configuration (charging its
-        load once) and hands the engine the conflict verdict stamped on
-        the config — ``None`` for the reference engine, which never needs
-        one.
+        The only launch path: fetches the config, gets or builds its
+        launch record (:class:`~repro.engine.executor.Launch`), loads the
+        column programs, charges the configuration load and hands the
+        record to the engine, which returns the launch's result.
         """
         if max_cycles is None:
             max_cycles = self.DEFAULT_MAX_CYCLES
-        # Single configuration fetch: _install reuses it for the load,
-        # and the conflict verdict rides on the stored config object.
         config = self.config_mem.get(name)
-        report = self._conflict_report(config) \
-            if self._engine.name != "reference" else None
-        config_cycles = self._install(config)
-        active = [self.columns[col] for col in config.columns]
-        info = self._engine.run_kernel(self, name, active, max_cycles, report)
-        self.synchronizer.kernel_finished(
-            name, info.cycles, config.columns.keys()
-        )
-        return RunResult(
-            name=name,
-            cycles=info.cycles,
-            config_cycles=config_cycles,
-            column_steps={col.index: col.steps for col in active},
-            engine=info.engine,
-            fallback_reason=info.fallback_reason,
-            spm_conflicts=tuple(info.conflicts),
-            superblocks=info.superblocks,
-            events=info.events,
-        )
+        stats = self.config_mem.stats
+        launches = self._launches
+        launch = launches.get(id(config))
+        if launch is None:
+            from repro.engine.executor import Launch
+
+            stats.analysis_misses += 1
+            launch = Launch(self, config, self._engine.name != "reference")
+            if len(launches) >= self.LAUNCH_CAP:
+                del launches[next(iter(launches))]
+            launches[id(config)] = launch
+        else:
+            stats.analysis_hits += 1
+        for col, program in launch.programs:
+            col.load(program)
+        self.events.add_many(launch.load)
+        result = self._engine.run_kernel(self, launch, max_cycles)
+        self.synchronizer.kernel_finished(name, result.cycles, config.columns)
+        return result
 
     def execute(self, config: KernelConfig, max_cycles: int = None) -> RunResult:
         """Store + run in one call (convenience for tests and examples)."""

@@ -36,8 +36,8 @@ class StoreStats:
     encode_misses: int = 0  #: per-column encodes actually performed
     hazard_hits: int = 0    #: per-column hazard checks reused off the stamp
     hazard_misses: int = 0  #: per-column hazard checks actually run
-    analysis_hits: int = 0    #: SPM-conflict verdicts reused off the config
-    analysis_misses: int = 0  #: SPM-conflict verdicts actually computed
+    analysis_hits: int = 0    #: launches that reused their launch record
+    analysis_misses: int = 0  #: launch records built (verdict computed)
 
     def as_dict(self) -> dict:
         """The counters as a plain ``name -> count`` dict.

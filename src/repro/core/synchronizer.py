@@ -38,9 +38,6 @@ class Synchronizer:
         """Register a host callback fired on every completion."""
         self._irq_callback = callback
 
-    def kernel_started(self, name: str, columns) -> None:
-        self._running = (name, tuple(columns))
-
     def kernel_finished(self, name: str, cycles: int, columns) -> None:
         record = KernelCompletion(
             name=name, cycles=cycles, columns=tuple(columns)

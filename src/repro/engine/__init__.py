@@ -4,9 +4,12 @@
 for the design. Select per instance via
 ``Vwr2a(engine="auto"|"reference")``. ``auto`` (the default) runs the
 compile-time cross-column SPM analysis (:mod:`repro.engine.conflicts`)
-and routes each launch to the compiled fast path when proven
-conflict-free, or to the reference interpreter when columns communicate
-through the SPM mid-kernel. Either way the launch reports its own event
+once per config object and array, keeps the verdict and the bound
+compiled columns on that config's launch record
+(:class:`~repro.engine.executor.Launch`), and routes each launch to the
+compiled fast path when proven conflict-free, or to the reference
+interpreter when columns communicate through the SPM mid-kernel. Either
+way the engine returns the launch's ``RunResult``, with its own event
 delta, which per-kernel energy folds from.
 """
 

@@ -65,11 +65,11 @@ put every result on CPython's multi-digit integer path. In practice:
   do, and a program carrying such an immediate reads its latches as
   unbounded (see ``_reg_range``).
 
-Compilation is memoized two ways: per :class:`ColumnProgram` object (the
-planners build each kernel once, so warm launches read this stamp), and
-structurally by ``(params, bundles)`` — distinct programs with identical
-code but different ``srf_init`` (an FFT stage's batches) hit the
-structural memo and compile exactly once.
+Compilation is memoized structurally by ``(params, bundles)`` —
+distinct programs with identical code but different ``srf_init`` (an
+FFT stage's batches) compile exactly once — and warm launches do not
+compile at all: the config's launch record on the array keeps its
+columns' bound programs (:class:`repro.engine.executor.Launch`).
 
 The generated function binds the column's storage (SRF/VWR/SPM backing
 lists) via default arguments at bind time (:class:`repro.engine.executor
@@ -78,6 +78,7 @@ lists) via default arguments at bind time (:class:`repro.engine.executor
 
 from __future__ import annotations
 
+import re
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 
@@ -115,6 +116,9 @@ _VWR_DST_NAMES = {
 }
 
 _LSU_VWR_NAMES = {0: "VA", 1: "VB", 2: "VC"}
+
+#: A slice-offset name (``k1``, ``k2``, ...) in a generated line.
+_SLICE_NAME = re.compile(r"\bk\d+\b")
 
 #: Structural memo: (params, bundles) -> CompiledProgram.
 _MEMO = OrderedDict()
@@ -579,10 +583,7 @@ def superblock_chains(bundles) -> list:
 
 
 def compile_program(program, params) -> CompiledProgram:
-    """Compile ``program`` (memoized per object and per structure)."""
-    cached = getattr(program, "_compiled", None)
-    if cached is not None and cached[0] is params:
-        return cached[1]
+    """Compile ``program`` (memoized per structure)."""
     # Prefer the configuration-word fingerprint stamped at store time
     # (ints hash orders of magnitude faster than instruction trees); fall
     # back to the bundle tuple for programs loaded outside the config
@@ -596,7 +597,6 @@ def compile_program(program, params) -> CompiledProgram:
         _MEMO[key] = compiled
         if len(_MEMO) > _MEMO_CAP:
             _MEMO.popitem(last=False)
-    program._compiled = (params, compiled)
     return compiled
 
 
@@ -685,6 +685,18 @@ def _reg_range(bundles):
     return INT32
 
 
+def _entry_offsets(lines, offsets) -> list:
+    """The slice ``offsets`` an arm whose body is ``lines`` must compute
+    at entry: those read before the body's first ``k`` write (after it,
+    :func:`_k_offsets` recomputes them)."""
+    read = set()
+    for line in lines:
+        read.update(_SLICE_NAME.findall(line))
+        if line.startswith("k = "):
+            break
+    return [line for line in offsets if line.partition(" = ")[0] in read]
+
+
 def _k_offsets(lines, offsets) -> list:
     """``lines`` with the slice ``offsets`` recomputed after each ``k``
     write."""
@@ -739,13 +751,15 @@ def _compile(bundles, params) -> CompiledProgram:
         counted = plan is not None and all(
             sym[0] != "u" for sym in plan.lcu_sym.values()
         )
-        arm = list(offsets)
         if counted:
             # Trip count solved once at loop entry. It holds while the
             # counter stays inside int32 over the trips the budget
             # allows; past that the launch replays on the reference. A
             # loop needing more trips than the budget allows returns at
-            # once.
+            # once. The body runs at least once, so only its reads
+            # decide which slice offsets the arm computes at entry.
+            body = [line for pc in pcs for line in bodies[pc].lines]
+            arm = _entry_offsets(body, offsets)
             arm += ["if steps > limit: return steps",
                     f"_v0 = L[{plan.counter}]",
                     f"_bnd = {bound_expr(plan)}", *trip_count_lines(plan),
@@ -757,9 +771,7 @@ def _compile(bundles, params) -> CompiledProgram:
             # The LCU lines stay out of the body: the registers are
             # rebuilt from the affine summary after the loop.
             counted_body, post_commits = _hoistable_commits(
-                bundles, pcs, _k_offsets(
-                    [line for pc in pcs for line in bodies[pc].lines], offsets
-                ),
+                bundles, pcs, _k_offsets(body, offsets),
             )
             if counted_body:
                 arm.append("for _ in range(_t):")
@@ -776,10 +788,8 @@ def _compile(bundles, params) -> CompiledProgram:
                     *_transfer(pcs[-1] + 1, leader, leaders)]
             entry += 1
         else:
-            arm += _k_offsets(
-                [line for pc in pcs for line in bodies[pc].all_lines()],
-                offsets,
-            )
+            body = [line for pc in pcs for line in bodies[pc].all_lines()]
+            arm = _entry_offsets(body, offsets) + _k_offsets(body, offsets)
             arm += [f"C[{index}] += 1", f"steps += {n}"]
             if last.op is LCUOp.EXIT:
                 arm += [f"col.pc = {pcs[-1] + 1}",

@@ -41,8 +41,8 @@ Column footprints are memoized structurally — keyed on the
 configuration-word fingerprint stamped by the configuration memory plus
 the ``srf_init`` values — so the reports of different config objects with
 the same columns share their word sets. Warm launches never get here: the
-planners build each kernel once and ``Vwr2a`` stamps the verdict on the
-config object. A new config object whose columns were analyzed before (a
+planners build each kernel once and ``Vwr2a`` keeps the verdict on the
+config's launch record. A new config object whose columns were analyzed before (a
 hand-built copy, a planner entry rebuilt after eviction) re-derives only
 the cheap pairwise intersection.
 """

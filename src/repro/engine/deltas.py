@@ -20,8 +20,8 @@ matches the interpreter's per-cycle logging bit for bit on every kernel.
 Each compiled superblock carries the summed delta of its bundles
 (:attr:`repro.engine.compiler.BlockInfo.delta`). At kernel end the
 executor walks the executed superblocks once, multiplying each delta by
-its execution count (:meth:`repro.engine.executor.AutoEngine._fold`,
-memoized per count vector); the columns' totals become the launch's
+its execution count (:meth:`repro.engine.executor.Launch.fold`,
+memoized per count vector on the launch record); the columns' totals become the launch's
 event delta (``RunResult.events``), the same record the reference
 interpreter reports and per-kernel energy folds from
 (:meth:`repro.energy.EnergyModel.fold_histogram`).

@@ -1,20 +1,23 @@
 """Execution engines: the conflict-aware compiled path and the reference loop.
 
 Two interchangeable engines drive kernel execution for
-:class:`repro.core.cgra.Vwr2a`:
+:class:`repro.core.cgra.Vwr2a`. Each launch hands the engine its
+:class:`Launch` record: built at a config object's first launch on an
+array, it holds everything a warm launch reads, and the engine returns
+the launch's :class:`~repro.core.cgra.RunResult` itself.
 
 * :class:`ReferenceEngine` — the original cycle-by-cycle interpreter
   (``Column.step`` per column per cycle). It is the golden model.
-* :class:`AutoEngine` — binds each column's
-  :class:`~repro.engine.compiler.CompiledProgram` to the column's storage
-  and calls its one generated function, which runs the column to EXIT
+* :class:`AutoEngine` — calls the one generated function of each
+  column's :class:`~repro.engine.compiler.CompiledProgram`, bound to the
+  column's storage in the launch record, which runs the column to EXIT
   (forward edges fall through, back edges loop; closed-form loops run
   as one counted loop, see :mod:`repro.engine.superblocks`).
   Event counting happens as per-superblock execution counts folded
   into the shared :class:`~repro.core.events.EventCounters` once per
-  launch (:meth:`AutoEngine._fold`, a walk of the blocks' static deltas
-  memoized per distinct launch) — bit-identical to per-cycle logging
-  because every bundle's event delta is static (see
+  launch (:meth:`Launch.fold`, a walk of the blocks' static deltas
+  memoized per count vectors on the record) — bit-identical to
+  per-cycle logging because every bundle's event delta is static (see
   :mod:`repro.engine.deltas`).
 
 Multi-column kernels run one column after another: each column's
@@ -26,7 +29,7 @@ touches is private to it, so no column can observe when another one
 ran. Kernels that *do* communicate through the SPM mid-kernel run on the
 reference interpreter instead, bit-identically to ``engine="reference"``.
 
-Both engines report the launch's own event delta (``RunInfo.events``,
+Both engines report the launch's own event delta (``RunResult.events``,
 ``((event, count), ...)`` in sorted event-name order) — the one record
 per-kernel energy folds from, whichever engine executed.
 
@@ -43,27 +46,18 @@ result; any other interruption just rewinds.
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict, namedtuple
+from collections import Counter
 from functools import partial
 
 from repro.core.alu import _simd16
+from repro.core.cgra import RunResult
 from repro.core.errors import AddressError, ProgramError
+from repro.core.events import Ev
 from repro.core.shuffle import shuffle
 from repro.engine.compiler import compile_program
+from repro.engine.conflicts import analyze_columns
 from repro.isa.fields import ShuffleMode, Vwr
 from repro.isa.rc import RCOp
-
-#: What ``run_kernel`` returns: the launch's cycle count, its event
-#: delta, the engine decision and the superblock accounting, surfaced on
-#: ``RunResult`` by ``Vwr2a.run``. ``events`` is ``((event, count), ...)``
-#: in sorted event-name order; ``superblocks`` is the accelerated-loop
-#: counter dict (None on the reference path).
-RunInfo = namedtuple(
-    "RunInfo",
-    ["engine", "cycles", "events", "fallback_reason", "conflicts",
-     "superblocks"],
-    defaults=(None, (), None),
-)
 
 
 def _budget_error(name: str, max_cycles: int) -> ProgramError:
@@ -89,19 +83,22 @@ class _CounterWrap(Exception):
     int32, so its trip count does not hold (no paper kernel gets here)."""
 
 
-def _lockstep(vwr2a, name, active, max_cycles) -> RunInfo:
-    """Step the active columns cycle by cycle (``Column.step``) to EXIT."""
+def _lockstep(vwr2a, launch, max_cycles, **extra) -> RunResult:
+    """Step the active columns cycle by cycle (``Column.step``) to EXIT;
+    ``extra`` goes on the reference result."""
     events = vwr2a.events
     before = events.snapshot()
+    active = launch.active
     cycles = 0
     while any(not col.done for col in active):
         if cycles >= max_cycles:
-            raise _budget_error(name, max_cycles)
+            raise _budget_error(launch.config.name, max_cycles)
         for col in active:
             col.step()
         cycles += 1
-    return RunInfo(
-        "reference", cycles, tuple(sorted(events.diff(before).items()))
+    return launch.result(
+        "reference", cycles, tuple(sorted(events.diff(before).items())),
+        **extra,
     )
 
 
@@ -114,11 +111,9 @@ class ReferenceEngine:
         #: Lifetime launch tally by executing engine (``Vwr2a.engine_decisions``).
         self.decisions = Counter()
 
-    def run_kernel(self, vwr2a, name, active, max_cycles, report) -> RunInfo:
-        # ``report`` (the conflict verdict) is accepted for interface
-        # uniformity; the per-cycle interpreter never needs it.
+    def run_kernel(self, vwr2a, launch, max_cycles) -> RunResult:
         self.decisions["reference"] += 1
-        return _lockstep(vwr2a, name, active, max_cycles)
+        return _lockstep(vwr2a, launch, max_cycles)
 
 
 class BoundColumn:
@@ -197,6 +192,92 @@ def _mode_shuffle(mode, slice_words, a, b):
     return shuffle(a, b, mode, slice_words=slice_words)
 
 
+class Launch:
+    """One configuration's launch record on one array.
+
+    ``Vwr2a.run`` builds it at the config object's first launch on that
+    array and keeps it (``Vwr2a.LAUNCH_CAP``); it holds everything a warm
+    launch reads: the active columns and their programs, the
+    configuration load's ``{config.word, srf.write}`` tally and cycles,
+    the SPM-conflict verdict (``None`` on the reference engine), the
+    columns' bound programs when the verdict is conflict-free, and the
+    memo of launch event folds.
+    """
+
+    #: Launch event folds kept (keyed on the count vectors, FIFO-evicted).
+    FOLD_CAP = 256
+
+    def __init__(self, vwr2a, config, analyze: bool) -> None:
+        params = vwr2a.params
+        programs = config.columns.values()
+        self.config = config
+        self.active = [vwr2a.columns[col] for col in config.columns]
+        self.programs = list(zip(self.active, programs))
+        self.load = {
+            Ev.CONFIG_WORD: sum(len(p.bundles) for p in programs),
+            Ev.SRF_WRITE: sum(len(p.srf_init) for p in programs),
+        }
+        self.config_cycles = config.load_cycles(params)
+        self.report = analyze_columns(config.columns, params) \
+            if analyze else None
+        self.bounds = None
+        if self.report is not None and not self.report.conflicts:
+            self.bounds = [
+                BoundColumn(col, compile_program(program, params))
+                for col, program in self.programs
+            ]
+        self.folds = {}
+
+    def result(self, engine, cycles, events, **extra) -> RunResult:
+        return RunResult(
+            name=self.config.name,
+            cycles=cycles,
+            config_cycles=self.config_cycles,
+            column_steps={col.index: col.steps for col in self.active},
+            engine=engine,
+            events=events,
+            **extra,
+        )
+
+    def fold(self) -> tuple:
+        """The compiled launch's event totals and loop accounting,
+        memoized per count vectors.
+
+        Deterministic kernels repeat their execution histograms launch
+        after launch, so one walk of the executed superblocks' static
+        deltas serves every repeat. Returns ``(totals, events,
+        superblocks)``: the ``{event: count}`` update for the shared
+        tally, inserted in sorted event-name order (so the tally's order,
+        and every float sum downstream, depends only on the events that
+        ticked), the same totals as the sorted ``((event, count), ...)``
+        of ``RunResult.events``, and the closed-form loops' entries and
+        trips.
+        """
+        key = tuple(tuple(bound.counts) for bound in self.bounds)
+        fold = self.folds.get(key)
+        if fold is None:
+            walked = {}
+            loops = trips = 0
+            for bound, counts in zip(self.bounds, key):
+                blocks = bound.compiled.blocks
+                for blk in blocks:
+                    count = counts[blk.index]
+                    if not count:
+                        continue
+                    if blk.closed_form:
+                        trips += count
+                    for name, n in blk.delta:
+                        walked[name] = walked.get(name, 0) + n * count
+                loops += sum(counts[len(blocks):])
+            totals = {name: walked[name] for name in sorted(walked)}
+            fold = (totals, tuple(totals.items()),
+                    {"accelerated_loops": loops, "accelerated_trips": trips})
+            if len(self.folds) >= self.FOLD_CAP:
+                del self.folds[next(iter(self.folds))]
+            self.folds[key] = fold
+        return fold
+
+
 def _snapshot_launch(vwr2a, active) -> tuple:
     """Pre-launch state of the SPM and the active columns (no events)."""
     return (
@@ -215,9 +296,8 @@ def _restore_launch(vwr2a, snapshot) -> None:
 class AutoEngine:
     """Conflict-aware engine: the compiled fast path (the default).
 
-    ``Vwr2a.run`` hands every launch the cross-column SPM verdict stamped
-    on its configuration (computed once per config object,
-    ``config_mem.stats.analysis_hits/analysis_misses``): kernels proven
+    Every launch's record carries the cross-column SPM verdict, computed
+    once per config object on each array (``Launch``): kernels proven
     conflict-free execute on the compiled fast path, one column after
     another, each to EXIT; kernels whose columns communicate through the
     SPM mid-kernel fall back to the reference interpreter,
@@ -230,42 +310,23 @@ class AutoEngine:
 
     name = "auto"
 
-    #: Bound programs kept per column (identity-keyed, FIFO-evicted).
-    CACHE_CAP = 128
-    #: Launch event folds kept (keyed on bound programs and count
-    #: vectors, FIFO-evicted).
-    FOLD_CAP = 256
-
     def __init__(self) -> None:
-        self._bound = {}
-        self._folds = {}
         #: Lifetime launch tally by executing engine
         #: (``Vwr2a.engine_decisions``): a compiled fault counts as
         #: compiled, a counter-wrap replay as reference.
         self.decisions = Counter()
 
-    def _bind(self, column) -> BoundColumn:
-        compiled = compile_program(column.program, column.params)
-        per_column = self._bound.setdefault(column.index, OrderedDict())
-        entry = per_column.get(id(compiled))
-        if entry is not None and entry[0] is compiled:
-            per_column.move_to_end(id(compiled))
-            return entry[1]
-        bound = BoundColumn(column, compiled)
-        per_column[id(compiled)] = (compiled, bound)
-        if len(per_column) > self.CACHE_CAP:
-            per_column.popitem(last=False)
-        return bound
-
-    def run_kernel(self, vwr2a, name, active, max_cycles, report) -> RunInfo:
-        if report.conflicts:
+    def run_kernel(self, vwr2a, launch, max_cycles) -> RunResult:
+        bounds = launch.bounds
+        if bounds is None:
+            report = launch.report
             self.decisions["reference"] += 1
-            info = _lockstep(vwr2a, name, active, max_cycles)
-            return info._replace(
-                fallback_reason=report.reason(), conflicts=report.conflicts
+            return _lockstep(
+                vwr2a, launch, max_cycles, fallback_reason=report.reason(),
+                spm_conflicts=report.conflicts,
             )
-        snapshot = _snapshot_launch(vwr2a, active)
-        bounds = [self._bind(col) for col in active]
+        name = launch.config.name
+        snapshot = _snapshot_launch(vwr2a, launch.active)
         try:
             # The verdict proves no column writes an SPM word another
             # reads or writes, so running each column to EXIT in turn is
@@ -280,9 +341,10 @@ class AutoEngine:
             _restore_launch(vwr2a, snapshot)
             self.decisions["reference"] += 1
             column, pc = wrap.args
-            info = _lockstep(vwr2a, name, active, max_cycles)
-            return info._replace(fallback_reason=f"column {column}: the "
-                                 f"counter of the loop at PC {pc} leaves int32")
+            return _lockstep(
+                vwr2a, launch, max_cycles, fallback_reason=f"column "
+                f"{column}: the counter of the loop at PC {pc} leaves int32"
+            )
         except (AddressError, ProgramError) as fault:
             self.decisions["compiled"] += 1
             # Aborted kernel: rewind to the pre-launch state and replay on
@@ -293,7 +355,7 @@ class AutoEngine:
             # including the final partial bundle, exactly like the
             # reference (docs/engine.md).
             _restore_launch(vwr2a, snapshot)
-            _lockstep(vwr2a, name, active, max_cycles)
+            _lockstep(vwr2a, launch, max_cycles)
             # A completed replay means the two engines disagree on whether
             # the kernel faults at all — an engine bug, never silently
             # reported as the stale compiled-path exception.
@@ -308,44 +370,7 @@ class AutoEngine:
             _restore_launch(vwr2a, snapshot)
             raise
         self.decisions["compiled"] += 1
-        totals, events, superblocks = self._fold(bounds)
+        totals, events, superblocks = launch.fold()
         vwr2a.events.add_many(totals)
-        return RunInfo("compiled", cycles, events,
-                       superblocks=dict(superblocks))
-
-    def _fold(self, bounds) -> tuple:
-        """The launch's event totals and loop accounting, memoized per
-        (bound programs, count vectors).
-
-        Deterministic kernels repeat their execution histograms launch
-        after launch, so one walk of the executed superblocks' static
-        deltas serves every repeat. Returns ``(totals, events,
-        superblocks)``: the ``{event: count}`` update for the shared
-        tally, inserted in sorted event-name order (so the tally's order,
-        and every float sum downstream, depends only on the events that
-        ticked), the same totals as the sorted ``((event, count), ...)``
-        of ``RunInfo``, and the closed-form loops' entries and trips.
-        """
-        key = tuple((bound, tuple(bound.counts)) for bound in bounds)
-        fold = self._folds.get(key)
-        if fold is None:
-            walked = {}
-            loops = trips = 0
-            for bound, counts in key:
-                blocks = bound.compiled.blocks
-                for blk in blocks:
-                    count = counts[blk.index]
-                    if not count:
-                        continue
-                    if blk.closed_form:
-                        trips += count
-                    for name, n in blk.delta:
-                        walked[name] = walked.get(name, 0) + n * count
-                loops += sum(counts[len(blocks):])
-            totals = {name: walked[name] for name in sorted(walked)}
-            fold = (totals, tuple(totals.items()),
-                    {"accelerated_loops": loops, "accelerated_trips": trips})
-            if len(self._folds) >= self.FOLD_CAP:
-                del self._folds[next(iter(self._folds))]
-            self._folds[key] = fold
-        return fold
+        return launch.result("compiled", cycles, events,
+                             superblocks=dict(superblocks))

@@ -64,9 +64,10 @@ class ColumnProgram:
     def compiled(self, params):
         """Compile hook: the predecoded basic-block form of this program.
 
-        Memoized per object and structurally (identical bundle sequences
-        share one compilation, whatever their ``srf_init``); used by the
-        ``compiled`` execution engine when it binds a launch.
+        Memoized structurally (identical bundle sequences share one
+        compilation, whatever their ``srf_init``); the ``auto`` engine's
+        launch record binds it to the column at the config's first
+        launch on an array.
         """
         from repro.engine.compiler import compile_program
 
@@ -114,9 +115,9 @@ class KernelConfig:
     def spm_conflicts(self, params):
         """Footprint hook: cross-column SPM conflict report of this kernel.
 
-        The verdict ``Vwr2a.run`` stamps on the config at its first
-        launch; the ``auto`` engine reads it to decide whether the launch
-        may use the compiled fast path. Returns a
+        The verdict ``Vwr2a.run`` keeps on the config's launch record at
+        its first launch on an array; the ``auto`` engine reads it to
+        decide whether the launch may use the compiled fast path. Returns a
         :class:`~repro.engine.conflicts.ConflictReport`.
         """
         from repro.engine.conflicts import analyze_columns

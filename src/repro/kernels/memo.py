@@ -3,8 +3,9 @@
 A planner is a pure function of the :class:`ArchParams` geometry, the plan
 and the baked addresses, so each distinct kernel is built once and shared:
 a warm launch hands the configuration memory the *same* object it stored
-before, and every stamp on it (store validation and encoding, compilation,
-the SPM-conflict verdict) is reused. Arguments are the key; a ``dict``
+before, so its store stamp (validation and encoding) and its launch
+record on each array (compiled columns, the SPM-conflict verdict) are
+reused. Arguments are the key; a ``dict``
 (``per_column``) keys as its items and a ``list`` (``taps``) as a tuple,
 everything else must be hashable. Built objects are treated as immutable.
 """

@@ -278,9 +278,9 @@ class KernelRunner:
     def warm(self, pipeline, samples) -> None:
         """Run one throwaway window to pre-warm the per-platform caches.
 
-        Builds, stores and stamps every kernel (store stamps, compiled
-        programs, SPM-conflict verdicts) this runner's platform will hit
-        in steady state, then restores the staging region it found.
+        Builds and stores every kernel this runner's platform will hit in
+        steady state and builds its launch record (compiled programs,
+        SPM-conflict verdict), then restores the staging region it found.
         Per-window results are history-independent (the serving layer's
         core determinism property), so warming changes
         nothing about subsequently served windows; pool workers use this

@@ -6,8 +6,8 @@ per-launch cost the single-shot flow pays repeatedly:
 
 * **store once** — the memoized planners hand every window the kernel
   objects stored before, which the configuration memory dedupes by
-  identity, reusing the compiled programs and SPM-conflict verdicts
-  stamped on them; the per-stream store delta is reported on
+  identity, and whose launch records (compiled programs, SPM-conflict
+  verdicts) the array reuses; the per-stream store delta is reported on
   :attr:`StreamReport.store_stats`;
 * **one staging region** — the scheduler records the runner's staging
   region (:attr:`KernelRunner.sram_region`) when it is built; every

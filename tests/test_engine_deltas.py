@@ -46,6 +46,7 @@ from repro.isa.mxcu import MXCUInstr, MXCUOp, inck, setk
 from repro.isa.program import ColumnProgram, KernelConfig
 from repro.isa.rc import RCOp, rc
 from repro.kernels.delineation import build_delineation_kernel
+from repro.kernels.vector import elementwise_kernel
 from test_spm_conflicts import _full_state, _producer_consumer
 
 PARAMS = ArchParams()
@@ -196,15 +197,16 @@ class TestLaunchEvents:
         assert dict(result.events) == expected
         assert [name for name, _ in result.events] == sorted(expected)
 
-    @pytest.mark.parametrize("cap", [executor.AutoEngine.FOLD_CAP, 1])
+    @pytest.mark.parametrize("cap", [executor.Launch.FOLD_CAP, 1])
     def test_data_dependent_launches_fold_per_count_vector(
         self, monkeypatch, cap
     ):
         """A delineation scan's block counts follow its window, so two
-        windows run alternately keep two count vectors of one bound
-        program in the launch-fold memo; every launch's events still
-        equal its own tally diff, and the memo stays within its cap."""
-        monkeypatch.setattr(executor.AutoEngine, "FOLD_CAP", cap)
+        windows run alternately keep two count vectors in its launch
+        record's fold memo, while a deterministic kernel launched between
+        them keeps one; every launch's events still equal its own tally
+        diff, and the memo stays within its cap."""
+        monkeypatch.setattr(executor.Launch, "FOLD_CAP", cap)
         sim = Vwr2a(engine="auto")
         params = sim.params
         n = 96
@@ -217,8 +219,13 @@ class TestLaunchEvents:
         config = build_delineation_kernel(
             params, n, 50, 0, out_word, out_word + n + 2
         )
+        steady = elementwise_kernel(
+            params, RCOp.SADD, params.line_words, 4, 5, 6
+        )
         sim.store_kernel(config)
+        sim.store_kernel(steady)
         seen = []
+        steady_events = set()
         for launch in range(6):
             sim.spm.poke_words(0, windows[launch % 2])
             before = sim.events.snapshot()
@@ -226,11 +233,18 @@ class TestLaunchEvents:
             assert result.engine == "compiled"
             assert dict(result.events) == _launch_diff(sim, config, before)
             seen.append(result.events)
-            assert len(sim._engine._folds) <= cap
+            assert len(sim._launches[id(config)].folds) <= cap
+            before = sim.events.snapshot()
+            result = sim.run(steady.name)
+            assert result.engine == "compiled"
+            assert dict(result.events) == _launch_diff(sim, steady, before)
+            steady_events.add(result.events)
         assert seen[0] != seen[1]
         assert seen[0::2] == [seen[0]] * 3 and seen[1::2] == [seen[1]] * 3
+        assert len(steady_events) == 1
+        assert len(sim._launches[id(steady)].folds) == 1
         if cap > 1:
-            assert len(sim._engine._folds) == 2
+            assert len(sim._launches[id(config)].folds) == 2
 
 
 def _launch_diff(sim, config, before) -> dict:

@@ -396,10 +396,10 @@ class TestEngineSemantics:
             b.exit()
             columns[col] = b.build()
         sim.spm.poke_words(0, list(range(2 * params.line_words)))
-        assert sim.execute(KernelConfig(name="bump", columns=columns)) \
-            .engine == "compiled"
+        config = KernelConfig(name="bump", columns=columns)
+        assert sim.execute(config).engine == "compiled"
         engine = sim._engine
-        bound = engine._bind(sim.columns[1])
+        bound = sim._launches[id(config)].bounds[1]
         fn = bound.fn
 
         def interrupted(*args):
@@ -469,10 +469,48 @@ class TestEngineSemantics:
         config = _asymmetric_config(sim.params)
         result = sim.execute(config)
         assert result.engine == "compiled"
-        engine = sim._engine
-        for col_index, steps in result.column_steps.items():
-            bound = engine._bind(sim.columns[col_index])
+        bounds = sim._launches[id(config)].bounds
+        for bound, (col_index, steps) in zip(
+            bounds, result.column_steps.items()
+        ):
+            assert bound.column.index == col_index
             assert sum(bound.pc_histogram()) == steps
+
+    def test_launch_records_live_on_each_array(self, monkeypatch):
+        # One config object run alternately on two arrays builds one
+        # launch record on each.
+        sims = [Vwr2a(engine="auto"), Vwr2a(engine="auto")]
+        config = _asymmetric_config(sims[0].params)
+        for _ in range(3):
+            for sim in sims:
+                assert sim.execute(config).engine == "compiled"
+        for sim in sims:
+            assert sim.config_mem.stats.analysis_misses == 1
+            assert len(sim._launches) == 1
+        # Under a one-record cap, two configs run alternately rebuild
+        # their records at every launch and still match the reference.
+        monkeypatch.setattr(Vwr2a, "LAUNCH_CAP", 1)
+        runs = {}
+        for engine in ENGINES:
+            sim = Vwr2a(engine=engine)
+            params = sim.params
+            configs = [
+                _asymmetric_config(params),
+                KernelConfig(name="torture",
+                             columns={0: _torture_program(params)}),
+            ]
+            sim.spm.poke_words(0, list(range(2 * params.line_words)))
+            results = []
+            for launch in range(4):
+                result = sim.execute(configs[launch % 2])
+                results.append((result.cycles, result.events))
+            assert len(sim._launches) == 1
+            assert sim.config_mem.stats.analysis_misses == 4
+            runs[engine] = (results, _launch_state(sim))
+            assert sim.engine_decisions == {
+                "reference" if engine == "reference" else "compiled": 4
+            }
+        assert runs["auto"] == runs["reference"]
 
 
 class TestCrossEngineEnergy:

@@ -344,11 +344,33 @@ def _stored_programs(vwr2a) -> list:
     ]
 
 
+def _overwritten_slice_offsets(arm) -> list:
+    """Slice offsets (``k1``, ``k2``, ...) that ``arm`` assigns and then
+    assigns again before reading, in source order (a counted loop's body
+    runs at least once, so its first lines follow the arm's entry)."""
+    uses = {}
+    for node in sorted(
+        (node for node in ast.walk(arm) if isinstance(node, ast.Name)
+         and node.id[:1] == "k" and node.id[1:].isdigit()),
+        key=lambda node: (node.lineno, isinstance(node.ctx, ast.Store),
+                          node.col_offset),
+    ):
+        uses.setdefault(node.id, []).append(node)
+    return [
+        (first.id, first.lineno)
+        for nodes in uses.values()
+        for first, then in zip(nodes, nodes[1:])
+        if isinstance(first.ctx, ast.Store)
+        and isinstance(then.ctx, ast.Store)
+    ]
+
+
 def test_paper_kernels_emit_each_closed_form_loop_once():
     """Every program the paper kernels compile (the FFT-2048 set, FIR and
     a served MBioTracker stream) is one function, and each of its
     closed-form loops is one counted ``for``: no ``while`` and no
-    second, per-trip copy of its body."""
+    second, per-trip copy of its body. No FFT-2048 arm computes a slice
+    offset it overwrites before reading."""
     fft = KernelRunner()
     SplitFftEngine(fft, 2048).run([0] * 2048, [0] * 2048)
     stream = KernelRunner()
@@ -356,8 +378,9 @@ def test_paper_kernels_emit_each_closed_form_loop_once():
     params = ArchParams()
     layout = plan_fir(params, 240, 11)
     fir = build_fir_kernel(params, [133] * 11, layout, 0, layout.n_lines)
-    programs = _stored_programs(fft.soc.vwr2a) \
-        + _stored_programs(stream.soc.vwr2a) \
+    fft_programs = _stored_programs(fft.soc.vwr2a)
+    fft_ids = {id(program) for program in fft_programs}
+    programs = fft_programs + _stored_programs(stream.soc.vwr2a) \
         + [compile_program(p, params) for p in fir.columns.values()]
     loops = 0
     for program in programs:
@@ -367,6 +390,9 @@ def test_paper_kernels_emit_each_closed_form_loop_once():
         (dispatch,) = [node for node in function.body
                        if isinstance(node, ast.While)]
         arms = {arm.test.comparators[0].value: arm for arm in dispatch.body}
+        if id(program) in fft_ids:
+            for leader, arm in arms.items():
+                assert _overwritten_slice_offsets(arm) == [], leader
         for block in program.blocks:
             if not block.closed_form:
                 continue

@@ -134,7 +134,6 @@ class TestSynchronizer:
         sync = Synchronizer()
         fired = []
         sync.on_irq(fired.append)
-        sync.kernel_started("k", [0, 1])
         sync.kernel_finished("k", 123, [0, 1])
         assert sync.irq_pending
         assert fired[0].cycles == 123

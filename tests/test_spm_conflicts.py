@@ -350,8 +350,8 @@ class TestAnalysisCaching:
         before = dict(conflicts.ANALYSIS_STATS)
         hits_before = sim.config_mem.stats.analysis_hits
         # Rebuilding the kernel returns the stored config object, whose
-        # stamped verdict makes the launch a plain attribute read: zero
-        # new footprint computations.
+        # launch record carries the verdict: zero new footprint
+        # computations.
         sim.execute(elementwise_kernel(sim.params, RCOp.SSUB, 512, 0, 4, 8))
         after = conflicts.ANALYSIS_STATS
         assert after["footprint_misses"] == before["footprint_misses"]
@@ -359,7 +359,7 @@ class TestAnalysisCaching:
         assert sim.config_mem.stats.analysis_misses == 1
 
     def test_footprint_memo_backs_fresh_config_objects(self):
-        # A config object the stamp has never seen (a hand-built copy:
+        # A config object no launch record holds (a hand-built copy:
         # fresh objects, same code and SRF values) is re-analyzed from
         # the footprint memo without abstractly executing any column.
         sim = Vwr2a()

@@ -311,7 +311,7 @@ class TestChainFusion:
         config = _broadcast_loop(sim.params, 16)
         result = sim.execute(config)
         assert result.engine == "compiled"
-        bound = sim._engine._bind(sim.columns[0])
+        bound = sim._launches[id(config)].bounds[0]
         assert sum(bound.pc_histogram()) == result.column_steps[0]
 
 
