@@ -56,6 +56,10 @@ class ProgramBuilder:
         self._bundles.append(bundle)
         return len(self._bundles) - 1
 
+    def patch(self, pc: int, **slots) -> None:
+        """Rebuild the bundle at ``pc`` from ``slots`` (as :meth:`emit`)."""
+        self._bundles[pc] = make_bundle(n_rcs=self.n_rcs, **slots)
+
     def nop(self, count: int = 1) -> None:
         """Emit ``count`` all-NOP bundles."""
         for _ in range(count):

@@ -21,7 +21,6 @@ from repro.kernels.fft import (
 )
 from repro.kernels.fft2048 import (
     SplitFftEngine,
-    SplitFftRun,
     split_fft_reference_int,
 )
 from repro.kernels.fir import (
@@ -34,7 +33,7 @@ from repro.kernels.fir import (
 )
 from repro.kernels.layout import Region, SpmAllocator
 from repro.kernels.macro import ColumnKernelBuilder
-from repro.kernels.rfft import RfftEngine, RfftRun, rfft_reference_int
+from repro.kernels.rfft import RfftEngine, rfft_reference_int
 from repro.kernels.runner import KernelRun, KernelRunner, RunnerFactory
 from repro.kernels.vector import elementwise_kernel, plan_split, scalar_kernel
 
@@ -52,7 +51,6 @@ __all__ = [
     "master_twiddles",
     "stage_table",
     "SplitFftEngine",
-    "SplitFftRun",
     "split_fft_reference_int",
     "FirLayout",
     "FirRun",
@@ -64,7 +62,6 @@ __all__ = [
     "SpmAllocator",
     "ColumnKernelBuilder",
     "RfftEngine",
-    "RfftRun",
     "rfft_reference_int",
     "KernelRun",
     "KernelRunner",

@@ -34,7 +34,8 @@ on every later transform. Within a batch:
 * the final butterflies are *fused* passes producing ``a + wb`` into VWR C
   and ``a - wb`` in place into VWR B in a two-cycle body;
 * all scratch lines are walked by a single SRF address register whose
-  post-increment chain is baked into the instructions (no extra cycles).
+  post-increment chain is baked into the instructions (no extra cycles;
+  :meth:`~repro.kernels.macro.ColumnKernelBuilder.scratch`).
 
 Twiddles are 16.15 constants (1.0 = 32768 is exactly representable in the
 32-bit datapath). Per-stage tables are materialized in the SPM: uploaded
@@ -191,29 +192,49 @@ class BatchAddresses:
     imm_twiddles: tuple = None
 
 
-class _ScratchChain:
-    """Post-increment chain planner for the scratch address register.
+def butterfly_pass(kb: ColumnKernelBuilder) -> None:
+    """Fused butterflies: C = A + B and B <- A - B in place, two cycles
+    per word position."""
+    kb.multi_pass([
+        (rc(RCOp.SADD, DST_VWR_C, VWR_A, VWR_B), inck(1)),
+        (rc(RCOp.SSUB, DST_VWR_B, VWR_A, VWR_B), MXCU_NOP),
+    ])
 
-    Records the sequence of scratch-line touches; each LSU access carries
-    the increment that moves the register to the *next* touch, so the
-    whole batch runs without a single SET_SRF.
+
+def twiddle_products(kb: ColumnKernelBuilder, s, w_entry: int) -> None:
+    """The four products of ``b * W``, W streamed as a (re, im) line pair
+    through SRF ``w_entry`` (re stays resident in VWR B for p1/p4).
+
+    Scratch lines (walker ``s``): s2 = b_re, s3 = b_im in; s4 = p1,
+    s5 = p4, s2 = p3, s3 = p2 out.
     """
+    mul = rc(RCOp.FXPMUL, DST_VWR_C, VWR_A, VWR_B)
+    s.ld(Vwr.A, 2)                                  # A = br
+    kb.emit(lsu=ld_vwr(Vwr.B, w_entry, inc=1))      # B = wr
+    kb.vector_pass(mul)                             # C = br*wr
+    s.st(Vwr.C, 4)                                  # s4 = p1
+    s.ld(Vwr.A, 3)                                  # A = bi
+    kb.vector_pass(mul)                             # C = bi*wr
+    s.st(Vwr.C, 5)                                  # s5 = p4
+    s.ld(Vwr.A, 2)                                  # A = br
+    kb.emit(lsu=ld_vwr(Vwr.B, w_entry, inc=1))      # B = wi
+    kb.vector_pass(mul)                             # C = br*wi
+    s.st(Vwr.C, 2)                                  # s2 = p3 (br dead)
+    s.ld(Vwr.A, 3)                                  # A = bi
+    kb.vector_pass(mul)                             # C = bi*wi
+    s.st(Vwr.C, 3)                                  # s3 = p2 (bi dead)
 
-    def __init__(self, base: int) -> None:
-        self.base = base
-        self.offsets = []
 
-    def touch(self, offset: int) -> int:
-        """Register a touch of scratch line ``offset``; returns its index."""
-        self.offsets.append(offset)
-        return len(self.offsets) - 1
-
-    def increments(self) -> list:
-        incs = []
-        for i, off in enumerate(self.offsets):
-            nxt = self.offsets[i + 1] if i + 1 < len(self.offsets) else off
-            incs.append(nxt - off)
-        return incs
+def twiddle_sums(kb: ColumnKernelBuilder, s) -> None:
+    """``wb = b * W`` from the products: s4 = p1 - p2, s5 = p3 + p4."""
+    s.ld(Vwr.A, 4)                                  # A = p1
+    s.ld(Vwr.B, 3)                                  # B = p2
+    kb.vector_pass(rc(RCOp.SSUB, DST_VWR_C, VWR_A, VWR_B))
+    s.st(Vwr.C, 4)                                  # s4 = wbr
+    s.ld(Vwr.A, 2)                                  # A = p3
+    s.ld(Vwr.B, 5)                                  # B = p4
+    kb.vector_pass(rc(RCOp.SADD, DST_VWR_C, VWR_A, VWR_B))
+    s.st(Vwr.C, 5)                                  # s5 = wbi
 
 
 def _batch_column_program(params: ArchParams, addr: BatchAddresses):
@@ -229,120 +250,47 @@ def _batch_column_program(params: ArchParams, addr: BatchAddresses):
     kb.srf(SRF_YI_HI, addr.yi_hi)
 
     # Scratch plan: s0=ar s1=ai s2=br/p3 s3=bi/p2 s4=p1/wbr s5=p4/wbi.
-    chain = _ScratchChain(addr.scratch)
-    ops = []   # deferred (kind, payload, chain_index) emission plan
-
-    def scratch_op(kind: str, offset: int, **payload):
-        index = chain.touch(offset)
-        ops.append((kind, payload, index))
-
-    def plain_op(kind: str, **payload):
-        ops.append((kind, payload, None))
+    s = kb.scratch(SRF_SCRATCH, addr.scratch)
 
     # -- de-interleave: x pairs -> a (evens) and b (odds) -------------------
-    plain_op("ld", vwr=Vwr.A, entry=SRF_XR, inc=1)
-    plain_op("ld", vwr=Vwr.B, entry=SRF_XR, inc=1)
-    plain_op("shuf", mode=ShuffleMode.ODD_PRUNE)     # keeps even indices
-    scratch_op("st", 0, vwr=Vwr.C)                   # s0 = a_re
-    plain_op("shuf", mode=ShuffleMode.EVEN_PRUNE)    # keeps odd indices
-    scratch_op("st", 2, vwr=Vwr.C)                   # s2 = b_re
-    plain_op("ld", vwr=Vwr.A, entry=SRF_XI, inc=1)
-    plain_op("ld", vwr=Vwr.B, entry=SRF_XI, inc=1)
-    plain_op("shuf", mode=ShuffleMode.ODD_PRUNE)
-    scratch_op("st", 1, vwr=Vwr.C)                   # s1 = a_im
-    plain_op("shuf", mode=ShuffleMode.EVEN_PRUNE)
-    scratch_op("st", 3, vwr=Vwr.C)                   # s3 = b_im
+    for entry, a_line, b_line in ((SRF_XR, 0, 2), (SRF_XI, 1, 3)):
+        kb.emit(lsu=ld_vwr(Vwr.A, entry, inc=1))
+        kb.emit(lsu=ld_vwr(Vwr.B, entry, inc=1))
+        kb.emit(lsu=shuf(ShuffleMode.ODD_PRUNE))    # keeps even indices
+        s.st(Vwr.C, a_line)                         # s0/s1 = a
+        kb.emit(lsu=shuf(ShuffleMode.EVEN_PRUNE))   # keeps odd indices
+        s.st(Vwr.C, b_line)                         # s2/s3 = b
 
     # -- twiddle products -----------------------------------------------------
     if addr.imm_twiddles is None:
-        # Vector twiddles: wr stays resident in VWR B for p1/p4.
-        scratch_op("ld", 2, vwr=Vwr.A)                   # A = br
-        plain_op("ld", vwr=Vwr.B, entry=SRF_W, inc=1)    # B = wr
-        plain_op("pass", op=RCOp.FXPMUL)                 # C = br*wr
-        scratch_op("st", 4, vwr=Vwr.C)                   # s4 = p1
-        scratch_op("ld", 3, vwr=Vwr.A)                   # A = bi
-        plain_op("pass", op=RCOp.FXPMUL)                 # C = bi*wr
-        scratch_op("st", 5, vwr=Vwr.C)                   # s5 = p4
-        scratch_op("ld", 2, vwr=Vwr.A)                   # A = br
-        plain_op("ld", vwr=Vwr.B, entry=SRF_W, inc=1)    # B = wi
-        plain_op("pass", op=RCOp.FXPMUL)                 # C = br*wi
-        scratch_op("st", 2, vwr=Vwr.C)                   # s2 = p3 (br dead)
-        scratch_op("ld", 3, vwr=Vwr.A)                   # A = bi
-        plain_op("pass", op=RCOp.FXPMUL)                 # C = bi*wi
-        scratch_op("st", 3, vwr=Vwr.C)                   # s3 = p2 (bi dead)
+        twiddle_products(kb, s, SRF_W)
     else:
         # Immediate twiddles: one (w_re, w_im) per RC slice, baked into
         # the configuration words — no table loads at all.
-        wr_imms = [imm(w[0]) for w in addr.imm_twiddles]
-        wi_imms = [imm(w[1]) for w in addr.imm_twiddles]
-        scratch_op("ld", 2, vwr=Vwr.A)                   # A = br
-        plain_op("ipass", imms=wr_imms)                  # C = br*wr
-        scratch_op("st", 4, vwr=Vwr.C)                   # s4 = p1
-        plain_op("ipass", imms=wi_imms)                  # C = br*wi
-        scratch_op("st", 2, vwr=Vwr.C)                   # s2 = p3 (br dead)
-        scratch_op("ld", 3, vwr=Vwr.A)                   # A = bi
-        plain_op("ipass", imms=wr_imms)                  # C = bi*wr
-        scratch_op("st", 5, vwr=Vwr.C)                   # s5 = p4
-        plain_op("ipass", imms=wi_imms)                  # C = bi*wi
-        scratch_op("st", 3, vwr=Vwr.C)                   # s3 = p2 (bi dead)
-
-    # -- combines: wbr = p1 - p2 ; wbi = p3 + p4 ----------------------------
-    scratch_op("ld", 4, vwr=Vwr.A)                   # A = p1
-    scratch_op("ld", 3, vwr=Vwr.B)                   # B = p2
-    plain_op("pass", op=RCOp.SSUB)
-    scratch_op("st", 4, vwr=Vwr.C)                   # s4 = wbr
-    scratch_op("ld", 2, vwr=Vwr.A)                   # A = p3
-    scratch_op("ld", 5, vwr=Vwr.B)                   # B = p4
-    plain_op("pass", op=RCOp.SADD)
-    scratch_op("st", 5, vwr=Vwr.C)                   # s5 = wbi
+        mul_wr = [rc(RCOp.FXPMUL, DST_VWR_C, VWR_A, imm(w[0]))
+                  for w in addr.imm_twiddles]
+        mul_wi = [rc(RCOp.FXPMUL, DST_VWR_C, VWR_A, imm(w[1]))
+                  for w in addr.imm_twiddles]
+        s.ld(Vwr.A, 2)                              # A = br
+        kb.vector_pass(mul_wr)                      # C = br*wr
+        s.st(Vwr.C, 4)                              # s4 = p1
+        kb.vector_pass(mul_wi)                      # C = br*wi
+        s.st(Vwr.C, 2)                              # s2 = p3 (br dead)
+        s.ld(Vwr.A, 3)                              # A = bi
+        kb.vector_pass(mul_wr)                      # C = bi*wr
+        s.st(Vwr.C, 5)                              # s5 = p4
+        kb.vector_pass(mul_wi)                      # C = bi*wi
+        s.st(Vwr.C, 3)                              # s3 = p2 (bi dead)
+    twiddle_sums(kb, s)
 
     # -- fused butterflies: C = a + wb ; B <- a - wb (in place) -------------
-    scratch_op("ld", 0, vwr=Vwr.A)                   # A = ar
-    scratch_op("ld", 4, vwr=Vwr.B)                   # B = wbr
-    plain_op("fused")
-    plain_op("st", vwr=Vwr.C, entry=SRF_YR_LO, inc=1)
-    plain_op("st", vwr=Vwr.B, entry=SRF_YR_HI, inc=1)
-    scratch_op("ld", 1, vwr=Vwr.A)                   # A = ai
-    scratch_op("ld", 5, vwr=Vwr.B)                   # B = wbi
-    plain_op("fused")
-    plain_op("st", vwr=Vwr.C, entry=SRF_YI_LO, inc=1)
-    plain_op("st", vwr=Vwr.B, entry=SRF_YI_HI, inc=1)
-
-    # -- emit ----------------------------------------------------------------
-    incs = chain.increments()
-    kb.srf(SRF_SCRATCH, addr.scratch + chain.offsets[0])
-    for kind, payload, chain_index in ops:
-        inc = incs[chain_index] if chain_index is not None else None
-        if kind == "ld":
-            entry = payload.get("entry", SRF_SCRATCH)
-            kb.emit(lsu=ld_vwr(
-                payload["vwr"], entry,
-                inc=payload.get("inc", inc or 0),
-            ))
-        elif kind == "st":
-            entry = payload.get("entry", SRF_SCRATCH)
-            kb.emit(lsu=st_vwr(
-                payload["vwr"], entry,
-                inc=payload.get("inc", inc or 0),
-            ))
-        elif kind == "shuf":
-            kb.emit(lsu=shuf(payload["mode"]))
-        elif kind == "pass":
-            kb.vector_pass(rc(payload["op"], DST_VWR_C, VWR_A, VWR_B))
-        elif kind == "ipass":
-            kb.vector_pass([
-                rc(RCOp.FXPMUL, DST_VWR_C, VWR_A, imm_op)
-                for imm_op in payload["imms"]
-            ])
-        elif kind == "fused":
-            kb.multi_pass(
-                body=[
-                    (rc(RCOp.SADD, DST_VWR_C, VWR_A, VWR_B), inck(1)),
-                    (rc(RCOp.SSUB, DST_VWR_B, VWR_A, VWR_B), MXCU_NOP),
-                ],
-            )
-        else:
-            raise ConfigurationError(f"unknown op kind {kind!r}")
+    for a_line, wb_line, lo, hi in ((0, 4, SRF_YR_LO, SRF_YR_HI),
+                                    (1, 5, SRF_YI_LO, SRF_YI_HI)):
+        s.ld(Vwr.A, a_line)                         # A = ar / ai
+        s.ld(Vwr.B, wb_line)                        # B = wbr / wbi
+        butterfly_pass(kb)
+        kb.emit(lsu=st_vwr(Vwr.C, lo, inc=1))
+        kb.emit(lsu=st_vwr(Vwr.B, hi, inc=1))
     kb.exit()
     return kb.build()
 
@@ -463,7 +411,8 @@ class FftPlan:
 
 @dataclass
 class FftRun:
-    """Spectrum + cycle ledger of one staged FFT execution."""
+    """Spectrum + cycle ledger of one staged FFT execution (complex,
+    real — N/2 + 1 bins — or split)."""
 
     re: list
     im: list
@@ -481,36 +430,20 @@ class FftEngine:
         self.runner = runner
         self.params = runner.soc.params
         if resident_tables is None:
-            # Vector-stage tables + double buffer fit together up to 512
-            # points with the default 32 KiB SPM; larger sizes stream the
-            # vector-stage tables from SRAM before each stage.
-            slice_bits = clog2(self.params.slice_words)
-            table_words = min(clog2(n), slice_bits) * n
-            scratch_words = 6 * runner.soc.params.n_columns \
-                * runner.soc.params.line_words
-            resident_tables = (
-                4 * n + table_words
-                <= runner.soc.params.spm_words - scratch_words
+            # Vector-stage tables stay resident beside the double buffer
+            # when the layout fits (up to 512 points with the default
+            # 32 KiB SPM); larger sizes stream them from SRAM before each
+            # stage.
+            try:
+                self.plan = FftPlan(n=n, params=self.params)
+            except ConfigurationError:
+                self.plan = FftPlan(
+                    n=n, params=self.params, resident_tables=False
+                )
+        else:
+            self.plan = FftPlan(
+                n=n, params=self.params, resident_tables=resident_tables
             )
-            if resident_tables:
-                # The estimate above undercounts the per-stage table
-                # footprint on some geometries (each stage holds 2n
-                # line-interleaved words); when the exact layout check
-                # rejects residency, stream the tables instead of failing.
-                try:
-                    self.plan = FftPlan(
-                        n=n, params=self.params, resident_tables=True
-                    )
-                except ConfigurationError:
-                    resident_tables = False
-                else:
-                    self.prepare_cycles = 0
-                    self._prepared = False
-                    self._table_sram = {}
-                    return
-        self.plan = FftPlan(
-            n=n, params=self.params, resident_tables=resident_tables
-        )
         self.prepare_cycles = 0
         self._prepared = False
         self._table_sram = {}

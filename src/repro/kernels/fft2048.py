@@ -22,14 +22,15 @@ from dataclasses import dataclass
 
 from repro.arch import ArchParams
 from repro.core.errors import ConfigurationError
-from repro.isa.fields import DST_VWR_B, DST_VWR_C, VWR_A, VWR_B, Vwr
+from repro.isa.fields import DST_VWR_C, VWR_A, VWR_B, Vwr
 from repro.isa.lsu import ld_vwr, st_vwr
-from repro.isa.mxcu import MXCU_NOP, inck
 from repro.isa.rc import RCOp, rc
 from repro.kernels.fft import (
     FftEngine,
-    _ScratchChain,
+    FftRun,
+    butterfly_pass,
     cg_fft_reference_int,
+    master_twiddles,
     stage_table_lines,
 )
 from repro.kernels.macro import ColumnKernelBuilder
@@ -52,8 +53,6 @@ def split_fft_reference_int(re, im):
     half = n // 2
     er, ei = cg_fft_reference_int(re[0::2], im[0::2])
     orr, oi = cg_fft_reference_int(re[1::2], im[1::2])
-    from repro.kernels.fft import master_twiddles
-
     mre, mim = master_twiddles(n)
     xr = [0] * n
     xi = [0] * n
@@ -90,81 +89,39 @@ def _combine_column_program(params: ArchParams, addr: CombineAddresses):
     kb.srf(SRF_OR, addr.o_r)
     kb.srf(SRF_OI, addr.o_i)
     kb.srf(SRF_W, addr.w)
-    chain = _ScratchChain(addr.scratch)
-    ops = []
-
-    def s_st(offset: int):
-        ops.append(("sst", chain.touch(offset)))
-
-    def s_ld(offset: int, vwr: Vwr):
-        ops.append(("sld", chain.touch(offset), vwr))
-
-    ops.append(("ld", Vwr.A, SRF_OR, 0))
-    ops.append(("ld", Vwr.B, SRF_W, 1))       # B = Wre
-    ops.append(("mul",))
-    s_st(0)                                   # s0 = P1 = Or*Wr
-    ops.append(("ld", Vwr.A, SRF_OI, 0))
-    ops.append(("mul",))
-    s_st(1)                                   # s1 = P4 = Oi*Wr
-    ops.append(("ld", Vwr.A, SRF_OR, 0))
-    ops.append(("ld", Vwr.B, SRF_W, 1))       # B = Wim
-    ops.append(("mul",))
-    s_st(2)                                   # s2 = P3 = Or*Wi
-    ops.append(("ld", Vwr.A, SRF_OI, 0))
-    ops.append(("mul",))
-    s_st(3)                                   # s3 = P2 = Oi*Wi
-    s_ld(0, Vwr.A)
-    s_ld(3, Vwr.B)
-    ops.append(("sub",))
-    s_st(0)                                   # s0 = wbr
-    s_ld(2, Vwr.A)
-    s_ld(1, Vwr.B)
-    ops.append(("add",))
-    s_st(1)                                   # s1 = wbi
-    ops.append(("ld", Vwr.A, SRF_ER, 0))
-    s_ld(0, Vwr.B)
-    ops.append(("fused",))
-    ops.append(("st", Vwr.C, SRF_ER, 1))      # X[k] re over E
-    ops.append(("st", Vwr.B, SRF_OR, 1))      # X[k+half] re over O
-    ops.append(("ld", Vwr.A, SRF_EI, 0))
-    s_ld(1, Vwr.B)
-    ops.append(("fused",))
-    ops.append(("st", Vwr.C, SRF_EI, 1))
-    ops.append(("st", Vwr.B, SRF_OI, 1))
-
-    incs = chain.increments()
-    kb.srf(SRF_SCRATCH, addr.scratch + chain.offsets[0])
-    for op in ops:
-        kind = op[0]
-        if kind == "ld":
-            kb.emit(lsu=ld_vwr(op[1], op[2], inc=op[3]))
-        elif kind == "st":
-            kb.emit(lsu=st_vwr(op[1], op[2], inc=op[3]))
-        elif kind == "sld":
-            kb.emit(lsu=ld_vwr(op[2], SRF_SCRATCH, inc=incs[op[1]]))
-        elif kind == "sst":
-            kb.emit(lsu=st_vwr(Vwr.C, SRF_SCRATCH, inc=incs[op[1]]))
-        elif kind == "mul":
-            kb.vector_pass(rc(RCOp.FXPMUL, DST_VWR_C, VWR_A, VWR_B))
-        elif kind == "sub":
-            kb.vector_pass(rc(RCOp.SSUB, DST_VWR_C, VWR_A, VWR_B))
-        elif kind == "add":
-            kb.vector_pass(rc(RCOp.SADD, DST_VWR_C, VWR_A, VWR_B))
-        elif kind == "fused":
-            kb.multi_pass([
-                (rc(RCOp.SADD, DST_VWR_C, VWR_A, VWR_B), inck(1)),
-                (rc(RCOp.SSUB, DST_VWR_B, VWR_A, VWR_B), MXCU_NOP),
-            ])
+    s = kb.scratch(SRF_SCRATCH, addr.scratch)
+    mul = rc(RCOp.FXPMUL, DST_VWR_C, VWR_A, VWR_B)
+    kb.emit(lsu=ld_vwr(Vwr.A, SRF_OR))
+    kb.emit(lsu=ld_vwr(Vwr.B, SRF_W, inc=1))       # B = Wre
+    kb.vector_pass(mul)
+    s.st(Vwr.C, 0)                                  # s0 = P1 = Or*Wr
+    kb.emit(lsu=ld_vwr(Vwr.A, SRF_OI))
+    kb.vector_pass(mul)
+    s.st(Vwr.C, 1)                                  # s1 = P4 = Oi*Wr
+    kb.emit(lsu=ld_vwr(Vwr.A, SRF_OR))
+    kb.emit(lsu=ld_vwr(Vwr.B, SRF_W, inc=1))       # B = Wim
+    kb.vector_pass(mul)
+    s.st(Vwr.C, 2)                                  # s2 = P3 = Or*Wi
+    kb.emit(lsu=ld_vwr(Vwr.A, SRF_OI))
+    kb.vector_pass(mul)
+    s.st(Vwr.C, 3)                                  # s3 = P2 = Oi*Wi
+    s.ld(Vwr.A, 0)
+    s.ld(Vwr.B, 3)
+    kb.vector_pass(rc(RCOp.SSUB, DST_VWR_C, VWR_A, VWR_B))
+    s.st(Vwr.C, 0)                                  # s0 = wbr
+    s.ld(Vwr.A, 2)
+    s.ld(Vwr.B, 1)
+    kb.vector_pass(rc(RCOp.SADD, DST_VWR_C, VWR_A, VWR_B))
+    s.st(Vwr.C, 1)                                  # s1 = wbi
+    for e_entry, wb_line, o_entry in ((SRF_ER, 0, SRF_OR),
+                                      (SRF_EI, 1, SRF_OI)):
+        kb.emit(lsu=ld_vwr(Vwr.A, e_entry))
+        s.ld(Vwr.B, wb_line)
+        butterfly_pass(kb)
+        kb.emit(lsu=st_vwr(Vwr.C, e_entry, inc=1))  # X[k] over E
+        kb.emit(lsu=st_vwr(Vwr.B, o_entry, inc=1))  # X[k+half] over O
     kb.exit()
     return kb.build()
-
-
-@dataclass
-class SplitFftRun:
-    re: list
-    im: list
-    run: KernelRun
-    prepare_cycles: int = 0
 
 
 class SplitFftEngine:
@@ -214,7 +171,7 @@ class SplitFftEngine:
         self._prepared = True
         return cycles
 
-    def run(self, re, im) -> SplitFftRun:
+    def run(self, re, im) -> FftRun:
         if len(re) != self.n or len(im) != self.n:
             raise ConfigurationError(f"expected {self.n} complex points")
         self.prepare()
@@ -283,7 +240,7 @@ class SplitFftEngine:
             self.oi_line * line_words, self.half
         )
         run.dma_out_cycles += c1 + c2 + c3 + c4
-        return SplitFftRun(
+        return FftRun(
             re=list(out_re) + list(out_re2),
             im=list(out_im) + list(out_im2),
             run=run,

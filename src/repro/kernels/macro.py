@@ -4,6 +4,12 @@ The central pattern is the paper's Table 1 loop: a two-bundle body where
 every bundle carries RC work, the LCU slot carries the counter update and
 the backward branch, and the MXCU slot advances the shared VWR word index —
 one processed element per RC per cycle, with zero loop overhead.
+
+The second is the scratch walker (:meth:`ColumnKernelBuilder.scratch`):
+a kernel's scratch lines are all addressed through one SRF register, and
+each line access carries the post-increment that moves the register to
+the next access's line, so the FFT-family kernels spill and reload
+intermediate vectors without a single SET_SRF bundle.
 """
 
 from __future__ import annotations
@@ -13,8 +19,9 @@ import itertools
 from repro.arch import ArchParams
 from repro.asm.builder import ProgramBuilder
 from repro.core.errors import ProgramError
+from repro.isa.fields import Vwr
 from repro.isa.lcu import LCU_NOP, addi, blt, seti
-from repro.isa.lsu import LSU_NOP, set_srf
+from repro.isa.lsu import LSU_NOP, ld_vwr, set_srf, st_vwr
 from repro.isa.mxcu import inck, setk
 from repro.isa.rc import RCInstr
 
@@ -128,6 +135,11 @@ class ColumnKernelBuilder:
                 lcu = LCU_NOP
             self.b.emit(rcs=slots, mxcu=mxcu_instr, lcu=lcu)
 
+    def scratch(self, entry: int, base: int) -> "_Scratch":
+        """Walker over the scratch lines ``base + line`` through SRF
+        ``entry``; see :class:`_Scratch`."""
+        return _Scratch(self, entry, base)
+
     def counted_loop(self, reg: int, count) -> "_CountedLoop":
         """Context manager for an outer loop (batches, stages).
 
@@ -156,3 +168,40 @@ class _CountedLoop:
             self.kb.b.emit(lcu=addi(self.reg, 1))
             self.kb.b.emit(lcu=blt(self.reg, self.count, self.label))
         return False
+
+
+class _Scratch:
+    """Scratch lines walked by one SRF register's post-increment chain.
+
+    :meth:`ld` / :meth:`st` emit their LSU bundle at once. The first access
+    sets the register's initial value to its line; each later access
+    rebuilds the previous access's bundle with the post-increment that
+    lands on its own line, and the last access keeps increment 0.
+    """
+
+    def __init__(
+        self, kb: ColumnKernelBuilder, entry: int, base: int
+    ) -> None:
+        self.b = kb.b
+        self.entry = entry
+        self.base = base
+        #: (pc, ld_vwr or st_vwr, vwr, line) of the last access.
+        self._last = None
+
+    def ld(self, vwr: Vwr, line: int) -> None:
+        """Load VWR ``vwr`` from scratch line ``line``."""
+        self._access(ld_vwr, vwr, line)
+
+    def st(self, vwr: Vwr, line: int) -> None:
+        """Store VWR ``vwr`` to scratch line ``line``."""
+        self._access(st_vwr, vwr, line)
+
+    def _access(self, make, vwr: Vwr, line: int) -> None:
+        if self._last is None:
+            self.b.srf(self.entry, self.base + line)
+        else:
+            pc, last_make, last_vwr, last_line = self._last
+            self.b.patch(
+                pc, lsu=last_make(last_vwr, self.entry, inc=line - last_line)
+            )
+        self._last = (self.b.emit(lsu=make(vwr, self.entry)), make, vwr, line)

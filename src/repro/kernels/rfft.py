@@ -19,8 +19,10 @@ Flow here:
    conservative, documented-mechanisms-only answer to the mirrored access
    the recombination needs (DESIGN.md Sec. 5); it costs ~2 cycles/word and
    is the main reason our real-FFT overhead exceeds the paper's.
-4. **Recombination** (two vector kernels per batch, sharing the FFT batch
-   kernel's scratch-chain idiom)::
+4. **Recombination** (two vector kernels per batch; their scratch lines
+   go through the FFT batch kernel's walker,
+   :meth:`~repro.kernels.macro.ColumnKernelBuilder.scratch`, and phase 2
+   reuses its twiddle product)::
 
        G = (Z + conj(ZR))/2          H = (Z - conj(ZR))/(2i)
        X[k] = G[k] + W_N^k * H[k]
@@ -33,6 +35,7 @@ Flow here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.arch import ArchParams
@@ -57,12 +60,15 @@ from repro.isa.rc import RCOp, rc
 from repro.kernels.fft import (
     TWIDDLE_ONE,
     FftEngine,
-    _ScratchChain,
+    FftRun,
+    cg_fft_reference_int,
     stage_table_lines,
+    twiddle_products,
+    twiddle_sums,
 )
 from repro.kernels.macro import ColumnKernelBuilder
 from repro.kernels.memo import kernel_config, planner
-from repro.kernels.runner import KernelRun, KernelRunner
+from repro.kernels.runner import KernelRunner
 from repro.utils.bits import clog2, is_power_of_two
 from repro.utils.fixed_point import wrap32
 
@@ -79,8 +85,6 @@ SRF_SCRATCH = 7
 
 def rfft_reference_int(samples):
     """Bit-exact golden model of the VWR2A real-FFT flow."""
-    from repro.kernels.fft import cg_fft_reference_int
-
     n = len(samples)
     if not is_power_of_two(n):
         raise ConfigurationError("need a power-of-two input")
@@ -89,8 +93,6 @@ def rfft_reference_int(samples):
         [int(samples[2 * i]) for i in range(half)],
         [int(samples[2 * i + 1]) for i in range(half)],
     )
-    import math
-
     out_re = [0] * (half + 1)
     out_im = [0] * (half + 1)
     for k in range(half):
@@ -176,12 +178,11 @@ class RecombAddresses:
     scratch: int
 
 
-def _shifted_add(dst, sign: int):
-    """Fused (a +/- b) >> 1 two-bundle body."""
-    op = RCOp.SADD if sign > 0 else RCOp.SSUB
+def _halved(op: RCOp, a, b):
+    """Two-bundle body of C = (a op b) >> 1."""
     return [
-        (rc(op, DST_R0, VWR_A, VWR_B), inck(1)),
-        (rc(RCOp.SRA, dst, R0, imm(1)), MXCU_NOP),
+        (rc(op, DST_R0, a, b), inck(1)),
+        (rc(RCOp.SRA, DST_VWR_C, R0, imm(1)), MXCU_NOP),
     ]
 
 
@@ -193,46 +194,21 @@ def _gh_column_program(params: ArchParams, addr: RecombAddresses):
     kb.srf(SRF_ZR, addr.zrre)
     kb.srf(SRF_Z2, addr.zim)
     kb.srf(SRF_ZR2, addr.zrim)
-    chain = _ScratchChain(addr.scratch)
-    plan = []
-
-    def scratch_st(offset: int):
-        plan.append(("st", chain.touch(offset)))
-
+    s = kb.scratch(SRF_SCRATCH, addr.scratch)
     # Group 1: A = Zre, B = ZRre -> Gre (s0), Him (s3).
-    plan.append(("ld", Vwr.A, SRF_Z))
-    plan.append(("ld", Vwr.B, SRF_ZR))
-    plan.append(("gre",))
-    scratch_st(0)
-    plan.append(("him",))
-    scratch_st(3)
+    kb.emit(lsu=ld_vwr(Vwr.A, SRF_Z))
+    kb.emit(lsu=ld_vwr(Vwr.B, SRF_ZR))
+    kb.multi_pass(_halved(RCOp.SADD, VWR_A, VWR_B))   # Gre = (A + B)/2
+    s.st(Vwr.C, 0)
+    kb.multi_pass(_halved(RCOp.SSUB, VWR_B, VWR_A))   # Him = (B - A)/2
+    s.st(Vwr.C, 3)
     # Group 2: A = Zim, B = ZRim -> Gim (s1), Hre (s2).
-    plan.append(("ld", Vwr.A, SRF_Z2))
-    plan.append(("ld", Vwr.B, SRF_ZR2))
-    plan.append(("gim",))
-    scratch_st(1)
-    plan.append(("hre",))
-    scratch_st(2)
-
-    incs = chain.increments()
-    kb.srf(SRF_SCRATCH, addr.scratch + chain.offsets[0])
-    for step in plan:
-        if step[0] == "ld":
-            kb.emit(lsu=ld_vwr(step[1], step[2]))
-        elif step[0] == "st":
-            kb.emit(lsu=st_vwr(Vwr.C, SRF_SCRATCH, inc=incs[step[1]]))
-        elif step[0] == "gre":
-            kb.multi_pass(_shifted_add(DST_VWR_C, +1))
-        elif step[0] == "him":
-            # Him = (ZRre - Zre)/2 = (B - A)/2
-            kb.multi_pass([
-                (rc(RCOp.SSUB, DST_R0, VWR_B, VWR_A), inck(1)),
-                (rc(RCOp.SRA, DST_VWR_C, R0, imm(1)), MXCU_NOP),
-            ])
-        elif step[0] == "gim":
-            kb.multi_pass(_shifted_add(DST_VWR_C, -1))
-        elif step[0] == "hre":
-            kb.multi_pass(_shifted_add(DST_VWR_C, +1))
+    kb.emit(lsu=ld_vwr(Vwr.A, SRF_Z2))
+    kb.emit(lsu=ld_vwr(Vwr.B, SRF_ZR2))
+    kb.multi_pass(_halved(RCOp.SSUB, VWR_A, VWR_B))   # Gim = (A - B)/2
+    s.st(Vwr.C, 1)
+    kb.multi_pass(_halved(RCOp.SADD, VWR_A, VWR_B))   # Hre = (A + B)/2
+    s.st(Vwr.C, 2)
     kb.exit()
     return kb.build()
 
@@ -244,67 +220,16 @@ def _xw_column_program(params: ArchParams, addr: RecombAddresses):
     kb.srf(SRF_W, addr.w)
     kb.srf(SRF_XRE, addr.xre)
     kb.srf(SRF_XIM, addr.xim)
-    chain = _ScratchChain(addr.scratch)
-    ops = []
-
-    def s_ld(offset: int, vwr: Vwr):
-        ops.append(("sld", chain.touch(offset), vwr))
-
-    def s_st(offset: int):
-        ops.append(("sst", chain.touch(offset)))
-
-    # Products (W resident in VWR B per half).
-    s_ld(2, Vwr.A)                        # A = Hre
-    ops.append(("ldw",))                  # B = Wre
-    ops.append(("mul",))
-    s_st(4)                               # s4 = P1 = Hre*Wre
-    s_ld(3, Vwr.A)                        # A = Him
-    ops.append(("mul",))
-    s_st(5)                               # s5 = P4 = Him*Wre
-    s_ld(2, Vwr.A)                        # A = Hre
-    ops.append(("ldw",))                  # B = Wim
-    ops.append(("mul",))
-    s_st(2)                               # s2 = P3 = Hre*Wim (Hre dead)
-    s_ld(3, Vwr.A)                        # A = Him
-    ops.append(("mul",))
-    s_st(3)                               # s3 = P2 = Him*Wim (Him dead)
-    # Tre = P1 - P2 ; Tim = P3 + P4.
-    s_ld(4, Vwr.A)
-    s_ld(3, Vwr.B)
-    ops.append(("sub",))
-    s_st(4)
-    s_ld(2, Vwr.A)
-    s_ld(5, Vwr.B)
-    ops.append(("add",))
-    s_st(5)
+    s = kb.scratch(SRF_SCRATCH, addr.scratch)
+    # T = W*H into s4 (re) / s5 (im), H = (Hre s2, Him s3).
+    twiddle_products(kb, s, SRF_W)
+    twiddle_sums(kb, s)
     # X = G + T.
-    s_ld(0, Vwr.A)
-    s_ld(4, Vwr.B)
-    ops.append(("add",))
-    ops.append(("stx", SRF_XRE))
-    s_ld(1, Vwr.A)
-    s_ld(5, Vwr.B)
-    ops.append(("add",))
-    ops.append(("stx", SRF_XIM))
-
-    incs = chain.increments()
-    kb.srf(SRF_SCRATCH, addr.scratch + chain.offsets[0])
-    for op in ops:
-        kind = op[0]
-        if kind == "sld":
-            kb.emit(lsu=ld_vwr(op[2], SRF_SCRATCH, inc=incs[op[1]]))
-        elif kind == "sst":
-            kb.emit(lsu=st_vwr(Vwr.C, SRF_SCRATCH, inc=incs[op[1]]))
-        elif kind == "ldw":
-            kb.emit(lsu=ld_vwr(Vwr.B, SRF_W, inc=1))
-        elif kind == "mul":
-            kb.vector_pass(rc(RCOp.FXPMUL, DST_VWR_C, VWR_A, VWR_B))
-        elif kind == "sub":
-            kb.vector_pass(rc(RCOp.SSUB, DST_VWR_C, VWR_A, VWR_B))
-        elif kind == "add":
-            kb.vector_pass(rc(RCOp.SADD, DST_VWR_C, VWR_A, VWR_B))
-        elif kind == "stx":
-            kb.emit(lsu=st_vwr(Vwr.C, op[1], inc=1))
+    for g_line, t_line, x_entry in ((0, 4, SRF_XRE), (1, 5, SRF_XIM)):
+        s.ld(Vwr.A, g_line)
+        s.ld(Vwr.B, t_line)
+        kb.vector_pass(rc(RCOp.SADD, DST_VWR_C, VWR_A, VWR_B))
+        kb.emit(lsu=st_vwr(Vwr.C, x_entry, inc=1))
     kb.exit()
     return kb.build()
 
@@ -312,14 +237,6 @@ def _xw_column_program(params: ArchParams, addr: RecombAddresses):
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RfftRun:
-    re: list          #: N/2 + 1 spectrum bins
-    im: list
-    run: KernelRun
-    prepare_cycles: int = 0
-
 
 class RfftEngine:
     """Real-input FFT on top of the complex engine."""
@@ -379,12 +296,12 @@ class RfftEngine:
                 words, self.w_line * self.params.line_words
             )
         else:
-            self._w_sram = self.runner.reserve_sram(words)
+            self._w_sram = (self.runner.reserve_sram(words), len(words))
         self.prepare_cycles = cycles
         self._prepared = True
         return cycles
 
-    def run(self, samples, collect: bool = True) -> RfftRun:
+    def run(self, samples, collect: bool = True) -> FftRun:
         if len(samples) != self.n:
             raise ConfigurationError(
                 f"expected {self.n} samples, got {len(samples)}"
@@ -441,11 +358,11 @@ class RfftEngine:
         launches = max(-(-self.spec_lines // n_cols), 1)
         for launch in range(launches):
             if not self.w_resident:
-                chunk = stage_table_lines(self.params, self.n, clog2(self.n) - 1)
+                w_sram, w_words = self._w_sram
                 lo = launch * n_cols * 2 * line_words
-                hi = min(lo + n_cols * 2 * line_words, len(chunk))
+                hi = min(lo + n_cols * 2 * line_words, w_words)
                 run.dma_in_cycles += self.runner.soc.dma_to_vwr2a(
-                    self._w_sram + lo,
+                    w_sram + lo,
                     self.w_line * line_words,
                     hi - lo,
                 )
@@ -495,5 +412,5 @@ class RfftEngine:
             out_re = list(out_re) + [spm.peek_words(xnyq_word, 1)[0]]
             out_im = spm.peek_words(self.xim_line * line_words, half)
             out_im = list(out_im) + [0]
-        return RfftRun(re=out_re, im=out_im, run=run,
+        return FftRun(re=out_re, im=out_im, run=run,
                        prepare_cycles=self.prepare_cycles + inner.prepare_cycles)

@@ -1,11 +1,16 @@
 """Integration tests: every VWR2A kernel against its golden model."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import DEFAULT_PARAMS
 from repro.baselines import delineate, lowpass_taps_q15
+from repro.core.errors import ConfigurationError
+from repro.explore.space import design_space
+from repro.isa.encoding import encode_bundle
 from repro.isa.rc import RCOp
 from repro.kernels import (
     FftEngine,
@@ -186,6 +191,53 @@ class TestFftKernels:
         first = engine.prepare()
         assert engine.prepare() == first
         assert first > 0  # resident tables are DMA'd
+
+    #: sha256 over every configuration word and sorted SRF init of every
+    #: FFT-family launch below. Any change to the batch, mirror, G/H, X/W
+    #: or combine kernels' instruction streams moves it.
+    WORDS_DIGEST = (
+        "15e50e9bb824f5ce6c976cdfa58d499c8c4749e463190352f98f20bcce1c2b38"
+    )
+
+    def test_fft_family_config_words_are_pinned(self):
+        """Complex, real and split transforms on the paper, 16 KiB and
+        1-column 16 KiB specs (streamed stage tables at paper FFT-1024 and
+        spm16K rFFT-512, streamed recombination table at 1col-spm16K
+        rFFT-1024) launch exactly the pinned instruction words."""
+        specs = {spec.name: spec for spec in design_space()}
+        digest = hashlib.sha256()
+        for name in ("paper", "spm16K", "1col-spm16K"):
+            for engine, n in ((FftEngine, 256), (FftEngine, 512),
+                              (FftEngine, 1024), (RfftEngine, 512),
+                              (RfftEngine, 1024), (RfftEngine, 2048),
+                              (SplitFftEngine, 2048)):
+                runner = KernelRunner(spec=specs[name])
+                try:
+                    fft = engine(runner, n)
+                except ConfigurationError:
+                    continue
+                launched = []
+                execute = runner.execute
+
+                def record(config, max_cycles=None, execute=execute):
+                    launched.append(config)
+                    return execute(config, max_cycles=max_cycles)
+
+                runner.execute = record
+                if engine is RfftEngine:
+                    fft.run([0] * n)
+                else:
+                    fft.run([0] * n, [0] * n)
+                assert launched
+                for config in launched:
+                    digest.update(config.name.encode())
+                    for col, program in sorted(config.columns.items()):
+                        digest.update(repr((
+                            col,
+                            [encode_bundle(b) for b in program.bundles],
+                            sorted(program.srf_init.items()),
+                        )).encode())
+        assert digest.hexdigest() == self.WORDS_DIGEST
 
 
 class TestDelineationKernel:

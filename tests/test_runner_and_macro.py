@@ -8,6 +8,7 @@ from repro.core import Vwr2a
 from repro.core.errors import ConfigurationError, ProgramError
 from repro.core.synchronizer import Synchronizer
 from repro.isa import KernelConfig, Vwr
+from repro.isa.bundle import make_bundle
 from repro.isa.fields import DST_VWR_C, VWR_A, imm
 from repro.isa.lsu import ld_vwr, st_vwr
 from repro.isa.rc import RCOp, rc
@@ -99,6 +100,32 @@ class TestMacroIdioms:
         # init + 5 * (body + addi + blt) + exit
         assert result.cycles == 1 + 5 * 3 + 1
 
+    def test_scratch_walker_chains_post_increments(self):
+        """Each scratch access carries the step to the next one's line;
+        bundles emitted between the accesses are left as emitted."""
+        kb = ColumnKernelBuilder(DEFAULT_PARAMS)
+        s = kb.scratch(7, 40)
+        mov = [rc(RCOp.MOV, DST_VWR_C, VWR_A)] * 4
+        s.st(Vwr.C, 0)
+        kb.emit(rcs=mov)
+        s.ld(Vwr.A, 2)
+        s.st(Vwr.C, 2)
+        kb.emit(lsu=ld_vwr(Vwr.B, 0, inc=1))
+        s.ld(Vwr.B, 5)
+        s.st(Vwr.C, 1)
+        kb.exit()
+        program = kb.build()
+        assert program.srf_init == {7: 40}
+        assert [program.bundles[pc] for pc in (0, 2, 3, 5, 6)] == [
+            make_bundle(lsu=st_vwr(Vwr.C, 7, inc=2)),
+            make_bundle(lsu=ld_vwr(Vwr.A, 7, inc=0)),
+            make_bundle(lsu=st_vwr(Vwr.C, 7, inc=3)),
+            make_bundle(lsu=ld_vwr(Vwr.B, 7, inc=-4)),
+            make_bundle(lsu=st_vwr(Vwr.C, 7, inc=0)),
+        ]
+        assert program.bundles[1] == make_bundle(rcs=mov)
+        assert program.bundles[4] == make_bundle(lsu=ld_vwr(Vwr.B, 0, inc=1))
+
     def test_fresh_labels_unique(self):
         kb = ColumnKernelBuilder(DEFAULT_PARAMS)
         labels = {kb.fresh_label() for _ in range(100)}
@@ -155,6 +182,9 @@ class TestSynchronizer:
 
 
 SPM16K = DEFAULT_SPEC.vary("spm16K", spm_bytes=16 * 1024)
+ONE_COL_SPM16K = DEFAULT_SPEC.vary(
+    "1col-spm16K", n_columns=1, spm_bytes=16 * 1024
+)
 
 
 def _points(n: int, seed: int) -> list:
@@ -225,6 +255,21 @@ class TestEngineTablesSurviveReset:
         rfft = RfftEngine(runner, 512)
         assert not rfft.cfft.plan.resident_tables
         samples = _points(512, 23)
+        golden = rfft_reference_int(samples)
+        for _ in range(2):
+            out = rfft.run(samples)
+            assert (out.re, out.im) == golden
+            runner.reset_sram()
+
+    def test_rfft_1024_streamed_recombination_table(self):
+        """On one 16 KiB column the recombination table does not fit
+        the SPM either: each launch streams its slice from SRAM."""
+        from repro.kernels.rfft import RfftEngine, rfft_reference_int
+
+        runner = KernelRunner(spec=ONE_COL_SPM16K)
+        rfft = RfftEngine(runner, 1024)
+        assert not rfft.w_resident
+        samples = _points(1024, 19)
         golden = rfft_reference_int(samples)
         for _ in range(2):
             out = rfft.run(samples)
