@@ -33,6 +33,12 @@ under :func:`sys.settrace` and records the Python calls and bytecode
 instructions it executes (recorded, not guarded): host-independent counts
 of the launch path's work.
 
+Also records the **launch snapshot** size: the SPM words the compiled
+engine copies before each compiled launch (the launch's write
+footprint, or the whole SPM when it is unbounded), averaged over the
+compiled launches of one warm served window and of one FFT-2048
+transform. Guarded at no more than half the SPM for both.
+
 Also records the **codegen** size of the same flow (recorded, not
 guarded): the generated source lines of the FFT-2048 program set and
 the builtin ``compile()`` seconds they take, the cold cost every engine
@@ -52,11 +58,13 @@ import time
 import pytest
 
 from bench_io import update_bench
+from repro.app import WINDOW, respiration_signal
 from repro.baselines import lowpass_taps_q15
 from repro.engine.compiler import compile_program
 from repro.kernels import KernelRunner, SplitFftEngine
 from repro.kernels.fft2048 import split_fft_reference_int
 from repro.kernels.fir import build_fir_kernel, plan_fir
+from repro.serve import serve_trace
 from repro.soc.platform import BiosignalSoC
 
 #: Acceptance floor: the compiled engine must simulate cycles at least
@@ -326,6 +334,69 @@ def _trace_counts(fn) -> tuple:
     finally:
         sys.settrace(previous)
     return tuple(counts)
+
+
+def _snapshot_words(runner, flow) -> dict:
+    """Compiled launches of one ``flow()`` call and the SPM words their
+    launch records' snapshots copy, per launch."""
+    vwr2a = runner.soc.vwr2a
+    original_run = vwr2a.run
+    words = []
+
+    def spy(name, max_cycles=None):
+        result = original_run(name, max_cycles=max_cycles)
+        if result.engine == "compiled":
+            launch = vwr2a._launches[id(vwr2a.config_mem.get(name))]
+            words.append(sum(stop - start
+                             for start, stop in launch.spm_slices))
+        return result
+
+    vwr2a.run = spy
+    try:
+        flow()
+    finally:
+        vwr2a.run = original_run
+    assert words
+    return {
+        "compiled_launches": len(words),
+        "words_per_launch": sum(words) / len(words),
+    }
+
+
+def test_launch_snapshot_words():
+    """SPM words snapshotted per compiled launch, over one warm served
+    window and one warm FFT-2048 transform: at most half the SPM."""
+    runner = KernelRunner()
+    samples = respiration_signal(WINDOW)
+    serve_trace(samples, "cpu_vwr2a", runner=runner)  # cold window
+    window = _snapshot_words(
+        runner, lambda: serve_trace(samples, "cpu_vwr2a", runner=runner)
+    )
+
+    runner = KernelRunner()
+    fft = SplitFftEngine(runner, 2048)
+    re, im = _signal(2048), _signal(2048, scale=700)
+    fft.run(re, im)  # cold transform
+
+    def transform():
+        runner.reset_sram()
+        fft.run(re, im)
+
+    transform_words = _snapshot_words(runner, transform)
+    spm_words = runner.soc.vwr2a.params.spm_words
+    for flow in (window, transform_words):
+        assert flow["words_per_launch"] <= spm_words / 2, flow
+    update_bench({
+        "launch_snapshot": {
+            "metric": "SPM words the compiled engine's pre-launch "
+                      "snapshot copies per compiled launch (the launch's "
+                      "write footprint; the whole SPM when unbounded)",
+            "spm_words": spm_words,
+            "max_words_per_launch": spm_words // 2,
+            "stream_window": window,
+            "fft2048": transform_words,
+        },
+    })
 
 
 def test_codegen_fft2048():

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 from repro.core.errors import ConfigurationError
 from repro.core.hazards import check_program
-from repro.isa.encoding import bundle_bits, encode_bundle
+from repro.isa.encoding import bundle_bits, encode_bundles
 from repro.isa.program import KernelConfig
 
 
@@ -96,7 +96,7 @@ class ConfigurationMemory:
             encoded = {}
             for col, program in config.columns.items():
                 check_program(program.bundles)
-                words = tuple(map(encode_bundle, program.bundles))
+                words = encode_bundles(program.bundles)
                 # Encode/decode are exact inverses, so the configuration
                 # words are a lossless structural fingerprint; the compile
                 # memo and the SPM-conflict analysis key on it (hashing

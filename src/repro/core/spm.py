@@ -103,11 +103,8 @@ class Scratchpad:
     # -- whole-memory state (no events) ------------------------------------
 
     def snapshot(self) -> list:
-        """Copy of the full SPM contents (no event logging).
-
-        Used by the compiled engine to restore pre-launch state before
-        replaying an aborted kernel on the reference interpreter.
-        """
+        """Copy of the full SPM contents (no event logging), for
+        whole-memory state comparisons."""
         return list(self._data)
 
     def restore(self, state) -> None:
@@ -117,7 +114,7 @@ class Scratchpad:
                 f"restore of {len(state)} words into a {self.n_words}-word "
                 "SPM"
             )
-        # In-place: the compiled engine's closures capture this list.
+        # In place: bound compiled columns hold this list.
         self._data[:] = state
 
     # -- fault injection (no events) ----------------------------------------

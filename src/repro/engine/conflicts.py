@@ -1,14 +1,19 @@
-"""Compile-time cross-column SPM access analysis.
+"""Compile-time SPM access analysis: write footprints and the
+cross-column verdict.
 
 The compiled engine runs the columns of a launch one after another, each
 to EXIT, where the reference interpreter steps them in lock-step. The
 columns share only the SPM, so the two orders are indistinguishable
 unless one column writes an SPM word another column reads or writes. This
 module proves that statically: on a configuration's first launch every
-column program is abstractly executed over its configuration words to
-derive the **footprint** of SPM addresses it may read and write, and the
-footprints of concurrently live columns are intersected. A launch with
-no overlap is admitted to the compiled engine; any overlap is a conflict.
+column program — a single-column kernel's one column included — is
+abstractly executed over its configuration words to derive the
+**footprint** of SPM addresses it may read and write, and the footprints
+of concurrently live columns are intersected. A launch with no overlap
+is admitted to the compiled engine; any overlap is a conflict. The
+union of the columns' write footprints also bounds what a compiled
+launch can change in the SPM, so the launch snapshot
+(:class:`repro.engine.executor.Launch`) copies only those words.
 
 The analysis leans on the same property the static event-delta fold relies
 on (:mod:`repro.engine.deltas`): *which* SPM addresses a kernel touches is
@@ -21,26 +26,35 @@ writes into the SRF used as addresses); those are widened to
 Abstract domain
 ---------------
 SRF entries and LCU registers hold either a concrete ``int`` or
-:data:`UNKNOWN`. Execution walks the program concretely over that state:
+:data:`UNKNOWN`. Execution walks the program's one path concretely over
+that state:
 
 * straight-line bundles and known branches step one bundle at a time;
-* branches on :data:`UNKNOWN` fork both successors (worklist + visited
-  states, bounded by :data:`MAX_STEPS`);
+* a branch on :data:`UNKNOWN` (a data-dependent branch) ends the walk
+  with unbounded reads and writes: neither successor is followed;
 * the Table-1 self-loop blocks (the dominant pattern in every kernel) are
   **accelerated**: one symbolic walk of the block derives each register's
   per-trip affine delta and each LSU site's address progression, the trip
   count is solved from the branch in closed form, and the whole loop
-  contributes ``{base + j*stride}`` to the footprint in one step.
+  contributes ``{base + j*stride}`` to the footprint in one step. A loop
+  whose counter would leave int32 is stepped instead, as it wraps.
 
-Exceeding the step budget marks the column *unbounded* (sound: unbounded
-footprints conflict with everything another column touches). Out-of-range
-addresses end the abstract path, exactly as the ``AddressError`` would end
-the run.
+A state seen before ends the walk (the path repeats forever); exceeding
+:data:`MAX_STEPS` marks the column *unbounded* (sound: unbounded
+footprints conflict with everything another column touches).
+Out-of-range addresses end the path, exactly as the ``AddressError``
+would end the run. A program with no SPM access has an empty footprint
+whatever its control flow.
+
+Footprints are sorted, merged inclusive ``(lo, hi)`` word runs (the
+format :func:`address_runs` produces), so a line access costs one run,
+not one entry per word; conflicts intersect the runs and spell out the
+overlapping words only when there is one.
 
 Column footprints are memoized structurally — keyed on the
 configuration-word fingerprint stamped by the configuration memory plus
 the ``srf_init`` values — so the reports of different config objects with
-the same columns share their word sets. Warm launches never get here: the
+the same columns share their footprints. Warm launches never get here: the
 planners build each kernel once and ``Vwr2a`` keeps the verdict on the
 config's launch record. A new config object whose columns were analyzed before (a
 hand-built copy, a planner entry rebuilt after eviction) re-derives only
@@ -79,26 +93,46 @@ ANALYSIS_STATS = {
     "footprint_misses": 0,
 }
 
+#: Next-PC of a bundle that ends the path (no program has a PC -1).
+_STOP = -1
+
 
 # ---------------------------------------------------------------------------
 # Results
 # ---------------------------------------------------------------------------
 
+def merge_runs(runs) -> tuple:
+    """Sort inclusive ``(lo, hi)`` runs, merging overlapping and adjacent
+    ones."""
+    merged = []
+    for lo, hi in sorted(runs):
+        if merged and lo <= merged[-1][1] + 1:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
 def address_runs(words) -> tuple:
     """Group a word-address set into inclusive ``(lo, hi)`` runs."""
-    runs = []
-    lo = hi = None
-    for w in sorted(words):
-        if lo is None:
-            lo = hi = w
-        elif w == hi + 1:
-            hi = w
+    return merge_runs((w, w) for w in words)
+
+
+def _overlap(a, b) -> tuple:
+    """Sorted words in both of two merged run tuples."""
+    words = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo = max(a[i][0], b[j][0])
+        hi = min(a[i][1], b[j][1])
+        if lo <= hi:
+            words.extend(range(lo, hi + 1))
+        if a[i][1] < b[j][1]:
+            i += 1
         else:
-            runs.append((lo, hi))
-            lo = hi = w
-    if lo is not None:
-        runs.append((lo, hi))
-    return tuple(runs)
+            j += 1
+    return tuple(words)
 
 
 def format_words(words) -> str:
@@ -114,10 +148,11 @@ def format_words(words) -> str:
 
 @dataclass(frozen=True)
 class ColumnFootprint:
-    """May-touch SPM address sets (word granularity) of one column."""
+    """May-touch SPM words of one column, as sorted, merged inclusive
+    ``(lo, hi)`` runs."""
 
-    reads: frozenset
-    writes: frozenset
+    reads: tuple
+    writes: tuple
     unbounded_reads: bool = False
     unbounded_writes: bool = False
 
@@ -176,8 +211,20 @@ class ConflictReport:
             return ""
         return "; ".join(c.describe() for c in self.conflicts)
 
+    def write_slices(self, spm_words: int) -> tuple:
+        """Half-open ``(start, stop)`` SPM slices holding every word any
+        column may write: ``((0, spm_words),)`` when some column's writes
+        are unbounded."""
+        if any(fp.unbounded_writes for _, fp in self.footprints):
+            return ((0, spm_words),)
+        return tuple(
+            (lo, hi + 1) for lo, hi in merge_runs(
+                run for _, fp in self.footprints for run in fp.writes
+            )
+        )
 
-EMPTY_REPORT = ConflictReport(conflicts=(), footprints=())
+
+EMPTY_FOOTPRINT = ColumnFootprint(reads=(), writes=())
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +242,8 @@ class _FootprintAnalyzer:
         self.spm_lines = params.spm_lines
         self.spm_words = params.spm_words
         self.line_words = params.line_words
-        self.reads = set()
-        self.writes = set()
+        self.reads = []
+        self.writes = []
         self.unbounded_reads = False
         self.unbounded_writes = False
         # ``Column.load`` applies ``srf_init`` but does NOT reset the other
@@ -227,38 +274,24 @@ class _FootprintAnalyzer:
     # -- driver -----------------------------------------------------------
 
     def run(self) -> ColumnFootprint:
-        start = (0, tuple(self.srf0), (UNKNOWN,) * self.n_lcu)
-        worklist = [start]
-        seen = {start}
-        steps = 0
-        while worklist:
-            pc, srf_t, lcu_t = worklist.pop()
-            srf = list(srf_t)
-            lcu = list(lcu_t)
-            steps += 1
-            if steps > MAX_STEPS:
+        pc, srf, lcu = 0, list(self.srf0), [UNKNOWN] * self.n_lcu
+        seen = set()
+        while 0 <= pc < len(self.bundles):
+            state = (pc, tuple(srf), tuple(lcu))
+            if state in seen:
+                break  # a concrete cycle: the path repeats forever
+            seen.add(state)
+            if len(seen) > MAX_STEPS:
                 self._give_up()
                 break
-            if not 0 <= pc < len(self.bundles):
-                continue  # runtime ProgramError ends the run here
             summary = self._loops.get(pc)
             nxt = None
             if summary is not None:
                 nxt = self._accelerate(summary, srf, lcu)
-            if nxt is None:
-                nxt = self._apply(pc, srf, lcu)
-            kind = nxt[0]
-            if kind == "stop":
-                continue
-            targets = nxt[1:]
-            for target in targets:
-                state = (target, tuple(srf), tuple(lcu))
-                if state not in seen:
-                    seen.add(state)
-                    worklist.append(state)
+            pc = self._apply(pc, srf, lcu) if nxt is None else nxt
         return ColumnFootprint(
-            reads=frozenset(self.reads),
-            writes=frozenset(self.writes),
+            reads=merge_runs(self.reads),
+            writes=merge_runs(self.writes),
             unbounded_reads=self.unbounded_reads,
             unbounded_writes=self.unbounded_writes,
         )
@@ -280,19 +313,18 @@ class _FootprintAnalyzer:
         if is_line:
             if not 0 <= addr < self.spm_lines:
                 return False
-            words = range(
-                addr * self.line_words, (addr + 1) * self.line_words
-            )
+            run = (addr * self.line_words, (addr + 1) * self.line_words - 1)
         else:
             if not 0 <= addr < self.spm_words:
                 return False
-            words = (addr,)
-        (self.writes if is_write else self.reads).update(words)
+            run = (addr, addr)
+        (self.writes if is_write else self.reads).append(run)
         return True
 
     # -- one-bundle transfer function -------------------------------------
 
-    def _apply(self, pc: int, srf: list, lcu: list):
+    def _apply(self, pc: int, srf: list, lcu: list) -> int:
+        """Step one bundle; returns the next PC, or :data:`_STOP`."""
         bundle = self.bundles[pc]
 
         # RC group: SRF operand faults end the path; SRF writes are
@@ -303,10 +335,10 @@ class _FootprintAnalyzer:
             for operand in instr.operands():
                 if operand.kind is RCSrcKind.SRF \
                         and not 0 <= operand.index < self.n_srf:
-                    return ("stop",)
+                    return _STOP
             if instr.dst.writes_srf:
                 if not 0 <= instr.dst.index < self.n_srf:
-                    return ("stop",)
+                    return _STOP
                 srf[int(instr.dst.index)] = UNKNOWN
 
         # LSU: the only unit touching the SPM (Bundle.spm_access is the
@@ -318,12 +350,12 @@ class _FootprintAnalyzer:
             is_line = granularity == "line"
             is_write = direction == "write"
             if not 0 <= entry < self.n_srf:
-                return ("stop",)
+                return _STOP
             if not is_line and not 0 <= int(lsu.data) < self.n_srf:
-                return ("stop",)
+                return _STOP
             addr = srf[entry]
             if not self._record(addr, is_line, is_write):
-                return ("stop",)
+                return _STOP
             if lsu.op is LSUOp.LD_SRF:
                 srf[int(lsu.data)] = UNKNOWN
             if inc:
@@ -331,7 +363,7 @@ class _FootprintAnalyzer:
                     else to_signed32(addr + inc)
         elif lsu.op is LSUOp.SET_SRF:
             if not 0 <= int(lsu.data) < self.n_srf:
-                return ("stop",)
+                return _STOP
             srf[int(lsu.data)] = to_signed32(lsu.value)
 
         # LCU: register updates and control flow.
@@ -345,34 +377,36 @@ class _FootprintAnalyzer:
                 else wrap32(v + instr.imm)
         elif op is LCUOp.LDSRF:
             if not 0 <= int(instr.cmp) < self.n_srf:
-                return ("stop",)
+                return _STOP
             lcu[instr.rd] = srf[int(instr.cmp)]
         elif op is LCUOp.JUMP:
-            return ("next", instr.target)
+            return instr.target
         elif op is LCUOp.EXIT:
-            return ("stop",)
+            return _STOP
         elif op in BRANCH_OPS:
             lhs = lcu[instr.rd]
             if instr.cmp_kind is LCUCmp.IMM:
                 rhs = int(instr.cmp)
             elif instr.cmp_kind is LCUCmp.REG:
                 if not 0 <= int(instr.cmp) < self.n_lcu:
-                    return ("stop",)
+                    return _STOP
                 rhs = lcu[int(instr.cmp)]
             else:
                 if not 0 <= int(instr.cmp) < self.n_srf:
-                    return ("stop",)
+                    return _STOP
                 rhs = srf[int(instr.cmp)]
             if lhs is UNKNOWN or rhs is UNKNOWN:
-                return ("next", instr.target, pc + 1)
+                # Data-dependent branch: neither successor is followed.
+                self._give_up()
+                return _STOP
             taken = {
                 LCUOp.BLT: lhs < rhs,
                 LCUOp.BGE: lhs >= rhs,
                 LCUOp.BEQ: lhs == rhs,
                 LCUOp.BNE: lhs != rhs,
             }[op]
-            return ("next", instr.target if taken else pc + 1)
-        return ("next", pc + 1)
+            return instr.target if taken else pc + 1
+        return pc + 1
 
     # -- self-loop acceleration --------------------------------------------
     #
@@ -382,7 +416,8 @@ class _FootprintAnalyzer:
     # The walk itself lives in repro.engine.superblocks.loop_summary.
 
     def _trip_count(self, summary, srf, lcu):
-        """Closed-form trip count, or None when not statically solvable."""
+        """Closed-form trip count, or None when not statically solvable
+        or when the counter would leave int32 on the way."""
         branch = summary["branch"]
         v0 = lcu[branch.rd]
         if v0 is UNKNOWN:
@@ -396,10 +431,15 @@ class _FootprintAnalyzer:
             bound = srf[int(branch.cmp)]
         if bound is UNKNOWN:
             return None
-        return trip_count(branch.op, d, v0, bound)
+        trips = trip_count(branch.op, d, v0, bound)
+        if trips is None \
+                or not -2147483648 <= v0 + trips * d <= 2147483647:
+            return None
+        return trips
 
     def _accelerate(self, summary, srf: list, lcu: list):
-        """Fold a whole self-loop run into footprint + post-state."""
+        """Fold a whole self-loop run into footprint + post-state; returns
+        the loop's exit PC, or None to step the loop instead."""
         if not summary["ok"]:
             return None
         trips = self._trip_count(summary, srf, lcu)
@@ -427,11 +467,9 @@ class _FootprintAnalyzer:
                 continue
             stride = final[1]
             addr = base + offset
-            limit = self.spm_lines if is_line else self.spm_words
             for _ in range(trips):
-                if not 0 <= addr < limit:
+                if not self._record(addr, is_line, is_write):
                     break  # monotone progression left the SPM: faults
-                self._record(addr, is_line, is_write)
                 if stride == 0:
                     break
                 addr += stride
@@ -451,7 +489,7 @@ class _FootprintAnalyzer:
                 lcu[reg] = final[1]
             elif final[1] and lcu[reg] is not UNKNOWN:
                 lcu[reg] = wrap32(lcu[reg] + trips * final[1])
-        return ("next", summary["pcs"][-1] + 1)
+        return summary["pcs"][-1] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +512,10 @@ def column_footprint(program, params) -> ColumnFootprint:
         _FOOTPRINT_MEMO.move_to_end(key)
         return footprint
     ANALYSIS_STATS["footprint_misses"] += 1
-    footprint = _FootprintAnalyzer(program, params).run()
+    if any(bundle.spm_access() is not None for bundle in program.bundles):
+        footprint = _FootprintAnalyzer(program, params).run()
+    else:
+        footprint = EMPTY_FOOTPRINT
     _FOOTPRINT_MEMO[key] = footprint
     if len(_FOOTPRINT_MEMO) > _FOOTPRINT_CAP:
         _FOOTPRINT_MEMO.popitem(last=False)
@@ -505,46 +546,38 @@ def _pair_conflicts(col_a, fp_a, col_b, fp_b):
         ))
     if conflicts:
         return conflicts
-    ww = fp_a.writes & fp_b.writes
+    ww = _overlap(fp_a.writes, fp_b.writes)
     if ww:
         conflicts.append(SpmConflict(
-            kind="write-write", writer=col_a, other=col_b,
-            words=tuple(sorted(ww)),
+            kind="write-write", writer=col_a, other=col_b, words=ww,
         ))
-    wr = fp_a.writes & fp_b.reads
+    wr = _overlap(fp_a.writes, fp_b.reads)
     if wr:
         conflicts.append(SpmConflict(
-            kind="write-read", writer=col_a, other=col_b,
-            words=tuple(sorted(wr)),
+            kind="write-read", writer=col_a, other=col_b, words=wr,
         ))
-    rw = fp_a.reads & fp_b.writes
+    rw = _overlap(fp_a.reads, fp_b.writes)
     if rw:
         conflicts.append(SpmConflict(
-            kind="write-read", writer=col_b, other=col_a,
-            words=tuple(sorted(rw)),
+            kind="write-read", writer=col_b, other=col_a, words=rw,
         ))
     return conflicts
 
 
 def analyze_columns(columns: dict, params) -> ConflictReport:
-    """Cross-column SPM conflict report for one kernel.
+    """SPM footprints and cross-column conflict report for one kernel.
 
-    ``columns`` maps column index to :class:`ColumnProgram`. Kernels using
-    a single column are trivially conflict-free and return instantly; the
-    per-column footprints come from the footprint memo.
+    ``columns`` maps column index to :class:`ColumnProgram`. Every column
+    gets a footprint (from the footprint memo); a single-column kernel is
+    conflict-free.
     """
-    if len(columns) <= 1:
-        return EMPTY_REPORT
-    footprints = OrderedDict(
+    footprints = tuple(
         (col, column_footprint(columns[col], params))
         for col in sorted(columns)
     )
     conflicts = []
-    for (col_a, fp_a), (col_b, fp_b) in combinations(
-        footprints.items(), 2
-    ):
+    for (col_a, fp_a), (col_b, fp_b) in combinations(footprints, 2):
         conflicts.extend(_pair_conflicts(col_a, fp_a, col_b, fp_b))
     return ConflictReport(
-        conflicts=tuple(conflicts),
-        footprints=tuple(footprints.items()),
+        conflicts=tuple(conflicts), footprints=footprints,
     )

@@ -35,8 +35,12 @@ per-kernel energy folds from, whichever engine executed.
 
 Aborted launches (``AddressError`` / ``ProgramError``) are rewound to the
 pre-launch snapshot and replayed cycle-by-cycle on the reference
-interpreter, so events and column state after a fault are bit-identical to
-per-cycle execution — not just block-aligned. The generated code checks
+interpreter, so events and column state after a fault are bit-identical
+to per-cycle execution — not just block-aligned. The snapshot holds the
+active columns' state and only the SPM words the launch may write: the
+slices the launch record takes from the columns' write footprints
+(``ConflictReport.write_slices``), or the whole SPM when a column's
+writes are unbounded. The generated code checks
 the cycle budget only at back edges, counted-loop entry and EXIT, so a
 run may pass the budget by a few blocks before it stops; the replay
 makes that invisible too. A closed-form loop whose
@@ -200,8 +204,9 @@ class Launch:
     launch reads: the active columns and their programs, the
     configuration load's ``{config.word, srf.write}`` tally and cycles,
     the SPM-conflict verdict (``None`` on the reference engine), the
-    columns' bound programs when the verdict is conflict-free, and the
-    memo of launch event folds.
+    columns' bound programs when the verdict is conflict-free with the
+    SPM slices the launch may write (its snapshot), and the memo of
+    launch event folds.
     """
 
     #: Launch event folds kept (keyed on the count vectors, FIFO-evicted).
@@ -220,12 +225,15 @@ class Launch:
         self.config_cycles = config.load_cycles(params)
         self.report = analyze_columns(config.columns, params) \
             if analyze else None
-        self.bounds = None
+        self.bounds = self.spm_slices = None
         if self.report is not None and not self.report.conflicts:
             self.bounds = [
                 BoundColumn(col, compile_program(program, params))
                 for col, program in self.programs
             ]
+            #: Half-open ``(start, stop)`` slices of every SPM word the
+            #: compiled launch may write: what its snapshot copies.
+            self.spm_slices = self.report.write_slices(params.spm_words)
         self.folds = {}
 
     def result(self, engine, cycles, events, **extra) -> RunResult:
@@ -278,17 +286,22 @@ class Launch:
         return fold
 
 
-def _snapshot_launch(vwr2a, active) -> tuple:
-    """Pre-launch state of the SPM and the active columns (no events)."""
+def _snapshot_launch(vwr2a, launch) -> tuple:
+    """Pre-launch state of the SPM words the launch may write and of its
+    active columns (no events)."""
+    spm = vwr2a.spm._data
     return (
-        vwr2a.spm.snapshot(),
-        [(col, col.state_snapshot()) for col in active],
+        [(start, spm[start:stop]) for start, stop in launch.spm_slices],
+        [(col, col.state_snapshot()) for col in launch.active],
     )
 
 
 def _restore_launch(vwr2a, snapshot) -> None:
-    spm_state, column_states = snapshot
-    vwr2a.spm.restore(spm_state)
+    spm_slices, column_states = snapshot
+    # In place: the bound columns' generated code holds this list.
+    spm = vwr2a.spm._data
+    for start, words in spm_slices:
+        spm[start:start + len(words)] = words
     for col, state in column_states:
         col.state_restore(state)
 
@@ -326,7 +339,7 @@ class AutoEngine:
                 spm_conflicts=report.conflicts,
             )
         name = launch.config.name
-        snapshot = _snapshot_launch(vwr2a, launch.active)
+        snapshot = _snapshot_launch(vwr2a, launch)
         try:
             # The verdict proves no column writes an SPM word another
             # reads or writes, so running each column to EXIT in turn is

@@ -174,18 +174,39 @@ def decode_lcu(word: int) -> LCUInstr:
     )
 
 
+def encode_bundles(bundles) -> tuple:
+    """Pack a bundle sequence into its configuration words, in order.
+
+    Each distinct unit instruction is encoded once, with a memo local to
+    the call: a program repeats its NOPs and loop-body slots, so most
+    unit words are reused.
+    """
+    memo = {}
+
+    def unit(encode, instr) -> int:
+        word = memo.get(instr)
+        if word is None:
+            word = memo[instr] = encode(instr)
+        return word
+
+    words = []
+    for bundle in bundles:
+        word = unit(encode_lcu, bundle.lcu)
+        offset = LCU_BITS
+        word |= unit(encode_lsu, bundle.lsu) << offset
+        offset += LSU_BITS
+        word |= unit(encode_mxcu, bundle.mxcu) << offset
+        offset += MXCU_BITS
+        for rc in bundle.rcs:
+            word |= unit(encode_rc, rc) << offset
+            offset += RC_BITS
+        words.append(word)
+    return tuple(words)
+
+
 def encode_bundle(bundle: Bundle) -> int:
     """Pack a bundle into one configuration word (an arbitrary-size int)."""
-    word = encode_lcu(bundle.lcu)
-    offset = LCU_BITS
-    word |= encode_lsu(bundle.lsu) << offset
-    offset += LSU_BITS
-    word |= encode_mxcu(bundle.mxcu) << offset
-    offset += MXCU_BITS
-    for rc in bundle.rcs:
-        word |= encode_rc(rc) << offset
-        offset += RC_BITS
-    return word
+    return encode_bundles((bundle,))[0]
 
 
 def decode_bundle(word: int, n_rcs: int = 4) -> Bundle:

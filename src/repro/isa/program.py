@@ -74,7 +74,7 @@ class ColumnProgram:
         return compile_program(self, params)
 
     def spm_footprint(self, params):
-        """Footprint hook: may-touch SPM address sets of this program.
+        """Footprint hook: may-touch SPM word runs of this program.
 
         Derived from the configuration words and ``srf_init`` by the
         static analysis in :mod:`repro.engine.conflicts` (memoized on the

@@ -359,10 +359,16 @@ class FftPlan:
             total = self.table_line + self.table_lines_per_stage \
                 + scratch_lines
         if total > self.params.spm_lines:
+            # Advise only what can still shrink the layout.
+            advice = ["resident_tables=False"] if self.resident_tables \
+                else []
+            if self.n == 16 * self.params.line_words:
+                advice.append("the split-transform path")
+            hint = f"use {' or '.join(advice)}" if advice \
+                else "this size needs a larger SPM"
             raise ConfigurationError(
                 f"FFT-{self.n} layout needs {total} SPM lines, have "
-                f"{self.params.spm_lines}; use resident_tables=False or "
-                "the split-transform path"
+                f"{self.params.spm_lines}; {hint}"
             )
         self.scratch_line = total - scratch_lines
 

@@ -380,13 +380,14 @@ class TestEngineSemantics:
         }
 
     @staticmethod
-    def _interrupt_last_column(sim, error):
-        """Warm-run a two-column kernel, then make its last column's
-        bound program run and raise ``error``; returns the config name
-        and the engine-entry states the next launch records."""
+    def _interrupt_last_column(sim, error, n_columns=2):
+        """Warm-run a kernel whose ``n_columns`` columns each bump their
+        own SPM line, then make its last column's bound program run and
+        raise ``error``; returns the config name and the engine-entry
+        states the next launch records."""
         params = sim.params
         columns = {}
-        for col in (0, 1):
+        for col in range(n_columns):
             b = ProgramBuilder(n_rcs=params.rcs_per_column)
             b.srf(0, col)
             b.emit(lsu=ld_vwr(Vwr.A, 0), mxcu=setk(0))
@@ -399,7 +400,7 @@ class TestEngineSemantics:
         config = KernelConfig(name="bump", columns=columns)
         assert sim.execute(config).engine == "compiled"
         engine = sim._engine
-        bound = sim._launches[id(config)].bounds[1]
+        bound = sim._launches[id(config)].bounds[-1]
         fn = bound.fn
 
         def interrupted(*args):
@@ -418,15 +419,23 @@ class TestEngineSemantics:
         return "bump", entry_states
 
     def test_interrupted_compiled_launch_rewinds(self):
-        # Column 0 has run to EXIT and column 1 has written its SPM line
-        # when the interrupt lands: the launch is undone, not half kept.
-        sim = Vwr2a(engine="auto")
-        name, entry = self._interrupt_last_column(sim, KeyboardInterrupt)
-        decisions = sim.engine_decisions
-        with pytest.raises(KeyboardInterrupt):
-            sim.run(name)
-        assert _launch_state(sim) == entry[0]
-        assert sim.engine_decisions == decisions
+        # Two columns: column 0 has run to EXIT and column 1 has written
+        # its SPM line when the interrupt lands. One column: it has
+        # written its line. Either way the launch is undone, not half
+        # kept, from a snapshot of only the lines the launch may write.
+        for n_columns in (2, 1):
+            sim = Vwr2a(engine="auto")
+            name, entry = self._interrupt_last_column(
+                sim, KeyboardInterrupt, n_columns
+            )
+            launch = sim._launches[id(sim.config_mem.get(name))]
+            assert launch.spm_slices \
+                == ((0, n_columns * sim.params.line_words),)
+            decisions = sim.engine_decisions
+            with pytest.raises(KeyboardInterrupt):
+                sim.run(name)
+            assert _launch_state(sim) == entry[0]
+            assert sim.engine_decisions == decisions
 
     def test_compiled_abort_with_completing_replay_is_divergence(self):
         sim = Vwr2a(engine="auto")

@@ -275,3 +275,24 @@ class TestEngineTablesSurviveReset:
             out = rfft.run(samples)
             assert (out.re, out.im) == golden
             runner.reset_sram()
+
+
+def test_fft_layout_error_offers_only_advice_that_can_help():
+    """The split engine's inner FFT-1024 already streams its tables on
+    one 16 KiB column, so the error must not advise
+    ``resident_tables=False``; a resident FFT-2048 plan still gets both
+    ways out."""
+    from repro.kernels.fft import FftPlan
+    from repro.kernels.fft2048 import SplitFftEngine
+
+    runner = KernelRunner(spec=ONE_COL_SPM16K)
+    with pytest.raises(ConfigurationError) as excinfo:
+        SplitFftEngine(runner, 2048)
+    message = str(excinfo.value)
+    assert message.startswith("FFT-1024 layout needs")
+    assert "resident_tables" not in message
+    assert "split-transform" not in message
+    assert "larger SPM" in message
+    with pytest.raises(ConfigurationError, match="use resident_tables=False "
+                       "or the split-transform path"):
+        FftPlan(2048, runner.soc.params)

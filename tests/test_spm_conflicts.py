@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.app import WINDOW, respiration_signal
 from repro.arch import DEFAULT_PARAMS
 from repro.asm.builder import ProgramBuilder
 from repro.baselines import lowpass_taps_q15
@@ -24,13 +25,14 @@ from repro.core.cgra import Vwr2a
 from repro.core.errors import AddressError, ProgramError
 from repro.engine import conflicts
 from repro.isa.fields import DST_VWR_B, VWR_A, Vwr, imm
-from repro.isa.lcu import addi, blt, seti
+from repro.isa.lcu import addi, blt, ldsrf, seti
 from repro.isa.lsu import ld_srf, ld_vwr, st_srf, st_vwr
 from repro.isa.program import ColumnProgram, KernelConfig
 from repro.isa.rc import RCOp, rc
-from repro.kernels import KernelRunner, run_intervals
+from repro.kernels import KernelRunner, SplitFftEngine, run_intervals
 from repro.kernels.fir import build_fir_kernel, plan_fir
 from repro.kernels.vector import elementwise_kernel
+from repro.serve import serve_trace
 
 LINE_WORDS = DEFAULT_PARAMS.line_words
 
@@ -73,6 +75,19 @@ def _faulting_config() -> KernelConfig:
     return KernelConfig(name="walk_off_spm", columns={0: b.build()})
 
 
+def _line_then_fault_config() -> KernelConfig:
+    """Bumps SPM line 3, then loads a word past the SPM -> AddressError."""
+    b = ProgramBuilder(n_rcs=4)
+    b.srf(0, 3)
+    b.srf(1, DEFAULT_PARAMS.spm_words)
+    b.emit(lsu=ld_vwr(Vwr.A, 0))
+    b.emit(rcs=[rc(RCOp.SADD, DST_VWR_B, VWR_A, imm(5))] * 4)
+    b.emit(lsu=st_vwr(Vwr.B, 0))
+    b.emit(lsu=ld_srf(2, 1))
+    b.exit()
+    return KernelConfig(name="line_then_fault", columns={0: b.build()})
+
+
 def _spin_column(bound: int = 60000) -> ColumnProgram:
     """A column that counts to ``bound`` without touching the SPM."""
     b = ProgramBuilder(n_rcs=4)
@@ -108,6 +123,20 @@ def _full_state(sim: Vwr2a, col_index: int = 0) -> dict:
         "steps": col.steps,
         "done": col.done,
     }
+
+
+def write_footprint_holds(report, before: list, after: list) -> bool:
+    """Whether the columns' writes are bounded; when they are, asserts
+    every SPM word that changed lies in their write runs."""
+    if any(fp.unbounded_writes for _, fp in report.footprints):
+        return False
+    slices = report.write_slices(len(before))
+    for addr, (old, new) in enumerate(zip(before, after)):
+        if old != new:
+            assert any(start <= addr < stop for start, stop in slices), (
+                f"SPM word {addr} changed outside the write footprint"
+            )
+    return True
 
 
 class TestAutoSelection:
@@ -330,6 +359,38 @@ class TestAutoSelection:
         assert footprint.unbounded_writes or {10, 500, 8191} \
             <= set(footprint.writes)
 
+    def test_data_dependent_branch_ends_the_walk(self):
+        # The branch compares a value loaded from the SPM: neither arm is
+        # followed, and reads and writes both become unbounded.
+        b = ProgramBuilder(n_rcs=4)
+        b.srf(0, 7)
+        b.srf(2, 3)
+        b.emit(lsu=ld_srf(1, 0))         # SRF1 <- SPM[7]: data
+        b.emit(lcu=ldsrf(0, 1))          # LCU0 <- SRF1
+        b.emit(lcu=blt(0, 5, "skip"))
+        b.emit(lsu=st_vwr(Vwr.A, 2))
+        b.label("skip")
+        b.exit()
+        footprint = b.build().spm_footprint(DEFAULT_PARAMS)
+        assert footprint.unbounded_reads and footprint.unbounded_writes
+        assert footprint.reads == ((7, 7),)
+        assert footprint.writes == ()
+
+    def test_footprints_are_word_runs(self):
+        # A line access is one inclusive run; a walk over adjacent lines
+        # merges into one run.
+        b = ProgramBuilder(n_rcs=4)
+        b.srf(0, 2)
+        b.srf(1, 10)
+        b.emit(lsu=ld_vwr(Vwr.A, 0), lcu=seti(0, 0))
+        b.label("l")
+        b.emit(lcu=addi(0, 1))
+        b.emit(lsu=st_vwr(Vwr.A, 1, inc=1), lcu=blt(0, 3, "l"))
+        b.exit()
+        footprint = b.build().spm_footprint(DEFAULT_PARAMS)
+        assert footprint.reads == ((2 * LINE_WORDS, 3 * LINE_WORDS - 1),)
+        assert footprint.writes == ((10 * LINE_WORDS, 13 * LINE_WORDS - 1),)
+
     def test_footprint_hooks_on_isa_types(self):
         config = elementwise_kernel(DEFAULT_PARAMS, RCOp.SMUL, 256, 0, 2, 4)
         report = config.spm_conflicts(DEFAULT_PARAMS)
@@ -398,6 +459,9 @@ class TestAbortAccounting:
         # Column 0 has already EXITed when column 1 faults: the compiled
         # path has run column 0 to EXIT and must rewind it too.
         pytest.param(_late_fault_config, id="compiled-second-column"),
+        # One column writes a line, then faults: its snapshot holds only
+        # that line, and the rewind must still be exact.
+        pytest.param(_line_then_fault_config, id="single-column-line"),
     ])
     def test_address_fault_matches_reference_exactly(self, config):
         states = {}
@@ -412,6 +476,9 @@ class TestAbortAccounting:
         # The aborted launch counts once as compiled; its reference
         # replay does not tick the tally.
         assert sim.engine_decisions == {"compiled": 1}
+        (launch,) = sim._launches.values()
+        assert not any(fp.unbounded_writes for _, fp in launch.report.footprints)
+        assert launch.spm_slices != ((0, sim.params.spm_words),)
         assert states["reference"] == states["auto"]
 
     def test_budget_overrun_matches_reference_mid_block(self):
@@ -472,6 +539,44 @@ class TestAbortAccounting:
             )
         assert sim.engine_decisions == {"compiled": 1}
         assert states["reference"] == states["auto"]
+
+
+class TestLaunchSnapshot:
+    """A compiled launch snapshots only the SPM words it may write."""
+
+    @staticmethod
+    def _bounded(vwr2a, launch) -> bool:
+        return not any(
+            fp.unbounded_writes for _, fp in launch.report.footprints
+        ) and sum(
+            stop - start for start, stop in launch.spm_slices
+        ) < vwr2a.params.spm_words
+
+    def test_served_window_records_are_bounded_except_delineate(self):
+        runner = KernelRunner()
+        samples = respiration_signal(WINDOW)
+        for _ in range(2):  # the second window is warm
+            serve_trace(samples, "cpu_vwr2a", runner=runner)
+        vwr2a = runner.soc.vwr2a
+        launches = vwr2a._launches.values()
+        assert len(launches) > 20
+        for launch in launches:
+            if launch.config.name == "delineate":
+                # Its branches test loaded data: the walk gives up.
+                assert launch.spm_slices \
+                    == ((0, vwr2a.params.spm_words),)
+            else:
+                assert self._bounded(vwr2a, launch), launch.config.name
+
+    def test_fft2048_records_are_bounded(self):
+        runner = KernelRunner()
+        fft = SplitFftEngine(runner, 2048)
+        signal = [((i * 37) % 2001) - 1000 for i in range(2048)]
+        fft.run(signal, signal[::-1])
+        vwr2a = runner.soc.vwr2a
+        assert vwr2a._launches
+        for launch in vwr2a._launches.values():
+            assert self._bounded(vwr2a, launch), launch.config.name
 
 
 class TestStoreCache:
