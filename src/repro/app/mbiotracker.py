@@ -109,8 +109,6 @@ class AppResult:
     def total_cycles(self) -> int:
         return sum(step.cycles for step in self.steps.values())
 
-    def step_cycles(self, name: str) -> int:
-        return self.steps[name].cycles
 
 
 def _epilogue_cycles(n_insp: int, n_exp: int) -> int:

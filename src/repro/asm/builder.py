@@ -17,7 +17,6 @@ from repro.isa.lcu import LCU_NOP, LCUInstr, LCUOp, exit_
 from repro.isa.lsu import LSU_NOP, LSUInstr
 from repro.isa.mxcu import MXCU_NOP, MXCUInstr
 from repro.isa.program import ColumnProgram
-from repro.isa.rc import RCInstr
 
 
 class ProgramBuilder:
@@ -59,17 +58,6 @@ class ProgramBuilder:
     def patch(self, pc: int, **slots) -> None:
         """Rebuild the bundle at ``pc`` from ``slots`` (as :meth:`emit`)."""
         self._bundles[pc] = make_bundle(n_rcs=self.n_rcs, **slots)
-
-    def nop(self, count: int = 1) -> None:
-        """Emit ``count`` all-NOP bundles."""
-        for _ in range(count):
-            self.emit()
-
-    def rc_all(self, instr: RCInstr, lcu=LCU_NOP, lsu=LSU_NOP,
-               mxcu=MXCU_NOP) -> int:
-        """Emit a bundle executing the same instruction on every RC."""
-        return self.emit(lcu=lcu, lsu=lsu, mxcu=mxcu,
-                         rcs=[instr] * self.n_rcs)
 
     def srf(self, entry: int, value: int) -> None:
         """Set an initial SRF value (installed at configuration load)."""

@@ -111,8 +111,6 @@ class EnergyReport:
         )
         return pj * 1e-12 / self.seconds * 1e3
 
-    def component_uj(self, component: str) -> float:
-        return self.by_component.get(component, 0.0) * 1e-6
 
 
 class EnergyModel:

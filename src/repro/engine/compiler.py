@@ -8,16 +8,15 @@ performs that decode exactly once per program:
 * every bundle is lowered to flat Python source whose operand fetches are
   resolved into direct list accesses (``VA[k3]``, ``S[3]``, ``R2[0]``,
   ...; the slice offsets ``k1 = k + 32``, ... are computed once after
-  each ``k`` write, for the slices the superblock touches) and whose ALU
+  each ``k`` write, for the slices the block touches) and whose ALU
   semantics are inlined Python arithmetic under the **operand-range
   rule** below;
 * straight-line bundle runs between branch targets form **basic
-  blocks**, and straight-line block chains (single successor feeding a
-  single predecessor) fuse into **superblocks**;
+  blocks** (:func:`block_pcs`), the compile unit;
 * the program becomes **one generated function**, ``_run(limit, C)``: a
-  ``while True:`` loop holding one ``if pc == <leader>:`` arm per
-  superblock, in leader-PC order. An arm counts its execution into
-  ``C`` and its cycles into ``steps``, then transfers control: a forward
+  ``while True:`` loop holding one ``if pc == <leader>:`` arm per basic
+  block, in leader-PC order. An arm counts its execution into ``C``
+  and its cycles into ``steps``, then transfers control: a forward
   target sets ``pc`` and falls into its later arm; a backward target (a
   loop, self-loops included) sets ``pc``, returns ``steps`` once they
   pass the cycle budget ``limit``, and continues the loop; a target past
@@ -25,15 +24,14 @@ performs that decode exactly once per program:
   returns ``steps``. Every CFG lowers this way, irreducible ones
   included, and every cycle in it passes a back edge, so the budget
   check bounds every run;
-* self-loops whose trip state is provably concrete (the closed-form
-  machinery shared with the SPM-conflict analysis,
-  :mod:`repro.engine.superblocks`) compute their **trip count once** at
-  loop entry and run a counted loop with no per-trip branch evaluation,
-  reconstructing the LCU registers from the loop's affine summary. Such
-  a loop has no per-trip twin: where its counter would leave int32 it
-  raises ``_CounterWrap``, and the launch replays on the reference. It
-  counts its trips into its block's slot of ``C`` and its entry into a
-  slot after the block slots;
+* closed-form self-loops (:func:`repro.engine.superblocks.loop_summary`,
+  the same definition the SPM footprint walk folds loops by) compute
+  their **trip count once** at loop entry and run a counted loop with no
+  per-trip branch evaluation, reconstructing the LCU registers from the
+  loop's summary. Such a loop has no per-trip twin: where its counter
+  would leave int32 it raises ``_CounterWrap``, and the launch replays
+  on the reference. It counts its trips into its block's slot of ``C``
+  and its entry into a slot after the block slots;
 * each block carries the static event delta of one execution
   (:mod:`repro.engine.deltas`) — the executor folds ``delta x count`` into
   the shared tally at kernel end, multiplying (never iterating) the
@@ -84,7 +82,7 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import ProgramError
 from repro.engine.deltas import bundle_event_delta
-from repro.engine.superblocks import bound_expr, plan_loop, trip_count_lines
+from repro.engine.superblocks import bound_expr, loop_summary, trip_count_lines
 from repro.isa.fields import RCDstKind, RCSrcKind
 from repro.isa.lcu import BRANCH_OPS, LCUCmp, LCUOp
 from repro.isa.lsu import LSUOp
@@ -454,13 +452,13 @@ def _branch_cond(instr) -> str:
 
 @dataclass
 class BlockInfo:
-    """Static description of one compiled superblock (fused block chain)."""
+    """Static description of one compiled basic block."""
 
     index: int           #: slot of its execution count in ``C``
-    leader: int          #: PC of the superblock's first bundle
+    leader: int          #: PC of the block's first bundle
     delta: tuple         #: ((event, count), ...) for one execution
     closed_form: bool    #: trips solved at entry (one counted run)
-    members: tuple       #: ((leader, n_cycles), ...) per basic block
+    n_cycles: int        #: bundles (cycles) per execution
 
 
 class CompiledProgram:
@@ -521,65 +519,6 @@ def signature_names(params) -> list:
     names = ["col", "S", "M", "VA", "VB", "VC", "O", "L"]
     names += [f"R{i}" for i in range(params.rcs_per_column)]
     return names
-
-
-def superblock_chains(bundles) -> list:
-    """Fuse basic blocks into superblock chains.
-
-    A chain extends while the current block has exactly one successor
-    (fall-through or JUMP) that is another block's leader with exactly one
-    predecessor — so every execution of the head runs the whole chain, and
-    no other control flow can enter mid-chain (the chain's arm stays the
-    only way to reach its members, keeping the per-block execution
-    histogram exact). Single-block self-loops stay their own superblock; a
-    chain whose *tail* branches back to the chain head becomes a fused
-    multi-block self-loop.
-
-    Returns a list of chains, each a list of member-PC lists.
-    """
-    raw_blocks = block_pcs(bundles)
-    leader_to = {pcs[0]: i for i, pcs in enumerate(raw_blocks)}
-    succs = []
-    self_loop = []
-    for pcs in raw_blocks:
-        last = bundles[pcs[-1]].lcu
-        op = last.op
-        if op is LCUOp.EXIT:
-            targets = ()
-        elif op is LCUOp.JUMP:
-            targets = (last.target,)
-        elif op in BRANCH_OPS:
-            targets = (last.target, pcs[-1] + 1)
-        else:
-            targets = (pcs[-1] + 1,)
-        succs.append(targets)
-        self_loop.append(op in BRANCH_OPS and last.target == pcs[0])
-    preds = Counter()
-    preds[raw_blocks[0][0]] += 1  # program entry
-    for targets in succs:
-        for target in targets:
-            if target in leader_to:
-                preds[target] += 1
-    chains = []
-    consumed = set()
-    for index, pcs in enumerate(raw_blocks):
-        if index in consumed:
-            continue
-        chain = [index]
-        consumed.add(index)
-        if not self_loop[index]:
-            current = index
-            while len(succs[current]) == 1:
-                target = succs[current][0]
-                nxt = leader_to.get(target)
-                if nxt is None or nxt in consumed or self_loop[nxt] \
-                        or preds[target] != 1:
-                    break
-                chain.append(nxt)
-                consumed.add(nxt)
-                current = nxt
-        chains.append([raw_blocks[i] for i in chain])
-    return chains
 
 
 def compile_program(program, params) -> CompiledProgram:
@@ -709,7 +648,7 @@ def _k_offsets(lines, offsets) -> list:
 
 
 def _transfer(target: int, leader: int, leaders: set) -> list:
-    """Lines ending the arm of superblock ``leader`` with a jump to
+    """Lines ending the arm of block ``leader`` with a jump to
     ``target``: fall into a later arm, loop back to an earlier one (or
     this one) past the budget check, or fault past the program."""
     if target not in leaders:
@@ -725,8 +664,8 @@ def _compile(bundles, params) -> CompiledProgram:
     bodies = [gen.gen(bundle) for bundle in bundles]
     deltas = [bundle_event_delta(bundle, params) for bundle in bundles]
     sig = ", ".join(f"{name}={name}" for name in signature_names(params))
-    chains = superblock_chains(bundles)
-    leaders = {members[0][0] for members in chains}
+    block_list = block_pcs(bundles)
+    leaders = {pcs[0] for pcs in block_list}
     sets_k = any(body.sets_k for body in bodies)
 
     lines = [f"def _run(limit, C, {sig}):", "steps = 0", "pc = 0"]
@@ -735,9 +674,8 @@ def _compile(bundles, params) -> CompiledProgram:
     lines.append("while True:")
     blocks = []
     #: Counted loops' entry slots follow the block slots in ``C``.
-    entry = len(chains)
-    for index, members in enumerate(chains):
-        pcs = [pc for member in members for pc in member]
+    entry = len(block_list)
+    for index, pcs in enumerate(block_list):
         leader = pcs[0]
         n = len(pcs)
         last = bundles[pcs[-1]].lcu
@@ -746,11 +684,9 @@ def _compile(bundles, params) -> CompiledProgram:
             for i in sorted(set().union(*(bodies[pc].slices for pc in pcs)))
         ]
 
-        loops = last.op in BRANCH_OPS and last.target == leader
-        plan = plan_loop(bundles, pcs, params) if loops else None
-        counted = plan is not None and all(
-            sym[0] != "u" for sym in plan.lcu_sym.values()
-        )
+        loop = loop_summary(bundles, pcs, params.srf_entries,
+                            params.lcu_registers)
+        counted = loop is not None
         if counted:
             # Trip count solved once at loop entry. It holds while the
             # counter stays inside int32 over the trips the budget
@@ -761,11 +697,12 @@ def _compile(bundles, params) -> CompiledProgram:
             body = [line for pc in pcs for line in bodies[pc].lines]
             arm = _entry_offsets(body, offsets)
             arm += ["if steps > limit: return steps",
-                    f"_v0 = L[{plan.counter}]",
-                    f"_bnd = {bound_expr(plan)}", *trip_count_lines(plan),
+                    f"_v0 = L[{loop.branch.rd}]",
+                    f"_bnd = {bound_expr(loop.branch)}",
+                    *trip_count_lines(loop),
                     f"_n = (limit - steps) // {n}",
                     "if _t is not None and _t < _n: _n = _t",
-                    f"if not -2147483648 <= _v0 + _n * {plan.delta} "
+                    f"if not -2147483648 <= _v0 + _n * {loop.delta} "
                     f"<= 2147483647: raise _CounterWrap(col.index, {leader})",
                     "if _n != _t: return limit + 1"]
             # The LCU lines stay out of the body: the registers are
@@ -777,7 +714,7 @@ def _compile(bundles, params) -> CompiledProgram:
                 arm.append("for _ in range(_t):")
                 arm += ["    " + line for line in counted_body]
             arm += post_commits
-            for reg, sym in sorted(plan.lcu_sym.items()):
+            for reg, sym in enumerate(loop.lcu):
                 if sym[0] == "c":
                     arm.append(f"L[{reg}] = {sym[1]}")
                 elif sym[1]:
@@ -814,7 +751,7 @@ def _compile(bundles, params) -> CompiledProgram:
             leader=leader,
             delta=tuple(sorted(delta.items())),
             closed_form=counted,
-            members=tuple((m[0], len(m)) for m in members),
+            n_cycles=n,
         ))
 
     lines[1:] = ["    " + line for line in lines[1:]]

@@ -25,19 +25,23 @@ writes into the SRF used as addresses); those are widened to
 
 Abstract domain
 ---------------
-SRF entries and LCU registers hold either a concrete ``int`` or
-:data:`UNKNOWN`. Execution walks the program's one path concretely over
-that state:
+The walk steps the program's one path through the transfer function of
+:mod:`repro.engine.superblocks` (:func:`~repro.engine.superblocks.step`),
+the same one the compiler's loop planner uses, over symbolic values:
+SRF entries start as ``("c", v)`` from ``srf_init``, everything else as
+:data:`~repro.engine.superblocks.UNKNOWN`, and ``step``'s access hook
+records each SPM access into the footprint.
 
-* straight-line bundles and known branches step one bundle at a time;
-* a branch on :data:`UNKNOWN` (a data-dependent branch) ends the walk
-  with unbounded reads and writes: neither successor is followed;
-* the Table-1 self-loop blocks (the dominant pattern in every kernel) are
-  **accelerated**: one symbolic walk of the block derives each register's
-  per-trip affine delta and each LSU site's address progression, the trip
-  count is solved from the branch in closed form, and the whole loop
-  contributes ``{base + j*stride}`` to the footprint in one step. A loop
-  whose counter would leave int32 is stepped instead, as it wraps.
+* a known branch picks its successor;
+* a branch on :data:`~repro.engine.superblocks.UNKNOWN` (a data-dependent
+  branch) ends the walk with unbounded reads and writes: neither
+  successor is followed;
+* a closed-form loop (:func:`~repro.engine.superblocks.loop_summary`, the
+  Table-1 pattern of every kernel) is **accelerated**: its trip count is
+  solved from the branch in closed form, each access site contributes
+  ``{base + j*stride}`` to the footprint in one step, and each register
+  leaves the loop as its summary says. A loop whose entry state is not
+  concrete, or whose counter would leave int32, is stepped instead.
 
 A state seen before ends the walk (the path repeats forever); exceeding
 :data:`MAX_STEPS` marks the column *unbounded* (sound: unbounded
@@ -68,15 +72,15 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from repro.engine.compiler import block_pcs
-from repro.engine.superblocks import loop_summary, trip_count
-from repro.isa.fields import RCSrcKind
+from repro.engine.superblocks import (
+    UNKNOWN,
+    loop_summary,
+    step,
+    sym_add,
+    trip_count,
+)
 from repro.isa.lcu import BRANCH_OPS, LCUCmp, LCUOp
-from repro.isa.lsu import LSUOp
 from repro.utils.bits import to_signed32
-from repro.utils.fixed_point import wrap32
-
-#: Abstract "data-dependent value" (any LD_SRF result or RC->SRF write).
-UNKNOWN = object()
 
 #: Abstract-execution budget per column (bundle steps + accelerated loops).
 MAX_STEPS = 40_000
@@ -236,8 +240,6 @@ class _FootprintAnalyzer:
 
     def __init__(self, program, params) -> None:
         self.bundles = tuple(program.bundles)
-        self.params = params
-        self.n_srf = params.srf_entries
         self.n_lcu = params.lcu_registers
         self.spm_lines = params.spm_lines
         self.spm_words = params.spm_words
@@ -254,22 +256,17 @@ class _FootprintAnalyzer:
         # which is keyed on the configuration alone). Seed kernels
         # establish every address register via srf_init / SET_SRF and
         # every loop counter via SETI before use, so they stay precise.
-        srf0 = [UNKNOWN] * self.n_srf
+        n_srf = params.srf_entries
+        srf0 = [UNKNOWN] * n_srf
         for entry, value in program.srf_init.items():
-            if 0 <= entry < self.n_srf:
-                srf0[entry] = to_signed32(value)
+            if 0 <= entry < n_srf:
+                srf0[entry] = ("c", to_signed32(value))
         self.srf0 = srf0
         self._loops = {}
         for pcs in block_pcs(self.bundles):
-            last = self.bundles[pcs[-1]].lcu
-            if last.op in BRANCH_OPS and last.target == pcs[0]:
-                # One symbolic walk per self-loop block — the machinery is
-                # shared with the compiler's closed-form loop planner
-                # (repro.engine.superblocks), so the abstract analysis and
-                # the execution path agree on which loops are provable.
-                self._loops[pcs[0]] = loop_summary(
-                    self.bundles, pcs, self.n_srf, self.n_lcu
-                )
+            loop = loop_summary(self.bundles, pcs, n_srf, self.n_lcu)
+            if loop is not None:
+                self._loops[pcs[0]] = loop
 
     # -- driver -----------------------------------------------------------
 
@@ -284,10 +281,10 @@ class _FootprintAnalyzer:
             if len(seen) > MAX_STEPS:
                 self._give_up()
                 break
-            summary = self._loops.get(pc)
+            loop = self._loops.get(pc)
             nxt = None
-            if summary is not None:
-                nxt = self._accelerate(summary, srf, lcu)
+            if loop is not None:
+                nxt = self._accelerate(loop, srf, lcu)
             pc = self._apply(pc, srf, lcu) if nxt is None else nxt
         return ColumnFootprint(
             reads=merge_runs(self.reads),
@@ -302,14 +299,17 @@ class _FootprintAnalyzer:
 
     # -- footprint recording ----------------------------------------------
 
-    def _record(self, addr, is_line: bool, is_write: bool) -> bool:
-        """Record one access; False when it would fault (path ends)."""
-        if addr is UNKNOWN:
+    def _record(self, is_line: bool, is_write: bool, entry: int,
+                address) -> bool:
+        """Record one access at a symbolic address (:func:`step`'s access
+        hook); False when it would fault (path ends)."""
+        if address[0] != "c":
             if is_write:
                 self.unbounded_writes = True
             else:
                 self.unbounded_reads = True
             return True
+        addr = address[1]
         if is_line:
             if not 0 <= addr < self.spm_lines:
                 return False
@@ -321,175 +321,91 @@ class _FootprintAnalyzer:
         (self.writes if is_write else self.reads).append(run)
         return True
 
-    # -- one-bundle transfer function -------------------------------------
+    # -- one bundle --------------------------------------------------------
 
     def _apply(self, pc: int, srf: list, lcu: list) -> int:
         """Step one bundle; returns the next PC, or :data:`_STOP`."""
         bundle = self.bundles[pc]
-
-        # RC group: SRF operand faults end the path; SRF writes are
-        # data-dependent values (the address property does not cover them).
-        for instr in bundle.rcs:
-            if instr.is_nop:
-                continue
-            for operand in instr.operands():
-                if operand.kind is RCSrcKind.SRF \
-                        and not 0 <= operand.index < self.n_srf:
-                    return _STOP
-            if instr.dst.writes_srf:
-                if not 0 <= instr.dst.index < self.n_srf:
-                    return _STOP
-                srf[int(instr.dst.index)] = UNKNOWN
-
-        # LSU: the only unit touching the SPM (Bundle.spm_access is the
-        # shared static description of that access).
-        lsu = bundle.lsu
-        access = bundle.spm_access()
-        if access is not None:
-            granularity, direction, entry, inc = access
-            is_line = granularity == "line"
-            is_write = direction == "write"
-            if not 0 <= entry < self.n_srf:
-                return _STOP
-            if not is_line and not 0 <= int(lsu.data) < self.n_srf:
-                return _STOP
-            addr = srf[entry]
-            if not self._record(addr, is_line, is_write):
-                return _STOP
-            if lsu.op is LSUOp.LD_SRF:
-                srf[int(lsu.data)] = UNKNOWN
-            if inc:
-                srf[entry] = UNKNOWN if addr is UNKNOWN \
-                    else to_signed32(addr + inc)
-        elif lsu.op is LSUOp.SET_SRF:
-            if not 0 <= int(lsu.data) < self.n_srf:
-                return _STOP
-            srf[int(lsu.data)] = to_signed32(lsu.value)
-
-        # LCU: register updates and control flow.
+        if not step(bundle, srf, lcu, self._record):
+            return _STOP
         instr = bundle.lcu
         op = instr.op
-        if op is LCUOp.SETI:
-            lcu[instr.rd] = wrap32(instr.imm)
-        elif op is LCUOp.ADDI:
-            v = lcu[instr.rd]
-            lcu[instr.rd] = UNKNOWN if v is UNKNOWN \
-                else wrap32(v + instr.imm)
-        elif op is LCUOp.LDSRF:
-            if not 0 <= int(instr.cmp) < self.n_srf:
-                return _STOP
-            lcu[instr.rd] = srf[int(instr.cmp)]
-        elif op is LCUOp.JUMP:
+        if op is LCUOp.JUMP:
             return instr.target
-        elif op is LCUOp.EXIT:
+        if op is LCUOp.EXIT:
             return _STOP
-        elif op in BRANCH_OPS:
-            lhs = lcu[instr.rd]
-            if instr.cmp_kind is LCUCmp.IMM:
-                rhs = int(instr.cmp)
-            elif instr.cmp_kind is LCUCmp.REG:
-                if not 0 <= int(instr.cmp) < self.n_lcu:
-                    return _STOP
-                rhs = lcu[int(instr.cmp)]
-            else:
-                if not 0 <= int(instr.cmp) < self.n_srf:
-                    return _STOP
-                rhs = srf[int(instr.cmp)]
-            if lhs is UNKNOWN or rhs is UNKNOWN:
-                # Data-dependent branch: neither successor is followed.
-                self._give_up()
-                return _STOP
-            taken = {
-                LCUOp.BLT: lhs < rhs,
-                LCUOp.BGE: lhs >= rhs,
-                LCUOp.BEQ: lhs == rhs,
-                LCUOp.BNE: lhs != rhs,
-            }[op]
-            return instr.target if taken else pc + 1
-        return pc + 1
+        if op not in BRANCH_OPS:
+            return pc + 1
+        lhs = lcu[instr.rd]
+        rhs = _operand(instr, srf, lcu)
+        if lhs[0] != "c" or rhs[0] != "c":
+            # Data-dependent branch: neither successor is followed.
+            self._give_up()
+            return _STOP
+        lhs, rhs = lhs[1], rhs[1]
+        taken = {
+            LCUOp.BLT: lhs < rhs,
+            LCUOp.BGE: lhs >= rhs,
+            LCUOp.BEQ: lhs == rhs,
+            LCUOp.BNE: lhs != rhs,
+        }[op]
+        return instr.target if taken else pc + 1
 
-    # -- self-loop acceleration --------------------------------------------
-    #
-    # Symbolic per-trip values: ("d", delta)  == trip-start value + delta,
-    #                           ("c", v)      == the constant v,
-    #                           ("u",)        == data-dependent.
-    # The walk itself lives in repro.engine.superblocks.loop_summary.
+    # -- closed-form loops -------------------------------------------------
 
-    def _trip_count(self, summary, srf, lcu):
-        """Closed-form trip count, or None when not statically solvable
-        or when the counter would leave int32 on the way."""
-        branch = summary["branch"]
+    def _accelerate(self, loop, srf: list, lcu: list):
+        """Fold a whole closed-form loop run into footprint + post-state;
+        returns the loop's exit PC, or None to step the loop instead (its
+        entry state is not concrete, or its counter would leave int32)."""
+        branch = loop.branch
         v0 = lcu[branch.rd]
-        if v0 is UNKNOWN:
+        bound = _operand(branch, srf, lcu)
+        if v0[0] != "c" or bound[0] != "c":
             return None
-        d = summary["lcu_sym"][branch.rd][1]
-        if branch.cmp_kind is LCUCmp.IMM:
-            bound = int(branch.cmp)
-        elif branch.cmp_kind is LCUCmp.REG:
-            bound = lcu[int(branch.cmp)]
-        else:
-            bound = srf[int(branch.cmp)]
-        if bound is UNKNOWN:
-            return None
-        trips = trip_count(branch.op, d, v0, bound)
+        d = loop.delta
+        trips = trip_count(branch.op, d, v0[1], bound[1])
         if trips is None \
-                or not -2147483648 <= v0 + trips * d <= 2147483647:
+                or not -2147483648 <= v0[1] + trips * d <= 2147483647:
             return None
-        return trips
-
-    def _accelerate(self, summary, srf: list, lcu: list):
-        """Fold a whole self-loop run into footprint + post-state; returns
-        the loop's exit PC, or None to step the loop instead."""
-        if not summary["ok"]:
-            return None
-        trips = self._trip_count(summary, srf, lcu)
-        if trips is None:
-            return None
-        for is_line, is_write, entry, sym in summary["sites"]:
+        for is_line, is_write, entry, sym in loop.sites:
             base = srf[entry]
-            final = summary["srf_sym"][entry]
-            if sym[0] == "u" or base is UNKNOWN or final[0] == "u":
-                if is_write:
-                    self.unbounded_writes = True
-                else:
-                    self.unbounded_reads = True
-                continue
-            if sym[0] == "c":
-                self._record(sym[1], is_line, is_write)
-                continue
-            offset = sym[1]
-            if final[0] == "c":
+            final = loop.srf[entry]
+            if sym[0] == "u" or base[0] != "c" or final[0] == "u":
+                self._record(is_line, is_write, entry, UNKNOWN)
+            elif sym[0] == "c":
+                self._record(is_line, is_write, entry, sym)
+            elif final[0] == "c":
                 # The entry is reset every trip: the site sees the initial
                 # value once, then the reset value on every later trip.
-                self._record(base + offset, is_line, is_write)
+                self._record(is_line, is_write, entry,
+                             ("c", base[1] + sym[1]))
                 if trips > 1:
-                    self._record(final[1] + offset, is_line, is_write)
-                continue
-            stride = final[1]
-            addr = base + offset
-            for _ in range(trips):
-                if not self._record(addr, is_line, is_write):
-                    break  # monotone progression left the SPM: faults
-                if stride == 0:
-                    break
-                addr += stride
-        for entry in range(self.n_srf):
-            final = summary["srf_sym"][entry]
-            if final[0] == "u":
-                srf[entry] = UNKNOWN
-            elif final[0] == "c":
-                srf[entry] = final[1]
-            elif final[1] and srf[entry] is not UNKNOWN:
-                srf[entry] = to_signed32(srf[entry] + trips * final[1])
-        for reg in range(self.n_lcu):
-            final = summary["lcu_sym"][reg]
-            if final[0] == "u":
-                lcu[reg] = UNKNOWN
-            elif final[0] == "c":
-                lcu[reg] = final[1]
-            elif final[1] and lcu[reg] is not UNKNOWN:
-                lcu[reg] = wrap32(lcu[reg] + trips * final[1])
-        return summary["pcs"][-1] + 1
+                    self._record(is_line, is_write, entry,
+                                 ("c", final[1] + sym[1]))
+            else:
+                addr, stride = base[1] + sym[1], final[1]
+                for _ in range(trips):
+                    if not self._record(is_line, is_write, entry,
+                                        ("c", addr)):
+                        break  # monotone progression left the SPM: faults
+                    if stride == 0:
+                        break
+                    addr += stride
+        for values, finals in ((srf, loop.srf), (lcu, loop.lcu)):
+            for index, final in enumerate(finals):
+                if final != ("d", 0):
+                    values[index] = final if final[0] != "d" \
+                        else sym_add(values[index], trips * final[1])
+        return loop.pcs[-1] + 1
+
+
+def _operand(branch, srf: list, lcu: list):
+    """Symbolic value of a branch's comparison operand."""
+    if branch.cmp_kind is LCUCmp.IMM:
+        return ("c", int(branch.cmp))
+    if branch.cmp_kind is LCUCmp.REG:
+        return lcu[int(branch.cmp)]
+    return srf[int(branch.cmp)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ The enumeration below mirrors ``Column.step`` line by line; the
 differential tests (``tests/test_engine_equivalence.py``) assert the fold
 matches the interpreter's per-cycle logging bit for bit on every kernel.
 
-Each compiled superblock carries the summed delta of its bundles
+Each compiled basic block carries the summed delta of its bundles
 (:attr:`repro.engine.compiler.BlockInfo.delta`). At kernel end the
-executor walks the executed superblocks once, multiplying each delta by
+executor walks the executed blocks once, multiplying each delta by
 its execution count (:meth:`repro.engine.executor.Launch.fold`,
 memoized per count vector on the launch record); the columns' totals become the launch's
 event delta (``RunResult.events``), the same record the reference

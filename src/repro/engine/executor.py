@@ -13,7 +13,7 @@ the launch's :class:`~repro.core.cgra.RunResult` itself.
   column's storage in the launch record, which runs the column to EXIT
   (forward edges fall through, back edges loop; closed-form loops run
   as one counted loop, see :mod:`repro.engine.superblocks`).
-  Event counting happens as per-superblock execution counts folded
+  Event counting happens as per-block execution counts folded
   into the shared :class:`~repro.core.events.EventCounters` once per
   launch (:meth:`Launch.fold`, a walk of the blocks' static deltas
   memoized per count vectors on the record) — bit-identical to
@@ -135,8 +135,8 @@ class BoundColumn:
         namespace = self._namespace(column)
         exec(compiled.code, namespace)
         self.fn = namespace["_run"]
-        #: Execution count per superblock, then one entry count per
-        #: closed-form loop.
+        #: Execution count per basic block (a closed-form loop's block
+        #: counts its trips), then one entry count per closed-form loop.
         self.counts = [0] * (len(compiled.blocks) + sum(
             blk.closed_form for blk in compiled.blocks
         ))
@@ -186,9 +186,8 @@ class BoundColumn:
         for blk in self.compiled.blocks:
             count = self.counts[blk.index]
             if count:
-                for leader, n_cycles in blk.members:
-                    for pc in range(leader, leader + n_cycles):
-                        histogram[pc] += count
+                for pc in range(blk.leader, blk.leader + blk.n_cycles):
+                    histogram[pc] += count
         return histogram
 
 
@@ -252,7 +251,7 @@ class Launch:
         memoized per count vectors.
 
         Deterministic kernels repeat their execution histograms launch
-        after launch, so one walk of the executed superblocks' static
+        after launch, so one walk of the executed blocks' static
         deltas serves every repeat. Returns ``(totals, events,
         superblocks)``: the ``{event: count}`` update for the shared
         tally, inserted in sorted event-name order (so the tally's order,

@@ -1,26 +1,30 @@
-"""Superblock tier: closed-form self-loops.
+"""Symbolic bundle walker: the one transfer function behind the SPM
+footprint analysis and the closed-form loop planner.
 
-Three layers of the compiled engine share the machinery in this module:
+VWR2A kernels are Table-1 loops: the LCU counts the trips and the LSU
+post-increments SRF address registers, so which SPM words a kernel
+touches, and how many trips each loop runs, is fixed by the
+configuration words. This module is the one place that reads a bundle's
+register effects:
 
-* :func:`loop_summary` — one symbolic walk of a fused self-loop body. Each
-  SRF entry and LCU register is classified per trip as affine
-  (``("d", delta)`` — trip-start value plus a constant), constant
-  (``("c", v)`` — rewritten every trip), or data-dependent (``("u",)``).
-  The cross-column SPM analysis (:mod:`repro.engine.conflicts`) uses it to
-  accelerate loops abstractly; the compiler (:mod:`repro.engine.compiler`)
-  uses the *same* walk to prove a loop's trip count is computable at loop
-  entry from concrete LCU/SRF state.
-* :func:`trip_count` — the closed-form solution of the loop branch: given
-  the concrete counter and bound values at loop entry, the exact number of
-  body executions (``None`` when the branch stays taken forever, i.e. the
-  loop only ends on the cycle budget).
-* :class:`LoopPlan` / :func:`plan_loop` — the compiler-facing summary: a
-  proven loop carries its counter register, per-trip delta, bound operand
-  and per-register affine classification. The compiler turns it into a
-  counted scalar loop (trip count solved once at loop entry, no per-trip
-  branch evaluation) whose final LCU register state is reconstructed
-  from the affine summary; :func:`bound_expr` and
-  :func:`trip_count_lines` emit the loop-entry source.
+* :func:`step` applies one bundle's effects on the SRF entries and LCU
+  registers to symbolic values: ``("c", v)`` is the constant ``v``,
+  ``("d", delta)`` is the value at the start of a loop trip plus
+  ``delta``, and :data:`UNKNOWN` is data-dependent. An ``access`` hook
+  sees every SPM access. The footprint walk
+  (:mod:`repro.engine.conflicts`) steps constants through it from the
+  program's ``srf_init``; :func:`loop_summary` steps a loop body once from
+  ``("d", 0)``.
+* :func:`loop_summary` is the one definition of a closed-form loop: a
+  self-loop block whose BLT/BGE counter advances by a non-zero constant
+  per trip against a loop-invariant bound, with no data-dependent LCU
+  register. The footprint walk folds such a loop in one step; the
+  compiler (:mod:`repro.engine.compiler`) solves its trip count once at
+  loop entry, runs a counted loop and rebuilds the LCU registers from
+  the summary.
+* :func:`trip_count` is the closed-form solution of the loop branch;
+  :func:`bound_expr` and :func:`trip_count_lines` emit the same formula
+  as loop-entry source for the compiler.
 
 Everything here is stdlib-only, like the rest of the simulator.
 """
@@ -30,103 +34,148 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.isa.fields import RCSrcKind
-from repro.isa.lcu import LCUCmp, LCUOp
+from repro.isa.lcu import BRANCH_OPS, LCUCmp, LCUInstr, LCUOp
 from repro.isa.lsu import LSUOp
+from repro.isa.rc import RCOp
 from repro.utils.bits import to_signed32
 from repro.utils.fixed_point import wrap32
 
+#: A data-dependent value: an ``LD_SRF`` result or an RC write into the
+#: SRF.
+UNKNOWN = ("u",)
 
-# ---------------------------------------------------------------------------
-# Symbolic per-trip loop summary (shared with repro.engine.conflicts)
-# ---------------------------------------------------------------------------
+#: The trip-start value itself: a register a loop body leaves unchanged.
+_SAME = ("d", 0)
+
 
 def sym_add(sym, inc: int):
-    """Add a constant to a symbolic per-trip value."""
+    """``sym`` plus a constant; a constant wraps to int32, as storage
+    does."""
     tag = sym[0]
-    if tag == "u":
-        return sym
-    return (tag, sym[1] + inc)
+    if tag == "c":
+        value = sym[1] + inc
+        if not -2147483648 <= value <= 2147483647:
+            value = wrap32(value)
+        return ("c", value)
+    if tag == "d":
+        return ("d", sym[1] + inc)
+    return sym
 
 
-def loop_summary(bundles, pcs, n_srf: int, n_lcu: int) -> dict:
-    """One symbolic walk of a self-loop body (static, state-free).
+def step(bundle, srf: list, lcu: list, access=None) -> bool:
+    """Apply one bundle's register effects to the symbolic ``srf`` and
+    ``lcu`` lists, in place; control flow is left to the caller.
 
-    ``pcs`` are the loop's bundle PCs (leader through the back-branch).
-    Returns the summary dict consumed by both the SPM-footprint
-    acceleration and the compiler's closed-form loop planner: ``ok`` means
-    the back-branch is a BLT/BGE whose counter advances by a non-zero
-    constant per trip against a loop-invariant bound, i.e. the trip count
-    is a closed-form function of the loop-entry register state.
+    ``access(is_line, is_write, entry, address)`` sees each SPM access,
+    with the address register's value before its post-increment, and
+    returns False when the access faults. Returns False when the bundle
+    faults: a static SRF entry or compared LCU register out of range, or
+    a faulting access.
     """
-    srf_sym = {e: ("d", 0) for e in range(n_srf)}
-    lcu_sym = {r: ("d", 0) for r in range(n_lcu)}
-    sites = []
-    ok = True
-    for pc in pcs:
-        bundle = bundles[pc]
-        for instr in bundle.rcs:
-            if instr.is_nop:
-                continue
-            for operand in instr.operands():
-                if operand.kind is RCSrcKind.SRF \
-                        and not 0 <= operand.index < n_srf:
-                    ok = False
-            if instr.dst.writes_srf:
-                if 0 <= instr.dst.index < n_srf:
-                    srf_sym[int(instr.dst.index)] = ("u",)
-                else:
-                    ok = False
-        lsu = bundle.lsu
-        access = bundle.spm_access()
-        if access is not None:
-            granularity, direction, entry, inc = access
-            is_line = granularity == "line"
-            is_write = direction == "write"
-            if not 0 <= entry < n_srf or (
-                not is_line and not 0 <= int(lsu.data) < n_srf
-            ):
-                ok = False
-                continue
-            sites.append((is_line, is_write, entry, srf_sym[entry]))
-            if lsu.op is LSUOp.LD_SRF:
-                srf_sym[int(lsu.data)] = ("u",)
-            if inc:
-                srf_sym[entry] = sym_add(srf_sym[entry], inc)
-        elif lsu.op is LSUOp.SET_SRF:
-            if 0 <= int(lsu.data) < n_srf:
-                srf_sym[int(lsu.data)] = ("c", to_signed32(lsu.value))
-            else:
-                ok = False
-        instr = bundle.lcu
-        if instr.op is LCUOp.SETI:
-            lcu_sym[instr.rd] = ("c", wrap32(instr.imm))
-        elif instr.op is LCUOp.ADDI:
-            lcu_sym[instr.rd] = sym_add(lcu_sym[instr.rd], int(instr.imm))
-        elif instr.op is LCUOp.LDSRF:
-            # Loop-varying load: conservatively data-dependent.
-            lcu_sym[instr.rd] = ("u",)
+    n_srf = len(srf)
+    for instr in bundle.rcs:
+        if instr.op is RCOp.NOP:
+            continue
+        for operand in instr.operands():
+            if operand.kind is RCSrcKind.SRF \
+                    and not 0 <= operand.index < n_srf:
+                return False
+        if instr.dst.writes_srf:
+            if not 0 <= instr.dst.index < n_srf:
+                return False
+            srf[int(instr.dst.index)] = UNKNOWN
+
+    lsu = bundle.lsu
+    shape = bundle.spm_access()
+    if shape is not None:
+        granularity, direction, entry, inc = shape
+        is_line = granularity == "line"
+        if not 0 <= entry < n_srf \
+                or not (is_line or 0 <= int(lsu.data) < n_srf):
+            return False
+        address = srf[entry]
+        if access is not None \
+                and not access(is_line, direction == "write", entry, address):
+            return False
+        if lsu.op is LSUOp.LD_SRF:
+            srf[int(lsu.data)] = UNKNOWN
+        if inc:
+            srf[entry] = sym_add(address, inc)
+    elif lsu.op is LSUOp.SET_SRF:
+        if not 0 <= int(lsu.data) < n_srf:
+            return False
+        srf[int(lsu.data)] = ("c", to_signed32(lsu.value))
+
+    instr = bundle.lcu
+    op = instr.op
+    if op is LCUOp.SETI:
+        lcu[instr.rd] = ("c", wrap32(instr.imm))
+    elif op is LCUOp.ADDI:
+        lcu[instr.rd] = sym_add(lcu[instr.rd], int(instr.imm))
+    elif op is LCUOp.LDSRF:
+        if not 0 <= int(instr.cmp) < n_srf:
+            return False
+        value = srf[int(instr.cmp)]
+        # A trip-relative SRF value is no trip-relative LCU value.
+        lcu[instr.rd] = value if value[0] != "d" else UNKNOWN
+    elif op in BRANCH_OPS:
+        if instr.cmp_kind is LCUCmp.REG:
+            return 0 <= int(instr.cmp) < len(lcu)
+        if instr.cmp_kind is LCUCmp.SRF:
+            return 0 <= int(instr.cmp) < n_srf
+    return True
+
+
+@dataclass(frozen=True)
+class LoopSummary:
+    """One trip of a closed-form self-loop, walked symbolically."""
+
+    pcs: tuple        #: the loop's bundle PCs, leader through back-branch
+    branch: LCUInstr  #: the back-branch (BLT/BGE)
+    srf: tuple        #: each SRF entry's symbolic value after one trip
+    lcu: tuple        #: each LCU register's symbolic value after one trip
+    sites: tuple      #: ``(is_line, is_write, entry, address)`` per access
+
+    @property
+    def delta(self) -> int:
+        """The counter's (non-zero) per-trip increment."""
+        return self.lcu[self.branch.rd][1]
+
+
+def loop_summary(bundles, pcs, n_srf: int, n_lcu: int):
+    """The :class:`LoopSummary` of the basic block ``pcs``, or ``None``
+    when it is no closed-form loop.
+
+    Closed-form means: the block's BLT/BGE branches back to its leader,
+    its counter advances by a non-zero constant per trip against a
+    loop-invariant bound, no bundle faults statically and no LCU
+    register is data-dependent. So the trip count and every LCU register
+    after the loop are functions of the loop-entry state.
+    """
     branch = bundles[pcs[-1]].lcu
-    counter = lcu_sym.get(branch.rd, ("u",))
-    if branch.op not in (LCUOp.BLT, LCUOp.BGE) \
-            or counter[0] != "d" or counter[1] == 0:
-        ok = False
+    if branch.op not in (LCUOp.BLT, LCUOp.BGE) or branch.target != pcs[0]:
+        return None
+    srf = [_SAME] * n_srf
+    lcu = [_SAME] * n_lcu
+    sites = []
+
+    def site(*args) -> bool:
+        sites.append(args)
+        return True
+
+    for pc in pcs:
+        if not step(bundles[pc], srf, lcu, site):
+            return None
+    counter = lcu[branch.rd]
+    if counter[0] != "d" or counter[1] == 0 or UNKNOWN in lcu:
+        return None
     # The comparison operand must be loop-invariant.
-    if branch.cmp_kind is LCUCmp.REG \
-            and lcu_sym.get(int(branch.cmp)) != ("d", 0):
-        ok = False
-    if branch.cmp_kind is LCUCmp.SRF and (
-        not 0 <= int(branch.cmp) < n_srf
-        or srf_sym[int(branch.cmp)] != ("d", 0)
-    ):
-        ok = False
-    return {
-        "ok": ok,
-        "pcs": pcs,
-        "branch": branch,
-        "srf_sym": srf_sym,
-        "lcu_sym": lcu_sym,
-        "sites": sites,
-    }
+    if branch.cmp_kind is LCUCmp.REG and lcu[int(branch.cmp)] != _SAME:
+        return None
+    if branch.cmp_kind is LCUCmp.SRF and srf[int(branch.cmp)] != _SAME:
+        return None
+    return LoopSummary(tuple(pcs), branch, tuple(srf), tuple(lcu),
+                       tuple(sites))
 
 
 def trip_count(op: LCUOp, delta: int, v0: int, bound: int):
@@ -150,53 +199,20 @@ def trip_count(op: LCUOp, delta: int, v0: int, bound: int):
     return max(1, (v0 - bound) // (-delta) + 1)
 
 
-# ---------------------------------------------------------------------------
-# Compiler-facing loop plan
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LoopPlan:
-    """Everything the compiler needs to accelerate one proven self-loop."""
-
-    counter: int          #: LCU register driving the back-branch
-    delta: int            #: per-trip counter increment (non-zero)
-    op: "LCUOp"           #: LCUOp.BLT or LCUOp.BGE
-    cmp_kind: "LCUCmp"    #: bound operand addressing mode
-    cmp_index: int        #: immediate value / LCU register / SRF entry
-    lcu_sym: dict         #: per-register symbolic per-trip classification
+def bound_expr(branch: LCUInstr) -> str:
+    """Source of a branch's comparison operand at loop entry."""
+    if branch.cmp_kind is LCUCmp.IMM:
+        return repr(int(branch.cmp))
+    if branch.cmp_kind is LCUCmp.REG:
+        return f"L[{int(branch.cmp)}]"
+    return f"S[{int(branch.cmp)}]"
 
 
-def plan_loop(bundles, pcs, params) -> LoopPlan:
-    """Closed-form plan of a self-loop, or ``None`` when unprovable."""
-    summary = loop_summary(
-        bundles, pcs, params.srf_entries, params.lcu_registers
-    )
-    if not summary["ok"]:
-        return None
-    branch = summary["branch"]
-    return LoopPlan(
-        counter=int(branch.rd),
-        delta=summary["lcu_sym"][branch.rd][1],
-        op=branch.op,
-        cmp_kind=branch.cmp_kind,
-        cmp_index=int(branch.cmp),
-        lcu_sym=summary["lcu_sym"],
-    )
-
-
-def bound_expr(plan: LoopPlan) -> str:
-    """Source of the loop bound operand at loop entry."""
-    if plan.cmp_kind is LCUCmp.IMM:
-        return repr(plan.cmp_index)
-    if plan.cmp_kind is LCUCmp.REG:
-        return f"L[{plan.cmp_index}]"
-    return f"S[{plan.cmp_index}]"
-
-
-def trip_count_lines(plan: LoopPlan) -> list:
-    """Source computing ``_t`` (trips or None) from ``_v0`` and ``_bnd``."""
-    d = plan.delta
-    if plan.op is LCUOp.BLT:
+def trip_count_lines(summary: LoopSummary) -> list:
+    """Source computing ``_t`` (:func:`trip_count`, trips or None) from
+    ``_v0`` and ``_bnd``."""
+    d = summary.delta
+    if summary.branch.op is LCUOp.BLT:
         if d > 0:
             return [
                 f"_t = -((_v0 - _bnd) // {d})",

@@ -142,10 +142,6 @@ class FaultPlan:
     def has_process_faults(self) -> bool:
         return any(s.kind in PROCESS_FAULTS for s in self.specs)
 
-    @property
-    def has_net_faults(self) -> bool:
-        return any(s.kind in NET_FAULTS for s in self.specs)
-
     def net_specs(self, side: str = None) -> tuple:
         """The transport specs — optionally only one direction's.
 

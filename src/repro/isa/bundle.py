@@ -47,17 +47,6 @@ class Bundle:
     def rc(self, index: int) -> RCInstr:
         return self.rcs[index]
 
-    def event_delta(self, params) -> dict:
-        """Compile hook: the exact event counts one execution logs.
-
-        Every event ``Column.step`` records is fixed by the configuration
-        word alone, so the delta is static; the compiled engine multiplies
-        it by execution counts instead of logging per cycle.
-        """
-        from repro.engine.deltas import bundle_event_delta
-
-        return bundle_event_delta(self, params)
-
     def spm_access(self):
         """Footprint hook: the bundle's static SPM access shape, or None.
 
@@ -65,10 +54,10 @@ class Bundle:
         granularity ``"line"``/``"word"``, direction ``"read"``/
         ``"write"``, the SRF entry holding the address and the
         post-increment applied to it. *Which* addresses a kernel touches
-        is fixed by the configuration words (same property as
-        :meth:`event_delta`); the cross-column SPM analysis
-        (:mod:`repro.engine.conflicts`) folds these shapes over the
-        program's control flow.
+        is fixed by the configuration words (the property the static
+        event deltas of :mod:`repro.engine.deltas` rest on too); the SPM
+        footprint walk (:func:`repro.engine.superblocks.step`) reads these
+        shapes.
         """
         access = _SPM_ACCESS.get(self.lsu.op)
         if access is None:

@@ -61,30 +61,6 @@ class ColumnProgram:
             lines.append(f"{pc:3d}: {bundle}")
         return "\n".join(lines)
 
-    def compiled(self, params):
-        """Compile hook: the predecoded basic-block form of this program.
-
-        Memoized structurally (identical bundle sequences share one
-        compilation, whatever their ``srf_init``); the ``auto`` engine's
-        launch record binds it to the column at the config's first
-        launch on an array.
-        """
-        from repro.engine.compiler import compile_program
-
-        return compile_program(self, params)
-
-    def spm_footprint(self, params):
-        """Footprint hook: may-touch SPM word runs of this program.
-
-        Derived from the configuration words and ``srf_init`` by the
-        static analysis in :mod:`repro.engine.conflicts` (memoized on the
-        configuration-word fingerprint plus the SRF initializers). Returns
-        a :class:`~repro.engine.conflicts.ColumnFootprint`.
-        """
-        from repro.engine.conflicts import column_footprint
-
-        return column_footprint(self, params)
-
 
 @dataclass
 class KernelConfig:
@@ -111,18 +87,6 @@ class KernelConfig:
                     f"kernel {self.name!r}: column {col} does not exist"
                 )
             program.validate(params)
-
-    def spm_conflicts(self, params):
-        """Footprint hook: cross-column SPM conflict report of this kernel.
-
-        The verdict ``Vwr2a.run`` keeps on the config's launch record at
-        its first launch on an array; the ``auto`` engine reads it to
-        decide whether the launch may use the compiled fast path. Returns a
-        :class:`~repro.engine.conflicts.ConflictReport`.
-        """
-        from repro.engine.conflicts import analyze_columns
-
-        return analyze_columns(self.columns, params)
 
     def load_cycles(self, params) -> int:
         """Cycles to copy this configuration into the program memories.

@@ -68,10 +68,6 @@ class RCInstr:
     def is_nop(self) -> bool:
         return self.op is RCOp.NOP
 
-    @property
-    def uses_multiplier(self) -> bool:
-        return self.op in MUL_OPS
-
     def operands(self) -> tuple:
         """The operands actually read by this instruction."""
         if self.op is RCOp.NOP:

@@ -87,9 +87,5 @@ class SpmAllocator:
     def used_lines(self) -> int:
         return self._next_line
 
-    @property
-    def free_lines(self) -> int:
-        return self.params.spm_lines - self._next_line
-
     def regions(self) -> dict:
         return dict(self._regions)

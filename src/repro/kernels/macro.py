@@ -21,7 +21,7 @@ from repro.asm.builder import ProgramBuilder
 from repro.core.errors import ProgramError
 from repro.isa.fields import Vwr
 from repro.isa.lcu import LCU_NOP, addi, blt, seti
-from repro.isa.lsu import LSU_NOP, ld_vwr, set_srf, st_vwr
+from repro.isa.lsu import LSU_NOP, ld_vwr, st_vwr
 from repro.isa.mxcu import inck, setk
 from repro.isa.rc import RCInstr
 
@@ -45,10 +45,6 @@ class ColumnKernelBuilder:
 
     def srf(self, entry: int, value: int) -> None:
         self.b.srf(entry, value)
-
-    def set_addr(self, entry: int, value: int, **kwargs) -> int:
-        """Emit a bundle whose LSU slot programs an SRF address register."""
-        return self.b.emit(lsu=set_srf(entry, value), **kwargs)
 
     def exit(self) -> int:
         return self.b.exit()

@@ -58,14 +58,6 @@ class RunnerFactory:
     def __call__(self) -> "KernelRunner":
         return KernelRunner(engine=self.engine, spec=self.spec)
 
-    def reference_twin(self) -> "RunnerFactory":
-        """The same design point forced onto the reference interpreter.
-
-        The serving layer's resilience ladder retries failed windows on a
-        reference-engine runner; the twin must share the spec or the
-        replay would simulate a different machine.
-        """
-        return RunnerFactory(engine="reference", spec=self.spec)
 
 
 class KernelRunner:

@@ -127,12 +127,6 @@ class BusSnapshot:
             if key[0] == name
         }
 
-    def gauge_family(self, name: str) -> dict:
-        """Every series of one gauge family: labels key -> level."""
-        return {
-            key[1]: value for key, value in self.gauges.items()
-            if key[0] == name
-        }
 
 
 class MetricsBus:

@@ -111,7 +111,3 @@ class PowerManager:
 
     def on_cycles(self, domain: Domain) -> int:
         return self._domains[domain].on_cycles
-
-    def reset_accounting(self) -> None:
-        for state in self._domains.values():
-            state.on_cycles = 0

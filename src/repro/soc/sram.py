@@ -40,9 +40,6 @@ class BankedSram:
             raise AddressError(f"no SRAM bank {bank}")
         self._bank_on[bank] = powered
 
-    def powered_banks(self) -> int:
-        return sum(self._bank_on)
-
     # -- word access -----------------------------------------------------------
 
     def read_word(self, addr: int) -> int:

@@ -23,6 +23,7 @@ from repro.asm.builder import ProgramBuilder
 from repro.baselines import lowpass_taps_q15
 from repro.core.cgra import Vwr2a
 from repro.core.errors import AddressError, ConfigurationError, ProgramError
+from repro.engine.compiler import compile_program
 from repro.isa.fields import (
     DST_R0,
     DST_R1,
@@ -463,12 +464,12 @@ class TestEngineSemantics:
         config = _asymmetric_config(sim.params)
         sim.store_kernel(config)
         compiled = {
-            col: program.compiled(sim.params)
+            col: compile_program(program, sim.params)
             for col, program in config.columns.items()
         }
         for col in config.columns:
-            assert compiled[col] is sim.columns[col].program.compiled(
-                sim.params
+            assert compiled[col] is compile_program(
+                sim.columns[col].program, sim.params
             )
         run2 = sim.run("asym")
         assert run2.cycles == run1.cycles

@@ -24,6 +24,7 @@ from repro.baselines import lowpass_taps_q15
 from repro.core.cgra import Vwr2a
 from repro.core.errors import AddressError, ProgramError
 from repro.engine import conflicts
+from repro.engine.compiler import compile_program
 from repro.isa.fields import DST_VWR_B, VWR_A, Vwr, imm
 from repro.isa.lcu import addi, blt, ldsrf, seti
 from repro.isa.lsu import ld_srf, ld_vwr, st_srf, st_vwr
@@ -352,7 +353,7 @@ class TestAutoSelection:
         b0.emit(lsu=st_srf(1, 0, inc=1), lcu=addi(0, 1))
         b0.emit(lcu=blt(0, 4, "l"))
         b0.exit()
-        footprint = b0.build().spm_footprint(DEFAULT_PARAMS)
+        footprint = conflicts.column_footprint(b0.build(), DEFAULT_PARAMS)
         # Any carry-in counter value is possible, so every word the
         # post-increment walker can reach must be in the footprint — not
         # just the 5 words a zero-seeded counter would visit.
@@ -371,7 +372,7 @@ class TestAutoSelection:
         b.emit(lsu=st_vwr(Vwr.A, 2))
         b.label("skip")
         b.exit()
-        footprint = b.build().spm_footprint(DEFAULT_PARAMS)
+        footprint = conflicts.column_footprint(b.build(), DEFAULT_PARAMS)
         assert footprint.unbounded_reads and footprint.unbounded_writes
         assert footprint.reads == ((7, 7),)
         assert footprint.writes == ()
@@ -387,15 +388,17 @@ class TestAutoSelection:
         b.emit(lcu=addi(0, 1))
         b.emit(lsu=st_vwr(Vwr.A, 1, inc=1), lcu=blt(0, 3, "l"))
         b.exit()
-        footprint = b.build().spm_footprint(DEFAULT_PARAMS)
+        footprint = conflicts.column_footprint(b.build(), DEFAULT_PARAMS)
         assert footprint.reads == ((2 * LINE_WORDS, 3 * LINE_WORDS - 1),)
         assert footprint.writes == ((10 * LINE_WORDS, 13 * LINE_WORDS - 1),)
 
     def test_footprint_hooks_on_isa_types(self):
         config = elementwise_kernel(DEFAULT_PARAMS, RCOp.SMUL, 256, 0, 2, 4)
-        report = config.spm_conflicts(DEFAULT_PARAMS)
+        report = conflicts.analyze_columns(config.columns, DEFAULT_PARAMS)
         assert report.conflict_free
-        footprint = config.columns[0].spm_footprint(DEFAULT_PARAMS)
+        footprint = conflicts.column_footprint(
+            config.columns[0], DEFAULT_PARAMS
+        )
         assert footprint.reads and footprint.writes
         assert not footprint.unbounded_reads
         bundle = config.columns[0].bundles[1]  # LD_VWR inside the loop
@@ -621,8 +624,8 @@ class TestStoreCache:
             other = first.columns[col]
             assert program.srf_init != other.srf_init
             assert program._fingerprint == other._fingerprint
-            assert program.compiled(sim.params) \
-                is other.compiled(sim.params)
+            assert compile_program(program, sim.params) \
+                is compile_program(other, sim.params)
         # Both configs carry their store stamps: a fresh memory of the
         # same geometry stores them with zero encodes and hazard checks.
         fresh = Vwr2a()

@@ -1,22 +1,32 @@
-"""Differential tests for the superblock tier.
+"""Differential tests for closed-form loops and the compiled blocks.
 
 Closed-form counted loops (including the loop shapes that lap the VWR
 slice, masked/XOR index orbits, per-cell distinct ops and the
 read-modify-write butterfly), the runtime guard that replays a launch on
 the reference interpreter when a loop counter would wrap around int32,
-data-dependent loops, straight-line chain fusion, and the RunResult
+data-dependent loops, basic blocks as the compile unit and the RunResult
 superblock counters — every scenario asserted bit-identical against the
-reference interpreter.
+reference interpreter — plus a property that the trip count the
+compiler emits as source equals :func:`trip_count`.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch import ArchParams
 from repro.asm.builder import ProgramBuilder
 from repro.core.cgra import Vwr2a
-from repro.engine.compiler import compile_program, superblock_chains
+from repro.engine.compiler import block_pcs, compile_program
+from repro.engine.superblocks import (
+    LoopSummary,
+    trip_count,
+    trip_count_lines,
+)
 from repro.isa.fields import (
     DST_R0,
     DST_VWR_B,
@@ -29,13 +39,26 @@ from repro.isa.fields import (
     imm,
     srf,
 )
-from repro.isa.lcu import BRANCH_OPS, addi, bge, blt, jump, ldsrf, seti
+from repro.isa.lcu import LCUOp, addi, bge, blt, jump, ldsrf, seti
 from repro.isa.lsu import ld_vwr, st_vwr
 from repro.isa.mxcu import inck, setk
 from repro.isa.program import KernelConfig
 from repro.isa.rc import RCOp, rc
 
 ENGINES = ("reference", "auto")
+
+#: Trip-count property examples (``FUZZ_EXAMPLES`` raises it, as for the
+#: generated-program fuzzers).
+EXAMPLES = int(os.environ.get("FUZZ_EXAMPLES", "300"))
+
+INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
+
+#: Counter and bound values: anywhere in int32, or at its edges.
+INT32S = st.one_of(
+    st.integers(INT32_MIN, INT32_MAX),
+    st.sampled_from((INT32_MIN, INT32_MIN + 1, -1, 0, 1,
+                     INT32_MAX - 1, INT32_MAX)),
+)
 
 #: Distinct per-cell instructions (one per RC of the default geometry).
 _PER_CELL_RCS = [
@@ -229,8 +252,28 @@ class TestClosedFormLoops:
         assert result.superblocks["accelerated_trips"] == 21
 
 
+class TestTripCountForms:
+    @settings(derandomize=True, max_examples=EXAMPLES, deadline=None)
+    @given(op=st.sampled_from((LCUOp.BLT, LCUOp.BGE)),
+           delta=st.one_of(st.integers(1, 1 << 17),
+                           st.integers(-(1 << 17), -1), st.just(0),
+                           INT32S),
+           v0=INT32S, bound=INT32S)
+    def test_emitted_trip_count_equals_closed_form(self, op, delta, v0,
+                                                   bound):
+        # The compiler emits trip_count_lines as loop-entry source; the
+        # footprint walk calls trip_count. Both must be one formula.
+        summary = LoopSummary(
+            pcs=(0,), branch=blt(0, 0, 0) if op is LCUOp.BLT
+            else bge(0, 0, 0), srf=(), lcu=(("d", delta),), sites=(),
+        )
+        namespace = {"_v0": v0, "_bnd": bound}
+        exec("\n".join(trip_count_lines(summary)), namespace)
+        assert namespace["_t"] == trip_count(op, delta, v0, bound)
+
+
 class TestChainFusion:
-    def test_jump_chain_fuses_into_one_superblock(self):
+    def test_jump_chain_compiles_one_arm_per_block(self):
         params = ArchParams()
         b = ProgramBuilder(n_rcs=params.rcs_per_column)
         b.emit(rcs=[rc(RCOp.MOV, DST_R0, imm(3))] * 4, lcu=jump("mid"))
@@ -242,16 +285,15 @@ class TestChainFusion:
                lcu=jump("end"))
         program = b.build()
         compiled = compile_program(program, params)
-        # Three basic blocks, one fused superblock spanning all of them.
-        assert len(compiled.blocks) == 1
-        assert len(compiled.blocks[0].members) == 3
+        # Three basic blocks, one arm each: a JUMP chain is not fused.
+        assert [(blk.leader, blk.n_cycles) for blk in compiled.blocks] \
+            == [(0, 1), (1, 2), (3, 1)]
 
         _run_both(lambda _: KernelConfig(name="chain", columns={0: program}))
 
     def test_branch_target_blocks_stay_dispatchable(self):
-        # A chain must not swallow a block that another branch targets:
-        # the loop back-edge lands on "head", so "head" cannot be fused
-        # into its predecessor.
+        # The loop back-edge lands on "head", so "head" leads its own
+        # block, apart from its straight-line predecessor.
         params = ArchParams()
         b = ProgramBuilder(n_rcs=params.rcs_per_column)
         b.emit(lcu=seti(0, 0))
@@ -261,15 +303,15 @@ class TestChainFusion:
         b.emit(lcu=blt(0, 5, "head"))
         b.exit()
         program = b.build()
-        chains = superblock_chains(tuple(program.bundles))
-        leaders = [chain[0][0] for chain in chains]
-        assert 1 in leaders  # "head" leads its own (loop) superblock
+        leaders = [pcs[0] for pcs in block_pcs(tuple(program.bundles))]
+        assert 1 in leaders  # "head" leads its own (loop) block
 
         _run_both(lambda _: KernelConfig(name="multi", columns={0: program}))
 
-    def test_multi_block_loop_fuses_and_accelerates(self):
-        # Tail branches back to the chain head: the whole chain becomes
-        # one fused self-loop with a closed-form plan.
+    def test_jump_split_loop_runs_per_trip(self):
+        # A loop whose body a JUMP splits into two blocks has no
+        # self-loop block, so no closed form: it runs trip by trip on
+        # the compiled engine, bit-identical to the reference.
         params = ArchParams()
         b = ProgramBuilder(n_rcs=params.rcs_per_column)
         b.emit(lcu=seti(0, 0), mxcu=setk(0))
@@ -283,16 +325,7 @@ class TestChainFusion:
         b.exit()
         program = b.build()
         compiled = compile_program(program, params)
-
-        def loops_back(blk) -> bool:
-            """The superblock's tail branches back to its leader."""
-            tail = program.bundles[sum(blk.members[-1]) - 1].lcu
-            return tail.op in BRANCH_OPS and tail.target == blk.leader
-
-        loops = [blk for blk in compiled.blocks if loops_back(blk)]
-        assert len(loops) == 1
-        assert len(loops[0].members) == 2
-        assert loops[0].closed_form
+        assert not any(blk.closed_form for blk in compiled.blocks)
 
         results = {}
         states = {}
@@ -304,7 +337,7 @@ class TestChainFusion:
             states[engine] = _full_state(sim)
         assert states["reference"] == states["auto"]
         assert results["auto"].engine == "compiled"
-        assert results["auto"].superblocks["accelerated_trips"] == 40
+        assert results["auto"].superblocks["accelerated_trips"] == 0
 
     def test_pc_histogram_covers_superblock_members(self):
         sim = Vwr2a(engine="auto")

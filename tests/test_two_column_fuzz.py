@@ -6,8 +6,10 @@ lock-step. The two orders agree only when no column writes an SPM word
 another column reads or writes, which :func:`analyze_columns` proves per
 launch. Hypothesis draws two-column kernels — a counted loop with a
 drawn trip count, line loads and stores at drawn bases (overlapping
-each other, or walking off either end of the SPM) and one RC op — and
-checks, for every draw:
+each other, or walking off either end of the SPM) and one RC op;
+sometimes a ``SET_SRF`` re-basing the store pointer every trip, a word
+``LD_SRF``/``ST_SRF`` site, and a second counted loop walking on from
+the pointers the first one left — and checks, for every draw:
 
 * ``auto`` equals ``reference`` on cycles, the launch's event delta,
   the event tally, SPM and both columns' state, or raises the same error
@@ -38,12 +40,14 @@ from repro.core.errors import SimulationError
 from repro.engine.conflicts import analyze_columns
 from repro.isa.fields import DST_VWR_B, VWR_A, Vwr, imm
 from repro.isa.lcu import addi, blt, seti
-from repro.isa.lsu import ld_vwr, st_vwr
+from repro.isa.lsu import LSU_NOP, ld_srf, ld_vwr, set_srf, st_srf, st_vwr
 from repro.isa.program import KernelConfig
 from repro.isa.rc import RCOp, rc
 from test_spm_conflicts import _full_state, write_footprint_holds
 
 SPM_LINES = DEFAULT_PARAMS.spm_lines
+SPM_WORDS = DEFAULT_PARAMS.spm_words
+LINE_WORDS = DEFAULT_PARAMS.line_words
 EXAMPLES = int(os.environ.get("FUZZ_EXAMPLES", "150"))
 HALF = SPM_LINES // 2
 
@@ -69,22 +73,62 @@ SPM_INIT = [
 ]
 
 
+def word_bases(index: int):
+    """Word addresses for column ``index``, as :func:`bases` draws lines."""
+    return st.one_of(
+        st.sampled_from(range(index * HALF * LINE_WORDS,
+                              (index + 1) * HALF * LINE_WORDS - 4)),
+        st.sampled_from(range(SPM_WORDS)),
+        st.sampled_from(range(SPM_WORDS - 3, SPM_WORDS)),
+    )
+
+
+def counted_loop(draw, b, label: str, rcs, word_site=LSU_NOP,
+                 rebase=None) -> None:
+    """A counted loop of LD_VWR, the RC op (with ``word_site`` in its LSU
+    slot) and ST_VWR, stepping SRF[0] and SRF[1]. ``rebase`` sets SRF[1]
+    after the store, so the store sees the pointer's entry value once and
+    the re-based value on every later trip."""
+    trips = draw(st.integers(1, 8))
+    b.emit(lcu=seti(0, 0))
+    b.label(label)
+    b.emit(lsu=ld_vwr(Vwr.A, 0, inc=draw(st.sampled_from((-1, 0, 1, 2)))))
+    b.emit(rcs=rcs, lcu=addi(0, 1), lsu=word_site)
+    store = st_vwr(Vwr.B, 1, inc=draw(st.sampled_from((-1, 0, 1))))
+    if rebase is None:
+        b.emit(lsu=store, lcu=blt(0, trips, label))
+    else:
+        b.emit(lsu=store)
+        b.emit(lsu=set_srf(1, rebase), lcu=blt(0, trips, label))
+
+
 @st.composite
 def column(draw, index: int):
-    """One column: a counted loop of LD_VWR, one RC op and ST_VWR."""
+    """One column: a counted loop of LD_VWR, one RC op and ST_VWR.
+
+    Sometimes the loop also re-bases its store pointer every trip
+    (``SET_SRF``) or carries a word ``LD_SRF``/``ST_SRF`` site, and
+    sometimes a second counted loop follows, walking on from the pointers
+    the first one left.
+    """
     b = ProgramBuilder(n_rcs=DEFAULT_PARAMS.rcs_per_column)
     b.srf(0, draw(bases(index)))
     b.srf(1, draw(bases(index)))
     op = draw(st.sampled_from(RC_OPS))
     value = draw(st.integers(-(1 << 16), (1 << 16) - 1)) \
         if op is not RCOp.SRA else draw(st.integers(0, 31))
-    b.emit(lcu=seti(0, 0))
-    b.label("loop")
-    b.emit(lsu=ld_vwr(Vwr.A, 0, inc=draw(st.sampled_from((-1, 0, 1, 2)))))
-    b.emit(rcs=[rc(op, DST_VWR_B, VWR_A, imm(value))]
-           * DEFAULT_PARAMS.rcs_per_column, lcu=addi(0, 1))
-    b.emit(lsu=st_vwr(Vwr.B, 1, inc=draw(st.sampled_from((-1, 0, 1)))),
-           lcu=blt(0, draw(st.integers(1, 8)), "loop"))
+    rcs = [rc(op, DST_VWR_B, VWR_A, imm(value))] \
+        * DEFAULT_PARAMS.rcs_per_column
+    word_site = LSU_NOP
+    if draw(st.booleans()):
+        b.srf(2, draw(word_bases(index)))
+        word_site = draw(st.sampled_from((ld_srf, st_srf)))(
+            3, 2, inc=draw(st.sampled_from((-1, 0, 1, 4))),
+        )
+    rebase = draw(st.one_of(st.none(), bases(index)))
+    counted_loop(draw, b, "loop", rcs, word_site, rebase)
+    if draw(st.booleans()):
+        counted_loop(draw, b, "again", rcs)
     b.exit()
     return b.build()
 
