@@ -39,9 +39,9 @@ def _m(name, kind, unit, help, source):  # noqa: A002 - Prometheus term
     return Metric(name, kind, unit, help, source)
 
 
-#: The registry: every metric the stack emits. docs/observability.md's
-#: table is generated from this tuple and ``tests/test_obs.py`` asserts
-#: a pooled instrumented run emits no family missing from it.
+#: The registry: every metric the stack emits. ``tests/test_obs.py``
+#: checks that docs/observability.md's table lists exactly these names
+#: and that a pooled instrumented run emits no family missing from it.
 METRICS = (
     # -- serving (the WindowLedger every scheduler drives) -------------------
     _m("repro_windows_served_total", "counter", "windows",
@@ -102,37 +102,28 @@ METRICS = (
     # -- pool ----------------------------------------------------------------
     _m("repro_pool_workers_alive", "gauge", "workers",
        "Live pool worker processes",
-       "serve/pool.py supervision loop"),
+       "serve/pool.py _PoolTransport.publish() each supervision round"),
     _m("repro_pool_queue_depth", "gauge", "windows",
        "Dispatched-but-unfinished windows by worker label",
-       "serve/pool.py supervision loop"),
+       "serve/pool.py _PoolTransport.publish() each supervision round"),
     _m("repro_pool_worker_windows_total", "counter", "windows",
        "Windows served by worker label",
        "serve/ledger.py WindowLedger.accept() worker label"),
-    # -- fleet transport (serve/net FleetServer event loop) ------------------
+    # -- fleet transport (serve/net/server.py _FleetTransport) ---------------
     _m("repro_net_workers_connected", "gauge", "workers",
        "Registered fleet workers currently connected and ready",
-       "serve/net/server.py event loop"),
+       "serve/net/server.py _FleetTransport.publish() each round"),
     _m("repro_net_inflight_windows", "gauge", "windows",
        "Windows dispatched to fleet workers and not yet resolved",
-       "serve/net/server.py event loop"),
+       "serve/net/server.py _FleetTransport.publish() each round"),
     _m("repro_net_frames_total", "counter", "frames",
        "Frames moved over the fleet transport by direction label "
        "(in|out)",
-       "serve/net/server.py read_conn()/send()"),
-    _m("repro_net_reconnects_total", "counter", "reconnects",
-       "Fleet workers that re-registered after losing their connection",
-       "serve/net/server.py hello handling"),
+       "serve/net/server.py _FleetTransport.read()/frame()"),
     _m("repro_net_retries_total", "counter", "retries",
        "Fleet retry-ladder rungs spent, by reason label "
        "(deadline|disconnect|desync|heartbeat|fault)",
-       "serve/net/server.py retried() on WindowLedger retry verdicts"),
-    _m("repro_net_checksum_failures_total", "counter", "frames",
-       "Frames dropped for a checksum/decode failure (recoverable)",
-       "serve/net/server.py read_conn() bad-frame handling"),
-    _m("repro_net_heartbeat_misses_total", "counter", "workers",
-       "Fleet workers retired for heartbeat silence",
-       "serve/net/server.py liveness scan"),
+       "serve/net/server.py _FleetTransport.retried() on retry verdicts"),
     # -- checkpointing -------------------------------------------------------
     _m("repro_checkpoint_lag_windows", "gauge", "windows",
        "Windows completed since the last checkpoint flush",
@@ -299,17 +290,3 @@ def record_net_frames(bus, direction: str, n: int = 1) -> None:
 def record_net_retry(bus, reason: str, n: int = 1) -> None:
     """Publish fleet retry-ladder rungs spent, labeled by why."""
     bus.inc("repro_net_retries_total", n, reason=reason)
-
-
-def record_net_event(bus, event: str, n: int = 1) -> None:
-    """Publish one fleet liveness event counter.
-
-    ``event`` is ``reconnect``, ``checksum_failure`` or
-    ``heartbeat_miss`` — each maps to its own
-    registered family (explicit names beat a label soup for alerting).
-    """
-    bus.inc({
-        "reconnect": "repro_net_reconnects_total",
-        "checksum_failure": "repro_net_checksum_failures_total",
-        "heartbeat_miss": "repro_net_heartbeat_misses_total",
-    }[event], n)

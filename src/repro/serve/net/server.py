@@ -8,8 +8,8 @@ is bit-identical to the sequential scheduler, whatever the worker
 count, and a :class:`~repro.serve.StreamCheckpoint` written by any
 executor resumes under any other.
 
-The server is a single-threaded :mod:`selectors` event loop (plus the
-same feeder thread the pool uses for window materialization). Remote
+The server runs the pool's supervision round (plus its feeder thread)
+over a :mod:`selectors` socket transport. Remote
 :class:`~repro.serve.net.FleetWorker` processes dial in, register with
 ``hello``, receive the worker spec over the wire, and serve attempts;
 the server's :class:`~repro.serve.ledger.WindowLedger` owns *all*
@@ -56,10 +56,9 @@ import selectors
 import socket
 import time
 
-from repro.core.errors import ConfigurationError, SimulationError
+from repro.core.errors import ConfigurationError
 from repro.obs.bus import get_bus
 from repro.obs.instruments import (
-    record_net_event,
     record_net_frames,
     record_net_retry,
     record_net_state,
@@ -71,12 +70,16 @@ from repro.serve.net.framing import (
     NetGate,
     send_frame,
 )
-from repro.serve.pool import PoolScheduler, PoolWorkerError, _Feeder
+from repro.serve.pool import (
+    _TICK_SECONDS,
+    PoolScheduler,
+    _supervise,
+    _supervised,
+    _Transport,
+)
 from repro.serve.report import StreamReport
 from repro.serve.scheduler import StreamScheduler, _serve_session
 
-#: Event-loop tick (select timeout): liveness scans and dispatch pacing.
-_TICK_SECONDS = 0.05
 #: How long an accepted connection may stay silent before ``hello``.
 _HELLO_TIMEOUT = 5.0
 #: Blocking-send timeout on accepted sockets (results are read
@@ -89,20 +92,12 @@ _FEED_AHEAD = 32
 class _Conn:
     """One accepted connection (its tasks live in the ledger)."""
 
-    __slots__ = (
-        "sock", "addr", "buffer", "name", "ready", "engine",
-        "last_seen", "connected_at",
-    )
-
-    def __init__(self, sock, addr) -> None:
+    def __init__(self, sock) -> None:
         self.sock = sock
-        self.addr = addr
         self.buffer = FrameBuffer()
-        self.name = None
-        self.ready = False
-        self.engine = None
-        self.last_seen = time.monotonic()
-        self.connected_at = self.last_seen
+        self.name = None     # set by ``hello``
+        self.ready = False   # the worker's platform is built
+        self.last_seen = self.connected_at = time.monotonic()
 
 
 class FleetServer:
@@ -200,10 +195,6 @@ class FleetServer:
         self.local_fallback = local_fallback
         self.stop_after = stop_after
         self._listener = None
-        self._resilient = (
-            fault_plan is not None or task_deadline is not None
-            or heartbeat_timeout is not None or respawn_limit > 0
-        )
 
     @property
     def engine(self) -> str:
@@ -214,14 +205,10 @@ class FleetServer:
     def bind(self):
         """Bind and listen; returns ``(host, port)``. Idempotent."""
         if self._listener is None:
-            listener = socket.socket(
-                socket.AF_INET, socket.SOCK_STREAM
+            # SO_REUSEADDR is set, so a restarted server rebinds at once.
+            listener = socket.create_server(
+                (self.host, self.port), backlog=64
             )
-            listener.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
-            )
-            listener.bind((self.host, self.port))
-            listener.listen(64)
             listener.setblocking(False)
             self.port = listener.getsockname()[1]
             self._listener = listener
@@ -236,11 +223,9 @@ class FleetServer:
 
     def close(self) -> None:
         """Close the listener (accepted connections die with the run)."""
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            finally:
-                self._listener = None
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            listener.close()
 
     # -- serving -------------------------------------------------------------
 
@@ -248,374 +233,330 @@ class FleetServer:
         """Serve ``stream`` over the fleet; returns the merged report.
 
         Same contract as :meth:`PoolScheduler.run` — checkpoint resume,
-        bit-identical merge, :class:`PoolWorkerError` on a genuine
-        worker failure — plus the degradation ladder when no workers
-        are available.
+        bit-identical merge, :class:`~repro.serve.PoolWorkerError` on a
+        genuine worker failure — plus the degradation ladder when no
+        workers are available.
         """
         self.bind()
         try:
             return _serve_session(
-                self, stream, checkpoint, dedup=self._resilient,
+                self, stream, checkpoint, dedup=_supervised(
+                    self.fault_plan, self._local.respawn_limit,
+                    self.heartbeat_timeout, self.task_deadline,
+                ),
                 backoff=self._backoff, stop_after=self.stop_after,
             )
         finally:
             self.close()
 
-    # -- the event loop ------------------------------------------------------
-
-    def _spec_frame(self, stream):
-        """The spec payload and its digest (pinned in ``hello``)."""
-        payload = (
-            self._local._spec(stream),
-            self.fault_plan.net_specs("result")
-            if self.fault_plan is not None else (),
-        )
-        digest = hashlib.sha256(pickle.dumps(payload)).hexdigest()[:16]
-        return payload, digest
-
     def _serve_remaining(self, stream, ledger):
         """Serve every unaccounted window; returns the workers' engine.
 
-        The ledger owns the windows; this loop owns the sockets:
-        framing, heartbeats, deadlines and reconnects. It ends early at
-        the ledger's ``stop_after``, and worker errors raise
-        :class:`PoolWorkerError` like the pool's.
+        The ledger owns the windows, :class:`_FleetTransport` the
+        sockets, and the pool's supervision round drives both.
         """
-        state = ledger.state
-        spec_payload, spec_digest = self._spec_frame(stream)
-        task_gate = NetGate(
-            self.fault_plan.specs if self.fault_plan is not None
-            else (), side="task",
+        transport = _FleetTransport(self, stream, ledger)
+        engine = _supervise(
+            transport, ledger, stream, _FEED_AHEAD, self.prefetch,
+            self.task_deadline,
         )
-        feeder = _Feeder(stream, ledger.resolved, _FEED_AHEAD)
-
-        sel = selectors.DefaultSelector()
-        sel.register(self._listener, selectors.EVENT_READ, "listen")
-        conns = {}       # fileno -> _Conn (every accepted connection)
-        workers = {}     # name -> _Conn (registered)
-        # Names ever registered — seeded from the checkpoint namespaces
-        # so a worker re-registering after a *server* restart counts as
-        # the reconnect it is from the worker's point of view.
-        known = set(state.namespaces)
-        engines = set()
-        failure = None
-        ever_ready = False
-        now = time.monotonic()
-        reg_deadline = now + self.register_timeout
-        last_alive = now
-        fallback = None  # the local loop the degradation ladder lands on
-
-        def namespace(name: str) -> dict:
-            return state.namespaces.setdefault(name, {})
-
-        def bump(name: str, key: str) -> None:
-            namespace(name)[key] = namespace(name).get(key, 0) + 1
-
-        def ready() -> list:
-            return [c for c in workers.values() if c.ready]
-
-        def send(conn, msg, payload=None, gated=False) -> str:
-            try:
-                if gated and task_gate.specs:
-                    action = task_gate.send(conn.sock, msg, payload)
-                else:
-                    send_frame(conn.sock, msg, payload)
-                    action = "sent"
-            except (OSError, socket.timeout):
-                return "peer_gone"
-            bus = get_bus()
-            if bus is not None and action != "dropped":
-                record_net_frames(bus, "out")
-            return action
-
-        def retried(verdict, reason: str) -> None:
-            bus = get_bus()
-            if verdict == "retry" and bus is not None:
-                record_net_retry(bus, reason)
-
-        def close_conn(conn) -> None:
-            conns.pop(conn.sock.fileno(), None)
-            try:
-                sel.unregister(conn.sock)
-            except (KeyError, ValueError):
-                pass
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
-
-        def retire_conn(conn, reason: str) -> None:
-            """Drop one connection; spend a rung per in-flight window.
-
-            Every in-flight task rides the ladder (not just the head,
-            as the pool does): over a lossy transport the server cannot
-            know which of them the worker half-served, and unbounded
-            free requeues would let a flapping link retry forever.
-            """
-            if conn.name is not None and workers.get(conn.name) is conn:
-                del workers[conn.name]
-            close_conn(conn)
-            for verdict in ledger.lose(
-                conn, None, f"net_{reason}",
-                f"connection to worker {conn.name!r} lost ({reason}) "
-                "with the window in flight",
-            ):
-                retried(verdict, reason)
-
-        def merge_net_fired(name: str, fired) -> None:
-            """Fold a worker's cumulative gate counters into resilience.
-
-            Deltas are taken against the per-worker cumulative stored
-            in the checkpoint namespaces, so reconnects and server
-            restarts never double-count an injection.
-            """
-            if not fired:
-                return
-            stored = namespace(name).setdefault("net_fired", {})
-            delta = {}
-            for kind, count in fired.items():
-                seen = stored.get(kind, 0)
-                if count < seen:
-                    seen = 0  # the worker itself restarted
-                if count > seen:
-                    delta[f"fault:{kind}"] = count - seen
-                stored[kind] = count
-            if delta:
-                ledger.tally(delta)
-
-        def on_frame(conn, msg, payload) -> None:
-            nonlocal failure
-            conn.last_seen = time.monotonic()
-            kind = msg.get("type")
-            if kind != "hello" and conn.name is None:
-                # Data frames from a peer that never registered: a
-                # protocol violation, not a scheduling event.
-                return
-            if kind == "hello":
-                name = msg.get("name") or f"anon-{conn.sock.fileno()}"
-                stale = workers.get(name)
-                if stale is not None and stale is not conn:
-                    # The worker reconnected before its old connection
-                    # was detected dead: retire the half-open husk.
-                    retire_conn(stale, "disconnect")
-                conn.name = name
-                workers[name] = conn
-                if name in known:
-                    ledger.tally({"net_reconnects": 1})
-                    bump(name, "reconnects")
-                    bus = get_bus()
-                    if bus is not None:
-                        record_net_event(bus, "reconnect")
-                known.add(name)
-                namespace(name)  # registration is durable bookkeeping
-                if msg.get("spec_digest") == spec_digest:
-                    # Warm reconnect: platform already built.
-                    mark_ready(conn, msg)
-                else:
-                    send(conn, {
-                        "type": "spec", "digest": spec_digest,
-                    }, payload=spec_payload)
-            elif kind == "ready":
-                mark_ready(conn, msg)
-            elif kind == "result":
-                merge_net_fired(conn.name, msg.get("net_fired"))
-                result, stats_delta = payload
-                if ledger.accept(
-                    conn, result, stats_delta,
-                    bool(msg.get("force_reference")), conn.name,
-                ):
-                    bump(conn.name, "served")
-            elif kind == "retry":
-                merge_net_fired(conn.name, msg.get("net_fired"))
-                kinds = tuple(msg.get("kinds") or ("unknown",))
-                retried(ledger.fault(conn, msg["index"], kinds), "fault")
-            elif kind == "err":
-                failure = failure or (conn.name, msg.get("index"), payload)
-            elif kind == "hb":
-                merge_net_fired(conn.name, msg.get("net_fired"))
-            # Unknown frame types are ignored: wire compatibility.
-
-        def mark_ready(conn, msg) -> None:
-            conn.ready = True
-            conn.engine = msg.get("engine") or None
-            if conn.engine:
-                engines.add(conn.engine)
-
-        def read_conn(conn) -> None:
-            try:
-                data = conn.sock.recv(1 << 16)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                ledger.tally({"net_disconnects": 1})
-                retire_conn(conn, "disconnect")
-                return
-            if not data:
-                if conn.name is not None:
-                    ledger.tally({"net_disconnects": 1})
-                retire_conn(conn, "disconnect")
-                return
-            conn.buffer.feed(data)
-            bus = get_bus()
-            while True:
-                try:
-                    item = conn.buffer.pop()
-                except FrameError:
-                    # Desynced or hostile byte stream: the connection
-                    # is unusable. In-flight windows ride the ladder;
-                    # a real worker will reconnect.
-                    ledger.tally({"net_desyncs": 1})
-                    retire_conn(conn, "desync")
-                    return
-                if item is None:
-                    return
-                if item[0] == "bad":
-                    ledger.tally({"net_checksum_failures": 1})
-                    if bus is not None:
-                        record_net_event(bus, "checksum_failure")
-                    continue
-                if bus is not None:
-                    record_net_frames(bus, "in")
-                try:
-                    on_frame(conn, item[1], item[2])
-                except (KeyError, TypeError, ValueError, IndexError):
-                    # A structurally valid frame whose fields violate
-                    # the protocol (hostile or byte-lucky corruption):
-                    # never the server's problem to crash over.
-                    ledger.tally({"net_protocol_errors": 1})
-                if conn.sock.fileno() < 0:
-                    return  # the frame handler closed the connection
-
-        def dispatch() -> None:
-            for conn, task in ledger.schedule(
-                ready, self.prefetch, feeder.poll, self.task_deadline
-            ):
-                action = send(conn, {
-                    "type": "task",
-                    "index": task.index,
-                    "attempt": task.attempt,
-                    "force_reference": task.reference,
-                }, payload=(task.window.start, task.window.samples),
-                    gated=True)
-                if action in ("disconnect", "peer_gone"):
-                    ledger.tally({"net_disconnects": 1})
-                    retire_conn(conn, "disconnect")
-                # "dropped" frames wait for their deadline; "sent" and
-                # duplicated/delayed frames need nothing more.
-
-        def scan(now: float) -> None:
-            for conn in list(conns.values()):
-                if (
-                    conn.name is None
-                    and now - conn.connected_at > _HELLO_TIMEOUT
-                ):
-                    close_conn(conn)  # silent stranger
-            if self.heartbeat_timeout is not None:
-                for conn in list(workers.values()):
-                    if now - conn.last_seen > self.heartbeat_timeout:
-                        ledger.tally({"net_heartbeat_misses": 1})
-                        bus = get_bus()
-                        if bus is not None:
-                            record_net_event(bus, "heartbeat_miss")
-                        retire_conn(conn, "heartbeat")
-            for conn, index in ledger.expired():
-                verdict = ledger.spoil(
-                    conn, index, ("net_deadline",),
-                    f"window {index} blew its {self.task_deadline}s "
-                    f"deadline on worker {conn.name!r}",
-                )
-                if verdict is None:
-                    continue  # already retired with its connection
-                ledger.tally({"net_deadline_misses": 1})
-                retried(verdict, "deadline")
-
-        try:
-            while failure is None and not state.complete \
-                    and not ledger.stopped:
-                for key, _events in sel.select(timeout=_TICK_SECONDS):
-                    if key.data == "listen":
-                        try:
-                            sock, addr = self._listener.accept()
-                        except OSError:
-                            continue
-                        sock.settimeout(_CONN_TIMEOUT)
-                        conn = _Conn(sock, addr)
-                        conns[sock.fileno()] = conn
-                        sel.register(
-                            sock, selectors.EVENT_READ, conn
-                        )
-                    else:
-                        read_conn(key.data)
-                if failure is not None or feeder.failure:
-                    break
-                now = time.monotonic()
-                scan(now)
-                alive = ready()
-                if alive:
-                    ever_ready = True
-                    last_alive = now
-                elif not ever_ready and now > reg_deadline:
-                    if not self.local_fallback:
-                        raise ConfigurationError(
-                            "no fleet workers registered within "
-                            f"{self.register_timeout}s and "
-                            "local_fallback is off"
-                        )
-                    fallback = self._local._serve_remaining
-                    break
-                elif ever_ready and now - last_alive > max(
-                    self.register_timeout,
-                    self.heartbeat_timeout or 0.0,
-                ):
-                    # Lost the whole fleet mid-run: the last rung.
-                    if self.local_fallback:
-                        fallback = functools.partial(StreamScheduler(
-                            config=self.config,
-                            runner=self._local.runner_factory(),
-                            pipeline=self.pipeline,
-                            energy_model=self.energy_model,
-                            fault_plan=self._local.fault_plan,
-                        )._serve_remaining, label="local")
-                        break
-                    failure = (
-                        "fleet", None,
-                        "every fleet worker was lost mid-stream and "
-                        "local_fallback is off",
-                    )
-                    break
-                dispatch()
-                bus = get_bus()
-                if bus is not None:
-                    record_net_state(bus, len(alive), ledger.n_in_flight)
-                    ledger.progress(bus)
-                stalled = alive and ledger.stalled(feeder.exhausted())
-                if stalled:
-                    failure = ("fleet", None, f"fleet {stalled}")
-            if failure is None and state.complete:
-                for conn in list(workers.values()):
-                    send(conn, {"type": "fin"})
-        finally:
-            feeder.close()
-            for conn in list(conns.values()):
-                close_conn(conn)
-            sel.close()
-        failure = failure or feeder.failure
-        if failure is not None:
-            raise PoolWorkerError(*failure)
-        if len(engines) > 1:
-            raise SimulationError(
-                "fleet workers disagree on the engine: "
-                f"{sorted(engines)}"
-            )
-        if fallback is None:
-            return engines.pop() if engines else self.engine
+        if transport.handoff is None:
+            return engine or self.engine
         # The degradation ladder: a local loop finishes the session over
         # this same ledger, so the merge stays bit-identical. Backoff
         # lets a flapping link settle; locally, retries wait for nothing.
         self.close()
         ledger.backoff = None
         ledger.tally({"local_degradations": 1})
-        return fallback(stream, ledger)
+        return transport.handoff(stream, ledger)
 
     def _backoff(self, attempt: int) -> float:
         return min(self.backoff_cap, self.retry_backoff * (2 ** attempt))
+
+
+class _FleetTransport(_Transport):
+    """Sockets (owners: registered connections): registration and
+    reconnects, frame checks, the ``net_fired`` merge, the heartbeat rule
+    (a remote peer has no exit code) and the degradation ladder."""
+
+    kind = "fleet"
+
+    def __init__(self, server, stream, ledger) -> None:
+        super().__init__(ledger)
+        self.server = server
+        plan = server.fault_plan
+        # The spec payload and its digest (pinned in ``hello``).
+        self.spec_payload = (
+            server._local._spec(stream),
+            plan.net_specs("result") if plan is not None else (),
+        )
+        self.spec_digest = hashlib.sha256(
+            pickle.dumps(self.spec_payload)
+        ).hexdigest()[:16]
+        self.task_gate = NetGate(
+            plan.specs if plan is not None else (), side="task"
+        )
+        self.sel = selectors.DefaultSelector()
+        self.sel.register(server._listener, selectors.EVENT_READ, None)
+        self.conns = {}     # fileno -> _Conn (every accepted connection)
+        self.workers = {}   # name -> _Conn (registered)
+        self.reg_deadline = time.monotonic() + server.register_timeout
+        self.last_alive = None   # when a worker was last ready
+
+    def label(self, conn):
+        return conn.name
+
+    def namespace(self, name: str) -> dict:
+        return self.ledger.state.namespaces.setdefault(name, {})
+
+    def bump(self, name: str, key: str) -> None:
+        self.namespace(name)[key] = self.namespace(name).get(key, 0) + 1
+
+    def owners(self) -> list:
+        return [c for c in self.workers.values() if c.ready]
+
+    def frame(self, conn, msg, payload=None, gated=False) -> str:
+        """Send one frame; returns the gate's action or ``"peer_gone"``."""
+        try:
+            if gated and self.task_gate.specs:
+                action = self.task_gate.send(conn.sock, msg, payload)
+            else:
+                send_frame(conn.sock, msg, payload)
+                action = "sent"
+        except (OSError, socket.timeout):
+            return "peer_gone"
+        bus = get_bus()
+        if bus is not None and action != "dropped":
+            record_net_frames(bus, "out")
+        return action
+
+    def retried(self, verdict, reason: str) -> None:
+        bus = get_bus()
+        if verdict == "retry" and bus is not None:
+            record_net_retry(bus, reason)
+
+    def close_conn(self, conn) -> None:
+        self.conns.pop(conn.sock.fileno(), None)
+        try:
+            self.sel.unregister(conn.sock)
+        except (KeyError, ValueError):
+            pass
+        try:
+            conn.sock.close()
+        except OSError:
+            pass
+
+    def retire(self, conn, reason: str) -> None:
+        """Drop one connection; spend a rung per in-flight window.
+
+        Every in-flight task rides the ladder (not just the head, as
+        the pool does): over a lossy transport the server cannot know
+        which of them the worker half-served, and unbounded free
+        requeues would let a flapping link retry forever.
+        """
+        if conn.name is not None and self.workers.get(conn.name) is conn:
+            del self.workers[conn.name]
+        self.close_conn(conn)
+        for verdict in self.ledger.lose(
+            conn, None, f"net_{reason}",
+            f"connection to worker {conn.name!r} lost ({reason}) "
+            "with the window in flight",
+        ):
+            self.retried(verdict, reason)
+
+    def merge_net_fired(self, name: str, fired) -> None:
+        """Fold a worker's cumulative gate counters into resilience.
+
+        Deltas are taken against the per-worker cumulative stored in
+        the checkpoint namespaces, so reconnects and server restarts
+        never double-count an injection.
+        """
+        if not fired:
+            return
+        stored = self.namespace(name).setdefault("net_fired", {})
+        delta = {}
+        for kind, count in fired.items():
+            seen = stored.get(kind, 0)
+            if count < seen:
+                seen = 0  # the worker itself restarted
+            if count > seen:
+                delta[f"fault:{kind}"] = count - seen
+            stored[kind] = count
+        if delta:
+            self.ledger.tally(delta)
+
+    def on_frame(self, conn, msg, payload) -> None:
+        conn.last_seen = time.monotonic()
+        kind = msg.get("type")
+        if kind == "hello":
+            self.register(conn, msg)
+            return
+        if conn.name is None:
+            # Data frames from a peer that never registered: a
+            # protocol violation, not a scheduling event.
+            return
+        self.merge_net_fired(conn.name, msg.get("net_fired"))
+        if kind == "ready":
+            self.mark_ready(conn, msg)
+        elif kind == "result":
+            if self.verdict(
+                conn, "ok", msg.get("index"), *payload,
+                bool(msg.get("force_reference")),
+            ):
+                self.bump(conn.name, "served")
+        elif kind == "retry":
+            kinds = tuple(msg.get("kinds") or ("unknown",))
+            self.retried(
+                self.verdict(conn, "retry", msg["index"], kinds), "fault"
+            )
+        elif kind == "err":
+            self.verdict(conn, "err", msg.get("index"), payload)
+        # Other frame types (``hb`` carries only ``net_fired``) are
+        # ignored: wire compatibility.
+
+    def register(self, conn, msg) -> None:
+        name = msg.get("name") or f"anon-{conn.sock.fileno()}"
+        stale = self.workers.get(name)
+        if stale is not None and stale is not conn:
+            # The worker reconnected before its old connection was
+            # detected dead: retire the half-open husk.
+            self.retire(stale, "disconnect")
+        conn.name = name
+        self.workers[name] = conn
+        # Every name ever registered has a checkpoint namespace, so a
+        # worker re-registering after a *server* restart counts as the
+        # reconnect it is from the worker's point of view.
+        if name in self.ledger.state.namespaces:
+            self.ledger.tally({"net_reconnects": 1})
+            self.bump(name, "reconnects")
+        self.namespace(name)  # registration is durable bookkeeping
+        if msg.get("spec_digest") == self.spec_digest:
+            self.mark_ready(conn, msg)  # warm reconnect: platform built
+        else:
+            self.frame(conn, {
+                "type": "spec", "digest": self.spec_digest,
+            }, payload=self.spec_payload)
+
+    def mark_ready(self, conn, msg) -> None:
+        conn.ready = True
+        if msg.get("engine"):
+            self.engines.add(msg["engine"])
+
+    def poll(self) -> None:
+        for key, _events in self.sel.select(timeout=_TICK_SECONDS):
+            if key.data is None:
+                try:
+                    sock, _ = self.server._listener.accept()
+                except OSError:
+                    continue
+                sock.settimeout(_CONN_TIMEOUT)
+                conn = _Conn(sock)
+                self.conns[sock.fileno()] = conn
+                self.sel.register(sock, selectors.EVENT_READ, conn)
+            else:
+                self.read(key.data)
+
+    def read(self, conn) -> None:
+        try:
+            data = conn.sock.recv(1 << 16)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError:
+            data = None
+        if not data:
+            if data is None or conn.name is not None:
+                self.ledger.tally({"net_disconnects": 1})
+            self.retire(conn, "disconnect")
+            return
+        conn.buffer.feed(data)
+        bus = get_bus()
+        while True:
+            try:
+                item = conn.buffer.pop()
+            except FrameError:
+                # Desynced or hostile byte stream: the connection is
+                # unusable. In-flight windows ride the ladder; a real
+                # worker will reconnect.
+                self.ledger.tally({"net_desyncs": 1})
+                self.retire(conn, "desync")
+                return
+            if item is None:
+                return
+            if item[0] == "bad":
+                self.ledger.tally({"net_checksum_failures": 1})
+                continue
+            if bus is not None:
+                record_net_frames(bus, "in")
+            try:
+                self.on_frame(conn, item[1], item[2])
+            except (KeyError, TypeError, ValueError, IndexError):
+                # A structurally valid frame whose fields violate the
+                # protocol (hostile or byte-lucky corruption): never
+                # the server's problem to crash over.
+                self.ledger.tally({"net_protocol_errors": 1})
+            if conn.sock.fileno() < 0:
+                return  # the frame handler closed the connection
+
+    def send(self, conn, task) -> None:
+        action = self.frame(conn, {
+            "type": "task",
+            "index": task.index,
+            "attempt": task.attempt,
+            "force_reference": task.reference,
+        }, payload=(task.window.start, task.window.samples), gated=True)
+        if action in ("disconnect", "peer_gone"):
+            self.ledger.tally({"net_disconnects": 1})
+            self.retire(conn, "disconnect")
+        # "dropped" frames wait for their deadline; "sent" and
+        # duplicated/delayed frames need nothing more.
+
+    def scan(self) -> None:
+        server = self.server
+        now = time.monotonic()
+        for conn in list(self.conns.values()):
+            if conn.name is None and now - conn.connected_at > _HELLO_TIMEOUT:
+                self.close_conn(conn)  # silent stranger
+        if server.heartbeat_timeout is not None:
+            for conn in list(self.workers.values()):
+                if now - conn.last_seen > server.heartbeat_timeout:
+                    self.ledger.tally({"net_heartbeat_misses": 1})
+                    self.retire(conn, "heartbeat")
+        if self.owners():
+            self.last_alive = now
+        elif self.last_alive is None and now > self.reg_deadline:
+            if not server.local_fallback:
+                raise ConfigurationError(
+                    "no fleet workers registered within "
+                    f"{server.register_timeout}s and local_fallback is off"
+                )
+            self.handoff = server._local._serve_remaining
+        elif self.last_alive is not None and now - self.last_alive > max(
+            server.register_timeout, server.heartbeat_timeout or 0.0,
+        ):
+            # Lost the whole fleet mid-run: the last rung.
+            if server.local_fallback:
+                self.handoff = functools.partial(StreamScheduler(
+                    config=server.config,
+                    runner=server._local.runner_factory(),
+                    pipeline=server.pipeline,
+                    energy_model=server.energy_model,
+                    fault_plan=server._local.fault_plan,
+                )._serve_remaining, label="local")
+            else:
+                self.fail(
+                    "fleet", None,
+                    "every fleet worker was lost mid-stream and "
+                    "local_fallback is off",
+                )
+
+    def publish(self, bus) -> None:
+        record_net_state(bus, len(self.owners()), self.ledger.n_in_flight)
+
+    def release(self) -> None:
+        for conn in list(self.workers.values()):
+            self.frame(conn, {"type": "fin"})
+
+    def close(self) -> None:
+        for conn in list(self.conns.values()):
+            self.close_conn(conn)
+        self.sel.close()

@@ -33,10 +33,12 @@ bit-identical to an uninterrupted one.
 
 **Supervision.** Workers are expendable: the host's
 :class:`~repro.serve.ledger.WindowLedger` tracks every window it
-dispatched, while the pool detects dead workers by liveness/exit-code
-and hung ones by progress timeout and respawns them within
-``respawn_limit``; spoiled windows climb the shared retry ladder before
-they are quarantined into :attr:`StreamReport.failed_windows`.
+dispatched; one supervision round (:func:`_supervise`) drives it for
+the pool and for the fleet (:mod:`repro.serve.net`), each over its own
+transport. The pool's detects dead workers by exit code and hung ones
+by progress timeout and respawns them within ``respawn_limit``; spoiled
+windows climb the shared retry ladder before they are quarantined into
+:attr:`StreamReport.failed_windows`.
 Deterministic chaos campaigns over this machinery live in
 :mod:`repro.faults`; the taxonomy and semantics are documented in
 docs/robustness.md.
@@ -44,6 +46,7 @@ docs/robustness.md.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import pickle
 import queue
@@ -62,8 +65,9 @@ from repro.serve.ledger import MAX_RETRIES, check_retries
 from repro.serve.report import StreamReport
 from repro.serve.scheduler import AttemptServer, _resolve_job, _serve_session
 
-#: Seconds between liveness checks while waiting on worker results.
-_POLL_SECONDS = 0.1
+#: One supervision tick: how long a round waits for messages (and a
+#: worker or feeder thread blocks before re-checking its stop flag).
+_TICK_SECONDS = 0.05
 
 
 def describe_exit(exitcode) -> str:
@@ -154,7 +158,7 @@ class _Feeder:
                     continue
                 while not self._stop.is_set():
                     try:
-                        self._ready.put(window, timeout=_POLL_SECONDS)
+                        self._ready.put(window, timeout=_TICK_SECONDS)
                         break
                     except queue.Full:
                         pass
@@ -184,6 +188,115 @@ class _Feeder:
         self._stop.set()
         self._thread.join(timeout=10.0)
         _drain_queue(self._ready)
+
+
+class _Transport:
+    """The workers one supervision round drives (see :func:`_supervise`).
+
+    Implements ``poll()`` (wait up to one tick, book what arrived),
+    ``owners()`` (who may take a task), ``scan()`` (retire lost owners),
+    ``send(owner, task)``, ``publish(bus)``, ``release()`` (the session
+    is complete) and ``close()``. A ``failure`` (:class:`PoolWorkerError`
+    arguments) ends the round, as does a ``handoff``: a loop that serves
+    the rest of the session instead.
+    """
+
+    #: Names the transport in its stall and engine errors.
+    kind = "pool"
+
+    def __init__(self, ledger) -> None:
+        self.ledger = ledger
+        self.failure = None
+        self.handoff = None
+        self.engines = set()   # what the workers report serving on
+
+    def label(self, owner):
+        """The name ``owner`` goes by in errors and on the bus."""
+        return owner
+
+    def fail(self, worker, index, details: str) -> None:
+        self.failure = self.failure or (worker, index, details)
+
+    def verdict(self, owner, kind: str, index, *body):
+        """Book an ``ok`` (``body``: result, stats delta, reference),
+        ``retry`` (fault kinds) or ``err`` (traceback) verdict; returns
+        the ledger's answer."""
+        if kind == "ok":
+            return self.ledger.accept(owner, *body, label=self.label(owner))
+        if kind == "retry":
+            return self.ledger.fault(owner, index, *body)
+        return self.fail(self.label(owner), index, *body)
+
+    def retried(self, verdict, reason: str) -> None:
+        """A lost owner or a deadline cost a task a rung."""
+
+
+def _supervise(transport, ledger, stream, ahead: int, capacity: int,
+               timeout: float = None):
+    """Serve ``stream`` over ``transport``: the one supervision round.
+
+    A feeder slices up to ``ahead`` windows. Each tick books what
+    arrived, retires lost owners, spoils tasks past their ``timeout``,
+    hands out tasks (``capacity`` per owner), publishes gauges and
+    checks for a stall. Returns the workers' engine, or ``None``.
+    """
+    def over() -> bool:
+        return transport.failure is not None \
+            or transport.handoff is not None or feeder.failure is not None
+
+    try:
+        feeder = _Feeder(stream, ledger.resolved, ahead)
+        try:
+            while not (over() or ledger.state.complete or ledger.stopped):
+                transport.poll()
+                if over():
+                    break
+                transport.scan()
+                for owner, index in ledger.expired():
+                    verdict = ledger.spoil(
+                        owner, index, ("net_deadline",),
+                        f"window {index} blew its {timeout}s deadline on "
+                        f"worker {transport.label(owner)!r}",
+                    )
+                    if verdict is not None:
+                        ledger.tally({"net_deadline_misses": 1})
+                        transport.retried(verdict, "deadline")
+                if over():
+                    break
+                for owner, task in ledger.schedule(
+                    transport.owners, capacity, feeder.poll, timeout
+                ):
+                    transport.send(owner, task)
+                bus = get_bus()
+                if bus is not None:
+                    transport.publish(bus)
+                    ledger.progress(bus)
+                stalled = ledger.stalled(feeder.exhausted())
+                if stalled:
+                    kind = transport.kind
+                    transport.fail(kind, None, f"{kind} {stalled}")
+            if not over() and ledger.state.complete:
+                transport.release()
+        finally:
+            feeder.close()
+    finally:
+        transport.close()
+    failure = transport.failure or feeder.failure
+    if failure is not None:
+        raise PoolWorkerError(*failure)
+    if len(transport.engines) > 1:
+        raise SimulationError(
+            f"{transport.kind} workers disagree on the engine: "
+            f"{sorted(transport.engines)}"
+        )
+    return next(iter(transport.engines), None)
+
+
+def _supervised(fault_plan, respawn_limit: int, *timeouts) -> bool:
+    """The ledger's ``dedup``: whether supervision may requeue a window
+    whose first result is still in flight."""
+    return fault_plan is not None or respawn_limit > 0 \
+        or any(timeout is not None for timeout in timeouts)
 
 
 def _default_start_method() -> str:
@@ -281,7 +394,7 @@ def _worker_main(worker_id: int, spec: _WorkerSpec, tasks, results,
         return
     while not stop.is_set():
         try:
-            task = tasks.get(timeout=_POLL_SECONDS)
+            task = tasks.get(timeout=_TICK_SECONDS)
         except queue.Empty:
             continue
         try:
@@ -411,11 +524,8 @@ class PoolScheduler:
         persisted as results arrive — including on worker failure, right
         before :class:`PoolWorkerError` is raised.
         """
-        # A duplicate result is only legitimate once supervision may
-        # requeue a window whose first result is still in flight.
-        return _serve_session(self, stream, checkpoint, dedup=(
-            self.fault_plan is not None or self.respawn_limit > 0
-            or self.heartbeat_timeout is not None
+        return _serve_session(self, stream, checkpoint, dedup=_supervised(
+            self.fault_plan, self.respawn_limit, self.heartbeat_timeout
         ))
 
     # -- the pool proper ----------------------------------------------------
@@ -443,184 +553,151 @@ class PoolScheduler:
         return spec
 
     def _serve_remaining(self, stream, ledger) -> str:
-        """The supervised pool loop; returns the workers' engine.
+        """Serve every unaccounted window; returns the workers' engine.
 
-        The ledger owns every window: what is in flight on which worker,
-        what waits for a retry, what was accepted or quarantined. This
-        loop owns the processes — spawn, liveness, hangs, respawn and
-        teardown. Workers only ever serve one attempt per task, so any
-        of them can die at any moment without a window being lost.
+        The ledger owns the windows, :class:`_PoolTransport` the
+        processes, and the supervision round drives both.
         """
         n_workers = max(
             1, min(self.workers, stream.n_windows - ledger.state.n_done)
         )
-        context = multiprocessing.get_context(self.start_method)
-        results = context.Queue()
-        stop = context.Event()
-        spec = self._spec(stream)
+        transport = _PoolTransport(self, ledger, self._spec(stream),
+                                   n_workers)
+        return _supervise(
+            transport, ledger, stream, n_workers * self.prefetch,
+            self.prefetch,
+        ) or self.engine
 
-        procs = {}
-        task_queues = {}
-        last_progress = {}   # wid -> monotonic time of last message
-        finished = set()     # wids that reported "fin"/"crash"
-        engines = set()
-        failure = None
-        respawns = 0
-        next_wid = 0
 
-        def spawn() -> None:
-            nonlocal next_wid
-            wid = next_wid
-            next_wid += 1
-            tasks = context.Queue(maxsize=self.prefetch)
-            proc = context.Process(
-                target=_worker_main,
-                args=(wid, spec, tasks, results, stop),
-                daemon=True,
-            )
-            proc.start()
-            procs[wid] = proc
-            task_queues[wid] = tasks
-            last_progress[wid] = time.monotonic()
+class _PoolTransport(_Transport):
+    """Worker processes (owners: worker ids), a task queue each, one
+    result queue. A worker is lost when it exits, or holds windows and
+    sends nothing for ``heartbeat_timeout``."""
 
-        def live() -> list:
-            return [
-                wid for wid, proc in procs.items()
-                if proc.is_alive() and wid not in finished
-            ]
-
-        def handle(message) -> None:
-            nonlocal failure
-            kind, wid = message[0], message[1]
-            if wid in last_progress:
-                last_progress[wid] = time.monotonic()
-            if kind == "ok":
-                ledger.accept(wid, *message[3:], label=wid)
-            elif kind == "retry":
-                ledger.fault(wid, message[2], message[3])
-            elif kind == "err":
-                failure = failure or (wid, message[2], message[3])
-            elif kind == "crash":
-                finished.add(wid)
-                failure = failure or (wid, None, message[2])
-            elif kind == "fin":
-                finished.add(wid)
-                engines.add(message[2])
-
-        def reap(wid, fault_kind, details) -> None:
-            """Retire one dead/hung worker: respawn it, return its windows.
-
-            Only the head of its queue died with it and spends a rung.
-            Past the respawn budget the pool aborts with the diagnosis.
-            """
-            nonlocal failure, respawns
-            proc = procs.pop(wid)
-            proc.join(timeout=5.0)  # reap the corpse — no zombies
-            last_progress.pop(wid, None)
-            bus = get_bus()
-            if bus is not None:
-                record_worker_retired(bus, wid)
-            _close_queue(task_queues.pop(wid))
-            if respawns >= self.respawn_limit:
-                head = next(iter(ledger.in_flight.get(wid, ())), None)
-                failure = failure or (
-                    wid, head,
-                    f"{details} (respawn budget {self.respawn_limit} "
-                    "exhausted)",
-                )
-                return
-            respawns += 1
-            ledger.tally({"respawns": 1})
-            spawn()
-            ledger.lose(wid, 1, fault_kind, details)
-
-        def scan_workers() -> None:
-            now = time.monotonic()
-            for wid in list(procs):
-                proc = procs[wid]
-                held = len(ledger.in_flight.get(wid, ()))
-                if not proc.is_alive():
-                    if wid in finished:
-                        continue
-                    ledger.tally({"worker_deaths": 1})
-                    reap(
-                        wid, "worker_death",
-                        f"worker {wid} {describe_exit(proc.exitcode)}",
-                    )
-                elif (
-                    self.heartbeat_timeout is not None and held
-                    and now - last_progress[wid] > self.heartbeat_timeout
-                ):
-                    ledger.tally({"worker_hangs": 1})
-                    _stop(proc)
-                    reap(
-                        wid, "worker_hang",
-                        f"worker {wid} hung: no progress for "
-                        f"{self.heartbeat_timeout}s with {held} "
-                        "windows in flight",
-                    )
-
+    def __init__(self, pool, ledger, spec, n_workers: int) -> None:
+        super().__init__(ledger)
+        self.pool = pool
+        self.spec = spec
+        self.context = multiprocessing.get_context(pool.start_method)
+        self.results = self.context.Queue()
+        self.stop = self.context.Event()
+        self.procs = {}
+        self.task_queues = {}
+        self.last_progress = {}   # wid -> monotonic time of last message
+        self.finished = set()     # wids that reported "fin"/"crash"
+        self.respawns = 0
+        self.wids = itertools.count()
         for _ in range(n_workers):
-            spawn()
-        feeder = _Feeder(stream, ledger.resolved, n_workers * self.prefetch)
+            self.spawn()
+
+    def spawn(self) -> None:
+        wid = next(self.wids)
+        tasks = self.context.Queue(maxsize=self.pool.prefetch)
+        proc = self.context.Process(
+            target=_worker_main, daemon=True,
+            args=(wid, self.spec, tasks, self.results, self.stop),
+        )
+        proc.start()
+        self.procs[wid], self.task_queues[wid] = proc, tasks
+        self.last_progress[wid] = time.monotonic()
+
+    def owners(self) -> list:
+        return [
+            wid for wid, proc in self.procs.items()
+            if proc.is_alive() and wid not in self.finished
+        ]
+
+    def poll(self) -> None:
         try:
-            while failure is None and not ledger.state.complete:
-                try:
-                    handle(results.get(timeout=_POLL_SECONDS))
-                    while True:
-                        handle(results.get_nowait())
-                except queue.Empty:
-                    pass
-                if failure is not None or feeder.failure:
-                    break
-                scan_workers()
-                if failure is not None:
-                    break
-                for wid, task in ledger.schedule(
-                    live, self.prefetch, feeder.poll
-                ):
-                    task_queues[wid].put(task)
-                bus = get_bus()
-                if bus is not None:
-                    # One gauge refresh per supervision tick (~10 Hz):
-                    # queue depths, live workers, stream progress.
-                    record_pool_state(bus, {
-                        wid: ledger.in_flight.get(wid, ()) for wid in procs
-                    }, len(live()))
-                    ledger.progress(bus)
-                stalled = ledger.stalled(feeder.exhausted())
-                if stalled:
-                    failure = (-1, None, f"pool {stalled}")
-            if failure is None:
-                # Clean completion: release the workers and collect
-                # their engine reports (workers that died along the way
-                # simply never report one).
-                stop.set()
-                deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline and live():
-                    try:
-                        handle(results.get(timeout=_POLL_SECONDS))
-                    except queue.Empty:
-                        continue
-        finally:
-            stop.set()
-            feeder.close()
-            for tq in task_queues.values():
-                _drain_queue(tq)
-            for proc in procs.values():
-                proc.join(timeout=5.0)
-            for proc in procs.values():
+            message = self.results.get(timeout=_TICK_SECONDS)
+            while True:
+                kind, wid = message[0], message[1]
+                if wid in self.last_progress:
+                    self.last_progress[wid] = time.monotonic()
+                if kind in ("crash", "fin"):
+                    self.finished.add(wid)
+                if kind == "crash":
+                    self.fail(wid, None, message[2])
+                elif kind == "fin":
+                    self.engines.add(message[2])
+                else:
+                    self.verdict(wid, kind, *message[2:])
+                message = self.results.get_nowait()
+        except queue.Empty:
+            pass
+
+    def send(self, wid, task) -> None:
+        self.task_queues[wid].put(task)
+
+    def scan(self) -> None:
+        now = time.monotonic()
+        timeout = self.pool.heartbeat_timeout
+        for wid, proc in list(self.procs.items()):
+            held = len(self.ledger.in_flight.get(wid, ()))
+            if wid in self.finished:
+                continue
+            if not proc.is_alive():
+                self.ledger.tally({"worker_deaths": 1})
+                self.retire(
+                    wid, "worker_death",
+                    f"worker {wid} {describe_exit(proc.exitcode)}",
+                )
+            elif timeout is not None and held \
+                    and now - self.last_progress[wid] > timeout:
+                self.ledger.tally({"worker_hangs": 1})
                 _stop(proc)
-            _drain_queue(results)
-            for tq in task_queues.values():
-                _close_queue(tq)
-            results.close()
-            results.cancel_join_thread()
-        failure = failure or feeder.failure
-        if failure is not None:
-            raise PoolWorkerError(*failure)
-        if len(engines) > 1:
-            raise SimulationError(
-                f"pool workers disagree on the engine: {sorted(engines)}"
+                self.retire(
+                    wid, "worker_hang",
+                    f"worker {wid} hung: no progress for {timeout}s "
+                    f"with {held} windows in flight",
+                )
+
+    def retire(self, wid, fault_kind: str, details: str) -> None:
+        """Reap one dead/hung worker, respawn it, return its windows.
+
+        Only the head of its queue died with it and spends a rung.
+        Past the respawn budget the pool aborts with the diagnosis.
+        """
+        self.procs.pop(wid).join(timeout=5.0)  # no zombies
+        self.last_progress.pop(wid, None)
+        bus = get_bus()
+        if bus is not None:
+            record_worker_retired(bus, wid)
+        _close_queue(self.task_queues.pop(wid))
+        limit = self.pool.respawn_limit
+        if self.respawns >= limit:
+            head = next(iter(self.ledger.in_flight.get(wid, ())), None)
+            self.fail(
+                wid, head, f"{details} (respawn budget {limit} exhausted)"
             )
-        return engines.pop() if engines else self.engine
+            return
+        self.respawns += 1
+        self.ledger.tally({"respawns": 1})
+        self.spawn()
+        self.ledger.lose(wid, 1, fault_kind, details)
+
+    def publish(self, bus) -> None:
+        record_pool_state(bus, {
+            wid: self.ledger.in_flight.get(wid, ()) for wid in self.procs
+        }, len(self.owners()))
+
+    def release(self) -> None:
+        # Collect the engine reports; workers that died along the way
+        # simply never send one.
+        self.stop.set()
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and self.owners():
+            self.poll()
+
+    def close(self) -> None:
+        self.stop.set()
+        for tq in self.task_queues.values():
+            _drain_queue(tq)
+        for proc in self.procs.values():
+            proc.join(timeout=5.0)
+            _stop(proc)
+        _drain_queue(self.results)
+        for tq in self.task_queues.values():
+            _close_queue(tq)
+        self.results.close()
+        self.results.cancel_join_thread()

@@ -354,7 +354,7 @@ def _subset(report, indices):
 # -- server restart + checkpoint resume --------------------------------------
 
 
-def _serve_in_child(port, n_windows, path):
+def _serve_in_child(port, n_windows, path, listening):
     """Child-process server target (killed by the restart test)."""
     trace = respiration_signal(n_windows * WINDOW)
     stream = WindowStream(trace, window=WINDOW)
@@ -362,7 +362,36 @@ def _serve_in_child(port, n_windows, path):
         config="cpu_vwr2a", energy_model=True, port=port,
         register_timeout=60.0, local_fallback=False,
     )
+    server.bind()
+    listening.set()
     server.run(stream, StreamCheckpoint(path, every=1))
+
+
+#: A restarted server listens again within milliseconds. A worker that
+#: has not re-registered when the resumed server finishes never gets
+#: ``fin``; it gives up once this budget runs out, which bounds how long
+#: the join waits for it.
+_RESTART_GAP = 2.0
+
+
+def _start_workers(port, n_workers):
+    """Thread-hosted workers whose reconnect budget spans one restart."""
+    threads = []
+    for i in range(n_workers):
+        worker = FleetWorker(
+            "127.0.0.1", port, name=f"w{i}",
+            heartbeat_interval=0.2, reconnect_timeout=_RESTART_GAP,
+        )
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        threads.append(thread)
+    return threads
+
+
+def _join_workers(threads):
+    for thread in threads:
+        thread.join(timeout=5 * _RESTART_GAP)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 class TestServerRestart:
@@ -379,35 +408,27 @@ class TestServerRestart:
             register_timeout=60.0, local_fallback=False, stop_after=2,
         )
         first.bind()
-        threads = []
-        for i in range(n_workers):
-            worker = FleetWorker(
-                "127.0.0.1", port, name=f"w{i}",
-                heartbeat_interval=0.2, reconnect_timeout=20.0,
-            )
-            thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
-            threads.append(thread)
+        threads = _start_workers(port, n_workers)
         try:
             partial = first.run(
                 stream, StreamCheckpoint(path, every=1)
             )
+            second = FleetServer(
+                config="cpu_vwr2a", energy_model=True, port=port,
+                register_timeout=60.0, local_fallback=False,
+            )
+            second.bind()
             # stop_after is an at-least bound: results already in
             # flight when the threshold trips are still accepted.
             assert 2 <= partial.n_windows < N_WINDOWS
             state = StreamCheckpoint(path).load()
             assert not state.complete
 
-            second = FleetServer(
-                config="cpu_vwr2a", energy_model=True, port=port,
-                register_timeout=60.0, local_fallback=False,
-            )
             resumed = second.run(
                 stream, StreamCheckpoint(path, every=1)
             )
         finally:
-            for thread in threads:
-                thread.join(timeout=20.0)
+            _join_workers(threads)
         assert_windows_bit_identical(single, resumed)
         assert resumed.total_energy_uj == single.total_energy_uj
         assert resumed.resilience.get("net_reconnects", 0) >= 1
@@ -421,20 +442,14 @@ class TestServerRestart:
         path = str(tmp_path / "killed.ckpt")
         port = free_port()
         ctx = multiprocessing.get_context(_default_start_method())
+        listening = ctx.Event()
         child = ctx.Process(
-            target=_serve_in_child, args=(port, N_WINDOWS, path),
-            daemon=True,
+            target=_serve_in_child,
+            args=(port, N_WINDOWS, path, listening), daemon=True,
         )
         child.start()
-        threads = []
-        for i in range(2):
-            worker = FleetWorker(
-                "127.0.0.1", port, name=f"w{i}",
-                heartbeat_interval=0.2, reconnect_timeout=30.0,
-            )
-            thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
-            threads.append(thread)
+        assert listening.wait(timeout=60.0)
+        threads = _start_workers(port, 2)
         try:
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
@@ -453,10 +468,10 @@ class TestServerRestart:
                 config="cpu_vwr2a", energy_model=True, port=port,
                 register_timeout=60.0, local_fallback=False,
             )
+            server.bind()
             resumed = server.run(stream, StreamCheckpoint(path, every=1))
         finally:
-            for thread in threads:
-                thread.join(timeout=20.0)
+            _join_workers(threads)
         assert_windows_bit_identical(single, resumed)
         assert StreamCheckpoint(path).load().complete
 
@@ -514,7 +529,9 @@ class TestFleetObservability:
         assert snap.counter(
             "repro_net_retries_total", reason="deadline"
         ) >= 1
-        assert snap.counter("repro_net_checksum_failures_total") >= 1
+        assert snap.counter(
+            "repro_resilience_total", event="net_checksum_failures"
+        ) >= 1
         assert sum(
             snap.counter_family("repro_net_frames_total").values()
         ) > 0

@@ -12,16 +12,21 @@ results — against a small independent model, and checks that:
 * no window gets more than ``max_retries + 2`` attempts;
 * each ``resilience`` counter equals the count of its events;
 * with a metrics bus installed, the bus totals equal the report.
+
+The supervision round that drives the ledger for the pool and the fleet
+is proven here once too, over a fake in-process transport.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
+import time
+from collections import Counter
 from contextlib import ExitStack
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -37,12 +42,14 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.obs import default_bus, recording
 from repro.serve import (
     CheckpointState,
+    PoolWorkerError,
     StreamScheduler,
     WindowResult,
     WindowStream,
 )
 from repro.serve.ledger import MAX_RETRIES, Task, WindowLedger
 from repro.serve.net import FleetServer
+from repro.serve.pool import _supervise, _Transport
 from repro.serve.net.framing import read_frame, send_frame
 from repro.serve.stream import Window
 
@@ -389,3 +396,142 @@ def test_fleet_last_rung_finishes_over_the_fleet_ledger():
     assert res["local_degradations"] == 1
     assert res["fault:brownout"] == 1
     assert res["retries"] == 2  # the ghost's window, then the brownout
+
+
+# -- the supervision round, over a fake transport -----------------------------
+
+
+class FakeTransport(_Transport):
+    """In-process workers that answer each task with a scripted fate.
+
+    ``script`` holds ``(fate, pick)`` pairs, one per message: ``pick``
+    chooses which unanswered task the message is about, so messages
+    arrive in a drawn order. Fates: ``ok``; ``dup`` (ok, then the same
+    result again); ``retry``; ``err``; ``lost`` (the owner dies with
+    its tasks and is replaced); ``drop`` (the task silently vanishes
+    from the books); ``raise`` (the transport itself fails). Past the
+    script every task is served.
+    """
+
+    def __init__(self, ledger, script) -> None:
+        super().__init__(ledger)
+        self.script = list(script)
+        self.live = list(OWNERS)
+        self.spawned = len(OWNERS)
+        self.unanswered = []
+        self.dead = []
+        self.delivered = []
+        self.merged = Counter()   # window index -> results accepted
+        self.ticks = self.released = self.closed = 0
+
+    def owners(self):
+        return list(self.live)
+
+    def send(self, owner, task):
+        self.unanswered.append((owner, task))
+
+    def poll(self):
+        self.ticks += 1
+        assert self.ticks < 1000, "the round does not end"
+        if not self.unanswered:
+            time.sleep(0.001)  # the feeder thread slices the next window
+            return
+        fate, pick = self.script.pop(0) if self.script else ("ok", 0)
+        self.delivered.append(fate)
+        owner, task = self.unanswered.pop(pick % len(self.unanswered))
+        index = task.index
+        if fate in ("ok", "dup"):
+            for _ in range(1 + (fate == "dup")):
+                if self.verdict(owner, "ok", index, result(index),
+                                {"stores": 1}, task.reference):
+                    self.merged[index] += 1
+        elif fate == "retry":
+            self.verdict(owner, "retry", index, ("brownout",))
+        elif fate == "err":
+            self.verdict(owner, "err", index, "boom")
+        elif fate == "lost":
+            self.dead.append(owner)
+        elif fate == "drop":
+            del self.ledger.in_flight[owner][index]
+        else:
+            raise ConfigurationError("the transport gave up")
+
+    def scan(self):
+        for owner in self.dead:
+            self.unanswered = [
+                (held, task) for held, task in self.unanswered
+                if held != owner
+            ]
+            self.live[self.live.index(owner)] = f"w{self.spawned}"
+            self.spawned += 1
+            self.ledger.lose(owner, 1, "worker_death", "lost")
+        self.dead.clear()
+
+    def publish(self, bus):
+        pass
+
+    def release(self):
+        self.released += 1
+
+    def close(self):
+        self.closed += 1
+
+
+def run_round(script, **policy):
+    transport = FakeTransport(scratch_ledger(dedup=True, **policy), script)
+    try:
+        _supervise(transport, transport.ledger, WINDOWS, 4, CAPACITY)
+    except (PoolWorkerError, ConfigurationError) as exc:
+        return transport, exc
+    return transport, None
+
+
+@settings(max_examples=150, derandomize=True, database=None,
+          deadline=None)
+@given(
+    fates=st.lists(st.tuples(
+        st.sampled_from(("ok", "dup", "retry", "retry", "lost")),
+        st.integers(0, 7),
+    ), max_size=20),
+    ending=st.sampled_from((None, "err", "drop", "raise")),
+    at=st.integers(0, 20),
+    max_retries=st.integers(0, 2),
+    reference_fallback=st.booleans(),
+)
+def test_round_accounts_every_window_or_raises(
+        fates, ending, at, max_retries, reference_fallback):
+    """Whatever order the messages come in, the round ends: each window
+    accepted exactly once or quarantined, or an error; always closed."""
+    if ending is not None:
+        fates.insert(at, (ending, at))
+    transport, exc = run_round(
+        fates, max_retries=max_retries,
+        reference_fallback=reference_fallback,
+    )
+    assert transport.closed == 1
+    state = transport.ledger.state
+    delivered = set(transport.delivered)
+    if exc is None:
+        assert state.complete and transport.released == 1
+        assert not delivered & {"err", "drop", "raise"}
+        assert set(state.results) | set(state.failed) == set(range(N_WINDOWS))
+        assert not set(state.results) & set(state.failed)
+        assert all(transport.merged[i] == 1 for i in state.results)
+        assert not any(transport.merged[i] for i in state.failed)
+    elif isinstance(exc, ConfigurationError):
+        assert transport.delivered[-1] == "raise"
+    elif exc.details == "boom":
+        assert transport.delivered[-1] == "err"
+    else:
+        assert "drop" in delivered and "err" not in delivered
+        assert "stalled" in exc.details
+    assert transport.released == (exc is None)
+
+
+def test_round_stalls_on_a_dropped_window():
+    """A transport that silently loses a window ends in the stall error
+    instead of waiting for it forever."""
+    transport, exc = run_round([("drop", 0)])
+    assert isinstance(exc, PoolWorkerError)
+    assert exc.details.startswith("pool stalled with 4/5 windows")
+    assert transport.closed == 1 and not transport.released

@@ -19,7 +19,9 @@ Four contracts (ISSUE 9 / docs/observability.md):
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +287,18 @@ def test_pool_emits_only_registered_metrics(pooled_run):
     assert not unregistered, f"undocumented metrics: {sorted(unregistered)}"
     for name in emitted:
         assert snap.kinds[name] == REGISTRY[name].kind
+
+
+def test_docs_table_lists_the_registry():
+    """docs/observability.md's metric table holds exactly the registry:
+    one row per family, with the family's kind."""
+    doc = Path(__file__).resolve().parents[1] / "docs" / "observability.md"
+    rows = re.findall(
+        r"^\| `(repro_\w+)` \| (\w+) \|", doc.read_text(), re.MULTILINE
+    )
+    assert sorted(rows) == sorted(
+        (metric.name, metric.kind) for metric in REGISTRY.values()
+    )
 
 
 def test_instrumented_run_is_bit_identical(pooled_run):
