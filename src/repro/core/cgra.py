@@ -8,6 +8,7 @@ DMA transfers, and receive completion interrupts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.arch import DEFAULT_PARAMS, ArchParams, ArchSpec
@@ -18,6 +19,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.events import EventCounters
 from repro.core.spm import Scratchpad
 from repro.core.synchronizer import Synchronizer
+from repro.engine import executor
 from repro.isa.program import KernelConfig
 
 
@@ -78,8 +80,11 @@ class Vwr2a:
         engine: str = "auto",
         spec: ArchSpec = None,
     ) -> None:
-        from repro.engine import make_engine
-
+        if engine not in ("auto", "reference"):
+            raise ConfigurationError(
+                f"unknown engine {engine!r} "
+                "(choose from ['auto', 'reference'])"
+            )
         if spec is not None:
             if params is not DEFAULT_PARAMS and params != spec.arch:
                 raise ConfigurationError(
@@ -93,7 +98,10 @@ class Vwr2a:
         #: stays the geometry projection every structural memo keys on.
         self.spec = spec
         self.params = params
-        self._engine = make_engine(engine)
+        self._engine = engine
+        #: Lifetime launch tally by executing path, kept by
+        #: :func:`~repro.engine.executor.run_launch`.
+        self._decisions = Counter()
         self.events = events if events is not None else EventCounters()
         self.spm = Scratchpad(
             params.spm_lines, params.line_words, self.events
@@ -135,7 +143,7 @@ class Vwr2a:
     @property
     def engine(self) -> str:
         """Name of the active execution engine."""
-        return self._engine.name
+        return self._engine
 
     @property
     def engine_decisions(self) -> dict:
@@ -146,15 +154,16 @@ class Vwr2a:
         the fast path; ``repro.serve`` reports the same split per stream
         from its launch log.
         """
-        return dict(self._engine.decisions)
+        return dict(self._decisions)
 
     def run(self, name: str, max_cycles: int = None) -> RunResult:
         """Load and execute a stored kernel to completion.
 
         The only launch path: fetches the config, gets or builds its
         launch record (:class:`~repro.engine.executor.Launch`), loads the
-        column programs, charges the configuration load and hands the
-        record to the engine, which returns the launch's result.
+        column programs, charges the configuration load and executes
+        the record (:func:`~repro.engine.executor.run_launch`), which
+        returns the launch's result.
         """
         if max_cycles is None:
             max_cycles = self.DEFAULT_MAX_CYCLES
@@ -163,10 +172,9 @@ class Vwr2a:
         launches = self._launches
         launch = launches.get(id(config))
         if launch is None:
-            from repro.engine.executor import Launch
-
             stats.analysis_misses += 1
-            launch = Launch(self, config, self._engine.name != "reference")
+            launch = executor.Launch(self, config,
+                                     self._engine != "reference")
             if len(launches) >= self.LAUNCH_CAP:
                 del launches[next(iter(launches))]
             launches[id(config)] = launch
@@ -175,7 +183,7 @@ class Vwr2a:
         for col, program in launch.programs:
             col.load(program)
         self.events.add_many(launch.load)
-        result = self._engine.run_kernel(self, launch, max_cycles)
+        result = executor.run_launch(self, launch, max_cycles)
         self.synchronizer.kernel_finished(name, result.cycles, config.columns)
         return result
 

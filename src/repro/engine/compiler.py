@@ -12,7 +12,8 @@ performs that decode exactly once per program:
   semantics are inlined Python arithmetic under the **operand-range
   rule** below;
 * straight-line bundle runs between branch targets form **basic
-  blocks** (:func:`block_pcs`), the compile unit;
+  blocks** (:func:`repro.engine.superblocks.block_pcs`), the compile
+  unit;
 * the program becomes **one generated function**, ``_run(limit, C)``: a
   ``while True:`` loop holding one ``if pc == <leader>:`` arm per basic
   block, in leader-PC order. An arm counts its execution into ``C``
@@ -63,8 +64,10 @@ put every result on CPython's multi-digit integer path. In practice:
   do, and a program carrying such an immediate reads its latches as
   unbounded (see ``_reg_range``).
 
-Compilation is memoized structurally by ``(params, bundles)`` —
-distinct programs with identical code but different ``srf_init`` (an
+A program compiles once per shape
+(:class:`repro.engine.superblocks.ProgramShape`, memoized by ``(params,
+configuration words)``, which also holds its blocks and loop summaries)
+— distinct programs with identical code but different ``srf_init`` (an
 FFT stage's batches) compile exactly once — and warm launches do not
 compile at all: the config's launch record on the array keeps its
 columns' bound programs (:class:`repro.engine.executor.Launch`).
@@ -77,12 +80,16 @@ lists) via default arguments at bind time (:class:`repro.engine.executor
 from __future__ import annotations
 
 import re
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.errors import ProgramError
 from repro.engine.deltas import bundle_event_delta
-from repro.engine.superblocks import bound_expr, loop_summary, trip_count_lines
+from repro.engine.superblocks import (
+    bound_expr,
+    program_shape,
+    trip_count_lines,
+)
 from repro.isa.fields import RCDstKind, RCSrcKind
 from repro.isa.lcu import BRANCH_OPS, LCUCmp, LCUOp
 from repro.isa.lsu import LSUOp
@@ -90,9 +97,6 @@ from repro.isa.mxcu import NO_SRF, MXCUOp
 from repro.isa.rc import RCOp
 from repro.utils.bits import to_signed32
 from repro.utils.fixed_point import wrap32
-
-#: LCU ops that end a basic block.
-_TERMINATORS = frozenset(BRANCH_OPS) | {LCUOp.JUMP, LCUOp.EXIT}
 
 _CMP_SYMBOL = {
     LCUOp.BLT: "<",
@@ -117,10 +121,6 @@ _LSU_VWR_NAMES = {0: "VA", 1: "VB", 2: "VC"}
 
 #: A slice-offset name (``k1``, ``k2``, ...) in a generated line.
 _SLICE_NAME = re.compile(r"\bk\d+\b")
-
-#: Structural memo: (params, bundles) -> CompiledProgram.
-_MEMO = OrderedDict()
-_MEMO_CAP = 256
 
 
 #: The int32 interval every storage cell holds (see the module docstring).
@@ -478,42 +478,6 @@ class CompiledProgram:
         return self.source
 
 
-def _leaders(bundles) -> set:
-    leaders = {0}
-    n = len(bundles)
-    for pc, bundle in enumerate(bundles):
-        op = bundle.lcu.op
-        if op in BRANCH_OPS or op is LCUOp.JUMP:
-            leaders.add(bundle.lcu.target)
-            if pc + 1 < n:
-                leaders.add(pc + 1)
-        elif op is LCUOp.EXIT and pc + 1 < n:
-            leaders.add(pc + 1)
-    return leaders
-
-
-def block_pcs(bundles) -> list:
-    """Partition PCs into basic blocks (leader-to-terminator runs).
-
-    Shared by the code generator below and the cross-column SPM analysis
-    (:mod:`repro.engine.conflicts`), so both agree on what a block is.
-    """
-    leaders = _leaders(bundles)
-    blocks = []
-    current = []
-    for pc in range(len(bundles)):
-        if current and pc in leaders:
-            blocks.append(current)
-            current = []
-        current.append(pc)
-        if bundles[pc].lcu.op in _TERMINATORS:
-            blocks.append(current)
-            current = []
-    if current:
-        blocks.append(current)
-    return blocks
-
-
 def signature_names(params) -> list:
     """Bind-time names the generated function takes as default args."""
     names = ["col", "S", "M", "VA", "VB", "VC", "O", "L"]
@@ -522,21 +486,11 @@ def signature_names(params) -> list:
 
 
 def compile_program(program, params) -> CompiledProgram:
-    """Compile ``program`` (memoized per structure)."""
-    # Prefer the configuration-word fingerprint stamped at store time
-    # (ints hash orders of magnitude faster than instruction trees); fall
-    # back to the bundle tuple for programs loaded outside the config
-    # memory (direct Column.load in tests).
-    fingerprint = getattr(program, "_fingerprint", None)
-    key = (params, fingerprint if fingerprint is not None
-           else tuple(program.bundles))
-    compiled = _MEMO.get(key)
-    if compiled is None:
-        compiled = _compile(tuple(program.bundles), params)
-        _MEMO[key] = compiled
-        if len(_MEMO) > _MEMO_CAP:
-            _MEMO.popitem(last=False)
-    return compiled
+    """Compile ``program``, once per shape."""
+    shape = program_shape(program, params)
+    if shape.compiled is None:
+        shape.compiled = _compile(shape)
+    return shape.compiled
 
 
 _RC_READ_KINDS = (RCSrcKind.RCT, RCSrcKind.RCB)
@@ -659,12 +613,13 @@ def _transfer(target: int, leader: int, leaders: set) -> list:
         + ["if steps > limit: return steps", "continue"]
 
 
-def _compile(bundles, params) -> CompiledProgram:
+def _compile(shape) -> CompiledProgram:
+    bundles, params = shape.bundles, shape.params
     gen = _BundleGen(params, _reg_range(bundles))
     bodies = [gen.gen(bundle) for bundle in bundles]
     deltas = [bundle_event_delta(bundle, params) for bundle in bundles]
     sig = ", ".join(f"{name}={name}" for name in signature_names(params))
-    block_list = block_pcs(bundles)
+    block_list = shape.blocks
     leaders = {pcs[0] for pcs in block_list}
     sets_k = any(body.sets_k for body in bodies)
 
@@ -684,8 +639,7 @@ def _compile(bundles, params) -> CompiledProgram:
             for i in sorted(set().union(*(bodies[pc].slices for pc in pcs)))
         ]
 
-        loop = loop_summary(bundles, pcs, params.srf_entries,
-                            params.lcu_registers)
+        loop = shape.loops.get(leader)
         counted = loop is not None
         if counted:
             # Trip count solved once at loop entry. It holds while the

@@ -55,26 +55,28 @@ format :func:`address_runs` produces), so a line access costs one run,
 not one entry per word; conflicts intersect the runs and spell out the
 overlapping words only when there is one.
 
-Column footprints are memoized structurally — keyed on the
-configuration-word fingerprint stamped by the configuration memory plus
-the ``srf_init`` values — so the reports of different config objects with
-the same columns share their footprints. Warm launches never get here: the
-planners build each kernel once and ``Vwr2a`` keeps the verdict on the
-config's launch record. A new config object whose columns were analyzed before (a
-hand-built copy, a planner entry rebuilt after eviction) re-derives only
-the cheap pairwise intersection.
+Column footprints are memoized structurally, on the program's shape
+(:func:`repro.engine.superblocks.program_shape`, keyed on the
+configuration words stamped by the configuration memory) per
+``srf_init`` values, so the reports of different config objects with
+the same columns share their footprints, and the footprints of one
+program under different ``srf_init`` share its blocks and loop
+summaries with each other and with its compiled form. Warm launches
+never get here: the planners build each kernel once and ``Vwr2a`` keeps
+the verdict on the config's launch record. A new config object whose
+columns were analyzed before (a hand-built copy, a planner entry rebuilt
+after eviction) re-derives only the cheap pairwise intersection.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
 
-from repro.engine.compiler import block_pcs
 from repro.engine.superblocks import (
+    MEMO_CAP,
     UNKNOWN,
-    loop_summary,
+    program_shape,
     step,
     sym_add,
     trip_count,
@@ -84,12 +86,6 @@ from repro.utils.bits import to_signed32
 
 #: Abstract-execution budget per column (bundle steps + accelerated loops).
 MAX_STEPS = 40_000
-
-#: Footprint memo cap (structural keys, FIFO eviction — mirrors the
-#: compile memo).
-_FOOTPRINT_CAP = 512
-
-_FOOTPRINT_MEMO = OrderedDict()
 
 #: Analysis cache behaviour, observable by tests and benchmarks.
 ANALYSIS_STATS = {
@@ -236,10 +232,12 @@ EMPTY_FOOTPRINT = ColumnFootprint(reads=(), writes=())
 # ---------------------------------------------------------------------------
 
 class _FootprintAnalyzer:
-    """Derives one column program's may-touch SPM footprint."""
+    """Derives one column program's may-touch SPM footprint from its
+    shape and ``srf_init``."""
 
-    def __init__(self, program, params) -> None:
-        self.bundles = tuple(program.bundles)
+    def __init__(self, shape, srf_init) -> None:
+        params = shape.params
+        self.bundles = shape.bundles
         self.n_lcu = params.lcu_registers
         self.spm_lines = params.spm_lines
         self.spm_words = params.spm_words
@@ -258,15 +256,11 @@ class _FootprintAnalyzer:
         # every loop counter via SETI before use, so they stay precise.
         n_srf = params.srf_entries
         srf0 = [UNKNOWN] * n_srf
-        for entry, value in program.srf_init.items():
+        for entry, value in srf_init.items():
             if 0 <= entry < n_srf:
                 srf0[entry] = ("c", to_signed32(value))
         self.srf0 = srf0
-        self._loops = {}
-        for pcs in block_pcs(self.bundles):
-            loop = loop_summary(self.bundles, pcs, n_srf, self.n_lcu)
-            if loop is not None:
-                self._loops[pcs[0]] = loop
+        self._loops = shape.loops
 
     # -- driver -----------------------------------------------------------
 
@@ -412,29 +406,24 @@ def _operand(branch, srf: list, lcu: list):
 # Public API
 # ---------------------------------------------------------------------------
 
-def _column_key(program, params):
-    fingerprint = getattr(program, "_fingerprint", None)
-    structure = fingerprint if fingerprint is not None \
-        else tuple(program.bundles)
-    return (params, structure, tuple(sorted(program.srf_init.items())))
-
-
 def column_footprint(program, params) -> ColumnFootprint:
-    """May-touch SPM footprint of one column program (memoized)."""
-    key = _column_key(program, params)
-    footprint = _FOOTPRINT_MEMO.get(key)
+    """May-touch SPM footprint of one column program (memoized on its
+    shape, per ``srf_init``)."""
+    shape = program_shape(program, params)
+    footprints = shape.footprints
+    key = tuple(sorted(program.srf_init.items()))
+    footprint = footprints.get(key)
     if footprint is not None:
         ANALYSIS_STATS["footprint_hits"] += 1
-        _FOOTPRINT_MEMO.move_to_end(key)
         return footprint
     ANALYSIS_STATS["footprint_misses"] += 1
-    if any(bundle.spm_access() is not None for bundle in program.bundles):
-        footprint = _FootprintAnalyzer(program, params).run()
+    if any(bundle.spm_access() is not None for bundle in shape.bundles):
+        footprint = _FootprintAnalyzer(shape, program.srf_init).run()
     else:
         footprint = EMPTY_FOOTPRINT
-    _FOOTPRINT_MEMO[key] = footprint
-    if len(_FOOTPRINT_MEMO) > _FOOTPRINT_CAP:
-        _FOOTPRINT_MEMO.popitem(last=False)
+    if len(footprints) >= MEMO_CAP:
+        del footprints[next(iter(footprints))]
+    footprints[key] = footprint
     return footprint
 
 
@@ -484,8 +473,8 @@ def analyze_columns(columns: dict, params) -> ConflictReport:
     """SPM footprints and cross-column conflict report for one kernel.
 
     ``columns`` maps column index to :class:`ColumnProgram`. Every column
-    gets a footprint (from the footprint memo); a single-column kernel is
-    conflict-free.
+    gets a footprint (memoized on its program's shape); a single-column
+    kernel is conflict-free.
     """
     footprints = tuple(
         (col, column_footprint(columns[col], params))

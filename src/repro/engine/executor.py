@@ -1,14 +1,16 @@
-"""Execution engines: the conflict-aware compiled path and the reference loop.
+"""Kernel execution: the conflict-aware compiled path and the reference loop.
 
-Two interchangeable engines drive kernel execution for
-:class:`repro.core.cgra.Vwr2a`. Each launch hands the engine its
-:class:`Launch` record: built at a config object's first launch on an
-array, it holds everything a warm launch reads, and the engine returns
-the launch's :class:`~repro.core.cgra.RunResult` itself.
+:func:`run_launch` executes one launch of :class:`repro.core.cgra.Vwr2a`
+from its :class:`Launch` record — built at a config object's first
+launch on an array, it holds everything a warm launch reads — and
+returns the launch's :class:`~repro.core.cgra.RunResult`. The record
+already says which path runs:
 
-* :class:`ReferenceEngine` — the original cycle-by-cycle interpreter
-  (``Column.step`` per column per cycle). It is the golden model.
-* :class:`AutoEngine` — calls the one generated function of each
+* the **reference** path — the original cycle-by-cycle interpreter
+  (``Column.step`` per column per cycle), the golden model — runs every
+  launch on ``engine="reference"`` (a record with no SPM verdict) and
+  every launch whose columns conflict;
+* the **compiled** path calls the one generated function of each
   column's :class:`~repro.engine.compiler.CompiledProgram`, bound to the
   column's storage in the launch record, which runs the column to EXIT
   (forward edges fall through, back edges loop; closed-form loops run
@@ -29,7 +31,7 @@ touches is private to it, so no column can observe when another one
 ran. Kernels that *do* communicate through the SPM mid-kernel run on the
 reference interpreter instead, bit-identically to ``engine="reference"``.
 
-Both engines report the launch's own event delta (``RunResult.events``,
+Both paths report the launch's own event delta (``RunResult.events``,
 ``((event, count), ...)`` in sorted event-name order) — the one record
 per-kernel energy folds from, whichever engine executed.
 
@@ -50,11 +52,11 @@ result; any other interruption just rewinds.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import partial
 
+# ``Vwr2a`` imports this module: its ``RunResult`` is read at call time.
+from repro.core import cgra
 from repro.core.alu import _simd16
-from repro.core.cgra import RunResult
 from repro.core.errors import AddressError, ProgramError
 from repro.core.events import Ev
 from repro.core.shuffle import shuffle
@@ -104,20 +106,6 @@ def _lockstep(vwr2a, launch, max_cycles, **extra) -> RunResult:
         "reference", cycles, tuple(sorted(events.diff(before).items())),
         **extra,
     )
-
-
-class ReferenceEngine:
-    """The golden per-cycle interpreter (``Column.step`` in lock-step)."""
-
-    name = "reference"
-
-    def __init__(self) -> None:
-        #: Lifetime launch tally by executing engine (``Vwr2a.engine_decisions``).
-        self.decisions = Counter()
-
-    def run_kernel(self, vwr2a, launch, max_cycles) -> RunResult:
-        self.decisions["reference"] += 1
-        return _lockstep(vwr2a, launch, max_cycles)
 
 
 class BoundColumn:
@@ -236,7 +224,7 @@ class Launch:
         self.folds = {}
 
     def result(self, engine, cycles, events, **extra) -> RunResult:
-        return RunResult(
+        return cgra.RunResult(
             name=self.config.name,
             cycles=cycles,
             config_cycles=self.config_cycles,
@@ -305,84 +293,78 @@ def _restore_launch(vwr2a, snapshot) -> None:
         col.state_restore(state)
 
 
-class AutoEngine:
-    """Conflict-aware engine: the compiled fast path (the default).
+def run_launch(vwr2a, launch, max_cycles) -> RunResult:
+    """Execute one launch from its record and tally it on
+    ``vwr2a.engine_decisions``.
 
-    Every launch's record carries the cross-column SPM verdict, computed
-    once per config object on each array (``Launch``): kernels proven
-    conflict-free execute on the compiled fast path, one column after
-    another, each to EXIT; kernels whose columns communicate through the
-    SPM mid-kernel fall back to the reference interpreter,
-    bit-identically to ``engine="reference"``. The decision is surfaced
-    on ``RunResult.engine`` / ``RunResult.fallback_reason`` /
-    ``RunResult.spm_conflicts``. Aborted compiled launches replay on the
-    reference interpreter from the pre-launch snapshot, so fault-path
-    events and state are exact.
+    A record without a verdict (``engine="reference"``) runs on the
+    reference interpreter. A conflict-free one runs compiled, one column
+    after another, each to EXIT; one whose columns communicate through
+    the SPM mid-kernel falls back to the reference,
+    bit-identically to ``engine="reference"``, with the decision on
+    ``RunResult.fallback_reason`` / ``RunResult.spm_conflicts``. Aborted
+    compiled launches replay on the reference from the pre-launch
+    snapshot, so fault-path events and state are exact. The tally counts
+    the path that executed: a compiled fault as compiled, a counter-wrap
+    replay as reference.
     """
-
-    name = "auto"
-
-    def __init__(self) -> None:
-        #: Lifetime launch tally by executing engine
-        #: (``Vwr2a.engine_decisions``): a compiled fault counts as
-        #: compiled, a counter-wrap replay as reference.
-        self.decisions = Counter()
-
-    def run_kernel(self, vwr2a, launch, max_cycles) -> RunResult:
-        bounds = launch.bounds
-        if bounds is None:
-            report = launch.report
-            self.decisions["reference"] += 1
-            return _lockstep(
-                vwr2a, launch, max_cycles, fallback_reason=report.reason(),
-                spm_conflicts=report.conflicts,
-            )
-        name = launch.config.name
-        snapshot = _snapshot_launch(vwr2a, launch)
-        try:
-            # The verdict proves no column writes an SPM word another
-            # reads or writes, so running each column to EXIT in turn is
-            # indistinguishable from the reference's lock-step; the
-            # launch lasts as long as its longest column.
-            cycles = max(
-                bound.run_to_exit(name, max_cycles) for bound in bounds
-            )
-        except _CounterWrap as wrap:
-            # A loop's closed form does not hold: the launch runs, and
-            # counts, on the per-cycle interpreter.
-            _restore_launch(vwr2a, snapshot)
-            self.decisions["reference"] += 1
-            column, pc = wrap.args
-            return _lockstep(
-                vwr2a, launch, max_cycles, fallback_reason=f"column "
-                f"{column}: the counter of the loop at PC {pc} leaves int32"
-            )
-        except (AddressError, ProgramError) as fault:
-            self.decisions["compiled"] += 1
-            # Aborted kernel: rewind to the pre-launch state and replay on
-            # the per-cycle interpreter. Conflict-free kernels execute
-            # deterministically, so the replay reaches the same fault —
-            # the first in lock-step order, whichever column raised here —
-            # with events and column state accounted cycle by cycle,
-            # including the final partial bundle, exactly like the
-            # reference (docs/engine.md).
-            _restore_launch(vwr2a, snapshot)
-            _lockstep(vwr2a, launch, max_cycles)
-            # A completed replay means the two engines disagree on whether
-            # the kernel faults at all — an engine bug, never silently
-            # reported as the stale compiled-path exception.
-            raise ProgramError(
-                f"engine divergence on kernel {name!r}: the compiled "
-                f"engine aborted ({fault}) but the reference replay "
-                "completed; please report"
-            ) from fault
-        except BaseException:
-            # Non-simulation aborts (e.g. KeyboardInterrupt) leave the
-            # launch undone: nothing it ran is kept or counted.
-            _restore_launch(vwr2a, snapshot)
-            raise
-        self.decisions["compiled"] += 1
-        totals, events, superblocks = launch.fold()
-        vwr2a.events.add_many(totals)
-        return launch.result("compiled", cycles, events,
-                             superblocks=dict(superblocks))
+    decisions = vwr2a._decisions
+    bounds = launch.bounds
+    if bounds is None:
+        decisions["reference"] += 1
+        report = launch.report
+        if report is None:
+            return _lockstep(vwr2a, launch, max_cycles)
+        return _lockstep(
+            vwr2a, launch, max_cycles, fallback_reason=report.reason(),
+            spm_conflicts=report.conflicts,
+        )
+    name = launch.config.name
+    snapshot = _snapshot_launch(vwr2a, launch)
+    try:
+        # The verdict proves no column writes an SPM word another
+        # reads or writes, so running each column to EXIT in turn is
+        # indistinguishable from the reference's lock-step; the
+        # launch lasts as long as its longest column.
+        cycles = max(
+            bound.run_to_exit(name, max_cycles) for bound in bounds
+        )
+    except _CounterWrap as wrap:
+        # A loop's closed form does not hold: the launch runs, and
+        # counts, on the per-cycle interpreter.
+        _restore_launch(vwr2a, snapshot)
+        decisions["reference"] += 1
+        column, pc = wrap.args
+        return _lockstep(
+            vwr2a, launch, max_cycles, fallback_reason=f"column "
+            f"{column}: the counter of the loop at PC {pc} leaves int32"
+        )
+    except (AddressError, ProgramError) as fault:
+        decisions["compiled"] += 1
+        # Aborted kernel: rewind to the pre-launch state and replay on
+        # the per-cycle interpreter. Conflict-free kernels execute
+        # deterministically, so the replay reaches the same fault —
+        # the first in lock-step order, whichever column raised here —
+        # with events and column state accounted cycle by cycle,
+        # including the final partial bundle, exactly like the
+        # reference (docs/engine.md).
+        _restore_launch(vwr2a, snapshot)
+        _lockstep(vwr2a, launch, max_cycles)
+        # A completed replay means the two engines disagree on whether
+        # the kernel faults at all — an engine bug, never silently
+        # reported as the stale compiled-path exception.
+        raise ProgramError(
+            f"engine divergence on kernel {name!r}: the compiled "
+            f"engine aborted ({fault}) but the reference replay "
+            "completed; please report"
+        ) from fault
+    except BaseException:
+        # Non-simulation aborts (e.g. KeyboardInterrupt) leave the
+        # launch undone: nothing it ran is kept or counted.
+        _restore_launch(vwr2a, snapshot)
+        raise
+    decisions["compiled"] += 1
+    totals, events, superblocks = launch.fold()
+    vwr2a.events.add_many(totals)
+    return launch.result("compiled", cycles, events,
+                         superblocks=dict(superblocks))

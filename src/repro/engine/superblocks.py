@@ -25,6 +25,12 @@ register effects:
 * :func:`trip_count` is the closed-form solution of the loop branch;
   :func:`bound_expr` and :func:`trip_count_lines` emit the same formula
   as loop-entry source for the compiler.
+* :class:`ProgramShape` is the one record of what a column program's
+  configuration words fix under one geometry: its basic blocks
+  (:func:`block_pcs`), the :class:`LoopSummary` of each closed-form
+  loop, its compiled form and its SPM footprints. :func:`program_shape`
+  memoizes it per ``(params, configuration words)``, so the compiler
+  and the footprint walk partition and solve each program once.
 
 Everything here is stdlib-only, like the rest of the simulator.
 """
@@ -46,6 +52,9 @@ UNKNOWN = ("u",)
 
 #: The trip-start value itself: a register a loop body leaves unchanged.
 _SAME = ("d", 0)
+
+#: LCU ops that end a basic block.
+_TERMINATORS = frozenset(BRANCH_OPS) | {LCUOp.JUMP, LCUOp.EXIT}
 
 
 def sym_add(sym, inc: int):
@@ -225,3 +234,90 @@ def trip_count_lines(summary: LoopSummary) -> list:
             "if _t < 1: _t = 1",
         ]
     return [f"_t = 1 if _v0 + {d} < _bnd else None"]
+
+
+def _leaders(bundles) -> set:
+    leaders = {0}
+    n = len(bundles)
+    for pc, bundle in enumerate(bundles):
+        op = bundle.lcu.op
+        if op in BRANCH_OPS or op is LCUOp.JUMP:
+            leaders.add(bundle.lcu.target)
+            if pc + 1 < n:
+                leaders.add(pc + 1)
+        elif op is LCUOp.EXIT and pc + 1 < n:
+            leaders.add(pc + 1)
+    return leaders
+
+
+def block_pcs(bundles) -> list:
+    """Partition PCs into basic blocks (leader-to-terminator runs)."""
+    leaders = _leaders(bundles)
+    blocks = []
+    current = []
+    for pc in range(len(bundles)):
+        if current and pc in leaders:
+            blocks.append(current)
+            current = []
+        current.append(pc)
+        if bundles[pc].lcu.op in _TERMINATORS:
+            blocks.append(current)
+            current = []
+    if current:
+        blocks.append(current)
+    return blocks
+
+
+class ProgramShape:
+    """Everything one column program's configuration words fix under one
+    geometry, derived once and shared by the compiler and the SPM
+    footprint walk."""
+
+    __slots__ = ("params", "bundles", "blocks", "loops", "compiled",
+                 "footprints")
+
+    def __init__(self, bundles: tuple, params) -> None:
+        self.params = params
+        self.bundles = bundles
+        #: Basic blocks (:func:`block_pcs`), in leader-PC order.
+        self.blocks = block_pcs(bundles)
+        #: Block leader -> :class:`LoopSummary` of each closed-form loop.
+        self.loops = {}
+        for pcs in self.blocks:
+            loop = loop_summary(bundles, pcs, params.srf_entries,
+                                params.lcu_registers)
+            if loop is not None:
+                self.loops[pcs[0]] = loop
+        #: The :class:`~repro.engine.compiler.CompiledProgram`, built by
+        #: the compiler on first use.
+        self.compiled = None
+        #: Sorted ``srf_init`` items -> ``ColumnFootprint``
+        #: (:mod:`repro.engine.conflicts`), at most :data:`MEMO_CAP`.
+        self.footprints = {}
+
+
+#: Shapes kept, and footprints kept per shape (FIFO-evicted): evicting a
+#: shape drops its compiled code and its footprints together.
+MEMO_CAP = 256
+
+_SHAPES = {}
+
+
+def program_shape(program, params) -> ProgramShape:
+    """The :class:`ProgramShape` of ``program`` under ``params``
+    (memoized).
+
+    Keyed on the configuration words the configuration memory stamps on
+    a stored program (``_fingerprint``: ints hash far faster than
+    instruction trees), or on the bundle tuple for a program loaded
+    outside it (a direct ``Column.load`` in tests).
+    """
+    fingerprint = getattr(program, "_fingerprint", None)
+    key = (params, fingerprint if fingerprint is not None
+           else tuple(program.bundles))
+    shape = _SHAPES.get(key)
+    if shape is None:
+        if len(_SHAPES) >= MEMO_CAP:
+            del _SHAPES[next(iter(_SHAPES))]
+        shape = _SHAPES[key] = ProgramShape(tuple(program.bundles), params)
+    return shape

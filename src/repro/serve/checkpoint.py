@@ -336,66 +336,3 @@ class StreamCheckpoint:
     def __repr__(self) -> str:
         return f"StreamCheckpoint({self.path!r}, every={self.every})"
 
-
-# -- the session protocol, driven by repro.serve.ledger.WindowLedger ----------
-
-
-def resume_session(checkpoint, fingerprint: dict):
-    """Coerce a path into a :class:`StreamCheckpoint` and load its state.
-
-    Returns ``(checkpoint, state)``; the one entry point every scheduler
-    uses (through the ledger), so resume validation cannot drift. Windows the
-    previous session quarantined are released for re-attempt: the fault
-    conditions that exhausted their retries (a hostile fault plan, a
-    dying host) do not necessarily hold in this session, and a resume is
-    the natural amnesty point. Their failure pedigree stays in the
-    resilience counters.
-    """
-    if not isinstance(checkpoint, StreamCheckpoint):
-        checkpoint = StreamCheckpoint(checkpoint)
-    state = checkpoint.resume(fingerprint)
-    if state.failed:
-        from repro.serve.report import merge_counts
-
-        merge_counts(
-            state.resilience, {"requarantine_released": len(state.failed)}
-        )
-        state.failed.clear()
-    return checkpoint, state
-
-
-def flush_session(state: CheckpointState, checkpoint,
-                  wall_seconds: float) -> None:
-    """Persist a session's progress with up-to-date wall accounting.
-
-    The failure-path flush: the ledger calls this right before an error
-    propagates, so completed windows survive whatever the cadence.
-    """
-    state.wall_seconds = wall_seconds
-    checkpoint.save(state)
-
-
-def finalize_session(report, state: CheckpointState, checkpoint,
-                     wall_seconds: float = None):
-    """Assemble the final report of a (possibly resumed) session.
-
-    Merges the state's windows in index order, adopts its accumulated
-    store stats and wall clock, and flushes the completed state when a
-    checkpoint is configured. A session that served nothing (replaying
-    an already-complete checkpoint) passes ``wall_seconds=None``: the
-    historical wall clock is reported untouched and the file is not
-    rewritten — repeated replays must not inflate the serving-time
-    accounting with fingerprinting overhead. Returns ``report``.
-    """
-    for index in sorted(state.results):
-        report.add_window(state.results[index])
-    for index in sorted(state.failed):
-        report.add_failed(state.failed[index])
-    if wall_seconds is not None:
-        state.wall_seconds = wall_seconds
-        if checkpoint is not None:
-            checkpoint.save(state)
-    report.wall_seconds = state.wall_seconds
-    report.store_stats = dict(state.store_stats)
-    report.resilience = dict(state.resilience)
-    return report

@@ -33,12 +33,7 @@ from repro.obs.instruments import (
     record_resilience,
     record_window,
 )
-from repro.serve.checkpoint import (
-    CheckpointState,
-    finalize_session,
-    flush_session,
-    resume_session,
-)
+from repro.serve.checkpoint import CheckpointState, StreamCheckpoint
 from repro.serve.report import FailedWindow, StreamReport, merge_counts
 from repro.serve.stream import Window
 
@@ -115,10 +110,20 @@ class WindowLedger:
         path) ``fingerprint()`` pins the job and the saved state is
         resumed; without one the O(trace) fingerprint is never computed.
         The serving clock starts after the resume: wall time accounts
-        serving, not hashing.
+        serving, not hashing. Windows the previous session quarantined
+        are released for re-attempt: the faults that exhausted their
+        retries (a hostile fault plan, a dying host) need not hold in
+        this session, and a resume is the natural amnesty point. Their
+        failure pedigree stays in the resilience counters.
         """
         if checkpoint is not None:
-            checkpoint, state = resume_session(checkpoint, fingerprint())
+            if not isinstance(checkpoint, StreamCheckpoint):
+                checkpoint = StreamCheckpoint(checkpoint)
+            state = checkpoint.resume(fingerprint())
+            if state.failed:
+                merge_counts(state.resilience,
+                             {"requarantine_released": len(state.failed)})
+                state.failed.clear()
         else:
             state = CheckpointState(
                 fingerprint={"n_windows": getattr(stream, "n_windows", 0)}
@@ -361,16 +366,21 @@ class WindowLedger:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is not None and self.checkpoint is not None:
-            flush_session(self.state, self.checkpoint, self.wall())
+            # Completed windows survive whatever the save cadence.
+            self.state.wall_seconds = self.wall()
+            self.checkpoint.save(self.state)
         return False
 
     def finalize(self, config: str, engine: str, stream,
                  partial: bool = False):
         """The session's :class:`~repro.serve.StreamReport`.
 
-        A session that accounted no window (replaying a complete
-        checkpoint) keeps its historical wall time and leaves the file
-        alone. ``partial`` admits a session that ended early on
+        Merges the state's windows in index order and adopts its store
+        stats and wall clock, saving the completed state when a
+        checkpoint is configured. A session that accounted no window
+        (replaying a complete checkpoint) keeps its historical wall time
+        and leaves the file alone, so repeated replays do not inflate
+        the serving time. ``partial`` admits a session that ended early on
         purpose; any other incomplete one is a sharding bug.
         """
         state = self.state
@@ -384,7 +394,15 @@ class WindowLedger:
             config, engine, getattr(stream, "window", 0),
             getattr(stream, "hop", 0),
         )
-        return finalize_session(
-            report, state, self.checkpoint,
-            self.wall() if self._served else None,
-        )
+        for index in sorted(state.results):
+            report.add_window(state.results[index])
+        for index in sorted(state.failed):
+            report.add_failed(state.failed[index])
+        if self._served:
+            state.wall_seconds = self.wall()
+            if self.checkpoint is not None:
+                self.checkpoint.save(state)
+        report.wall_seconds = state.wall_seconds
+        report.store_stats = dict(state.store_stats)
+        report.resilience = dict(state.resilience)
+        return report

@@ -23,7 +23,9 @@ from repro.asm.builder import ProgramBuilder
 from repro.baselines import lowpass_taps_q15
 from repro.core.cgra import Vwr2a
 from repro.core.errors import AddressError, ConfigurationError, ProgramError
+from repro.engine import executor
 from repro.engine.compiler import compile_program
+from repro.engine.executor import run_launch
 from repro.isa.fields import (
     DST_R0,
     DST_R1,
@@ -381,7 +383,7 @@ class TestEngineSemantics:
         }
 
     @staticmethod
-    def _interrupt_last_column(sim, error, n_columns=2):
+    def _interrupt_last_column(sim, monkeypatch, error, n_columns=2):
         """Warm-run a kernel whose ``n_columns`` columns each bump their
         own SPM line, then make its last column's bound program run and
         raise ``error``; returns the config name and the engine-entry
@@ -400,7 +402,6 @@ class TestEngineSemantics:
         sim.spm.poke_words(0, list(range(2 * params.line_words)))
         config = KernelConfig(name="bump", columns=columns)
         assert sim.execute(config).engine == "compiled"
-        engine = sim._engine
         bound = sim._launches[id(config)].bounds[-1]
         fn = bound.fn
 
@@ -410,16 +411,15 @@ class TestEngineSemantics:
 
         bound.fn = interrupted
         entry_states = []
-        run_kernel = engine.run_kernel
 
         def recorded(*args):
             entry_states.append(_launch_state(sim))
-            return run_kernel(*args)
+            return run_launch(*args)
 
-        engine.run_kernel = recorded
+        monkeypatch.setattr(executor, "run_launch", recorded)
         return "bump", entry_states
 
-    def test_interrupted_compiled_launch_rewinds(self):
+    def test_interrupted_compiled_launch_rewinds(self, monkeypatch):
         # Two columns: column 0 has run to EXIT and column 1 has written
         # its SPM line when the interrupt lands. One column: it has
         # written its line. Either way the launch is undone, not half
@@ -427,7 +427,7 @@ class TestEngineSemantics:
         for n_columns in (2, 1):
             sim = Vwr2a(engine="auto")
             name, entry = self._interrupt_last_column(
-                sim, KeyboardInterrupt, n_columns
+                sim, monkeypatch, KeyboardInterrupt, n_columns
             )
             launch = sim._launches[id(sim.config_mem.get(name))]
             assert launch.spm_slices \
@@ -438,9 +438,12 @@ class TestEngineSemantics:
             assert _launch_state(sim) == entry[0]
             assert sim.engine_decisions == decisions
 
-    def test_compiled_abort_with_completing_replay_is_divergence(self):
+    def test_compiled_abort_with_completing_replay_is_divergence(
+            self, monkeypatch):
         sim = Vwr2a(engine="auto")
-        name, _ = self._interrupt_last_column(sim, AddressError("stray"))
+        name, _ = self._interrupt_last_column(
+            sim, monkeypatch, AddressError("stray")
+        )
         with pytest.raises(ProgramError, match="engine divergence"):
             sim.run(name)
 

@@ -19,7 +19,6 @@ ints, whatever it is handed.
 from __future__ import annotations
 
 import ast
-from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +30,7 @@ from repro.core.cgra import Vwr2a
 from repro.core.column import Column
 from repro.core.events import EventCounters
 from repro.core.spm import Scratchpad
-from repro.engine import compiler
+from repro.engine import superblocks
 from repro.engine.compiler import compile_program
 from repro.engine.executor import BoundColumn
 from repro.isa.fields import (
@@ -87,9 +86,9 @@ ARM = " " * 12
 @pytest.fixture
 def private_compile_memo(monkeypatch):
     """The differential test compiles thousands of one-off programs: keep
-    them out of the process-wide structural memo, which other tests
+    their shapes out of the process-wide program memo, which other tests
     expect to still hold the kernels they compiled."""
-    monkeypatch.setattr(compiler, "_MEMO", OrderedDict())
+    monkeypatch.setattr(superblocks, "_SHAPES", {})
 
 
 def _is_int32(value) -> bool:

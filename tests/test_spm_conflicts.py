@@ -23,7 +23,7 @@ from repro.asm.builder import ProgramBuilder
 from repro.baselines import lowpass_taps_q15
 from repro.core.cgra import Vwr2a
 from repro.core.errors import AddressError, ProgramError
-from repro.engine import conflicts
+from repro.engine import conflicts, superblocks
 from repro.engine.compiler import compile_program
 from repro.isa.fields import DST_VWR_B, VWR_A, Vwr, imm
 from repro.isa.lcu import addi, blt, ldsrf, seti
@@ -438,6 +438,9 @@ class TestAnalysisCaching:
         sim.store_kernel(regenerated)
         report = conflicts.analyze_columns(regenerated.columns, sim.params)
         after = conflicts.ANALYSIS_STATS
+        for col, program in regenerated.columns.items():
+            assert superblocks.program_shape(program, sim.params) \
+                is superblocks.program_shape(config.columns[col], sim.params)
         assert after["footprint_misses"] == before["footprint_misses"]
         assert after["footprint_hits"] \
             == before["footprint_hits"] + len(config.columns)
@@ -452,6 +455,58 @@ class TestAnalysisCaching:
         for _ in range(4):
             sim.run(config.name)
         assert sim.config_mem.stats.analysis_misses == 1
+
+    @staticmethod
+    def _count_shape_work(monkeypatch) -> dict:
+        """Start a private program memo; count the block partitions and
+        loop summaries the shapes built in it compute."""
+        monkeypatch.setattr(superblocks, "_SHAPES", {})
+        calls = {"block_pcs": 0, "loop_summary": 0}
+        for name in calls:
+            original = getattr(superblocks, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(superblocks, name, counted)
+        return calls
+
+    def test_cold_window_partitions_each_program_once(self, monkeypatch):
+        # The footprint walk and the compiler read one shape per distinct
+        # program: one block partition, one loop summary per block.
+        calls = self._count_shape_work(monkeypatch)
+        runner = KernelRunner()
+        serve_trace(respiration_signal(WINDOW), "cpu_vwr2a", runner=runner)
+        sim = runner.soc.vwr2a
+        programs = {
+            (sim.params, program._fingerprint)
+            for launch in sim._launches.values()
+            for program in launch.config.columns.values()
+        }
+        shapes = superblocks._SHAPES.values()
+        assert calls["block_pcs"] == len(programs) == len(shapes) > 1
+        assert calls["loop_summary"] \
+            == sum(len(shape.blocks) for shape in shapes)
+        assert all(shape.compiled for shape in shapes)
+
+    def test_second_srf_init_reuses_the_loop_table(self, monkeypatch):
+        calls = self._count_shape_work(monkeypatch)
+        sim = Vwr2a()
+        first = elementwise_kernel(DEFAULT_PARAMS, RCOp.SADD, 256, 0, 2, 4)
+        second = elementwise_kernel(DEFAULT_PARAMS, RCOp.SADD, 256, 8, 10, 12)
+        for config in (first, second):
+            sim.store_kernel(config)  # stamps the configuration words
+        a, b = first.columns[0], second.columns[0]
+        assert a.bundles == b.bundles and a.srf_init != b.srf_init
+        footprint_a = conflicts.column_footprint(a, DEFAULT_PARAMS)
+        summaries = calls["loop_summary"]
+        footprint_b = conflicts.column_footprint(b, DEFAULT_PARAMS)
+        assert footprint_a != footprint_b
+        assert calls == {"block_pcs": 1, "loop_summary": summaries}
+        shape = superblocks.program_shape(b, DEFAULT_PARAMS)
+        assert shape is superblocks.program_shape(a, DEFAULT_PARAMS)
+        assert shape.loops and len(shape.footprints) == 2
 
 
 class TestAbortAccounting:

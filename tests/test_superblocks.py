@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 from repro.arch import ArchParams
 from repro.asm.builder import ProgramBuilder
 from repro.core.cgra import Vwr2a
-from repro.engine.compiler import block_pcs, compile_program
+from repro.engine.compiler import compile_program
 from repro.engine.superblocks import (
     LoopSummary,
+    block_pcs,
     trip_count,
     trip_count_lines,
 )
