@@ -191,24 +191,3 @@ class Vwr2a:
         """Store + run in one call (convenience for tests and examples)."""
         self.store_kernel(config)
         return self.run(config.name, max_cycles=max_cycles)
-
-    # -- DMA convenience ------------------------------------------------------
-
-    def dma_to_spm(self, sram, src_word: int, dst_word: int, n: int) -> int:
-        self._need_dma()
-        cycles = self.dma.to_spm(sram, src_word, dst_word, n)
-        self.synchronizer.dma_finished()
-        return cycles
-
-    def dma_from_spm(self, sram, src_word: int, dst_word: int, n: int) -> int:
-        self._need_dma()
-        cycles = self.dma.from_spm(sram, src_word, dst_word, n)
-        self.synchronizer.dma_finished()
-        return cycles
-
-    def _need_dma(self) -> None:
-        if self.dma is None:
-            raise ConfigurationError(
-                "no bus attached: construct Vwr2a(bus=...) or call "
-                "attach_bus() before using the DMA"
-            )

@@ -3,9 +3,14 @@
 "A DMA performs the data transfers between the SPM and the system memory"
 (Sec. 3.2) through VWR2A's AHB master port (Sec. 4.2). Transfers are
 word-granular on both sides — the system side is bus-width limited and the
-SPM narrow port is word-wide — which is what makes the FIR kernel's
-overlapped data layout and sparse-output compaction free to *arrange*
-(though every word still pays its bus and memory energy/cycles).
+SPM narrow port is word-wide — which is what makes the FFT's bit-reversal
+and the FIR kernel's overlapped data layout and sparse-output compaction
+free to *arrange* (though every word still pays its bus and memory
+energy/cycles). So a gather is an ordinary transfer with an address order
+(``order=``), not a second kind of transfer. Both sides are
+:class:`~repro.core.wordport.WordPort` memories; the host reaches the DMA
+only through ``BiosignalSoC.dma_to_vwr2a`` / ``dma_from_vwr2a``, which add
+the power check, the DMA-done flag and the CPU sleep.
 
 The cycle cost of a transfer of N words is::
 
@@ -31,43 +36,26 @@ class Dma:
         self.events = events
         self.setup_cycles = setup_cycles
 
-    # -- system memory -> SPM ----------------------------------------------
-
-    def to_spm(self, sram, src_word: int, dst_word: int, n_words: int) -> int:
+    def to_spm(self, sram, src_word: int, dst_word: int, n_words: int,
+               order=None) -> int:
         """Copy ``n_words`` from system memory into the SPM; return cycles.
 
-        Each side checks its span once and the words move as one slice;
-        events are still charged per word.
+        Without ``order`` the source is the span at ``src_word``; with it,
+        SPM word ``dst_word + k`` gets system word ``src_word + order[k]``
+        (a gather: any order, repeats allowed).
         """
-        _check_length(n_words)
-        self.spm.write_span(dst_word, sram.read_span(src_word, n_words))
+        self.spm.write_span(dst_word, _read(sram, src_word, n_words, order))
         return self._transfer_cycles(n_words)
 
-    def to_spm_gather(self, sram, src_words, dst_word: int) -> int:
-        """Gather system-memory words (arbitrary order, repeats allowed)
-        into consecutive SPM words starting at ``dst_word``.
+    def from_spm(self, sram, src_word: int, dst_word: int, n_words: int,
+                 order=None) -> int:
+        """Copy ``n_words`` from the SPM into system memory; return cycles.
 
-        Uses the batch word interfaces: one event record per burst instead
-        of one per word (identical counts, far less accounting overhead).
+        ``order`` gathers SPM words as in :meth:`to_spm` (the FIR kernel
+        compacts its sparse output this way).
         """
-        values = sram.read_words(list(src_words))
-        self.spm.write_span(dst_word, values)
-        return self._transfer_cycles(len(values))
-
-    # -- SPM -> system memory ----------------------------------------------
-
-    def from_spm(self, sram, src_word: int, dst_word: int, n_words: int) -> int:
-        """Copy ``n_words`` from the SPM into system memory; return cycles."""
-        _check_length(n_words)
-        sram.write_span(dst_word, self.spm.read_span(src_word, n_words))
+        sram.write_span(dst_word, _read(self.spm, src_word, n_words, order))
         return self._transfer_cycles(n_words)
-
-    def from_spm_gather(self, sram, src_words, dst_word: int) -> int:
-        """Gather SPM words (arbitrary order — used to compact the FIR
-        kernel's sparse output) into consecutive system-memory words."""
-        values = self.spm.read_words(list(src_words))
-        sram.write_span(dst_word, values)
-        return self._transfer_cycles(len(values))
 
     # -- cost model ---------------------------------------------------------
 
@@ -78,6 +66,16 @@ class Dma:
         return self.setup_cycles + self.bus.burst_cycles(n_words)
 
 
-def _check_length(n_words: int) -> None:
+def _read(memory, word: int, n_words: int, order) -> list:
+    """A transfer's source words: one checked span, or one batch read at
+    ``word + order[k]``; events are charged per word either way."""
     if n_words < 0:
         raise AddressError(f"negative transfer length {n_words}")
+    if order is None:
+        return memory.read_span(word, n_words)
+    if len(order) != n_words:
+        raise AddressError(
+            f"gather order of {len(order)} words for a {n_words}-word "
+            "transfer"
+        )
+    return memory.read_words([word + index for index in order])

@@ -6,18 +6,26 @@ On the accelerator side, it has the same width as the VWRs." The wide side
 moves one full line (= one VWR, 128 words) per cycle and is line-aligned —
 the wide interface is built by concatenating narrower memory macros, so
 unaligned wide access does not exist. The narrow side moves single 32-bit
-words (used by the DMA).
+words: it is the :class:`~repro.core.wordport.WordPort` the system SRAM
+shares, which the DMA and the LD/ST_SRF word accesses use. The SPM adds
+the line port, whole-memory snapshot/restore and the fault-injection
+hooks.
 """
 
 from __future__ import annotations
 
 from repro.core.errors import AddressError
 from repro.core.events import Ev, EventCounters
-from repro.utils.bits import to_signed32
+from repro.core.wordport import WordPort
+from repro.utils.bits import int32_words, to_signed32
 
 
-class Scratchpad:
+class Scratchpad(WordPort):
     """Dual-interface SPM: wide line port + narrow word port."""
+
+    NAME = "SPM"
+    READ = Ev.SPM_WORD_READ
+    WRITE = Ev.SPM_WORD_WRITE
 
     def __init__(
         self, n_lines: int, line_words: int, events: EventCounters
@@ -47,58 +55,7 @@ class Scratchpad:
             )
         self._events.add(Ev.SPM_WIDE_WRITE)
         base = line * self.line_words
-        # Inline to_signed32: in-range ints pass on two compares, no call.
-        self._data[base:base + self.line_words] = [
-            v if type(v) is int and -2147483648 <= v <= 2147483647
-            else ((v + 2147483648) & 4294967295) - 2147483648
-            for v in values
-        ]
-
-    # -- narrow (system-side) interface -----------------------------------
-
-    def read_word(self, addr: int) -> int:
-        self._check_word(addr)
-        self._events.add(Ev.SPM_WORD_READ)
-        return self._data[addr]
-
-    def write_word(self, addr: int, value: int) -> None:
-        self._check_word(addr)
-        self._events.add(Ev.SPM_WORD_WRITE)
-        self._data[addr] = to_signed32(value)
-
-    def read_words(self, addrs) -> list:
-        """Batch of narrow-port reads (one event record for the batch)."""
-        if addrs and (min(addrs) < 0 or max(addrs) >= self.n_words):
-            for addr in addrs:
-                self._check_word(addr)
-        self._events.add(Ev.SPM_WORD_READ, len(addrs))
-        data = self._data
-        return [data[addr] for addr in addrs]
-
-    def read_span(self, addr: int, n_words: int) -> list:
-        """``n_words`` consecutive narrow-port reads as one slice copy."""
-        self._check_span(addr, n_words)
-        self._events.add(Ev.SPM_WORD_READ, n_words)
-        return self._data[addr:addr + n_words]
-
-    def write_span(self, addr: int, words) -> None:
-        """Consecutive narrow-port writes of storage words (one slice).
-
-        For copies out of another memory (the DMA): SRAM and SPM only
-        ever hold int32, so the words are stored without a re-wrap.
-        """
-        n_words = len(words)
-        self._check_span(addr, n_words)
-        self._events.add(Ev.SPM_WORD_WRITE, n_words)
-        self._data[addr:addr + n_words] = words
-
-    def write_words(self, addr: int, values) -> None:
-        """Consecutive narrow-port writes of host values (wrapped)."""
-        self.write_span(addr, [
-            v if type(v) is int and -2147483648 <= v <= 2147483647
-            else ((v + 2147483648) & 4294967295) - 2147483648
-            for v in values
-        ])
+        self._data[base:base + self.line_words] = int32_words(values)
 
     # -- whole-memory state (no events) ------------------------------------
 
@@ -153,43 +110,8 @@ class Scratchpad:
         self._check_word(addr)
         self._data[addr] = to_signed32(value)
 
-    # -- debug/test accessors (no events) ----------------------------------
-
-    def peek_words(self, addr: int, count: int) -> list:
-        if count < 0 or addr < 0 or addr + count > self.n_words:
-            raise AddressError(
-                f"peek of {count} words at {addr} exceeds SPM "
-                f"({self.n_words} words)"
-            )
-        return self._data[addr:addr + count]
-
-    def poke_words(self, addr: int, values) -> None:
-        if addr < 0 or addr + len(values) > self.n_words:
-            raise AddressError(
-                f"poke of {len(values)} words at {addr} exceeds SPM "
-                f"({self.n_words} words)"
-            )
-        self._data[addr:addr + len(values)] = [
-            v if type(v) is int and -2147483648 <= v <= 2147483647
-            else ((v + 2147483648) & 4294967295) - 2147483648
-            for v in values
-        ]
-
-    def _check_span(self, addr: int, n_words: int) -> None:
-        """One bounds check of ``[addr, addr + n_words)``; word by word only
-        when it fails, so the error names the first bad address."""
-        if n_words and (addr < 0 or addr + n_words > self.n_words):
-            for word in range(addr, addr + n_words):
-                self._check_word(word)
-
     def _check_line(self, line: int) -> None:
         if not 0 <= line < self.n_lines:
             raise AddressError(
                 f"SPM line {line} out of range [0, {self.n_lines})"
-            )
-
-    def _check_word(self, addr: int) -> None:
-        if not 0 <= addr < self.n_words:
-            raise AddressError(
-                f"SPM word address {addr} out of range [0, {self.n_words})"
             )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from repro.core.errors import AddressError
 from repro.core.events import Ev, EventCounters
-from repro.utils.bits import to_signed32
+from repro.utils.bits import int32_words, to_signed32
 
 
 class VeryWideRegister:
@@ -56,7 +56,7 @@ class VeryWideRegister:
             )
         self._events.add(Ev.VWR_WIDE_WRITE)
         # In-place update: the compiled engine's closures capture this list.
-        self._data[:] = [to_signed32(v) for v in values]
+        self._data[:] = int32_words(values)
 
     def peek(self, index: int) -> int:
         """Debug/test access without event logging."""

@@ -40,7 +40,9 @@ performs that decode exactly once per program:
 
 Operand-range rule. Every storage write path (SRF, VWR, SPM, SRAM, the
 RC and LCU registers, ``state_restore``, fault injection) holds only
-int32 values, and an immediate carries its exact value. So each operand
+int32 values (host values are wrapped by ``repro.utils.bits``:
+``to_signed32`` for a scalar, ``int32_words`` for every vector write),
+and an immediate carries its exact value. So each operand
 has a known interval, and each RC/LSU/LCU result gets the interval of
 its unwrapped arithmetic. The int32 wrap is emitted only where that
 interval can leave int32, and then as a **guarded wrap**

@@ -4,14 +4,16 @@ Mirrors the software flow of Sec. 4.2: the CPU stages data from system
 SRAM into the SPM through VWR2A's DMA (word-granular, so permutations like
 the FFT's bit-reversal or the FIR's overlapped layout are free to
 *arrange*), launches kernels over the slave port, sleeps until the
-completion interrupt, and stages results back. The runner keeps a cycle
-ledger per phase and event snapshots so benchmarks can report energy per
-window.
+completion interrupt, and stages results back. Every transfer, contiguous
+or gathered (``order=``), takes the SoC's one DMA route
+(``BiosignalSoC.dma_to_vwr2a`` / ``dma_from_vwr2a``). The runner keeps a
+cycle ledger per phase and event snapshots so benchmarks can report energy
+per window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.arch import ArchSpec
 from repro.core.errors import ConfigurationError
@@ -27,7 +29,6 @@ class KernelRun:
     config_cycles: int = 0
     compute_cycles: int = 0
     dma_out_cycles: int = 0
-    events: dict = field(default_factory=dict)
 
     @property
     def total_cycles(self) -> int:
@@ -203,15 +204,8 @@ class KernelRunner:
         """
         base = self.sram_alloc(len(values))
         self.soc.sram.poke_words(base, values)
-        if order is None:
-            cycles = self.soc.dma_to_vwr2a(base, spm_word, len(values))
-        else:
-            src_words = [base + index for index in order]
-            cycles = self.soc.vwr2a.dma.to_spm_gather(
-                self.soc.sram, src_words, spm_word
-            )
-            self.soc.cpu.sleep(cycles)
-            self.soc.power.advance(cycles)
+        n_words = len(values) if order is None else len(order)
+        cycles = self.soc.dma_to_vwr2a(base, spm_word, n_words, order)
         self.staging_cycles["in"] += cycles
         return cycles
 
@@ -224,15 +218,7 @@ class KernelRunner:
         """:meth:`stage_out` that reports where the words now sit in SRAM
         instead of reading them back; returns (SRAM word, cycles)."""
         base = self.sram_alloc(n_words)
-        if order is None:
-            cycles = self.soc.dma_from_vwr2a(spm_word, base, n_words)
-        else:
-            src_words = [spm_word + index for index in order]
-            cycles = self.soc.vwr2a.dma.from_spm_gather(
-                self.soc.sram, src_words, base
-            )
-            self.soc.cpu.sleep(cycles)
-            self.soc.power.advance(cycles)
+        cycles = self.soc.dma_from_vwr2a(spm_word, base, n_words, order)
         self.staging_cycles["out"] += cycles
         return base, cycles
 

@@ -133,12 +133,10 @@ class StreamScheduler:
         self.reference_fallback = reference_fallback
         self.fault_plan = fault_plan
         self._injector = None
-        self._attempts = None
         if fault_plan is not None:
             from repro.faults.injector import FaultInjector
 
             self._injector = FaultInjector(fault_plan, process_faults=False)
-            self._attempts = AttemptServer(self, self._injector)
 
     def run(self, stream, checkpoint=None) -> StreamReport:
         """Serve every window of ``stream``; returns the stream report.
@@ -168,28 +166,24 @@ class StreamScheduler:
         Returns the engine that served.
         """
         runner = self.runner
-        owns_log = runner.launch_log is None
-        if owns_log:
-            runner.launch_log = []
-        log = runner.launch_log
-        stats = runner.soc.vwr2a.config_mem.stats
+        # The attempts log into a session list (cleared per attempt); a
+        # caller's own launch log (a nested stream) gets each accepted
+        # window's launches.
+        outer = runner.launch_log
+        runner.launch_log = []
+        attempts = AttemptServer(self, self._injector)
         windows = iter(stream)
         try:
             for _, task in ledger.schedule(
                 lambda: (label,), 1, lambda: next(windows, None)
             ):
-                if self._attempts is None:
-                    before = stats.snapshot()
-                    result = self.serve_window(task.window, log)
-                    ledger.accept(
-                        label, result, stats.since(before), label=label
-                    )
+                verdict = attempts.serve(task)
+                if verdict[0] == "ok":
+                    ledger.accept(label, *verdict[1:], label=label)
+                    if outer is not None:
+                        outer.extend(verdict[1].launches)
                 else:
-                    verdict = self._attempts.serve(task)
-                    if verdict[0] == "ok":
-                        ledger.accept(label, *verdict[1:], label=label)
-                    else:
-                        ledger.fault(label, task.index, verdict[1])
+                    ledger.fault(label, task.index, verdict[1])
                 # Metrics are host-side bookkeeping over the window's
                 # results — off by default, and never feeding back into
                 # simulated state (see repro.obs.instruments).
@@ -197,8 +191,7 @@ class StreamScheduler:
                 if bus is not None:
                     ledger.progress(bus)
         finally:
-            if owns_log:
-                runner.launch_log = None
+            runner.launch_log = outer
             runner.set_sram_region(*self._sram_region)
         return self.engine
 
@@ -261,8 +254,8 @@ class StreamScheduler:
 class AttemptServer:
     """Serving core of one platform: one *attempt* per task.
 
-    Shared by the sequential scheduler's fault-plan path, pool worker
-    processes and remote fleet workers. It serves one
+    Shared by the sequential scheduler, pool worker processes and remote
+    fleet workers. It serves one
     :class:`~repro.serve.ledger.Task` at a time on ``scheduler``'s
     platform, or on a reference-engine twin built on first use, under
     the fault ``injector`` when there is one, and returns the verdict

@@ -103,20 +103,29 @@ class BiosignalSoC:
         self.power.advance(charged)
         return charged
 
-    def dma_to_vwr2a(self, src_word: int, dst_word: int, n_words: int) -> int:
-        """SRAM -> SPM transfer through VWR2A's DMA; CPU sleeps meanwhile."""
-        self.power.require(Domain.ACCELERATORS)
-        cycles = self.vwr2a.dma_to_spm(self.sram, src_word, dst_word, n_words)
-        self.cpu.sleep(cycles)
-        self.power.advance(cycles)
-        return cycles
+    def dma_to_vwr2a(self, src_word: int, dst_word: int, n_words: int,
+                     order=None) -> int:
+        """SRAM -> SPM transfer through VWR2A's DMA; CPU sleeps meanwhile.
 
-    def dma_from_vwr2a(self, src_word: int, dst_word: int, n_words: int) -> int:
-        """SPM -> SRAM transfer through VWR2A's DMA."""
+        ``order`` gathers: SPM word ``dst_word + k`` gets SRAM word
+        ``src_word + order[k]`` (see :meth:`repro.core.dma.Dma.to_spm`).
+        """
+        return self._dma(self.vwr2a.dma.to_spm, src_word, dst_word,
+                         n_words, order)
+
+    def dma_from_vwr2a(self, src_word: int, dst_word: int, n_words: int,
+                       order=None) -> int:
+        """SPM -> SRAM transfer through VWR2A's DMA (``order`` gathers SPM
+        words, as in :meth:`dma_to_vwr2a`)."""
+        return self._dma(self.vwr2a.dma.from_spm, src_word, dst_word,
+                         n_words, order)
+
+    def _dma(self, transfer, src_word, dst_word, n_words, order) -> int:
+        """The one DMA route: power check, the transfer, the synchronizer's
+        DMA-done flag, then the CPU sleeps through the transfer's cycles."""
         self.power.require(Domain.ACCELERATORS)
-        cycles = self.vwr2a.dma_from_spm(
-            self.sram, src_word, dst_word, n_words
-        )
+        cycles = transfer(self.sram, src_word, dst_word, n_words, order)
+        self.vwr2a.synchronizer.dma_finished()
         self.cpu.sleep(cycles)
         self.power.advance(cycles)
         return cycles

@@ -28,6 +28,22 @@ def to_signed32(value: int) -> int:
     return value
 
 
+def int32_words(values) -> list:
+    """``[to_signed32(v) for v in values]``: the storage form of host values.
+
+    Every vector write path of the SPM, the SRAM and the VWRs stores
+    through here, so each cell holds an int32 (the compiler's
+    operand-range rule relies on it). An in-range int passes on two
+    compares with no call; a bool is stored as its int; a float raises
+    ``TypeError``.
+    """
+    return [
+        v if type(v) is int and -2147483648 <= v <= 2147483647
+        else ((v + 2147483648) & 4294967295) - 2147483648
+        for v in values
+    ]
+
+
 def sign_extend(value: int, bits: int) -> int:
     """Sign-extend the low ``bits`` bits of ``value`` to a Python int."""
     if bits <= 0:

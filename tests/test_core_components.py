@@ -1,7 +1,7 @@
 """Unit tests for the simulator's passive components."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.alu import alu_execute
 from repro.core.errors import AddressError
@@ -12,9 +12,70 @@ from repro.core.srf import ScalarRegisterFile
 from repro.core.vwr import VeryWideRegister
 from repro.isa.fields import ShuffleMode
 from repro.isa.rc import RCOp
-from repro.utils.bits import bit_reverse, clog2
+from repro.soc.sram import BankedSram
+from repro.utils.bits import bit_reverse, clog2, to_signed32
 
 int32s = st.integers(min_value=-(2**31), max_value=2**31 - 1)
+
+#: Host values a write path may be handed: wide ints, the int32 edges
+#: and their neighbours, and bools.
+host_values = st.one_of(
+    st.integers(-(2**40), 2**40),
+    st.sampled_from([-(2**31) - 1, -(2**31), 2**31 - 1, 2**31, 2**32 - 1,
+                     2**32, -1, 0]),
+    st.booleans(),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(values=st.lists(host_values, min_size=1, max_size=16))
+def test_every_host_write_path_stores_to_signed32(values):
+    """Each storage cell holds exactly ``to_signed32`` of what the host
+    wrote (a Python int, never a bool): the int32 invariant the
+    compiler's operand-range rule relies on."""
+    n = len(values)
+    pairs = list(enumerate(values))
+    ev = EventCounters()
+
+    def srf():
+        return ScalarRegisterFile(n, ev)
+
+    def vwr():
+        return VeryWideRegister("A", n, ev)
+
+    def spm():
+        return Scratchpad(1, n, ev)
+
+    paths = {
+        "srf.write": (srf, lambda m: [m.write(i, v) for i, v in pairs]),
+        "srf.poke": (srf, lambda m: [m.poke(i, v) for i, v in pairs]),
+        "srf.poke_many": (srf, lambda m: m.poke_many(dict(pairs))),
+        "vwr.write_word": (vwr,
+                           lambda m: [m.write_word(i, v) for i, v in pairs]),
+        "vwr.write_wide": (vwr, lambda m: m.write_wide(values)),
+        "vwr.poke": (vwr, lambda m: [m.poke(i, v) for i, v in pairs]),
+        "spm.write_word": (spm,
+                           lambda m: [m.write_word(i, v) for i, v in pairs]),
+        "spm.write_line": (spm, lambda m: m.write_line(0, values)),
+        "spm.write_words": (spm, lambda m: m.write_words(0, values)),
+        "spm.poke_words": (spm, lambda m: m.poke_words(0, values)),
+        "sram.write_word": (BankedSram,
+                            lambda m: [m.write_word(i, v) for i, v in pairs]),
+        "sram.write_words": (BankedSram, lambda m: m.write_words(0, values)),
+        "sram.poke_words": (BankedSram, lambda m: m.poke_words(0, values)),
+    }
+    expected = [to_signed32(v) for v in values]
+    for path, (make, write) in paths.items():
+        memory = make()
+        write(memory)
+        if isinstance(memory, ScalarRegisterFile):
+            cells = [memory.peek(i) for i in range(n)]
+        elif isinstance(memory, VeryWideRegister):
+            cells = memory.peek_all()
+        else:
+            cells = memory.peek_words(0, n)
+        assert cells == expected, path
+        assert all(type(v) is int for v in cells), path
 
 
 class TestEvents:

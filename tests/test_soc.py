@@ -177,7 +177,5 @@ class TestPlatformDma:
         data = list(range(n))
         soc.sram.poke_words(0, data)
         order = list(reversed(range(n)))
-        soc.vwr2a.dma.to_spm_gather(
-            soc.sram, [0 + i for i in order], 0
-        )
+        soc.vwr2a.dma.to_spm(soc.sram, 0, 0, n, order=order)
         assert soc.vwr2a.spm.peek_words(0, n) == list(reversed(data))

@@ -1,15 +1,17 @@
 """Staging DMA against a word-by-word oracle.
 
 ``Dma.to_spm`` / ``Dma.from_spm`` check each span once and move the data
-as one slice copy; the gathers read their addresses in one pass. Every
-transfer here runs twice on identical platforms — once through the DMA,
-once through an oracle written from the memories' single-word ports
-(``read_word`` / ``write_word``) — and memory contents, event deltas and
-cycles must match, in both directions, contiguous and gathered.
+as one slice copy; with ``order=`` (a gather) they read their addresses
+in one pass. Every transfer here runs twice on identical platforms — once
+through the DMA, once through an oracle written from the memories'
+single-word ports (``read_word`` / ``write_word``) — and memory contents,
+event deltas and cycles must match, in both directions, contiguous and
+gathered.
 """
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -31,6 +33,9 @@ SRAM_WORDS = [
 ]
 SPM_WORDS = [_RNG.randint(-2**31, 2**31 - 1) for _ in range(SPM_SIZE)]
 del _SOC, _RNG
+#: Random-transfer examples (``FUZZ_EXAMPLES`` raises it for the long
+#: profile, as for the generated-program fuzzers).
+EXAMPLES = int(os.environ.get("FUZZ_EXAMPLES", "25"))
 
 
 def _platform() -> BiosignalSoC:
@@ -72,17 +77,14 @@ def _transfer(direction, contiguous, src, dst, n_or_order):
         words = list(range(src, src + n_or_order))
     else:
         words = [src + index for index in n_or_order]
+    order = None if contiguous else n_or_order
     if direction == "in":
         def dma(soc):
-            if contiguous:
-                return soc.vwr2a.dma.to_spm(soc.sram, src, dst, n_or_order)
-            return soc.vwr2a.dma.to_spm_gather(soc.sram, words, dst)
+            return soc.vwr2a.dma.to_spm(soc.sram, src, dst, len(words), order)
         return dma, lambda soc: _oracle_to_spm(soc, words, dst)
 
     def dma(soc):
-        if contiguous:
-            return soc.vwr2a.dma.from_spm(soc.sram, src, dst, n_or_order)
-        return soc.vwr2a.dma.from_spm_gather(soc.sram, words, dst)
+        return soc.vwr2a.dma.from_spm(soc.sram, src, dst, len(words), order)
     return dma, lambda soc: _oracle_from_spm(soc, words, dst)
 
 
@@ -135,7 +137,7 @@ def test_gather_matches_word_by_word(direction, base, order):
         assert_matches_oracle(direction, False, 100, WPB - 4, order)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None)
 @given(
     direction=st.sampled_from(["in", "out"]),
     contiguous=st.booleans(),
@@ -197,6 +199,54 @@ def test_negative_length_transfer_raises(direction):
     with pytest.raises(AddressError, match="negative transfer length -5"):
         transfer(0, 0, -5)
     assert soc.events.snapshot() == before
+
+
+@pytest.mark.parametrize("direction", ["in", "out"])
+def test_gather_order_must_cover_the_transfer(direction):
+    soc = BiosignalSoC()
+    soc.with_accelerators()
+    before = soc.events.snapshot()
+    transfer = soc.dma_to_vwr2a if direction == "in" else soc.dma_from_vwr2a
+    with pytest.raises(AddressError, match="gather order of 3 words for a "
+                                           "4-word transfer"):
+        transfer(0, 0, 4, order=[2, 1, 0])
+    assert soc.events.snapshot() == before
+
+
+def _stage(runner, direction, order):
+    """Stage four words in or out; returns the DMA cycles."""
+    if direction == "in":
+        return runner.stage_in([5, -6, 7, 8], 0, order=order)
+    return runner.stage_out(0, 4, order=order)[1]
+
+
+@pytest.mark.parametrize("direction", ["in", "out"])
+def test_gathers_take_the_one_soc_route(direction):
+    gather = [3, 0, 2, 3]
+    # Gated accelerator domain: a gather is refused like a contiguous
+    # transfer, before any word moves or any event is charged.
+    errors = []
+    for order in (None, gather):
+        runner = KernelRunner()
+        runner.soc.without_accelerators()
+        before = runner.soc.events.snapshot()
+        with pytest.raises(ConfigurationError) as info:
+            _stage(runner, direction, order)
+        errors.append(str(info.value))
+        assert runner.soc.events.snapshot() == before
+        assert runner.staging_cycles == {"in": 0, "out": 0}
+    assert errors[0] == errors[1]
+    # Powered: a gather raises the DMA-done flag and the CPU sleeps
+    # through it, like a contiguous transfer.
+    for order in (None, gather):
+        runner = KernelRunner()
+        soc = runner.soc
+        sleep = soc.cpu.sleep_cycles
+        assert not soc.vwr2a.synchronizer.irq_pending
+        cycles = _stage(runner, direction, order)
+        assert cycles > 0
+        assert soc.vwr2a.synchronizer.irq_pending
+        assert soc.cpu.sleep_cycles == sleep + cycles
 
 
 class TestRunnerAllocator:
