@@ -325,7 +325,7 @@ def _run_window(samples, config: str, runner: KernelRunner,
         # common feature scale and overflow headroom for the squares),
         # square and add with vector kernels, then per-band accumulations.
         spec_lines = -(-256 // line_words)  # 256 usable bins
-        pow_line = rfft.w_line + (rfft.w_lines if rfft.w_resident else 2)
+        pow_line = rfft.w.line + (rfft.w.lines if rfft.w.resident else 2)
         pow_line = min(pow_line, arch.spm_lines - 2 * spec_lines)
         power_word = pow_line * line_words
         sq_word = power_word + spec_lines * line_words

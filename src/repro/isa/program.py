@@ -54,13 +54,6 @@ class ColumnProgram:
                         "outside program"
                     )
 
-    def listing(self) -> str:
-        """Human-readable listing (Table 1 style)."""
-        lines = []
-        for pc, bundle in enumerate(self.bundles):
-            lines.append(f"{pc:3d}: {bundle}")
-        return "\n".join(lines)
-
 
 @dataclass
 class KernelConfig:

@@ -31,7 +31,6 @@ from repro.kernels.fir import (
     plan_fir,
     run_fir,
 )
-from repro.kernels.layout import Region, SpmAllocator
 from repro.kernels.macro import ColumnKernelBuilder
 from repro.kernels.rfft import RfftEngine, rfft_reference_int
 from repro.kernels.runner import KernelRun, KernelRunner, RunnerFactory
@@ -58,8 +57,6 @@ __all__ = [
     "fir_fx_reference",
     "plan_fir",
     "run_fir",
-    "Region",
-    "SpmAllocator",
     "ColumnKernelBuilder",
     "RfftEngine",
     "rfft_reference_int",

@@ -88,38 +88,38 @@ def build_delineation_kernel(
                  1: rc(RCOp.MOV, DST_R0, imm(0))})      # R3 = low
 
     # ---- state 0: undecided ------------------------------------------------
-    kb.b.label("s0")
+    kb.label("s0")
     kb.emit(lcu=bge(0, n_samples, "done"))
     kb.emit(lsu=ld_srf(SRF_VALUE, SRF_X_ADDR, inc=1), lcu=addi(0, 1),
             rcs={0: inc_i[0], 1: inc_i[1]})
     kb.emit(lcu=ldsrf(1, SRF_VALUE))
     kb.emit(lcu=bge(1, ("reg", 2), "s0_new_high"))
     kb.emit(lcu=blt(1, ("reg", 3), "s0_new_low"))
-    kb.b.label("s0_commits")
+    kb.label("s0_commits")
     kb.emit(lcu=addi(1, thr))                           # R1 = value + thr
     kb.emit(lcu=bge(2, ("reg", 1), "s0_commit_max"))    # high >= value+thr
     kb.emit(lcu=addi(1, -2 * thr))                      # R1 = value - thr
     kb.emit(lcu=bge(1, ("reg", 3), "s0_commit_min"))    # value-thr >= low
     kb.emit(lcu=jump("s0"))
-    kb.b.label("s0_new_high")
+    kb.label("s0_new_high")
     kb.emit(lcu=ldsrf(2, SRF_VALUE), rcs={0: latch0})
     kb.emit(lcu=jump("s0_commits"))
-    kb.b.label("s0_new_low")
+    kb.label("s0_new_low")
     kb.emit(lcu=ldsrf(3, SRF_VALUE), rcs={1: latch1})
     kb.emit(lcu=jump("s0_commits"))
-    kb.b.label("s0_commit_max")
+    kb.label("s0_commit_max")
     kb.emit(rcs={0: rc(RCOp.MOV, dst_srf(SRF_POS), R1)})
     kb.emit(lsu=st_srf(SRF_POS, SRF_MAX_ADDR, inc=1))
     kb.emit(lcu=ldsrf(2, SRF_VALUE), rcs={0: latch0})   # best = value
     kb.emit(lcu=jump("track_min"))
-    kb.b.label("s0_commit_min")
+    kb.label("s0_commit_min")
     kb.emit(rcs={1: rc(RCOp.MOV, dst_srf(SRF_POS), R1)})
     kb.emit(lsu=st_srf(SRF_POS, SRF_MIN_ADDR, inc=1))
     kb.emit(lcu=ldsrf(2, SRF_VALUE), rcs={0: latch0})
     kb.emit(lcu=jump("track_max"))
 
     # ---- tracking a maximum (best in R2, position shadow in RC0.R1) --------
-    kb.b.label("track_max")
+    kb.label("track_max")
     kb.emit(lcu=bge(0, n_samples, "done"))
     kb.emit(lsu=ld_srf(SRF_VALUE, SRF_X_ADDR, inc=1), lcu=addi(0, 1),
             rcs={0: inc_i[0]})
@@ -130,14 +130,14 @@ def build_delineation_kernel(
     kb.emit(lcu=bge(2, ("reg", 1), "track_max"))        # best >= value
     kb.emit(lcu=ldsrf(2, SRF_VALUE), rcs={0: latch0})   # new best
     kb.emit(lcu=jump("track_max"))
-    kb.b.label("commit_max")
+    kb.label("commit_max")
     kb.emit(rcs={0: rc(RCOp.MOV, dst_srf(SRF_POS), R1)})
     kb.emit(lsu=st_srf(SRF_POS, SRF_MAX_ADDR, inc=1))
     kb.emit(lcu=ldsrf(2, SRF_VALUE), rcs={0: latch0})
     kb.emit(lcu=jump("track_min"))
 
     # ---- tracking a minimum --------------------------------------------------
-    kb.b.label("track_min")
+    kb.label("track_min")
     kb.emit(lcu=bge(0, n_samples, "done"))
     kb.emit(lsu=ld_srf(SRF_VALUE, SRF_X_ADDR, inc=1), lcu=addi(0, 1),
             rcs={0: inc_i[0]})
@@ -148,14 +148,14 @@ def build_delineation_kernel(
     kb.emit(lcu=bge(1, ("reg", 2), "track_min"))        # value >= best: keep
     kb.emit(lcu=ldsrf(2, SRF_VALUE), rcs={0: latch0})   # value < best: update
     kb.emit(lcu=jump("track_min"))
-    kb.b.label("commit_min")
+    kb.label("commit_min")
     kb.emit(rcs={0: rc(RCOp.MOV, dst_srf(SRF_POS), R1)})
     kb.emit(lsu=st_srf(SRF_POS, SRF_MIN_ADDR, inc=1))
     kb.emit(lcu=ldsrf(2, SRF_VALUE), rcs={0: latch0})
     kb.emit(lcu=jump("track_max"))
 
     # ---- epilogue: sentinel terminators ----------------------------------------
-    kb.b.label("done")
+    kb.label("done")
     kb.emit(lsu=set_srf(SRF_VALUE, SENTINEL))
     kb.emit(lsu=st_srf(SRF_VALUE, SRF_MAX_ADDR, inc=1))
     kb.emit(lsu=st_srf(SRF_VALUE, SRF_MIN_ADDR, inc=1))
@@ -200,9 +200,7 @@ def run_delineation(
     config = build_delineation_kernel(
         params, n, threshold, x_word, max_word, min_word
     )
-    result = runner.execute(config, max_cycles=40 * n + 2000)
-    run.config_cycles = result.config_cycles
-    run.compute_cycles = result.cycles
+    run.add(runner.execute(config, max_cycles=40 * n + 2000))
     spm = runner.soc.vwr2a.spm
 
     def collect(base: int) -> list:

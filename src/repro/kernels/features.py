@@ -46,7 +46,7 @@ def _diff_column(params, a_word, b_word, out_word, count) -> ColumnProgram:
     if count > 0:
         label = kb.fresh_label("diff")
         kb.emit(lcu=seti(0, 0))
-        kb.b.label(label)
+        kb.label(label)
         kb.emit(lsu=ld_srf(SRF_VA, SRF_A_ADDR, inc=1), lcu=addi(0, 1))
         kb.emit(lsu=ld_srf(SRF_VB, SRF_B_ADDR, inc=1))
         kb.emit(rcs={0: rc(RCOp.MOV, DST_R0, srf(SRF_VA))})
@@ -76,7 +76,7 @@ def _accumulate_column(
     if count > 0:
         label = kb.fresh_label("acc")
         kb.emit(lcu=seti(0, 0))
-        kb.b.label(label)
+        kb.label(label)
         kb.emit(lsu=ld_srf(SRF_VA, SRF_A_ADDR, inc=1), lcu=addi(0, 1))
         if b_word is not None:
             kb.emit(lsu=ld_srf(SRF_VB, SRF_B_ADDR, inc=1))
@@ -123,11 +123,9 @@ def run_intervals(runner: KernelRunner, insp_spec, exp_spec) -> KernelRun:
         ]
     run = KernelRun(name="intervals")
     for config in configs:
-        result = runner.execute(
+        run.add(runner.execute(
             config, max_cycles=100 * max(c0, c1, 1) + 500
-        )
-        run.config_cycles += result.config_cycles
-        run.compute_cycles += result.cycles
+        ))
     return run
 
 
@@ -146,9 +144,7 @@ def run_accumulate(
         (0, _accumulate_column, (a_word, count, out_word, squares, b_word)),
     )
     run = KernelRun(name=config.name)
-    result = runner.execute(config, max_cycles=40 * max(count, 1) + 500)
-    run.config_cycles = result.config_cycles
-    run.compute_cycles = result.cycles
+    run.add(runner.execute(config, max_cycles=40 * max(count, 1) + 500))
     value = runner.soc.vwr2a.spm.peek_words(out_word, 1)[0]
     # CPU reads the scalar over the bus.
     cpu = runner.soc.bus.single_cycles()

@@ -45,6 +45,18 @@ N = 1024. N = 2048 splits into two 1024-point transforms plus a combine
 pass (the SPM cannot hold 2048-point ping-pong buffers and tables;
 DESIGN.md records this substitution).
 
+Driving the array
+-----------------
+This engine, :class:`~repro.kernels.rfft.RfftEngine` and
+:class:`~repro.kernels.fft2048.SplitFftEngine` drive their launches
+the same way (Sec. 4.2): :func:`column_batches` spreads a pass's
+batches over the columns, one per column per launch; every twiddle
+table is a :class:`TwiddleTable`, resident (staged once at ``prepare``)
+or parked in reserved SRAM and streamed in, whole or one launch's slice
+at a time; and one :class:`~repro.kernels.runner.KernelRun` ledger
+charges the staging, every launch (``add``) and every sub-transform
+(``merge``).
+
 Data is q15-valued in 32-bit words; with 32-bit headroom no per-stage
 scaling is needed up to N = 2048 and the kernel is bit-exact against
 :func:`cg_fft_reference_int`.
@@ -376,14 +388,8 @@ class FftPlan:
         """Each column owns six private scratch lines."""
         return self.scratch_line + 6 * col
 
-    def is_vector_stage(self, t: int) -> bool:
-        return t in self.vector_stages
-
     def table_line_of_stage(self, t: int) -> int:
-        if not self.is_vector_stage(t):
-            raise ConfigurationError(
-                f"stage {t} uses immediate twiddles, not a table"
-            )
+        """First SPM line of vector stage ``t``'s table."""
         if self.resident_tables:
             index = self.vector_stages.index(t)
             return self.table_line + index * self.table_lines_per_stage
@@ -423,13 +429,102 @@ class FftRun:
     re: list
     im: list
     run: KernelRun
-    prepare_cycles: int = 0
     #: SRAM words where a collected spectrum's re / im halves sit.
     sram: tuple = None
 
 
+def require_points(n: int, re, im) -> None:
+    """Reject a complex input that is not ``n`` points in both halves."""
+    if len(re) != n or len(im) != n:
+        raise ConfigurationError(
+            f"expected {n} complex points, got {len(re)} re and "
+            f"{len(im)} im"
+        )
+
+
+def column_batches(units: int, n_columns: int) -> list:
+    """The ``(col, unit)`` pairs of each launch: ``units`` batches spread
+    over the columns, one per column per launch (Sec. 3.4)."""
+    n_cols = min(n_columns, units)
+    return [
+        list(enumerate(range(first, min(first + n_cols, units))))
+        for first in range(0, units, n_cols)
+    ]
+
+
+class TwiddleTable:
+    """Where one twiddle table lives: stage ``stage``'s table of an
+    ``n``-point transform (:func:`stage_table_lines`), given the ``lines``
+    SPM lines from ``line`` to sit in.
+
+    Unit (batch) ``q`` of a transform reads the table's lines ``2q`` (re)
+    and ``2q + 1`` (im). A resident table is staged into its lines once,
+    at the first :meth:`prepare` (the accelerator-ROM equivalent), and
+    read in place. Otherwise :meth:`prepare` parks it in reserved SRAM
+    (:meth:`KernelRunner.reserve_sram`) and :meth:`stream` DMAs it in
+    before use: whole when it fits its lines, else one launch's units at
+    a time, column ``col``'s unit at ``line + 2 * col``.
+    """
+
+    def __init__(self, runner: KernelRunner, n: int, stage: int,
+                 line: int, lines: int, resident: bool) -> None:
+        self.runner = runner
+        self.n = n
+        self.stage = stage
+        self.line = line
+        self.lines = lines
+        self.resident = resident
+        self.line_words = runner.soc.params.line_words
+        table_lines = 2 * -(-(n // 2) // self.line_words)
+        self.chunked = not resident and lines < table_lines
+        self.n_words = table_lines * self.line_words
+        #: SRAM word of a parked table.
+        self.sram = None
+        self._cycles = None
+
+    def prepare(self) -> int:
+        """Stage or park the table, once; returns the staging DMA cycles
+        (0 for a parked table)."""
+        if self._cycles is None:
+            words = stage_table_lines(
+                self.runner.soc.params, self.n, self.stage
+            )
+            if self.resident:
+                self._cycles = self.runner.stage_in(
+                    words, self.line * self.line_words
+                )
+            else:
+                self.sram = self.runner.reserve_sram(words)
+                self._cycles = 0
+        return self._cycles
+
+    def stream(self, batch=None) -> int:
+        """DMA a parked table into its lines before a launch — whole, or
+        for a chunked table the units of ``batch`` (one launch's
+        ``(col, unit)`` pairs); returns the DMA cycles (0 if resident)."""
+        if self.resident:
+            return 0
+        lo, hi = 0, self.n_words
+        if self.chunked:
+            lo = 2 * batch[0][1] * self.line_words
+            hi = 2 * (batch[-1][1] + 1) * self.line_words
+        return self.runner.soc.dma_to_vwr2a(
+            self.sram + lo, self.line * self.line_words, hi - lo
+        )
+
+    def line_of(self, col: int, q: int) -> int:
+        """SPM line of unit ``q``'s re half when column ``col`` runs it."""
+        return self.line + 2 * (col if self.chunked else q)
+
+
 class FftEngine:
-    """Orchestrates complex FFTs of one size on a runner."""
+    """Orchestrates complex FFTs of one size on a runner.
+
+    Each stage launches its batches column by column
+    (:func:`column_batches`) and reads its twiddles as per-RC immediates
+    or from its :class:`TwiddleTable`; one :class:`KernelRun` ledger
+    charges the staging, every launch and the stage-out.
+    """
 
     def __init__(self, runner: KernelRunner, n: int,
                  resident_tables: bool = None) -> None:
@@ -450,30 +545,21 @@ class FftEngine:
             self.plan = FftPlan(
                 n=n, params=self.params, resident_tables=resident_tables
             )
-        self.prepare_cycles = 0
-        self._prepared = False
-        self._table_sram = {}
+        plan = self.plan
+        #: Stage -> table of the vector stages.
+        self.tables = {
+            t: TwiddleTable(runner, n, t, plan.table_line_of_stage(t),
+                            plan.table_lines_per_stage,
+                            plan.resident_tables)
+            for t in plan.vector_stages
+        }
 
     # -- one-time setup (accelerator-ROM equivalent) -------------------------
 
     def prepare(self) -> int:
-        """Upload twiddle tables (resident) or park them in reserved SRAM
-        (:meth:`KernelRunner.reserve_sram`)."""
-        if self._prepared:
-            return self.prepare_cycles
-        plan = self.plan
-        cycles = 0
-        for t in plan.vector_stages:
-            words = stage_table_lines(self.params, plan.n, t)
-            if plan.resident_tables:
-                base = plan.table_line_of_stage(t) * self.params.line_words
-                cycles += self.runner.stage_in(words, base)
-            else:
-                self._table_sram[t] = (self.runner.reserve_sram(words),
-                                       len(words))
-        self.prepare_cycles = cycles
-        self._prepared = True
-        return cycles
+        """Upload the stage tables (resident) or park them in reserved
+        SRAM, once; returns the upload DMA cycles."""
+        return sum(table.prepare() for table in self.tables.values())
 
     # -- execution --------------------------------------------------------------
 
@@ -485,10 +571,7 @@ class FftEngine:
         the SPM", Sec. 5.2.3) and ``FftRun.re/im`` are peeked for callers.
         """
         plan = self.plan
-        if len(re) != plan.n or len(im) != plan.n:
-            raise ConfigurationError(
-                f"expected {plan.n} complex points, got {len(re)}"
-            )
+        require_points(plan.n, re, im)
         self.prepare()
         params = self.params
         order = bit_reverse_indices(plan.n)
@@ -502,28 +585,21 @@ class FftEngine:
             order=order,
         )
 
-        n_cols = min(params.n_columns, max(plan.batches, 1))
+        launches = column_batches(plan.batches, params.n_columns)
         for t in range(plan.stages):
-            vector = plan.is_vector_stage(t)
-            if vector and not plan.resident_tables:
-                sram_base, n_words = self._table_sram[t]
-                run.dma_in_cycles += self._stream_table(sram_base, n_words)
+            table = self.tables.get(t)
+            if table is not None:
+                run.dma_in_cycles += table.stream()
             src_r, src_i, dst_r, dst_i = plan.buffers_for_stage(t)
-            w_base = plan.table_line_of_stage(t) if vector else None
-            # Each launch: one batch per column.
-            launches = -(-plan.batches // n_cols) if plan.batches else 1
-            for launch in range(max(launches, 1)):
-                per_column = {}
-                for col in range(n_cols):
-                    q = launch * n_cols + col
-                    if q >= max(plan.batches, 1):
-                        continue
-                    per_column[col] = BatchAddresses(
+            for launch, batch in enumerate(launches):
+                per_column = {
+                    col: BatchAddresses(
                         xr_pair=src_r + 2 * q,
                         xi_pair=src_i + 2 * q,
-                        w=(w_base + 2 * q) if vector else None,
+                        w=None if table is None else table.line_of(col, q),
                         imm_twiddles=(
-                            None if vector else plan.imm_twiddles_for(t, q)
+                            plan.imm_twiddles_for(t, q) if table is None
+                            else None
                         ),
                         yr_lo=dst_r + q,
                         yr_hi=dst_r + plan.batches + q,
@@ -531,13 +607,13 @@ class FftEngine:
                         yi_hi=dst_i + plan.batches + q,
                         scratch=plan.scratch_line_of(col),
                     )
+                    for col, q in batch
+                }
                 config = build_batch_kernel(
                     params, per_column,
                     name=f"cfft{plan.n}_s{t}_l{launch}",
                 )
-                result = self.runner.execute(config)
-                run.config_cycles += result.config_cycles
-                run.compute_cycles += result.cycles
+                run.add(self.runner.execute(config))
         words = [line * params.line_words for line in plan.result_lines]
         memory = self.runner.soc.vwr2a.spm
         sram = None
@@ -549,12 +625,4 @@ class FftEngine:
             run.dma_out_cycles = sum(cycles for _, cycles in staged)
         return FftRun(re=memory.peek_words(words[0], plan.n),
                       im=memory.peek_words(words[1], plan.n), run=run,
-                      prepare_cycles=self.prepare_cycles, sram=sram)
-
-    def _stream_table(self, sram_base: int, n_words: int) -> int:
-        cycles = self.runner.soc.dma_to_vwr2a(
-            sram_base,
-            self.plan.table_line * self.params.line_words,
-            n_words,
-        )
-        return cycles
+                      sram=sram)

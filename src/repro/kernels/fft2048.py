@@ -11,9 +11,11 @@ Cooley-Tukey radix-2 DIT split)::
 The two half-size transforms run back-to-back on the array (E staged out
 to system SRAM while O computes, then staged back); the combine pass is a
 batch kernel with the same fused-butterfly structure as an FFT stage,
-writing X in place over E and O. The extra DMA staging is the price of
-the SPM capacity and is included in the reported cycles (DESIGN.md
-records this substitution).
+writing X in place over E and O. ``W_2048^k`` does not fit beside them:
+it is a :class:`~repro.kernels.fft.TwiddleTable` parked in SRAM, each
+combine launch streaming in its slice. The extra DMA staging is the
+price of the SPM capacity and is included in the reported cycles
+(DESIGN.md records this substitution).
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ from repro.isa.rc import RCOp, rc
 from repro.kernels.fft import (
     FftEngine,
     FftRun,
+    TwiddleTable,
     butterfly_pass,
     cg_fft_reference_int,
+    column_batches,
     master_twiddles,
-    stage_table_lines,
+    require_points,
 )
 from repro.kernels.macro import ColumnKernelBuilder
 from repro.kernels.memo import kernel_config, planner
@@ -125,7 +129,14 @@ def _combine_column_program(params: ArchParams, addr: CombineAddresses):
 
 
 class SplitFftEngine:
-    """2048-point complex FFT as two 1024-point transforms + combine."""
+    """2048-point complex FFT as two 1024-point transforms + combine.
+
+    Both half transforms' ledgers are merged into this one; the combine
+    launches its batches column by column
+    (:func:`~repro.kernels.fft.column_batches`), each streaming its
+    launch's slice of ``W_2048^k`` from a
+    :class:`~repro.kernels.fft.TwiddleTable` parked in SRAM.
+    """
 
     def __init__(self, runner: KernelRunner, n: int = 2048) -> None:
         params = runner.soc.params
@@ -139,8 +150,7 @@ class SplitFftEngine:
         self.n = n
         self.half = n // 2
         self.sub = FftEngine(runner, self.half)
-        line_words = params.line_words
-        self.half_lines = self.half // line_words      # 8
+        self.half_lines = self.half // params.line_words      # 8
         # Combine layout reuses the sub-FFT buffers: O stays where the
         # second transform finished; E returns into the dead ping-pong
         # buffer; W streams into the table region.
@@ -150,30 +160,21 @@ class SplitFftEngine:
             self.er_line, self.ei_line = plan.yr_line, plan.yi_line
         else:
             self.er_line, self.ei_line = plan.xr_line, plan.xi_line
-        self.w_line = plan.table_line
-        self.w_lines = 2 * params.n_columns
-        self.scratch_line = plan.scratch_line
-        if max(self.w_line + self.w_lines,
-               self.scratch_line + 6 * params.n_columns) \
+        w_lines = 2 * params.n_columns
+        if max(plan.table_line + w_lines,
+               plan.scratch_line + 6 * params.n_columns) \
                 > params.spm_lines:
             raise ConfigurationError("combine layout exceeds the SPM")
-        self._w_sram = None
-        self.prepare_cycles = 0
-        self._prepared = False
+        self.w = TwiddleTable(runner, n, clog2(n) - 1, plan.table_line,
+                              w_lines, resident=False)
 
     def prepare(self) -> int:
-        if self._prepared:
-            return self.prepare_cycles
-        cycles = self.sub.prepare()
-        words = stage_table_lines(self.params, self.n, clog2(self.n) - 1)
-        self._w_sram = self.runner.reserve_sram(words)
-        self.prepare_cycles = cycles
-        self._prepared = True
-        return cycles
+        """Prepare the half transforms and park the combine table, once;
+        returns the upload DMA cycles."""
+        return self.sub.prepare() + self.w.prepare()
 
     def run(self, re, im) -> FftRun:
-        if len(re) != self.n or len(im) != self.n:
-            raise ConfigurationError(f"expected {self.n} complex points")
+        require_points(self.n, re, im)
         self.prepare()
         params = self.params
         line_words = params.line_words
@@ -181,11 +182,8 @@ class SplitFftEngine:
         e_run = self.sub.run(re[0::2], im[0::2], collect=True)
         o_run = self.sub.run(re[1::2], im[1::2], collect=False)
         run = KernelRun(name=f"cfft_split_{self.n}")
-        for sub_run in (e_run.run, o_run.run):
-            run.dma_in_cycles += sub_run.dma_in_cycles
-            run.config_cycles += sub_run.config_cycles
-            run.compute_cycles += sub_run.compute_cycles
-            run.dma_out_cycles += sub_run.dma_out_cycles
+        run.merge(e_run.run)
+        run.merge(o_run.run)
 
         # O is already in place (the second transform's result buffer);
         # DMA E back from where its stage-out left it in SRAM into the
@@ -195,37 +193,24 @@ class SplitFftEngine:
                 sram_word, line * line_words, self.half
             )
 
-        n_cols = params.n_columns
-        launches = -(-self.half_lines // n_cols)
-        w_words_per_launch = self.w_lines * line_words
-        for launch in range(launches):
-            lo = launch * w_words_per_launch
-            run.dma_in_cycles += self.runner.soc.dma_to_vwr2a(
-                self._w_sram + lo,
-                self.w_line * line_words,
-                w_words_per_launch,
-            )
-            columns = []
-            for col in range(n_cols):
-                q = launch * n_cols + col
-                if q >= self.half_lines:
-                    continue
-                columns.append((col, _combine_column_program, (
-                    CombineAddresses(
-                        er=self.er_line + q,
-                        ei=self.ei_line + q,
-                        o_r=self.or_line + q,
-                        o_i=self.oi_line + q,
-                        w=self.w_line + 2 * col,
-                        scratch=self.scratch_line + 6 * col,
-                    ),
-                )))
+        plan = self.sub.plan
+        launches = column_batches(self.half_lines, params.n_columns)
+        for launch, batch in enumerate(launches):
+            run.dma_in_cycles += self.w.stream(batch)
+            columns = [(col, _combine_column_program, (
+                CombineAddresses(
+                    er=self.er_line + q,
+                    ei=self.ei_line + q,
+                    o_r=self.or_line + q,
+                    o_i=self.oi_line + q,
+                    w=self.w.line_of(col, q),
+                    scratch=plan.scratch_line_of(col),
+                ),
+            )) for col, q in batch]
             config = kernel_config(
                 f"cfft{self.n}_comb_l{launch}", params, *columns
             )
-            result = self.runner.execute(config)
-            run.config_cycles += result.config_cycles
-            run.compute_cycles += result.cycles
+            run.add(self.runner.execute(config))
 
         out_re, c1 = self.runner.stage_out(
             self.er_line * line_words, self.half
@@ -244,5 +229,4 @@ class SplitFftEngine:
             re=list(out_re) + list(out_re2),
             im=list(out_im) + list(out_im2),
             run=run,
-            prepare_cycles=self.prepare_cycles,
         )

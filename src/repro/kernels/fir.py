@@ -124,7 +124,7 @@ def _column_program(params, taps, x_line, y_line, n_lines):
         # k starts one below the first output position; the first MAC
         # bundle pre-increments it.
         kb.emit(lcu=seti(0, 0), mxcu=setk(halo - 1))
-        kb.b.label(label)
+        kb.label(label)
         # Tap 0 seeds the accumulator at the output position.
         kb.emit(
             rcs=[rc(RCOp.FXPMUL, DST_R0, VWR_A, imm(taps[0]))]
@@ -228,9 +228,7 @@ def run_fir(runner: KernelRunner, taps, samples, spm_x_line: int = 0,
         padded, spm_x_line * params.line_words, order=order_in
     )
     config = build_fir_kernel(params, taps, layout, spm_x_line, spm_y_line)
-    result = runner.execute(config)
-    run.config_cycles = result.config_cycles
-    run.compute_cycles = result.cycles
+    run.add(runner.execute(config))
     values, run.dma_out_cycles = runner.stage_out(
         spm_y_line * params.line_words,
         len(samples),

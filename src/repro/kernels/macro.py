@@ -1,5 +1,10 @@
 """Kernel-mapping idioms shared by all VWR2A kernel generators.
 
+Every generator emits through a :class:`ColumnKernelBuilder`: a
+:class:`~repro.asm.builder.ProgramBuilder` (``emit``, ``label``,
+``srf``, ``exit``, ``build``) for one column of an :class:`ArchParams`
+geometry, plus the idioms below.
+
 The central pattern is the paper's Table 1 loop: a two-bundle body where
 every bundle carries RC work, the LCU slot carries the counter update and
 the backward branch, and the MXCU slot advances the shared VWR word index —
@@ -26,31 +31,20 @@ from repro.isa.mxcu import inck, setk
 from repro.isa.rc import RCInstr
 
 
-class ColumnKernelBuilder:
-    """A :class:`ProgramBuilder` with VWR2A-specific loop idioms."""
+class ColumnKernelBuilder(ProgramBuilder):
+    """A :class:`ProgramBuilder` for one column of an
+    :class:`ArchParams` geometry, with VWR2A-specific loop idioms."""
 
     _label_counter = itertools.count()
 
     def __init__(self, params: ArchParams) -> None:
+        super().__init__(n_rcs=params.rcs_per_column)
         self.params = params
-        self.b = ProgramBuilder(n_rcs=params.rcs_per_column)
 
     # -- plumbing -------------------------------------------------------------
 
     def fresh_label(self, hint: str = "L") -> str:
         return f"{hint}_{next(self._label_counter)}"
-
-    def emit(self, **kwargs) -> int:
-        return self.b.emit(**kwargs)
-
-    def srf(self, entry: int, value: int) -> None:
-        self.b.srf(entry, value)
-
-    def exit(self) -> int:
-        return self.b.exit()
-
-    def build(self):
-        return self.b.build()
 
     def _rc_slots(self, rcs):
         """Broadcast a single RCInstr to all cells, or pass a list through."""
@@ -86,14 +80,14 @@ class ColumnKernelBuilder:
         slots = self._rc_slots(rcs)
         label = self.fresh_label("vp")
         # k starts at slice_words-1 so the body's first increment wraps to 0.
-        self.b.emit(
+        self.emit(
             lcu=setup_lcu if setup_lcu is not None else seti(reg, 0),
             mxcu=setk(slice_words - 1),
             lsu=setup_lsu,
         )
-        self.b.label(label)
-        self.b.emit(rcs=slots, mxcu=inck(1), lcu=addi(reg, 1))
-        self.b.emit(rcs=slots, mxcu=inck(1), lcu=blt(reg, positions // 2, label))
+        self.label(label)
+        self.emit(rcs=slots, mxcu=inck(1), lcu=addi(reg, 1))
+        self.emit(rcs=slots, mxcu=inck(1), lcu=blt(reg, positions // 2, label))
 
     def multi_pass(
         self,
@@ -117,10 +111,10 @@ class ColumnKernelBuilder:
         if len(body) < 2:
             raise ProgramError("multi_pass needs a body of >= 2 bundles")
         label = self.fresh_label("mp")
-        self.b.emit(
+        self.emit(
             lcu=seti(reg, 0), mxcu=setk(slice_words - 1), lsu=setup_lsu
         )
-        self.b.label(label)
+        self.label(label)
         for index, (rcs, mxcu_instr) in enumerate(body):
             slots = self._rc_slots(rcs)
             if index == 0:
@@ -129,7 +123,7 @@ class ColumnKernelBuilder:
                 lcu = blt(reg, positions, label)
             else:
                 lcu = LCU_NOP
-            self.b.emit(rcs=slots, mxcu=mxcu_instr, lcu=lcu)
+            self.emit(rcs=slots, mxcu=mxcu_instr, lcu=lcu)
 
     def scratch(self, entry: int, base: int) -> "_Scratch":
         """Walker over the scratch lines ``base + line`` through SRF
@@ -155,14 +149,14 @@ class _CountedLoop:
         self.label = kb.fresh_label("loop")
 
     def __enter__(self) -> "_CountedLoop":
-        self.kb.b.emit(lcu=seti(self.reg, 0))
-        self.kb.b.label(self.label)
+        self.kb.emit(lcu=seti(self.reg, 0))
+        self.kb.label(self.label)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         if exc_type is None:
-            self.kb.b.emit(lcu=addi(self.reg, 1))
-            self.kb.b.emit(lcu=blt(self.reg, self.count, self.label))
+            self.kb.emit(lcu=addi(self.reg, 1))
+            self.kb.emit(lcu=blt(self.reg, self.count, self.label))
         return False
 
 
@@ -178,7 +172,7 @@ class _Scratch:
     def __init__(
         self, kb: ColumnKernelBuilder, entry: int, base: int
     ) -> None:
-        self.b = kb.b
+        self.kb = kb
         self.entry = entry
         self.base = base
         #: (pc, ld_vwr or st_vwr, vwr, line) of the last access.
@@ -194,10 +188,10 @@ class _Scratch:
 
     def _access(self, make, vwr: Vwr, line: int) -> None:
         if self._last is None:
-            self.b.srf(self.entry, self.base + line)
+            self.kb.srf(self.entry, self.base + line)
         else:
             pc, last_make, last_vwr, last_line = self._last
-            self.b.patch(
+            self.kb.patch(
                 pc, lsu=last_make(last_vwr, self.entry, inc=line - last_line)
             )
-        self._last = (self.b.emit(lsu=make(vwr, self.entry)), make, vwr, line)
+        self._last = (self.kb.emit(lsu=make(vwr, self.entry)), make, vwr, line)

@@ -27,7 +27,9 @@ Flow here:
        G = (Z + conj(ZR))/2          H = (Z - conj(ZR))/(2i)
        X[k] = G[k] + W_N^k * H[k]
 
-   with the ``W_N^k`` table resident in the SPM (uploaded at prepare).
+   with the ``W_N^k`` table a :class:`~repro.kernels.fft.TwiddleTable`:
+   resident in the SPM (uploaded at prepare) when it fits, else streamed
+   from reserved SRAM one launch's slice at a time.
    The k = 0 lane yields X[0] = Zre[0] + Zim[0] automatically; the single
    extra bin X[N/2] = Zre[0] - Zim[0] is patched by a scalar epilogue in
    the mirror kernel.
@@ -61,14 +63,15 @@ from repro.kernels.fft import (
     TWIDDLE_ONE,
     FftEngine,
     FftRun,
+    TwiddleTable,
     cg_fft_reference_int,
-    stage_table_lines,
+    column_batches,
     twiddle_products,
     twiddle_sums,
 )
 from repro.kernels.macro import ColumnKernelBuilder
 from repro.kernels.memo import kernel_config, planner
-from repro.kernels.runner import KernelRunner
+from repro.kernels.runner import KernelRun, KernelRunner
 from repro.utils.bits import clog2, is_power_of_two
 from repro.utils.fixed_point import wrap32
 
@@ -142,7 +145,7 @@ def _mirror_column_program(
     # Main loop: 2 cycles per word.
     label = kb.fresh_label("mir")
     kb.emit(lcu=seti(0, 0))
-    kb.b.label(label)
+    kb.label(label)
     kb.emit(lsu=ld_srf(3, 2, inc=-1), lcu=addi(0, 1))
     kb.emit(lsu=st_srf(3, 1, inc=1), lcu=blt(0, half - 1, label))
     if patch is not None:
@@ -239,7 +242,14 @@ def _xw_column_program(params: ArchParams, addr: RecombAddresses):
 # ---------------------------------------------------------------------------
 
 class RfftEngine:
-    """Real-input FFT on top of the complex engine."""
+    """Real-input FFT on top of the complex engine.
+
+    The inner :class:`FftEngine`'s ledger is merged into this transform's
+    own; the recombination launches its batches column by column
+    (:func:`~repro.kernels.fft.column_batches`) and reads ``W_N^k`` from
+    a :class:`~repro.kernels.fft.TwiddleTable` — resident, or streamed
+    one launch at a time when it does not fit the SPM.
+    """
 
     def __init__(self, runner: KernelRunner, n: int) -> None:
         if not is_power_of_two(n) or n < 4 * runner.soc.params.line_words:
@@ -259,9 +269,6 @@ class RfftEngine:
             # geometries where the resident layout cannot fit at all.
             self.cfft = FftEngine(runner, self.half, resident_tables=False)
             self._layout()
-        self._w_sram = None
-        self.prepare_cycles = 0
-        self._prepared = False
 
     def _layout(self) -> None:
         plan = self.cfft.plan
@@ -273,33 +280,24 @@ class RfftEngine:
         self.xre_line, self.xim_line = plan.result_lines
         base = plan.scratch_line + 6 * self.params.n_columns
         self.nyq_line = base
-        self.w_line = base + 1
+        w_line = base + 1
         w_lines = 2 * max(self.spec_lines, 1)
-        self.w_resident = self.w_line + w_lines <= self.params.spm_lines
-        if not self.w_resident:
+        resident = w_line + w_lines <= self.params.spm_lines
+        if not resident:
             w_lines = 2 * self.params.n_columns
-            if self.w_line + w_lines > self.params.spm_lines:
+            if w_line + w_lines > self.params.spm_lines:
                 raise ConfigurationError(
                     f"real-FFT-{self.n} layout exceeds the SPM"
                 )
-        self.w_lines = w_lines
-
-    def prepare(self) -> int:
-        if self._prepared:
-            return self.prepare_cycles
-        cycles = self.cfft.prepare()
         # Recombination twiddle table: W_N^k, all distinct (the "last
         # stage" table of an N-point transform).
-        words = stage_table_lines(self.params, self.n, clog2(self.n) - 1)
-        if self.w_resident:
-            cycles += self.runner.stage_in(
-                words, self.w_line * self.params.line_words
-            )
-        else:
-            self._w_sram = (self.runner.reserve_sram(words), len(words))
-        self.prepare_cycles = cycles
-        self._prepared = True
-        return cycles
+        self.w = TwiddleTable(self.runner, self.n, clog2(self.n) - 1,
+                              w_line, w_lines, resident)
+
+    def prepare(self) -> int:
+        """Prepare the inner FFT and the recombination table, once;
+        returns the upload DMA cycles."""
+        return self.cfft.prepare() + self.w.prepare()
 
     def run(self, samples, collect: bool = True) -> FftRun:
         if len(samples) != self.n:
@@ -312,9 +310,8 @@ class RfftEngine:
         half = self.half
         evens = [int(samples[2 * i]) for i in range(half)]
         odds = [int(samples[2 * i + 1]) for i in range(half)]
-        inner = self.cfft.run(evens, odds, collect=False)
-        run = inner.run
-        run.name = f"rfft_{self.n}"
+        run = KernelRun(name=f"rfft_{self.n}")
+        run.merge(self.cfft.run(evens, odds, collect=False).run)
         plan = self.cfft.plan
         zr_line, zi_line = plan.result_lines
         # The other ping-pong buffer is dead after the FFT: mirror there.
@@ -348,52 +345,30 @@ class RfftEngine:
                               (0, mirror_program, im_args)),
             ]
         for mirror in mirror_configs:
-            result = self.runner.execute(
+            run.add(self.runner.execute(
                 mirror, max_cycles=10 * self.n + 1000
-            )
-            run.config_cycles += result.config_cycles
-            run.compute_cycles += result.cycles
+            ))
 
-        n_cols = min(params.n_columns, max(self.spec_lines, 1))
-        launches = max(-(-self.spec_lines // n_cols), 1)
-        for launch in range(launches):
-            if not self.w_resident:
-                w_sram, w_words = self._w_sram
-                lo = launch * n_cols * 2 * line_words
-                hi = min(lo + n_cols * 2 * line_words, w_words)
-                run.dma_in_cycles += self.runner.soc.dma_to_vwr2a(
-                    w_sram + lo,
-                    self.w_line * line_words,
-                    hi - lo,
-                )
-            per_col = []
-            for col in range(n_cols):
-                q = launch * n_cols + col
-                if q >= max(self.spec_lines, 1):
-                    continue
-                if self.w_resident:
-                    w_line = self.w_line + 2 * q
-                else:
-                    w_line = self.w_line + 2 * col
-                per_col.append((col, RecombAddresses(
-                    zre=zr_line + q,
-                    zim=zi_line + q,
-                    zrre=mr_line + q,
-                    zrim=mi_line + q,
-                    w=w_line,
-                    xre=self.xre_line + q,
-                    xim=self.xim_line + q,
-                    scratch=plan.scratch_line_of(col),
-                )))
+        launches = column_batches(self.spec_lines, params.n_columns)
+        for launch, batch in enumerate(launches):
+            run.dma_in_cycles += self.w.stream(batch)
+            per_col = [(col, RecombAddresses(
+                zre=zr_line + q,
+                zim=zi_line + q,
+                zrre=mr_line + q,
+                zrim=mi_line + q,
+                w=self.w.line_of(col, q),
+                xre=self.xre_line + q,
+                xim=self.xim_line + q,
+                scratch=plan.scratch_line_of(col),
+            )) for col, q in batch]
             for phase, builder in (("gh", _gh_column_program),
                                    ("xw", _xw_column_program)):
                 config = kernel_config(
                     f"rfft{self.n}_{phase}_l{launch}", params,
                     *((col, builder, (addr,)) for col, addr in per_col),
                 )
-                result = self.runner.execute(config)
-                run.config_cycles += result.config_cycles
-                run.compute_cycles += result.cycles
+                run.add(self.runner.execute(config))
 
         if collect:
             nyq_rel = (self.nyq_line - self.xre_line) * line_words
@@ -412,5 +387,4 @@ class RfftEngine:
             out_re = list(out_re) + [spm.peek_words(xnyq_word, 1)[0]]
             out_im = spm.peek_words(self.xim_line * line_words, half)
             out_im = list(out_im) + [0]
-        return FftRun(re=out_re, im=out_im, run=run,
-                       prepare_cycles=self.prepare_cycles + inner.prepare_cycles)
+        return FftRun(re=out_re, im=out_im, run=run)

@@ -6,9 +6,11 @@ the FFT's bit-reversal or the FIR's overlapped layout are free to
 *arrange*), launches kernels over the slave port, sleeps until the
 completion interrupt, and stages results back. Every transfer, contiguous
 or gathered (``order=``), takes the SoC's one DMA route
-(``BiosignalSoC.dma_to_vwr2a`` / ``dma_from_vwr2a``). The runner keeps a
-cycle ledger per phase and event snapshots so benchmarks can report energy
-per window.
+(``BiosignalSoC.dma_to_vwr2a`` / ``dma_from_vwr2a``). Each kernel driver
+keeps its cycles in one :class:`KernelRun` ledger per phase (DMA in,
+configuration, compute, DMA out), charging every launch with
+:meth:`KernelRun.add`; the runner keeps event snapshots so benchmarks can
+report energy per window.
 """
 
 from __future__ import annotations
@@ -22,13 +24,31 @@ from repro.soc.platform import BiosignalSoC
 
 @dataclass
 class KernelRun:
-    """Cycle ledger of one staged kernel execution."""
+    """Cycle ledger of one staged kernel execution.
+
+    Drivers charge DMA staging to ``dma_in_cycles``/``dma_out_cycles``
+    and every launch through :meth:`add`; :meth:`merge` folds in the
+    ledger of a sub-transform.
+    """
 
     name: str
     dma_in_cycles: int = 0
     config_cycles: int = 0
     compute_cycles: int = 0
     dma_out_cycles: int = 0
+
+    def add(self, result) -> None:
+        """Charge one launch's configuration and compute cycles (a
+        :class:`~repro.core.cgra.RunResult`)."""
+        self.config_cycles += result.config_cycles
+        self.compute_cycles += result.cycles
+
+    def merge(self, other: "KernelRun") -> None:
+        """Charge every phase of ``other``."""
+        self.dma_in_cycles += other.dma_in_cycles
+        self.config_cycles += other.config_cycles
+        self.compute_cycles += other.compute_cycles
+        self.dma_out_cycles += other.dma_out_cycles
 
     @property
     def total_cycles(self) -> int:
@@ -62,7 +82,8 @@ class RunnerFactory:
 
 
 class KernelRunner:
-    """Stages data, launches kernels, and keeps the books."""
+    """Stages data and launches kernels; drivers keep their books in a
+    :class:`KernelRun`."""
 
     def __init__(self, soc: BiosignalSoC = None, engine: str = None,
                  spec: ArchSpec = None) -> None:

@@ -1,4 +1,4 @@
-"""Architecture parameters, SPM allocator, FIR layout, vector planning."""
+"""Architecture parameters, FIR layout, vector planning."""
 
 import pickle
 
@@ -14,7 +14,6 @@ from repro.arch import (
     SocParams,
 )
 from repro.core.errors import ConfigurationError
-from repro.kernels.layout import SpmAllocator
 from repro.kernels.fir import plan_fir
 from repro.kernels.vector import plan_split
 
@@ -144,35 +143,6 @@ class TestArchSpec:
         # Distinct geometries never share a fingerprint with the default.
         if spec.arch != DEFAULT_SPEC.arch:
             assert spec.fingerprint != DEFAULT_SPEC.fingerprint
-
-
-class TestSpmAllocator:
-    def test_line_rounding_and_addresses(self):
-        alloc = SpmAllocator(DEFAULT_PARAMS)
-        r1 = alloc.alloc("a", 1)          # rounds to one line
-        r2 = alloc.alloc("b", 129)        # rounds to two lines
-        assert r1.n_lines == 1 and r2.n_lines == 2
-        assert r2.line == 1
-        assert r2.word == 128
-        assert r2.line_at(1) == 2
-        assert alloc.used_lines == 3
-        assert alloc.get("a") is r1
-
-    def test_overflow_and_duplicates(self):
-        alloc = SpmAllocator(DEFAULT_PARAMS)
-        alloc.alloc_lines("big", 64)
-        with pytest.raises(ConfigurationError, match="overflow"):
-            alloc.alloc("more", 1)
-        alloc2 = SpmAllocator(DEFAULT_PARAMS)
-        alloc2.alloc("x", 1)
-        with pytest.raises(ConfigurationError, match="already"):
-            alloc2.alloc("x", 1)
-
-    def test_region_bounds(self):
-        alloc = SpmAllocator(DEFAULT_PARAMS)
-        r = alloc.alloc_lines("r", 2)
-        with pytest.raises(ConfigurationError):
-            r.line_at(2)
 
 
 class TestFirLayoutProperties:

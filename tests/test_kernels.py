@@ -192,6 +192,14 @@ class TestFftKernels:
         assert engine.prepare() == first
         assert first > 0  # resident tables are DMA'd
 
+    @pytest.mark.parametrize("engine,n", [(FftEngine, 256),
+                                          (SplitFftEngine, 2048)])
+    def test_length_error_names_both_lengths(self, engine, n):
+        fft = engine(KernelRunner(), n)
+        with pytest.raises(ConfigurationError,
+                           match=f"got {n} re and {n - 1} im"):
+            fft.run([0] * n, [0] * (n - 1))
+
     #: sha256 over every configuration word and sorted SRF init of every
     #: FFT-family launch below. Any change to the batch, mirror, G/H, X/W
     #: or combine kernels' instruction streams moves it.
@@ -204,40 +212,71 @@ class TestFftKernels:
         1-column 16 KiB specs (streamed stage tables at paper FFT-1024 and
         spm16K rFFT-512, streamed recombination table at 1col-spm16K
         rFFT-1024) launch exactly the pinned instruction words."""
-        specs = {spec.name: spec for spec in design_space()}
         digest = hashlib.sha256()
-        for name in ("paper", "spm16K", "1col-spm16K"):
-            for engine, n in ((FftEngine, 256), (FftEngine, 512),
-                              (FftEngine, 1024), (RfftEngine, 512),
-                              (RfftEngine, 1024), (RfftEngine, 2048),
-                              (SplitFftEngine, 2048)):
-                runner = KernelRunner(spec=specs[name])
-                try:
-                    fft = engine(runner, n)
-                except ConfigurationError:
-                    continue
-                launched = []
-                execute = runner.execute
+        for engine, n, runner, fft in _fft_family():
+            launched = []
+            execute = runner.execute
 
-                def record(config, max_cycles=None, execute=execute):
-                    launched.append(config)
-                    return execute(config, max_cycles=max_cycles)
+            def record(config, max_cycles=None, execute=execute):
+                launched.append(config)
+                return execute(config, max_cycles=max_cycles)
 
-                runner.execute = record
-                if engine is RfftEngine:
-                    fft.run([0] * n)
-                else:
-                    fft.run([0] * n, [0] * n)
-                assert launched
-                for config in launched:
-                    digest.update(config.name.encode())
-                    for col, program in sorted(config.columns.items()):
-                        digest.update(repr((
-                            col,
-                            [encode_bundle(b) for b in program.bundles],
-                            sorted(program.srf_init.items()),
-                        )).encode())
+            runner.execute = record
+            _transform(engine, fft, [0] * n, [0] * n)
+            assert launched
+            for config in launched:
+                digest.update(config.name.encode())
+                for col, program in sorted(config.columns.items()):
+                    digest.update(repr((
+                        col,
+                        [encode_bundle(b) for b in program.bundles],
+                        sorted(program.srf_init.items()),
+                    )).encode())
         assert digest.hexdigest() == self.WORDS_DIGEST
+
+    #: sha256 over the prepare() cycles, the ledger (name and four
+    #: phases) and the spectrum of every transform above on a fixed
+    #: nonzero input. Any change to what the engines stage, stream or
+    #: launch, or to how they charge it, moves it.
+    LEDGER_DIGEST = (
+        "aa5297a9cad5f1c6cd339fce107abed16e4936552908ed4657dba8f1bc24766b"
+    )
+
+    def test_fft_family_ledgers_are_pinned(self):
+        digest = hashlib.sha256()
+        for engine, n, runner, fft in _fft_family():
+            prepared = fft.prepare()
+            re = [(i * 7919) % 4001 - 2000 for i in range(n)]
+            im = [(i * 104729) % 3001 - 1500 for i in range(n)]
+            out = _transform(engine, fft, re, im)
+            run = out.run
+            digest.update(repr((
+                engine.__name__, n, prepared, run.name, run.dma_in_cycles,
+                run.config_cycles, run.compute_cycles, run.dma_out_cycles,
+                list(out.re), list(out.im),
+            )).encode())
+        assert digest.hexdigest() == self.LEDGER_DIGEST
+
+
+def _fft_family():
+    """``(engine class, n, runner, engine)`` of each pinned FFT-family
+    transform whose layout fits its spec."""
+    specs = {spec.name: spec for spec in design_space()}
+    for name in ("paper", "spm16K", "1col-spm16K"):
+        for engine, n in ((FftEngine, 256), (FftEngine, 512),
+                          (FftEngine, 1024), (RfftEngine, 512),
+                          (RfftEngine, 1024), (RfftEngine, 2048),
+                          (SplitFftEngine, 2048)):
+            runner = KernelRunner(spec=specs[name])
+            try:
+                fft = engine(runner, n)
+            except ConfigurationError:
+                continue
+            yield engine, n, runner, fft
+
+
+def _transform(engine, fft, re, im):
+    return fft.run(re) if engine is RfftEngine else fft.run(re, im)
 
 
 class TestDelineationKernel:

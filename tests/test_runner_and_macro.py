@@ -268,7 +268,7 @@ class TestEngineTablesSurviveReset:
 
         runner = KernelRunner(spec=ONE_COL_SPM16K)
         rfft = RfftEngine(runner, 1024)
-        assert not rfft.w_resident
+        assert not rfft.w.resident
         samples = _points(1024, 19)
         golden = rfft_reference_int(samples)
         for _ in range(2):

@@ -34,12 +34,20 @@ import tempfile
 import time
 import traceback
 
-#: Example scripts executed end-to-end alongside the doc blocks. Most
-#: examples double as fenced blocks somewhere in docs/; the ones listed
-#: here have no doc twin (multi-process orchestration or a whole
-#: design-space campaign does not fit a cumulative doc namespace) and
-#: would otherwise rot unexecuted.
-EXAMPLE_SCRIPTS = ("examples/fleet_serving.py", "examples/design_space.py")
+#: Example scripts executed end-to-end alongside the doc blocks: the
+#: ones with no doc twin (multi-process orchestration or a whole
+#: design-space campaign does not fit a cumulative doc namespace), and
+#: the kernel-layer tour (``run_fir``, the FFT engines and
+#: ``run_application`` on one platform), which would otherwise rot
+#: unexecuted.
+EXAMPLE_SCRIPTS = (
+    "examples/fleet_serving.py",
+    "examples/design_space.py",
+    "examples/quickstart.py",
+    "examples/custom_kernel.py",
+    "examples/fft_showdown.py",
+    "examples/biosignal_app.py",
+)
 
 #: ```python ...\n<body>``` — the info string after "python" carries
 #: flags (currently just "fragment"). The fence may be indented (a
