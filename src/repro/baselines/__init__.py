@@ -3,14 +3,12 @@
 from repro.baselines.cmsis_fft import FftResult, cfft_q15, rfft_q15
 from repro.baselines.cmsis_fir import (
     FirResult,
-    fir_float_reference,
     fir_q15,
     lowpass_taps_q15,
 )
 from repro.baselines.cpu_cost import (
     CPU_PJ_PER_CYCLE,
     cfft_cycles,
-    delineation_cycles,
     fir_cycles,
     rfft_cycles,
 )
@@ -32,12 +30,10 @@ __all__ = [
     "cfft_q15",
     "rfft_q15",
     "FirResult",
-    "fir_float_reference",
     "fir_q15",
     "lowpass_taps_q15",
     "CPU_PJ_PER_CYCLE",
     "cfft_cycles",
-    "delineation_cycles",
     "fir_cycles",
     "rfft_cycles",
     "Delineation",

@@ -50,17 +50,6 @@ def fir_q15(samples, taps, state=None) -> FirResult:
     return FirResult(samples=out, cycles=fir_cycles(len(samples), n_taps))
 
 
-def fir_float_reference(samples, taps) -> list:
-    """Float reference for accuracy tests (zero initial state)."""
-    n_taps = len(taps)
-    padded = [0.0] * (n_taps - 1) + [float(s) for s in samples]
-    return [
-        sum(float(taps[k]) * padded[n + n_taps - 1 - k]
-            for k in range(n_taps)) / (1 << 15)
-        for n in range(len(samples))
-    ]
-
-
 def lowpass_taps_q15(n_taps: int, cutoff: float) -> list:
     """Windowed-sinc low-pass design in q15 (Hamming window).
 

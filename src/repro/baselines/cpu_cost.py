@@ -105,7 +105,3 @@ def fir_cycles(n_samples: int, n_taps: int) -> int:
         FIR_SETUP + n_samples * (FIR_PER_OUTPUT + FIR_PER_TAP * n_taps)
     ))
 
-
-def delineation_cycles(n_samples: int) -> int:
-    """Modelled cycles of the min/max delineation scan."""
-    return int(round(DELINEATION_PER_SAMPLE * n_samples))

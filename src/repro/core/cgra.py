@@ -21,6 +21,7 @@ from repro.core.spm import Scratchpad
 from repro.core.synchronizer import Synchronizer
 from repro.engine import executor
 from repro.isa.program import KernelConfig
+from repro.utils.memo import remember
 
 
 @dataclass(frozen=True)
@@ -175,9 +176,7 @@ class Vwr2a:
             stats.analysis_misses += 1
             launch = executor.Launch(self, config,
                                      self._engine != "reference")
-            if len(launches) >= self.LAUNCH_CAP:
-                del launches[next(iter(launches))]
-            launches[id(config)] = launch
+            remember(launches, id(config), launch, self.LAUNCH_CAP)
         else:
             stats.analysis_hits += 1
         for col, program in launch.programs:

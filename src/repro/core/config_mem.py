@@ -8,12 +8,19 @@ the load-cycle cost are real.
 
 The planners build each kernel once (:mod:`repro.kernels.memo`), so
 ``store`` keys on identity. Re-storing the object held under its name is
-skipped (``stats.dedup_hits``). The first store of a config validates,
-hazard-checks and encodes it, then stamps it with the ``params`` it was
+skipped (``stats.dedup_hits``). The first store of a config validates and
+encodes it, hazard-checks it, then stamps it with the ``params`` it was
 checked under and its words; a stamped config stores into any memory of
 that geometry without repeating the work (``encode_hits``/
 ``hazard_hits``). A config built by hand takes the full path on its first
 store. Stored configs are treated as immutable.
+
+The hazard check (:func:`~repro.core.hazards.check_program`) runs once
+per distinct configuration word per process, keyed on the word's int
+(the FFT-2048 set's 2,752 bundles hold 122 distinct words); a failing
+word is never remembered, so a hazardous program raises
+:class:`~repro.core.errors.StructuralHazardError` at its own PC on every
+store. The ``hazard_*`` counters keep counting column programs.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ class StoreStats:
     encode_hits: int = 0    #: per-column encodes reused off the stamp
     encode_misses: int = 0  #: per-column encodes actually performed
     hazard_hits: int = 0    #: per-column hazard checks reused off the stamp
-    hazard_misses: int = 0  #: per-column hazard checks actually run
+    hazard_misses: int = 0  #: per-column hazard checks run (new words only)
     analysis_hits: int = 0    #: launches that reused their launch record
     analysis_misses: int = 0  #: launch records built (verdict computed)
 
@@ -78,7 +85,7 @@ class ConfigurationMemory:
     # -- store / fetch ------------------------------------------------------
 
     def store(self, config: KernelConfig) -> None:
-        """Validate, hazard-check, encode and store a kernel configuration
+        """Validate, encode, hazard-check and store a kernel configuration
         (each at most once per config object and geometry)."""
         stats = self.stats
         stats.stores += 1
@@ -95,8 +102,8 @@ class ConfigurationMemory:
             config.validate(params)
             encoded = {}
             for col, program in config.columns.items():
-                check_program(program.bundles)
                 words = encode_bundles(program.bundles)
+                check_program(program.bundles, words)
                 # Encode/decode are exact inverses, so the configuration
                 # words are a lossless structural fingerprint; the compile
                 # memo and the SPM-conflict analysis key on it (hashing

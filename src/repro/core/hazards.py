@@ -3,8 +3,9 @@
 Both single-ported resources of a column — the SRF and the VWRs — are
 scheduled at compile time: which unit touches which resource in a bundle is
 fully determined by the configuration word, never by runtime values. The
-checks therefore run once per kernel object, when the configuration memory
-first stores it (its store stamp records that they passed), and the
+checks therefore run when the configuration memory first stores a kernel
+object (its store stamp records that they passed), once per distinct
+configuration word per process (:func:`check_program`), and the
 per-cycle execution path stays check-free. This mirrors the hardware
 reality: the paper's kernels are mapped by hand such that no two units
 ever contend for the SRF port or a VWR port.
@@ -27,6 +28,10 @@ from __future__ import annotations
 from repro.core.errors import StructuralHazardError
 from repro.isa.bundle import Bundle
 from repro.isa.fields import RCSrcKind
+from repro.utils.memo import PIECE_CAP, remember
+
+#: Configuration words that passed :func:`check_bundle`, process-wide.
+_HAZARD_FREE = {}
 
 
 def rc_group_srf_usage(bundle: Bundle):
@@ -97,8 +102,18 @@ def check_bundle(bundle: Bundle, pc: int) -> None:
         )
 
 
-def check_program(bundles, base_pc: int = 0) -> None:
-    """Check every bundle of a program."""
-    for offset, bundle in enumerate(bundles):
-        check_bundle(bundle, base_pc + offset)
+def check_program(bundles, words) -> None:
+    """Check every bundle of a program; raises at the first failing PC.
 
+    ``words`` are the bundles' configuration words. A word is the exact
+    encoding of its bundle, and whether a bundle over-subscribes a port
+    depends on its fields alone, so a word that passed once passes
+    everywhere: :data:`_HAZARD_FREE` remembers it, keyed on the word's
+    int, and its bundle is not checked again. A failing word is never
+    remembered, so a hazardous program raises at its own PC on every
+    check.
+    """
+    for pc, word in enumerate(words):
+        if word not in _HAZARD_FREE:
+            check_bundle(bundles[pc], pc)
+            remember(_HAZARD_FREE, word, None, PIECE_CAP)

@@ -1,4 +1,5 @@
-"""Bundle predecoder: ColumnProgram -> one generated function.
+"""Bundle predecoder: ColumnProgram -> one generated function and its
+loop functions.
 
 The reference interpreter re-decodes every bundle on every cycle: enum
 ``is``-chains select the unit semantics, operand kinds are re-dispatched,
@@ -13,7 +14,11 @@ performs that decode exactly once per program:
   rule** below;
 * straight-line bundle runs between branch targets form **basic
   blocks** (:func:`repro.engine.superblocks.block_pcs`), the compile
-  unit;
+  unit. Each distinct block is lowered once per process: the lowering
+  is keyed on the geometry, the latch range (``_reg_range``), whether
+  the block is a closed-form loop and its configuration words with the
+  branch target cleared, so the same vector pass shares its lowering
+  whichever program and PC it sits at;
 * the program becomes **one generated function**, ``_run(limit, C)``: a
   ``while True:`` loop holding one ``if pc == <leader>:`` arm per basic
   block, in leader-PC order. An arm counts its execution into ``C``
@@ -24,15 +29,23 @@ performs that decode exactly once per program:
   the program raises in place; EXIT stores ``col.pc`` and ``col.k`` and
   returns ``steps``. Every CFG lowers this way, irreducible ones
   included, and every cycle in it passes a back edge, so the budget
-  check bounds every run;
-* closed-form self-loops (:func:`repro.engine.superblocks.loop_summary`,
-  the same definition the SPM footprint walk folds loops by) compute
-  their **trip count once** at loop entry and run a counted loop with no
-  per-trip branch evaluation, reconstructing the LCU registers from the
-  loop's summary. Such a loop has no per-trip twin: where its counter
-  would leave int32 it raises ``_CounterWrap``, and the launch replays
-  on the reference. It counts its trips into its block's slot of ``C``
-  and its entry into a slot after the block slots;
+  check bounds every run. Programs whose ``_run`` sources are equal
+  (they differ only inside their loop functions) share one code object;
+* each closed-form self-loop (:func:`repro.engine.superblocks.loop_summary`,
+  the same definition the SPM footprint walk folds loops by) is its own
+  **loop function**, ``_loop(budget, pc[, k])``, compiled once per
+  process for every program that runs it and bound per column next to
+  ``_run`` under the program's name for it (``_lp0``, ``_lp1``, ...).
+  It computes the **trip count once** at loop entry, runs a counted loop
+  with no per-trip branch evaluation, replays the hoisted commits and
+  reconstructs the LCU registers from the loop's summary; it returns
+  the trips (0 when the budget ``limit - steps`` cannot cover them) and
+  the slice index ``k`` when the body moves it. The loop's arm checks
+  the budget, calls it, counts its trips into the block's slot of ``C``
+  and its entry into a slot after the block slots, and transfers. Such a
+  loop has no per-trip twin: where its counter would leave int32 it
+  raises ``_CounterWrap`` with the arm's PC, and the launch replays on
+  the reference;
 * each block carries the static event delta of one execution
   (:mod:`repro.engine.deltas`) — the executor folds ``delta x count`` into
   the shared tally at kernel end, multiplying (never iterating) the
@@ -74,7 +87,7 @@ FFT stage's batches) compile exactly once — and warm launches do not
 compile at all: the config's launch record on the array keeps its
 columns' bound programs (:class:`repro.engine.executor.Launch`).
 
-The generated function binds the column's storage (SRF/VWR/SPM backing
+The generated functions bind the column's storage (SRF/VWR/SPM backing
 lists) via default arguments at bind time (:class:`repro.engine.executor
 .BoundColumn`), so the hot path performs only local-variable indexing.
 """
@@ -92,6 +105,7 @@ from repro.engine.superblocks import (
     program_shape,
     trip_count_lines,
 )
+from repro.isa.encoding import TARGET_FIELD
 from repro.isa.fields import RCDstKind, RCSrcKind
 from repro.isa.lcu import BRANCH_OPS, LCUCmp, LCUOp
 from repro.isa.lsu import LSUOp
@@ -99,6 +113,7 @@ from repro.isa.mxcu import NO_SRF, MXCUOp
 from repro.isa.rc import RCOp
 from repro.utils.bits import to_signed32
 from repro.utils.fixed_point import wrap32
+from repro.utils.memo import PIECE_CAP, remember
 
 _CMP_SYMBOL = {
     LCUOp.BLT: "<",
@@ -463,25 +478,39 @@ class BlockInfo:
     n_cycles: int        #: bundles (cycles) per execution
 
 
+class LoopFunction:
+    """One closed-form counted loop as its own generated function,
+    ``_loop(budget, pc[, k])``: compiled once per process and shared by
+    every program that runs the same loop body (see the module
+    docstring)."""
+
+    __slots__ = ("source", "code")
+
+    def __init__(self, source) -> None:
+        self.source = source
+        self.code = compile(source, "<vwr2a-compiled-loop>", "exec")
+
+
 class CompiledProgram:
-    """Code object + block metadata of one compiled ColumnProgram."""
+    """Code object + block metadata of one compiled ColumnProgram.
 
-    __slots__ = ("params", "source", "code", "blocks", "n_bundles")
+    ``loops`` holds the loop functions its arms call, the ``i``-th under
+    the name ``_lp{i}``."""
 
-    def __init__(self, params, source, code, blocks, n_bundles) -> None:
+    __slots__ = ("params", "source", "code", "blocks", "n_bundles", "loops")
+
+    def __init__(self, params, source, code, blocks, n_bundles,
+                 loops) -> None:
         self.params = params
         self.source = source
         self.code = code
         self.blocks = blocks
         self.n_bundles = n_bundles
-
-    def listing(self) -> str:
-        """The generated Python source (debug aid)."""
-        return self.source
+        self.loops = loops
 
 
 def signature_names(params) -> list:
-    """Bind-time names the generated function takes as default args."""
+    """Bind-time names the generated functions take as default args."""
     names = ["col", "S", "M", "VA", "VB", "VC", "O", "L"]
     names += [f"R{i}" for i in range(params.rcs_per_column)]
     return names
@@ -615,75 +644,165 @@ def _transfer(target: int, leader: int, leaders: set) -> list:
         + ["if steps > limit: return steps", "continue"]
 
 
+@dataclass(frozen=True)
+class _Block:
+    """The lowering of one basic block, wherever it sits in a program."""
+
+    lines: tuple    #: arm body of a plain block
+    loop: object    #: :class:`LoopFunction` of a counted loop, or None
+    delta: tuple    #: ((event, count), ...) for one execution
+    uses_k: bool    #: reads or writes the slice index ``k``
+    sets_k: bool
+
+
+#: Block lowerings kept process-wide (at most ``PIECE_CAP``): each
+#: distinct block is lowered, and each distinct counted loop compiled,
+#: once.
+_BLOCKS = {}
+
+#: ``_run`` source -> code object, process-wide (at most ``MEMO_CAP``):
+#: programs that differ only inside their loop functions
+#: (an FFT stage's twiddle immediates) share one ``_run``.
+_CODES = {}
+
+
+def _block(shape, pcs, reg_range) -> _Block:
+    """The memoized :class:`_Block` of ``shape``'s block ``pcs``.
+
+    Keyed on the geometry, the latch range, whether the block is a
+    closed-form loop and its configuration words, with the last word's
+    branch target cleared: a plain block's body never reads it, and a
+    loop's target is its own leader. So the same vector pass lowers and
+    compiles once, whichever PC it sits at. A program stored outside the
+    configuration memory keys on its bundles instead.
+    """
+    loop = shape.loops.get(pcs[0])
+    lo, hi = pcs[0], pcs[-1] + 1
+    if shape.words is not None:
+        words = shape.words[lo:hi]
+        code = words[:-1] + (words[-1] & ~TARGET_FIELD,)
+    else:
+        code = shape.bundles[lo:hi]
+    key = (shape.params, reg_range, loop is not None, code)
+    block = _BLOCKS.get(key)
+    if block is None:
+        block = remember(_BLOCKS, key,
+                         _lower_block(shape, pcs, reg_range, loop), PIECE_CAP)
+    return block
+
+
+def _lower_block(shape, pcs, reg_range, loop) -> _Block:
+    bundles, params = shape.bundles, shape.params
+    gen = _BundleGen(params, reg_range)
+    bodies = [gen.gen(bundles[pc]) for pc in pcs]
+    delta = Counter()
+    for pc in pcs:
+        delta.update(bundle_event_delta(bundles[pc], params))
+    offsets = [
+        f"k{i} = k + {i * params.slice_words}"
+        for i in sorted(set().union(*(body.slices for body in bodies)))
+    ]
+    sets_k = any(body.sets_k for body in bodies)
+    uses_k = sets_k or any(body.uses_k for body in bodies)
+    lines, function = (), None
+    if loop is None:
+        body = [line for code in bodies for line in code.all_lines()]
+        lines = tuple(_entry_offsets(body, offsets)
+                      + _k_offsets(body, offsets))
+    else:
+        # The LCU lines stay out of the body: the registers are rebuilt
+        # from the affine summary after the loop.
+        body = [line for code in bodies for line in code.lines]
+        function = _loop_function(bundles, pcs, body, offsets, loop,
+                                  params, uses_k, sets_k)
+    return _Block(lines, function, tuple(sorted(delta.items())), uses_k,
+                  sets_k)
+
+
+def _loop_function(bundles, pcs, body, offsets, loop, params, uses_k,
+                   sets_k) -> LoopFunction:
+    """Compile the counted loop ``pcs`` as ``_loop(budget, pc[, k])``.
+
+    The trip count is solved once at entry. It holds while the counter
+    stays inside int32 over the trips the ``budget`` (cycles left)
+    allows; past that the function raises ``_CounterWrap`` with the
+    caller's ``pc`` and the launch replays on the reference. A loop
+    needing more trips than the budget allows returns 0 trips at once.
+    Otherwise it runs the body ``_t`` times, replays the hoisted
+    commits, rebuilds the LCU registers and returns ``_t`` (and ``k``
+    when the body writes it). The body runs at least once, so only its
+    reads decide which slice offsets the function computes at entry.
+    """
+    n = len(pcs)
+    ret = ", k" if sets_k else ""
+    lines = [f"_v0 = L[{loop.branch.rd}]",
+             f"_bnd = {bound_expr(loop.branch)}",
+             *trip_count_lines(loop),
+             f"_n = budget // {n}",
+             "if _t is not None and _t < _n: _n = _t",
+             f"if not -2147483648 <= _v0 + _n * {loop.delta} "
+             "<= 2147483647: raise _CounterWrap(col.index, pc)",
+             f"if _n != _t: return 0{ret}",
+             *_entry_offsets(body, offsets)]
+    counted_body, post_commits = _hoistable_commits(
+        bundles, pcs, _k_offsets(body, offsets),
+    )
+    if counted_body:
+        lines.append("for _ in range(_t):")
+        lines += ["    " + line for line in counted_body]
+    lines += post_commits
+    for reg, sym in enumerate(loop.lcu):
+        if sym[0] == "c":
+            lines.append(f"L[{reg}] = {sym[1]}")
+        elif sym[1]:
+            lines += _assign(f"L[{reg}]", f"L[{reg}] + _t * {sym[1]}",
+                             None)[0]
+    lines.append(f"return _t{ret}")
+    # Only the storage the loop touches is bound: each default costs a
+    # slot on every call.
+    text = "\n".join(lines)
+    sig = ", ".join(f"{name}={name}" for name in signature_names(params)
+                    if re.search(rf"\b{name}\b", text))
+    head = f"def _loop(budget, pc, {'k, ' if uses_k else ''}{sig}):"
+    return LoopFunction("\n".join([head, *("    " + line for line in lines)]))
+
+
 def _compile(shape) -> CompiledProgram:
     bundles, params = shape.bundles, shape.params
-    gen = _BundleGen(params, _reg_range(bundles))
-    bodies = [gen.gen(bundle) for bundle in bundles]
-    deltas = [bundle_event_delta(bundle, params) for bundle in bundles]
-    sig = ", ".join(f"{name}={name}" for name in signature_names(params))
+    reg_range = _reg_range(bundles)
     block_list = shape.blocks
+    lowered = [_block(shape, pcs, reg_range) for pcs in block_list]
+    sig = ", ".join(f"{name}={name}" for name in signature_names(params))
     leaders = {pcs[0] for pcs in block_list}
-    sets_k = any(body.sets_k for body in bodies)
+    sets_k = any(low.sets_k for low in lowered)
 
     lines = [f"def _run(limit, C, {sig}):", "steps = 0", "pc = 0"]
-    if sets_k or any(body.uses_k for body in bodies):
+    if any(low.uses_k for low in lowered):
         lines.append("k = col.k")
     lines.append("while True:")
     blocks = []
+    #: Loop function -> its name in this program (``_lp{i}``).
+    names = {}
     #: Counted loops' entry slots follow the block slots in ``C``.
     entry = len(block_list)
-    for index, pcs in enumerate(block_list):
+    for index, (pcs, low) in enumerate(zip(block_list, lowered)):
         leader = pcs[0]
         n = len(pcs)
-        last = bundles[pcs[-1]].lcu
-        offsets = [
-            f"k{i} = k + {i * params.slice_words}"
-            for i in sorted(set().union(*(bodies[pc].slices for pc in pcs)))
-        ]
-
-        loop = shape.loops.get(leader)
-        counted = loop is not None
-        if counted:
-            # Trip count solved once at loop entry. It holds while the
-            # counter stays inside int32 over the trips the budget
-            # allows; past that the launch replays on the reference. A
-            # loop needing more trips than the budget allows returns at
-            # once. The body runs at least once, so only its reads
-            # decide which slice offsets the arm computes at entry.
-            body = [line for pc in pcs for line in bodies[pc].lines]
-            arm = _entry_offsets(body, offsets)
-            arm += ["if steps > limit: return steps",
-                    f"_v0 = L[{loop.branch.rd}]",
-                    f"_bnd = {bound_expr(loop.branch)}",
-                    *trip_count_lines(loop),
-                    f"_n = (limit - steps) // {n}",
-                    "if _t is not None and _t < _n: _n = _t",
-                    f"if not -2147483648 <= _v0 + _n * {loop.delta} "
-                    f"<= 2147483647: raise _CounterWrap(col.index, {leader})",
-                    "if _n != _t: return limit + 1"]
-            # The LCU lines stay out of the body: the registers are
-            # rebuilt from the affine summary after the loop.
-            counted_body, post_commits = _hoistable_commits(
-                bundles, pcs, _k_offsets(body, offsets),
-            )
-            if counted_body:
-                arm.append("for _ in range(_t):")
-                arm += ["    " + line for line in counted_body]
-            arm += post_commits
-            for reg, sym in enumerate(loop.lcu):
-                if sym[0] == "c":
-                    arm.append(f"L[{reg}] = {sym[1]}")
-                elif sym[1]:
-                    arm += _assign(f"L[{reg}]", f"L[{reg}] + _t * {sym[1]}",
-                                   None)[0]
-            arm += [f"C[{index}] += _t", f"C[{entry}] += 1",
-                    f"steps += _t * {n}",
-                    *_transfer(pcs[-1] + 1, leader, leaders)]
+        loop = low.loop
+        if loop is not None:
+            name = names.setdefault(loop, f"_lp{len(names)}")
+            call = f"{name}(limit - steps, {leader}" \
+                + (", k)" if low.uses_k else ")")
+            arm = ["if steps > limit: return steps",
+                   f"{'_t, k' if low.sets_k else '_t'} = {call}",
+                   "if not _t: return limit + 1",
+                   f"C[{index}] += _t", f"C[{entry}] += 1",
+                   f"steps += _t * {n}",
+                   *_transfer(pcs[-1] + 1, leader, leaders)]
             entry += 1
         else:
-            body = [line for pc in pcs for line in bodies[pc].all_lines()]
-            arm = _entry_offsets(body, offsets) + _k_offsets(body, offsets)
-            arm += [f"C[{index}] += 1", f"steps += {n}"]
+            last = bundles[pcs[-1]].lcu
+            arm = [*low.lines, f"C[{index}] += 1", f"steps += {n}"]
             if last.op is LCUOp.EXIT:
                 arm += [f"col.pc = {pcs[-1] + 1}",
                         *(["col.k = k"] if sets_k else []), "return steps"]
@@ -698,19 +817,19 @@ def _compile(shape) -> CompiledProgram:
                                  else pcs[-1] + 1, leader, leaders)
         lines.append(f"    if pc == {leader}:")
         lines += ["        " + line for line in arm]
-
-        delta = Counter()
-        for pc in pcs:
-            delta.update(deltas[pc])
         blocks.append(BlockInfo(
             index=index,
             leader=leader,
-            delta=tuple(sorted(delta.items())),
-            closed_form=counted,
+            delta=low.delta,
+            closed_form=loop is not None,
             n_cycles=n,
         ))
 
     lines[1:] = ["    " + line for line in lines[1:]]
     source = "\n".join(lines)
-    code = compile(source, "<vwr2a-compiled-program>", "exec")
-    return CompiledProgram(params, source, code, blocks, len(bundles))
+    code = _CODES.get(source)
+    if code is None:
+        code = remember(_CODES, source, compile(
+            source, "<vwr2a-compiled-program>", "exec"))
+    return CompiledProgram(params, source, code, blocks, len(bundles),
+                           tuple(names))

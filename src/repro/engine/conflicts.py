@@ -74,7 +74,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from repro.engine.superblocks import (
-    MEMO_CAP,
     UNKNOWN,
     program_shape,
     step,
@@ -83,6 +82,7 @@ from repro.engine.superblocks import (
 )
 from repro.isa.lcu import BRANCH_OPS, LCUCmp, LCUOp
 from repro.utils.bits import to_signed32
+from repro.utils.memo import remember
 
 #: Abstract-execution budget per column (bundle steps + accelerated loops).
 MAX_STEPS = 40_000
@@ -421,10 +421,7 @@ def column_footprint(program, params) -> ColumnFootprint:
         footprint = _FootprintAnalyzer(shape, program.srf_init).run()
     else:
         footprint = EMPTY_FOOTPRINT
-    if len(footprints) >= MEMO_CAP:
-        del footprints[next(iter(footprints))]
-    footprints[key] = footprint
-    return footprint
+    return remember(footprints, key, footprint)
 
 
 def _pair_conflicts(col_a, fp_a, col_b, fp_b):

@@ -13,8 +13,9 @@ already says which path runs:
 * the **compiled** path calls the one generated function of each
   column's :class:`~repro.engine.compiler.CompiledProgram`, bound to the
   column's storage in the launch record, which runs the column to EXIT
-  (forward edges fall through, back edges loop; closed-form loops run
-  as one counted loop, see :mod:`repro.engine.superblocks`).
+  (forward edges fall through, back edges loop; each closed-form loop
+  runs as one counted loop in its own loop function, bound with it, see
+  :mod:`repro.engine.superblocks`).
   Event counting happens as per-block execution counts folded
   into the shared :class:`~repro.core.events.EventCounters` once per
   launch (:meth:`Launch.fold`, a walk of the blocks' static deltas
@@ -64,6 +65,7 @@ from repro.engine.compiler import compile_program
 from repro.engine.conflicts import analyze_columns
 from repro.isa.fields import ShuffleMode, Vwr
 from repro.isa.rc import RCOp
+from repro.utils.memo import remember
 
 
 def _budget_error(name: str, max_cycles: int) -> ProgramError:
@@ -111,16 +113,21 @@ def _lockstep(vwr2a, launch, max_cycles, **extra) -> RunResult:
 class BoundColumn:
     """A compiled program bound to one column's storage.
 
-    Binding executes the generated module once, capturing the column's SRF
+    Binding executes the generated code once, capturing the column's SRF
     / VWR / SPM backing lists and register files as default arguments of
-    its one function, ``fn(limit, counts)``; re-running the same kernel
-    afterwards only starts a fresh count vector.
+    its function, ``fn(limit, counts)``, and of each loop function that
+    function calls (bound under its program's name for it, ``_lp{i}``);
+    re-running the same kernel afterwards only starts a fresh count
+    vector.
     """
 
     def __init__(self, column, compiled) -> None:
         self.column = column
         self.compiled = compiled
         namespace = self._namespace(column)
+        for i, loop in enumerate(compiled.loops):
+            exec(loop.code, namespace)
+            namespace[f"_lp{i}"] = namespace.pop("_loop")
         exec(compiled.code, namespace)
         self.fn = namespace["_run"]
         #: Execution count per basic block (a closed-form loop's block
@@ -267,9 +274,7 @@ class Launch:
             totals = {name: walked[name] for name in sorted(walked)}
             fold = (totals, tuple(totals.items()),
                     {"accelerated_loops": loops, "accelerated_trips": trips})
-            if len(self.folds) >= self.FOLD_CAP:
-                del self.folds[next(iter(self.folds))]
-            self.folds[key] = fold
+            remember(self.folds, key, fold, self.FOLD_CAP)
         return fold
 
 

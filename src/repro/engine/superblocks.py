@@ -45,6 +45,7 @@ from repro.isa.lsu import LSUOp
 from repro.isa.rc import RCOp
 from repro.utils.bits import to_signed32
 from repro.utils.fixed_point import wrap32
+from repro.utils.memo import remember
 
 #: A data-dependent value: an ``LD_SRF`` result or an RC write into the
 #: SRF.
@@ -273,12 +274,14 @@ class ProgramShape:
     geometry, derived once and shared by the compiler and the SPM
     footprint walk."""
 
-    __slots__ = ("params", "bundles", "blocks", "loops", "compiled",
-                 "footprints")
+    __slots__ = ("params", "bundles", "words", "blocks", "loops",
+                 "compiled", "footprints")
 
-    def __init__(self, bundles: tuple, params) -> None:
+    def __init__(self, bundles: tuple, params, words) -> None:
         self.params = params
         self.bundles = bundles
+        #: The configuration words, or ``None`` for an unstored program.
+        self.words = words
         #: Basic blocks (:func:`block_pcs`), in leader-PC order.
         self.blocks = block_pcs(bundles)
         #: Block leader -> :class:`LoopSummary` of each closed-form loop.
@@ -292,14 +295,13 @@ class ProgramShape:
         #: the compiler on first use.
         self.compiled = None
         #: Sorted ``srf_init`` items -> ``ColumnFootprint``
-        #: (:mod:`repro.engine.conflicts`), at most :data:`MEMO_CAP`.
+        #: (:mod:`repro.engine.conflicts`), at most
+        #: :data:`~repro.utils.memo.MEMO_CAP`.
         self.footprints = {}
 
 
-#: Shapes kept, and footprints kept per shape (FIFO-evicted): evicting a
-#: shape drops its compiled code and its footprints together.
-MEMO_CAP = 256
-
+#: Shapes kept process-wide (at most :data:`~repro.utils.memo.MEMO_CAP`):
+#: evicting a shape drops its compiled program and its footprints together.
 _SHAPES = {}
 
 
@@ -317,7 +319,6 @@ def program_shape(program, params) -> ProgramShape:
            else tuple(program.bundles))
     shape = _SHAPES.get(key)
     if shape is None:
-        if len(_SHAPES) >= MEMO_CAP:
-            del _SHAPES[next(iter(_SHAPES))]
-        shape = _SHAPES[key] = ProgramShape(tuple(program.bundles), params)
+        shape = remember(_SHAPES, key, ProgramShape(
+            tuple(program.bundles), params, fingerprint))
     return shape

@@ -34,6 +34,10 @@ LSU_BITS = 54
 MXCU_BITS = 27
 LCU_BITS = 48
 
+#: The LCU's branch/jump ``target`` field (its top 6 bits) in a
+#: configuration word.
+TARGET_FIELD = 0x3F << (LCU_BITS - 6)
+
 
 def bundle_bits(n_rcs: int = 4) -> int:
     """Total configuration-word width of a bundle."""

@@ -150,11 +150,6 @@ def dst_srf(entry: int) -> Dest:
     return Dest(RCDstKind.SRF, entry)
 
 
-def dst_vwr(which: Vwr) -> Dest:
-    """Destination writing the MXCU-indexed word of VWR ``which``."""
-    return VWR_DESTS[which]
-
-
 class ShuffleMode(enum.IntEnum):
     """Hardcoded shuffle-unit operations (Sec. 3.3.1).
 

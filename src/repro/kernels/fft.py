@@ -119,26 +119,24 @@ def stage_exponents(n: int, t: int):
 
 
 def stage_table(n: int, t: int):
-    """Materialized (re, im) twiddle table of stage ``t``."""
+    """Materialized (re, im) twiddle table of stage ``t`` (tuples)."""
     mre, mim = master_twiddles(n)
     idx = stage_exponents(n, t)
-    return [mre[i] for i in idx], [mim[i] for i in idx]
+    return tuple(mre[i] for i in idx), tuple(mim[i] for i in idx)
 
 
+@planner
 def stage_table_lines(params: ArchParams, n: int, t: int):
-    """Stage table in the line-interleaved SPM layout [wr_l, wi_l, ...]."""
+    """Stage table in the line-interleaved SPM layout [wr_l, wi_l, ...]
+    (a tuple, built once per geometry, size and stage)."""
     wr, wi = stage_table(n, t)
     line_words = params.line_words
-    n_lines = -(-len(wr) // line_words)
     words = []
-    for line in range(n_lines):
-        lo = line * line_words
-        hi = lo + line_words
-        chunk_r = wr[lo:hi] + [0] * (line_words - len(wr[lo:hi]))
-        chunk_i = wi[lo:hi] + [0] * (line_words - len(wi[lo:hi]))
-        words.extend(chunk_r)
-        words.extend(chunk_i)
-    return words
+    for lo in range(0, len(wr), line_words):
+        pad = (0,) * (line_words - len(wr[lo:lo + line_words]))
+        words += wr[lo:lo + line_words] + pad
+        words += wi[lo:lo + line_words] + pad
+    return tuple(words)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from repro.utils.fixed_point import (
     fx_to_float,
     q15_add_sat,
     q15_mul,
-    q15_to_float,
     sat32,
     wrap32,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "fx_to_float",
     "q15_add_sat",
     "q15_mul",
-    "q15_to_float",
     "sat32",
     "wrap32",
 ]

@@ -88,7 +88,3 @@ def float_to_q15(value: float) -> int:
     """Convert a float in [-1, 1) to q15 (saturating)."""
     return q15_sat(int(round(value * (1 << 15))))
 
-
-def q15_to_float(value: int) -> float:
-    """Convert a q15 integer to float."""
-    return value / float(1 << 15)

@@ -10,7 +10,8 @@ rule's three parts:
   column, commits included;
 * hoisted commits stay exact behind the guarded wrap;
 * the hot kernels' counted loops carry no unconditional wrap, and each
-  of their closed-form loops is emitted once, as its counted body.
+  of their closed-form loops is emitted once, as the one counted body of
+  its loop function.
 
 They also pin the premise: every storage write path leaves only int32
 ints, whatever it is handed.
@@ -30,7 +31,7 @@ from repro.core.cgra import Vwr2a
 from repro.core.column import Column
 from repro.core.events import EventCounters
 from repro.core.spm import Scratchpad
-from repro.engine import superblocks
+from repro.engine import compiler, superblocks
 from repro.engine.compiler import compile_program
 from repro.engine.executor import BoundColumn
 from repro.isa.fields import (
@@ -81,14 +82,18 @@ GUARD_PREFIX = "if not -2147483648 <= "
 #: Indent of a superblock's code: the body of its ``if pc == <leader>:``
 #: arm, inside the generated function's ``while True:`` loop.
 ARM = " " * 12
+#: Indent of a loop function's body (a counted loop's code).
+LOOP = " " * 4
 
 
 @pytest.fixture
 def private_compile_memo(monkeypatch):
     """The differential test compiles thousands of one-off programs: keep
-    their shapes out of the process-wide program memo, which other tests
-    expect to still hold the kernels they compiled."""
+    their shapes, blocks and code out of the process-wide memos, which
+    other tests expect to still hold the kernels they compiled."""
     monkeypatch.setattr(superblocks, "_SHAPES", {})
+    monkeypatch.setattr(compiler, "_BLOCKS", {})
+    monkeypatch.setattr(compiler, "_CODES", {})
 
 
 def _is_int32(value) -> bool:
@@ -250,15 +255,16 @@ def _hoisting_program(params):
 def test_hoisted_commits_follow_guarded_wrap():
     params = ArchParams()
     program = _hoisting_program(params)
-    source = compile_program(program, params).source
-    assert f"\n{ARM}for _ in range(_t):\n" in source
+    (loop,) = compile_program(program, params).loops
+    source = loop.source
+    assert f"\n{LOOP}for _ in range(_t):\n" in source
     # The latch commit hoists after the counted loop (one indent level
     # above its body), behind the in-loop guarded wrap of the same
     # temporary; R0's commit stays in the body, since the SMUL
     # reassigns v0 later in the trip.
-    assert f"\n{ARM}O[0] = v0\n" in source
-    assert f"\n{ARM}    R0[0] = v0\n" in source
-    assert f"\n{ARM}    " + GUARD_PREFIX + "v0 <= 2147483647:" in source
+    assert f"\n{LOOP}O[0] = v0\n" in source
+    assert f"\n{LOOP}    R0[0] = v0\n" in source
+    assert f"\n{LOOP}    " + GUARD_PREFIX + "v0 <= 2147483647:" in source
     states = {}
     for engine in ("reference", "auto"):
         sim = Vwr2a(engine=engine)
@@ -274,11 +280,14 @@ def test_hoisted_commits_follow_guarded_wrap():
     assert any(v < 0 for v in col_state["rc_regs"][0])
 
 
-def _counted_bodies(source: str) -> list:
-    """The per-trip lines of every counted loop in a generated listing."""
+def _counted_bodies(compiled) -> list:
+    """The per-trip lines of every counted loop of a compiled program
+    (each in one of its loop functions)."""
     bodies = []
     body = None
-    for line in source.splitlines():
+    lines = [line for loop in compiled.loops
+             for line in loop.source.splitlines()]
+    for line in lines:
         text = line.lstrip()
         indent = len(line) - len(text)
         if body is not None:
@@ -309,7 +318,7 @@ def test_fir_counted_loops_carry_no_full_wrap():
     config = build_fir_kernel(params, taps, layout, 0, layout.n_lines)
     bodies = []
     for program in config.columns.values():
-        bodies += _counted_bodies(compile_program(program, params).source)
+        bodies += _counted_bodies(compile_program(program, params))
     assert bodies
     full, guarded = _wraps(bodies)
     # Taps are immediates: products need no wrap; only the accumulate
@@ -327,7 +336,7 @@ def test_fft2048_counted_loops_carry_only_guarded_wraps():
     for name in vwr2a.config_mem.kernels():
         for program in vwr2a.config_mem.get(name).columns.values():
             bodies += _counted_bodies(
-                compile_program(program, vwr2a.params).source
+                compile_program(program, vwr2a.params)
             )
     full, guarded = _wraps(bodies)
     assert full == 0
@@ -367,9 +376,11 @@ def _overwritten_slice_offsets(arm) -> list:
 def test_paper_kernels_emit_each_closed_form_loop_once():
     """Every program the paper kernels compile (the FFT-2048 set, FIR and
     a served MBioTracker stream) is one function, and each of its
-    closed-form loops is one counted ``for``: no ``while`` and no
-    second, per-trip copy of its body. No FFT-2048 arm computes a slice
-    offset it overwrites before reading."""
+    closed-form loops is one counted ``for`` inside its loop function:
+    the arm holds no loop of its own, only the call, and the loop
+    function holds no ``while`` and no second, per-trip copy of its body.
+    No FFT-2048 arm or loop function computes a slice offset it
+    overwrites before reading."""
     fft = KernelRunner()
     SplitFftEngine(fft, 2048).run([0] * 2048, [0] * 2048)
     stream = KernelRunner()
@@ -389,19 +400,37 @@ def test_paper_kernels_emit_each_closed_form_loop_once():
         (dispatch,) = [node for node in function.body
                        if isinstance(node, ast.While)]
         arms = {arm.test.comparators[0].value: arm for arm in dispatch.body}
+        functions = {}
+        for i, loop in enumerate(program.loops):
+            (function,) = ast.parse(loop.source).body
+            assert isinstance(function, ast.FunctionDef)
+            functions[f"_lp{i}"] = function
         if id(program) in fft_ids:
-            for leader, arm in arms.items():
+            for leader, arm in [*arms.items(), *functions.items()]:
                 assert _overwritten_slice_offsets(arm) == [], leader
+        called = set()
         for block in program.blocks:
+            arm = arms[block.leader]
+            calls = [node.func.id for node in ast.walk(arm)
+                     if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name)
+                     and node.func.id in functions]
+            assert not [node for node in ast.walk(arm)
+                        if isinstance(node, (ast.For, ast.While))], \
+                block.leader
             if not block.closed_form:
+                assert calls == [], block.leader
                 continue
+            (name,) = calls
+            called.add(name)
             statements = [
-                node for node in ast.walk(arms[block.leader])
+                node for node in ast.walk(functions[name])
                 if isinstance(node, (ast.For, ast.While))
             ]
             assert [type(node) for node in statements] == [ast.For], \
                 block.leader
             loops += 1
+        assert called == set(functions)
     assert loops > 0
 
 
