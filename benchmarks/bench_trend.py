@@ -8,12 +8,15 @@ calls::
 
 Any **guarded metric** that regressed by more than
 :data:`MAX_REGRESSION` fails the build with a per-metric report. Guarded
-metrics are the ones a guard test enforces a floor for — the FFT-2048
-engine speedup, the batched-stream speedup, and the pool speedup (the
+metrics are the ones a guard test enforces a bound for — the FFT-2048
+engine speedup, the batched-stream speedup and the pool speedup (the
 latter only when *both* snapshots were measured with the guard enforced,
 so a 1-CPU laptop snapshot can never trip the trend gate; the
-``skip_reason`` field says why a side was unenforced). Improvements and
-new metrics always pass — the committed file is a floor, not a pin.
+``skip_reason`` field says why a side was unenforced), where higher is
+better, and the Python calls of a warm FFT-2048 transform, where lower
+is better: a regression is a drop of the former or a rise of the
+latter. Improvements and new metrics always pass — the committed file
+is a bound, not a pin.
 
 The same comparison is published on the metrics bus
 (:func:`publish_rows` — ``repro_bench_guarded_metric`` /
@@ -30,13 +33,15 @@ import sys
 #: Maximum tolerated relative drop of a guarded metric.
 MAX_REGRESSION = 0.10
 
-#: path into the JSON -> condition path that must be truthy on BOTH
-#: sides for the metric to be compared (None = always compared).
+#: path into the JSON -> ``(condition, better)``: the condition path
+#: must be truthy on BOTH sides for the metric to be compared (None =
+#: always compared); ``better`` is ``"higher"`` or ``"lower"``.
 GUARDED_METRICS = {
-    ("speedup",): None,
-    ("stream_windows_per_s", "speedup"): None,
+    ("speedup",): (None, "higher"),
+    ("stream_windows_per_s", "speedup"): (None, "higher"),
     ("pool_windows_per_s", "speedup"):
-        ("pool_windows_per_s", "guard_enforced"),
+        (("pool_windows_per_s", "guard_enforced"), "higher"),
+    ("warm_transform", "python_calls"): (None, "lower"),
 }
 
 
@@ -50,9 +55,11 @@ def _lookup(payload: dict, path: tuple):
 
 
 def compare(committed: dict, regenerated: dict) -> list:
-    """Regression report rows: (metric, old, new, drop, failed)."""
+    """Regression report rows: (metric, old, new, drop, failed), ``drop``
+    the relative loss in the metric's better direction (negative for a
+    gain)."""
     rows = []
-    for path, condition in GUARDED_METRICS.items():
+    for path, (condition, better) in GUARDED_METRICS.items():
         old = _lookup(committed, path)
         new = _lookup(regenerated, path)
         if not isinstance(old, (int, float)) \
@@ -63,6 +70,8 @@ def compare(committed: dict, regenerated: dict) -> list:
         ):
             continue
         drop = (old - new) / old
+        if better == "lower":
+            drop = -drop
         rows.append((
             ".".join(path), float(old), float(new), drop,
             drop > MAX_REGRESSION,
@@ -127,7 +136,7 @@ def main(argv: list) -> int:
         verdict = "FAIL" if bad else "ok"
         print(
             f"[{verdict}] {metric}: committed {old:.4g} -> measured "
-            f"{new:.4g} ({-drop * 100:+.1f}%)"
+            f"{new:.4g} ({(new - old) / old * 100:+.1f}%)"
         )
         failed |= bad
     if not rows:

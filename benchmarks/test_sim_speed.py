@@ -39,6 +39,15 @@ footprint, or the whole SPM when it is unbounded), averaged over the
 compiled launches of one warm served window and of one FFT-2048
 transform. Guarded at no more than half the SPM for both.
 
+Also records the **work of one warm FFT-2048 transform**
+(``warm_transform``): the Python calls and bytecode instructions the
+second of two warm transforms executes, counted with
+:func:`sys.settrace`, and the planner calls it makes (hits and misses
+over every memoized planner). These count the host work around the
+generated code host-independently; the calls are guarded at
+:data:`MAX_WARM_TRANSFORM_CALLS`, and CI's bench-trend gate fails a rise
+of more than 10% over the committed snapshot.
+
 Also records the **codegen** size of the same flow (recorded, not
 guarded): the distinct generated functions of the FFT-2048 program set
 (``_run`` functions and loop functions), their source lines and the
@@ -65,6 +74,7 @@ from repro.engine.compiler import compile_program
 from repro.kernels import KernelRunner, SplitFftEngine
 from repro.kernels.fft2048 import split_fft_reference_int
 from repro.kernels.fir import build_fir_kernel, plan_fir
+from repro.kernels.memo import PLANNERS
 from repro.serve import serve_trace
 from repro.soc.platform import BiosignalSoC
 
@@ -74,6 +84,11 @@ MIN_SPEEDUP = 25.0
 
 #: Measured repetitions per engine (fastest kept).
 REPEATS = 3
+
+#: Python calls one warm FFT-2048 transform may execute: its 44
+#: launches replay a prebuilt schedule (about 3,700 calls, of which 704
+#: are closed-form loop calls and 320 shuffles).
+MAX_WARM_TRANSFORM_CALLS = 4000
 
 
 def _signal(n: int, scale: int = 1000) -> list:
@@ -335,6 +350,42 @@ def _trace_counts(fn) -> tuple:
     finally:
         sys.settrace(previous)
     return tuple(counts)
+
+
+def _planner_calls() -> int:
+    """Planner calls so far (hits and misses) over every memoized
+    planner."""
+    return sum(info.hits + info.misses
+               for info in (p.cache_info() for p in PLANNERS))
+
+
+def test_warm_transform_work():
+    """Python calls, opcodes and planner calls of one warm FFT-2048
+    transform (the second of two warm ones); the calls are guarded."""
+    runner = KernelRunner()
+    fft = SplitFftEngine(runner, 2048)
+    re, im = _signal(2048), _signal(2048, scale=700)
+
+    def transform():
+        runner.reset_sram()
+        fft.run(re, im)
+
+    transform()  # cold
+    transform()  # the first warm transform
+    before = _planner_calls()
+    calls, opcodes = _trace_counts(transform)
+    planner_calls = _planner_calls() - before
+    assert calls <= MAX_WARM_TRANSFORM_CALLS, calls
+    update_bench({
+        "warm_transform": {
+            "metric": "Python work of one warm FFT-2048 transform (the "
+                      "second of two warm ones), counted with settrace",
+            "python_calls": calls,
+            "opcodes": opcodes,
+            "planner_calls": planner_calls,
+            "max_python_calls": MAX_WARM_TRANSFORM_CALLS,
+        },
+    })
 
 
 def _snapshot_words(runner, flow) -> dict:

@@ -26,7 +26,14 @@ from repro.utils.memo import remember
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one kernel execution on the array."""
+    """Outcome of one kernel execution on the array.
+
+    A compiled launch whose count vectors repeat returns the result its
+    launch record stored at their first launch
+    (:meth:`~repro.engine.executor.Launch.fold`), so equal launches may
+    return the same object: its dict fields (``column_steps``,
+    ``superblocks``) are shared and read-only.
+    """
 
     name: str
     cycles: int            #: execution cycles (excludes configuration load)
@@ -179,8 +186,8 @@ class Vwr2a:
             remember(launches, id(config), launch, self.LAUNCH_CAP)
         else:
             stats.analysis_hits += 1
-        for col, program in launch.programs:
-            col.load(program)
+        for col, program, srf_init in launch.programs:
+            col.load(program, srf_init)
         self.events.add_many(launch.load)
         result = executor.run_launch(self, launch, max_cycles)
         self.synchronizer.kernel_finished(name, result.cycles, config.columns)

@@ -24,7 +24,19 @@ from repro.isa.lcu import LCUCmp, LCUOp
 from repro.isa.lsu import LSUOp
 from repro.isa.mxcu import NO_SRF, MXCUOp
 from repro.isa.program import ColumnProgram
+from repro.utils.bits import to_signed32
 from repro.utils.fixed_point import wrap32
+
+
+def srf_pairs(program: ColumnProgram) -> tuple:
+    """``program.srf_init`` as ``(entry, value)`` pairs with each value
+    wrapped to int32, the form :meth:`Column.load` writes as it is (the
+    entries are range-checked when the program is stored,
+    :meth:`~repro.isa.program.ColumnProgram.validate`)."""
+    return tuple(
+        (entry, to_signed32(value))
+        for entry, value in program.srf_init.items()
+    )
 
 
 class Column:
@@ -51,6 +63,7 @@ class Column:
         self.rc_regs = [[0] * params.rc_registers
                         for _ in range(params.rcs_per_column)]
         self.rc_out = [0] * params.rcs_per_column
+        self._rc_out_reset = (0,) * params.rcs_per_column
         self.lcu_regs = [0] * params.lcu_registers
         self.k = 0
         self.pc = 0
@@ -60,16 +73,21 @@ class Column:
 
     # -- kernel loading ----------------------------------------------------
 
-    def load(self, program: ColumnProgram) -> None:
-        """Install a program (already hazard-checked by the top level)."""
+    def load(self, program: ColumnProgram, srf_init: tuple) -> None:
+        """Install a program (already hazard-checked by the top level)
+        and its initial SRF, ``srf_init`` in the form the launch record
+        keeps (:func:`srf_pairs`): written as it is, with no check or
+        wrap per entry."""
         self.program = program
         self.pc = 0
         self.k = 0
         self.done = False
         self.steps = 0
         # In-place reset: the compiled engine's closures capture this list.
-        self.rc_out[:] = [0] * self.params.rcs_per_column
-        self.srf.poke_many(program.srf_init)
+        self.rc_out[:] = self._rc_out_reset
+        data = self.srf._data
+        for entry, value in srf_init:
+            data[entry] = value
 
     # -- whole-column architectural state (no events) ----------------------
 

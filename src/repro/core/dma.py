@@ -7,7 +7,9 @@ SPM narrow port is word-wide — which is what makes the FFT's bit-reversal
 and the FIR kernel's overlapped data layout and sparse-output compaction
 free to *arrange* (though every word still pays its bus and memory
 energy/cycles). So a gather is an ordinary transfer with an address order
-(``order=``), not a second kind of transfer. Both sides are
+(``order=``), not a second kind of transfer: one span check and one
+C-level gather, planned once per tuple order
+(:func:`~repro.core.wordport.gather_plan`). Both sides are
 :class:`~repro.core.wordport.WordPort` memories; the host reaches the DMA
 only through ``BiosignalSoC.dma_to_vwr2a`` / ``dma_from_vwr2a``, which add
 the power check, the DMA-done flag and the CPU sleep.
@@ -66,9 +68,11 @@ class Dma:
         return self.setup_cycles + self.bus.burst_cycles(n_words)
 
 
-def _read(memory, word: int, n_words: int, order) -> list:
-    """A transfer's source words: one checked span, or one batch read at
-    ``word + order[k]``; events are charged per word either way."""
+def _read(memory, word: int, n_words: int, order):
+    """A transfer's source words: one checked span, or one gather of
+    ``word + order[k]`` (:meth:`~repro.core.wordport.WordPort.gather`,
+    planned once per tuple order); events are charged per word either
+    way."""
     if n_words < 0:
         raise AddressError(f"negative transfer length {n_words}")
     if order is None:
@@ -78,4 +82,4 @@ def _read(memory, word: int, n_words: int, order) -> list:
             f"gather order of {len(order)} words for a {n_words}-word "
             "transfer"
         )
-    return memory.read_words([word + index for index in order])
+    return memory.gather(word, order)

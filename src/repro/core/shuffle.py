@@ -23,9 +23,9 @@ from operator import itemgetter
 from repro.isa.fields import ShuffleMode
 from repro.utils.bits import bit_reverse, clog2, is_power_of_two
 
-#: Memoized permutation gathers: (mode, width, slice_words) -> itemgetter
-#: of V indices into the A:B concatenation. The wiring of the hardcoded
-#: unit is static, so every call is one C-level table-driven gather.
+#: Memoized shuffles: (mode, width, slice_words) -> ``gather(a, b)``,
+#: the V result words (a tuple) of the A:B concatenation. The wiring of
+#: the hardcoded unit is static, so every call is one C-level gather.
 _TABLES = {}
 
 
@@ -56,6 +56,32 @@ def _table(mode: ShuffleMode, width: int, slice_words: int) -> list:
     raise ValueError(f"unknown shuffle mode {mode!r}")
 
 
+def shuffler(mode: ShuffleMode, width: int, slice_words: int):
+    """The memoized gather of ``mode`` on two ``width``-word VWRs:
+    ``gather(a, b)`` returns the V result words as a tuple (the compiled
+    engine binds it per mode as ``_shuf{mode}``)."""
+    key = (mode, width, slice_words)
+    gather = _TABLES.get(key)
+    if gather is not None:
+        return gather
+    if not is_power_of_two(width):
+        def gather(a, b):
+            raise ValueError(
+                f"VWR width must be a power of two, got {width}"
+            )
+    else:
+        indices = _table(mode, width, slice_words)
+        if len(indices) == 1:
+            # itemgetter with one index returns a bare item, not a tuple.
+            def gather(a, b, index=indices[0]):
+                return ([*a, *b][index],)
+        else:
+            def gather(a, b, pick=itemgetter(*indices)):
+                return pick([*a, *b])
+    _TABLES[key] = gather
+    return gather
+
+
 def shuffle(a, b, mode: ShuffleMode, slice_words: int = 32) -> list:
     """Apply ``mode`` to VWR contents ``a`` and ``b``; return V words.
 
@@ -65,20 +91,4 @@ def shuffle(a, b, mode: ShuffleMode, slice_words: int = 32) -> list:
     """
     if len(a) != len(b):
         raise ValueError(f"VWR length mismatch: {len(a)} vs {len(b)}")
-    width = len(a)
-    if not is_power_of_two(width):
-        raise ValueError(f"VWR width must be a power of two, got {width}")
-    key = (mode, width, slice_words)
-    gather = _TABLES.get(key)
-    if gather is None:
-        indices = _table(mode, width, slice_words)
-        if len(indices) == 1:
-            # itemgetter with one index returns a bare item, not a tuple.
-            def gather(concat, index=indices[0]):
-                return (concat[index],)
-        else:
-            gather = itemgetter(*indices)
-        _TABLES[key] = gather
-    concat = list(a)
-    concat += b
-    return list(gather(concat))
+    return list(shuffler(mode, len(a), slice_words)(a, b))

@@ -47,8 +47,9 @@ class ScalarRegisterFile:
         self._data[entry] = to_signed32(value)
 
     def poke_many(self, values: dict) -> None:
-        """Batch :meth:`poke` of an ``{entry: value}`` map (one call per
-        kernel load instead of one per initial SRF entry)."""
+        """Batch :meth:`poke` of an ``{entry: value}`` map (a kernel load
+        instead writes its launch record's pre-wrapped pairs,
+        :meth:`~repro.core.column.Column.load`)."""
         data = self._data
         for entry, value in values.items():
             self._check(entry)

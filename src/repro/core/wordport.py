@@ -2,7 +2,10 @@
 
 Both memories are flat lists of int32 words behind a word-granular port:
 the SPM's system side (Sec. 3.2) and the SoC's SRAM (Sec. 4.1). The DMA
-moves words between the two through these ports only. A memory subclasses
+moves words between the two through these ports only; a gathered read
+(:meth:`WordPort.gather`) checks the span its order reaches once and
+reads it as one C-level gather, planned once per tuple order
+(:func:`gather_plan`). A memory subclasses
 :class:`WordPort`, names itself and the events one word access charges,
 and may widen :meth:`WordPort._span_ok` / :meth:`WordPort._check_word`
 (the SRAM adds bank power).
@@ -10,8 +13,38 @@ and may widen :meth:`WordPort._span_ok` / :meth:`WordPort._check_word`
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.core.errors import AddressError
 from repro.utils.bits import int32_words, to_signed32
+from repro.utils.memo import remember
+
+#: ``id(order)`` -> :func:`gather_plan` of each tuple order gathered (a
+#: plan holds its order, so the id stays its own while it is kept).
+_GATHERS = {}
+
+
+def gather_plan(order) -> tuple:
+    """``(order, lo, hi, pick)`` of a gather order: its least and
+    greatest offsets and ``pick``, the C-level gather of the order from
+    the words at offsets ``lo .. hi``. A tuple order (the planners'
+    memoized orders) is planned once; any other is planned per call."""
+    plan = _GATHERS.get(id(order))
+    if plan is None:
+        if not order:
+            plan = (order, 0, -1, lambda words: ())
+        else:
+            lo = min(order)
+            rel = [index - lo for index in order]
+            pick = itemgetter(*rel)
+            if len(rel) == 1:
+                # itemgetter with one index returns a bare item.
+                def pick(words, one=pick):
+                    return (one(words),)
+            plan = (order, lo, max(order), pick)
+        if type(order) is tuple:
+            remember(_GATHERS, id(order), plan)
+    return plan
 
 
 class WordPort:
@@ -34,16 +67,19 @@ class WordPort:
         self._events.add(self.WRITE)
         self._data[addr] = to_signed32(value)
 
-    def read_words(self, addrs) -> list:
-        """Word reads at ``addrs`` (any order, repeats allowed), one event
-        record for the batch."""
-        if addrs:
-            lo = min(addrs)
-            if not self._span_ok(lo, max(addrs) - lo + 1):
-                self._check_each(addrs)
-        self._events.add(self.READ, len(addrs))
-        data = self._data
-        return [data[addr] for addr in addrs]
+    def gather(self, addr: int, order):
+        """Word reads at ``addr + order[k]`` (any order, repeats allowed),
+        one event record for the batch; returns the words as a sequence.
+
+        One check of the span the order reaches (:func:`gather_plan`),
+        then one C-level gather; when that span fails, the word-by-word
+        check names the first bad address in ``order``.
+        """
+        _, lo, hi, pick = gather_plan(order)
+        if order and not self._span_ok(addr + lo, hi - lo + 1):
+            self._check_each([addr + index for index in order])
+        self._events.add(self.READ, len(order))
+        return pick(self._data[addr + lo:addr + hi + 1])
 
     def read_span(self, addr: int, n_words: int) -> list:
         """``n_words`` consecutive word reads as one slice copy."""

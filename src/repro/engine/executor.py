@@ -21,7 +21,12 @@ already says which path runs:
   launch (:meth:`Launch.fold`, a walk of the blocks' static deltas
   memoized per count vectors on the record) — bit-identical to
   per-cycle logging because every bundle's event delta is static (see
-  :mod:`repro.engine.deltas`).
+  :mod:`repro.engine.deltas`). The counts also fix the launch's
+  result, so the memo keeps it: a repeat returns the stored
+  ``RunResult``.
+
+The record also keeps each column's initial SRF wrapped to int32 once,
+the form ``Column.load`` writes as it is on every launch.
 
 Multi-column kernels run one column after another: each column's
 generated function runs to EXIT in turn, and the launch takes as many
@@ -58,9 +63,10 @@ from functools import partial
 # ``Vwr2a`` imports this module: its ``RunResult`` is read at call time.
 from repro.core import cgra
 from repro.core.alu import _simd16
+from repro.core.column import srf_pairs
 from repro.core.errors import AddressError, ProgramError
 from repro.core.events import Ev
-from repro.core.shuffle import shuffle
+from repro.core.shuffle import shuffler
 from repro.engine.compiler import compile_program
 from repro.engine.conflicts import analyze_columns
 from repro.isa.fields import ShuffleMode, Vwr
@@ -84,6 +90,14 @@ def _past_end_error(column_index: int, pc: int) -> ProgramError:
 
 def _raise_srf(entry: int, n_entries: int):
     raise AddressError(f"SRF entry {entry} out of range [0, {n_entries})")
+
+
+#: The SIMD16 lane ops the generated code calls, bound once.
+_SIMD16 = {
+    "_s16a": partial(_simd16, RCOp.SADD16),
+    "_s16s": partial(_simd16, RCOp.SSUB16),
+    "_s16m": partial(_simd16, RCOp.FXPMUL16),
+}
 
 
 class _CounterWrap(Exception):
@@ -118,7 +132,9 @@ class BoundColumn:
     its function, ``fn(limit, counts)``, and of each loop function that
     function calls (bound under its program's name for it, ``_lp{i}``);
     re-running the same kernel afterwards only starts a fresh count
-    vector.
+    vector. Each shuffle mode binds as ``_shuf{mode}`` to the shuffle
+    unit's gather for the column's geometry
+    (:func:`~repro.core.shuffle.shuffler`, memoized per process).
     """
 
     def __init__(self, column, compiled) -> None:
@@ -151,16 +167,14 @@ class BoundColumn:
             "_CounterWrap": _CounterWrap,
             "_past_end_error": _past_end_error,
             "_raise_srf": _raise_srf,
-            "_s16a": partial(_simd16, RCOp.SADD16),
-            "_s16s": partial(_simd16, RCOp.SSUB16),
-            "_s16m": partial(_simd16, RCOp.FXPMUL16),
+            **_SIMD16,
         }
         for i, regs in enumerate(column.rc_regs):
             g[f"R{i}"] = regs
-        slice_words = column.params.slice_words
+        params = column.params
         for mode in ShuffleMode:
-            g[f"_shuf{int(mode)}"] = partial(
-                _mode_shuffle, mode, slice_words
+            g[f"_shuf{int(mode)}"] = shuffler(
+                mode, params.vwr_words, params.slice_words
             )
         return g
 
@@ -186,24 +200,22 @@ class BoundColumn:
         return histogram
 
 
-def _mode_shuffle(mode, slice_words, a, b):
-    return shuffle(a, b, mode, slice_words=slice_words)
-
-
 class Launch:
     """One configuration's launch record on one array.
 
     ``Vwr2a.run`` builds it at the config object's first launch on that
     array and keeps it (``Vwr2a.LAUNCH_CAP``); it holds everything a warm
-    launch reads: the active columns and their programs, the
-    configuration load's ``{config.word, srf.write}`` tally and cycles,
-    the SPM-conflict verdict (``None`` on the reference engine), the
-    columns' bound programs when the verdict is conflict-free with the
-    SPM slices the launch may write (its snapshot), and the memo of
-    launch event folds.
+    launch reads: the active columns, each with its program and that
+    program's initial SRF wrapped to int32 once (the load
+    ``Column.load`` writes as it is), the configuration load's
+    ``{config.word, srf.write}`` tally and cycles, the SPM-conflict
+    verdict (``None`` on the reference engine), the columns' bound
+    programs when the verdict is conflict-free with the SPM slices the
+    launch may write (its snapshot), and the memo of compiled launches'
+    event folds and results.
     """
 
-    #: Launch event folds kept (keyed on the count vectors, FIFO-evicted).
+    #: Launch folds kept (keyed on the count vectors, FIFO-evicted).
     FOLD_CAP = 256
 
     def __init__(self, vwr2a, config, analyze: bool) -> None:
@@ -211,7 +223,10 @@ class Launch:
         programs = config.columns.values()
         self.config = config
         self.active = [vwr2a.columns[col] for col in config.columns]
-        self.programs = list(zip(self.active, programs))
+        self.programs = [
+            (col, program, srf_pairs(program))
+            for col, program in zip(self.active, programs)
+        ]
         self.load = {
             Ev.CONFIG_WORD: sum(len(p.bundles) for p in programs),
             Ev.SRF_WRITE: sum(len(p.srf_init) for p in programs),
@@ -223,7 +238,7 @@ class Launch:
         if self.report is not None and not self.report.conflicts:
             self.bounds = [
                 BoundColumn(col, compile_program(program, params))
-                for col, program in self.programs
+                for col, program, _ in self.programs
             ]
             #: Half-open ``(start, stop)`` slices of every SPM word the
             #: compiled launch may write: what its snapshot copies.
@@ -241,19 +256,21 @@ class Launch:
             **extra,
         )
 
-    def fold(self) -> tuple:
-        """The compiled launch's event totals and loop accounting,
-        memoized per count vectors.
+    def fold(self, cycles: int) -> tuple:
+        """The compiled launch's event totals and result, memoized per
+        count vectors.
 
         Deterministic kernels repeat their execution histograms launch
         after launch, so one walk of the executed blocks' static
-        deltas serves every repeat. Returns ``(totals, events,
-        superblocks)``: the ``{event: count}`` update for the shared
-        tally, inserted in sorted event-name order (so the tally's order,
-        and every float sum downstream, depends only on the events that
-        ticked), the same totals as the sorted ``((event, count), ...)``
-        of ``RunResult.events``, and the closed-form loops' entries and
-        trips.
+        deltas serves every repeat. Returns ``(totals, result)``: the
+        ``{event: count}`` update for the shared tally, inserted in
+        sorted event-name order (so the tally's order, and every float
+        sum downstream, depends only on the events that ticked), and the
+        launch's :class:`~repro.core.cgra.RunResult`, built at the first
+        launch with these counts (``cycles``, the columns' steps) and
+        returned as it is by every repeat: each column's steps are its
+        blocks' counts times their lengths, and ``cycles`` their
+        maximum, so the counts fix every field.
         """
         key = tuple(tuple(bound.counts) for bound in self.bounds)
         fold = self.folds.get(key)
@@ -272,8 +289,11 @@ class Launch:
                         walked[name] = walked.get(name, 0) + n * count
                 loops += sum(counts[len(blocks):])
             totals = {name: walked[name] for name in sorted(walked)}
-            fold = (totals, tuple(totals.items()),
-                    {"accelerated_loops": loops, "accelerated_trips": trips})
+            fold = (totals, self.result(
+                "compiled", cycles, tuple(totals.items()),
+                superblocks={"accelerated_loops": loops,
+                             "accelerated_trips": trips},
+            ))
             remember(self.folds, key, fold, self.FOLD_CAP)
         return fold
 
@@ -369,7 +389,6 @@ def run_launch(vwr2a, launch, max_cycles) -> RunResult:
         _restore_launch(vwr2a, snapshot)
         raise
     decisions["compiled"] += 1
-    totals, events, superblocks = launch.fold()
+    totals, result = launch.fold(cycles)
     vwr2a.events.add_many(totals)
-    return launch.result("compiled", cycles, events,
-                         superblocks=dict(superblocks))
+    return result

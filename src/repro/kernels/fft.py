@@ -26,9 +26,11 @@ unrolled over the per-stage addresses: the host launches
 ``stages x batches_per_column`` kernels, baking all line addresses into
 the SRF init of each launch (the CPU reprograms kernel parameters between
 launches, Sec. 4.2 — the "programming ... of the kernel parameters"
-overhead the paper mentions). Each distinct launch kernel is built once
-per process (:mod:`repro.kernels.memo`) and re-stored as the same object
-on every later transform. Within a batch:
+overhead the paper mentions). The launches of a transform size form one
+schedule (:func:`stage_schedule`), built once per process, geometry and
+table placement (:mod:`repro.kernels.memo`): every later transform, on
+any engine of that size, replays it and re-stores the same objects.
+Within a batch:
 
 * products and combines are Table-1 two-bundle elementwise loops;
 * the final butterflies are *fused* passes producing ``a + wb`` into VWR C
@@ -55,7 +57,11 @@ table is a :class:`TwiddleTable`, resident (staged once at ``prepare``)
 or parked in reserved SRAM and streamed in, whole or one launch's slice
 at a time; and one :class:`~repro.kernels.runner.KernelRun` ledger
 charges the staging, every launch (``add``) and every sub-transform
-(``merge``).
+(``merge``). The complex and split engines take their launches from a
+schedule planner (:func:`stage_schedule`,
+:func:`~repro.kernels.fft2048.combine_schedule`): each launch's
+``(col, unit)`` batch and config, so a warm transform only streams its
+tables and executes configs.
 
 Data is q15-valued in 32-bit words; with 32-bit headroom no per-stage
 scaling is needed up to N = 2048 and the kernel is bit-exact against
@@ -515,35 +521,78 @@ class TwiddleTable:
         return self.line + 2 * (col if self.chunked else q)
 
 
+def fft_plan(params: ArchParams, n: int,
+             resident_tables: bool = None) -> FftPlan:
+    """The plan of an ``n``-point transform. With ``resident_tables``
+    left out, the vector-stage tables stay resident beside the double
+    buffer when the layout fits (up to 512 points with the default
+    32 KiB SPM); larger sizes stream them from SRAM before each stage."""
+    if resident_tables is not None:
+        return FftPlan(n=n, params=params, resident_tables=resident_tables)
+    try:
+        return FftPlan(n=n, params=params)
+    except ConfigurationError:
+        return FftPlan(n=n, params=params, resident_tables=False)
+
+
+@planner
+def stage_schedule(params: ArchParams, n: int,
+                   resident_tables: bool) -> tuple:
+    """Every launch of an ``n``-point transform, built once per geometry,
+    size and table placement, so each engine of that size replays the
+    same objects: per stage, one ``(batch, config)`` per launch, the
+    launch's ``(col, unit)`` pairs (:func:`column_batches`) and its
+    batch kernel (:func:`build_batch_kernel`)."""
+    plan = FftPlan(n=n, params=params, resident_tables=resident_tables)
+    launches = column_batches(plan.batches, params.n_columns)
+    schedule = []
+    for t in range(plan.stages):
+        src_r, src_i, dst_r, dst_i = plan.buffers_for_stage(t)
+        # A stage table fills its lines, so unit q reads lines 2q and
+        # 2q + 1 (TwiddleTable.line_of); the other stages bake theirs.
+        table = plan.table_line_of_stage(t) \
+            if t in plan.vector_stages else None
+        stage = []
+        for launch, batch in enumerate(launches):
+            per_column = {
+                col: BatchAddresses(
+                    xr_pair=src_r + 2 * q,
+                    xi_pair=src_i + 2 * q,
+                    w=None if table is None else table + 2 * q,
+                    imm_twiddles=(
+                        plan.imm_twiddles_for(t, q) if table is None
+                        else None
+                    ),
+                    yr_lo=dst_r + q,
+                    yr_hi=dst_r + plan.batches + q,
+                    yi_lo=dst_i + q,
+                    yi_hi=dst_i + plan.batches + q,
+                    scratch=plan.scratch_line_of(col),
+                )
+                for col, q in batch
+            }
+            stage.append((batch, build_batch_kernel(
+                params, per_column, name=f"cfft{n}_s{t}_l{launch}",
+            )))
+        schedule.append(tuple(stage))
+    return tuple(schedule)
+
+
 class FftEngine:
     """Orchestrates complex FFTs of one size on a runner.
 
-    Each stage launches its batches column by column
-    (:func:`column_batches`) and reads its twiddles as per-RC immediates
-    or from its :class:`TwiddleTable`; one :class:`KernelRun` ledger
-    charges the staging, every launch and the stage-out.
+    Its launches come from :func:`stage_schedule`, built once per
+    geometry, size and table placement; a transform stages its input,
+    streams each stage's :class:`TwiddleTable` when it is not resident,
+    and launches the stage's configs in turn. One :class:`KernelRun`
+    ledger charges the staging, every launch and the stage-out.
     """
 
     def __init__(self, runner: KernelRunner, n: int,
                  resident_tables: bool = None) -> None:
         self.runner = runner
         self.params = runner.soc.params
-        if resident_tables is None:
-            # Vector-stage tables stay resident beside the double buffer
-            # when the layout fits (up to 512 points with the default
-            # 32 KiB SPM); larger sizes stream them from SRAM before each
-            # stage.
-            try:
-                self.plan = FftPlan(n=n, params=self.params)
-            except ConfigurationError:
-                self.plan = FftPlan(
-                    n=n, params=self.params, resident_tables=False
-                )
-        else:
-            self.plan = FftPlan(
-                n=n, params=self.params, resident_tables=resident_tables
-            )
-        plan = self.plan
+        self.plan = plan = fft_plan(self.params, n, resident_tables)
         #: Stage -> table of the vector stages.
         self.tables = {
             t: TwiddleTable(runner, n, t, plan.table_line_of_stage(t),
@@ -572,54 +621,31 @@ class FftEngine:
         require_points(plan.n, re, im)
         self.prepare()
         params = self.params
+        runner = self.runner
         order = bit_reverse_indices(plan.n)
         run = KernelRun(name=f"cfft_{plan.n}")
-        run.dma_in_cycles += self.runner.stage_in(
-            [int(v) for v in re], plan.xr_line * params.line_words,
+        run.dma_in_cycles += runner.stage_in(
+            list(map(int, re)), plan.xr_line * params.line_words,
             order=order,
         )
-        run.dma_in_cycles += self.runner.stage_in(
-            [int(v) for v in im], plan.xi_line * params.line_words,
+        run.dma_in_cycles += runner.stage_in(
+            list(map(int, im)), plan.xi_line * params.line_words,
             order=order,
         )
-
-        launches = column_batches(plan.batches, params.n_columns)
-        for t in range(plan.stages):
+        schedule = stage_schedule(params, plan.n, plan.resident_tables)
+        for t, stage in enumerate(schedule):
             table = self.tables.get(t)
             if table is not None:
                 run.dma_in_cycles += table.stream()
-            src_r, src_i, dst_r, dst_i = plan.buffers_for_stage(t)
-            for launch, batch in enumerate(launches):
-                per_column = {
-                    col: BatchAddresses(
-                        xr_pair=src_r + 2 * q,
-                        xi_pair=src_i + 2 * q,
-                        w=None if table is None else table.line_of(col, q),
-                        imm_twiddles=(
-                            plan.imm_twiddles_for(t, q) if table is None
-                            else None
-                        ),
-                        yr_lo=dst_r + q,
-                        yr_hi=dst_r + plan.batches + q,
-                        yi_lo=dst_i + q,
-                        yi_hi=dst_i + plan.batches + q,
-                        scratch=plan.scratch_line_of(col),
-                    )
-                    for col, q in batch
-                }
-                config = build_batch_kernel(
-                    params, per_column,
-                    name=f"cfft{plan.n}_s{t}_l{launch}",
-                )
-                run.add(self.runner.execute(config))
+            for _, config in stage:
+                run.add(runner.execute(config))
         words = [line * params.line_words for line in plan.result_lines]
-        memory = self.runner.soc.vwr2a.spm
+        memory = runner.soc.vwr2a.spm
         sram = None
         if collect:
-            staged = [self.runner.stage_out_sram(word, plan.n)
-                      for word in words]
+            staged = [runner.stage_out_sram(word, plan.n) for word in words]
             words = sram = tuple(word for word, _ in staged)
-            memory = self.runner.soc.sram
+            memory = runner.soc.sram
             run.dma_out_cycles = sum(cycles for _, cycles in staged)
         return FftRun(re=memory.peek_words(words[0], plan.n),
                       im=memory.peek_words(words[1], plan.n), run=run,

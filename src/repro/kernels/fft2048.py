@@ -34,6 +34,7 @@ from repro.kernels.fft import (
     butterfly_pass,
     cg_fft_reference_int,
     column_batches,
+    fft_plan,
     master_twiddles,
     require_points,
 )
@@ -128,13 +129,45 @@ def _combine_column_program(params: ArchParams, addr: CombineAddresses):
     return kb.build()
 
 
+def combine_lines(plan) -> tuple:
+    """``(er, ei, or, oi)``: the combine's lines over the half transforms'
+    plan. O stays where the second transform finished; E returns into
+    the dead ping-pong buffer."""
+    o_lines = plan.result_lines
+    if o_lines == (plan.xr_line, plan.xi_line):
+        return (plan.yr_line, plan.yi_line) + o_lines
+    return (plan.xr_line, plan.xi_line) + o_lines
+
+
+@planner
+def combine_schedule(params: ArchParams, n: int) -> tuple:
+    """Every combine launch of the split ``n``-point transform, built once
+    per geometry and size: one ``(batch, config)`` per launch, as
+    :func:`~repro.kernels.fft.stage_schedule` gives a stage's."""
+    plan = fft_plan(params, n // 2)
+    er, ei, o_r, o_i = combine_lines(plan)
+    schedule = []
+    for launch, batch in enumerate(column_batches(
+            n // 2 // params.line_words, params.n_columns)):
+        # The table streams one launch's units in: column col's unit
+        # reads lines 2 col and 2 col + 1 (TwiddleTable.line_of).
+        columns = [(col, _combine_column_program, (CombineAddresses(
+            er=er + q, ei=ei + q, o_r=o_r + q, o_i=o_i + q,
+            w=plan.table_line + 2 * col,
+            scratch=plan.scratch_line_of(col),
+        ),)) for col, q in batch]
+        schedule.append((batch, kernel_config(
+            f"cfft{n}_comb_l{launch}", params, *columns
+        )))
+    return tuple(schedule)
+
+
 class SplitFftEngine:
     """2048-point complex FFT as two 1024-point transforms + combine.
 
     Both half transforms' ledgers are merged into this one; the combine
-    launches its batches column by column
-    (:func:`~repro.kernels.fft.column_batches`), each streaming its
-    launch's slice of ``W_2048^k`` from a
+    replays its launch schedule (:func:`combine_schedule`), each launch
+    streaming its slice of ``W_2048^k`` from a
     :class:`~repro.kernels.fft.TwiddleTable` parked in SRAM.
     """
 
@@ -150,16 +183,11 @@ class SplitFftEngine:
         self.n = n
         self.half = n // 2
         self.sub = FftEngine(runner, self.half)
-        self.half_lines = self.half // params.line_words      # 8
-        # Combine layout reuses the sub-FFT buffers: O stays where the
-        # second transform finished; E returns into the dead ping-pong
-        # buffer; W streams into the table region.
+        # Combine layout reuses the sub-FFT buffers (combine_lines); W
+        # streams into the table region.
         plan = self.sub.plan
-        self.or_line, self.oi_line = plan.result_lines
-        if (self.or_line, self.oi_line) == (plan.xr_line, plan.xi_line):
-            self.er_line, self.ei_line = plan.yr_line, plan.yi_line
-        else:
-            self.er_line, self.ei_line = plan.xr_line, plan.xi_line
+        self.er_line, self.ei_line, self.or_line, self.oi_line = \
+            combine_lines(plan)
         w_lines = 2 * params.n_columns
         if max(plan.table_line + w_lines,
                plan.scratch_line + 6 * params.n_columns) \
@@ -193,23 +221,8 @@ class SplitFftEngine:
                 sram_word, line * line_words, self.half
             )
 
-        plan = self.sub.plan
-        launches = column_batches(self.half_lines, params.n_columns)
-        for launch, batch in enumerate(launches):
+        for batch, config in combine_schedule(params, self.n):
             run.dma_in_cycles += self.w.stream(batch)
-            columns = [(col, _combine_column_program, (
-                CombineAddresses(
-                    er=self.er_line + q,
-                    ei=self.ei_line + q,
-                    o_r=self.or_line + q,
-                    o_i=self.oi_line + q,
-                    w=self.w.line_of(col, q),
-                    scratch=plan.scratch_line_of(col),
-                ),
-            )) for col, q in batch]
-            config = kernel_config(
-                f"cfft{self.n}_comb_l{launch}", params, *columns
-            )
             run.add(self.runner.execute(config))
 
         out_re, c1 = self.runner.stage_out(

@@ -18,7 +18,7 @@ import pytest
 from repro.arch import ArchParams
 from repro.asm.builder import ProgramBuilder
 from repro.core.cgra import Vwr2a
-from repro.core.column import Column
+from repro.core.column import Column, srf_pairs
 from repro.core.events import Ev, EventCounters
 from repro.core.spm import Scratchpad
 from repro.engine import executor
@@ -62,7 +62,7 @@ def _reference_delta(bundle) -> dict:
         # Valid SPM addresses for the LSU classes under test.
         srf_init={0: 3, 1: 17, 2: 2, 3: -7},
     )
-    column.load(program)
+    column.load(program, srf_pairs(program))
     before = events.snapshot()
     column.step()
     return events.diff(before)

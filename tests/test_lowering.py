@@ -28,7 +28,7 @@ from repro.arch import ArchParams
 from repro.asm.builder import ProgramBuilder
 from repro.core.alu import alu_execute
 from repro.core.cgra import Vwr2a
-from repro.core.column import Column
+from repro.core.column import Column, srf_pairs
 from repro.core.events import EventCounters
 from repro.core.spm import Scratchpad
 from repro.engine import compiler, superblocks
@@ -159,14 +159,14 @@ def test_generated_alu_matches_reference(op):
                           rc(op, DST_VWR_C, a, b), RC_NOP])
         builder.exit()
         program = builder.build()
-        cmp_.load(program)
+        cmp_.load(program, srf_pairs(program))
         bound = BoundColumn(cmp_, compile_program(program, params))
         for va in EDGES if a_val is None else (a_val,):
             for vb in EDGES if b_val is None else (b_val,):
-                ref.load(program)
+                ref.load(program, srf_pairs(program))
                 _prime(ref, va, vb)
                 ref.step()
-                cmp_.load(program)
+                cmp_.load(program, srf_pairs(program))
                 _prime(cmp_, va, vb)
                 bound.run_to_exit(op.name, 10)
                 expected = alu_execute(op, va, vb)
@@ -185,7 +185,7 @@ def _run_columns(program) -> dict:
     states = {}
     for engine in ("reference", "compiled"):
         col = _column(params)
-        col.load(program)
+        col.load(program, srf_pairs(program))
         if engine == "reference":
             while not col.done:
                 col.step()
@@ -497,10 +497,10 @@ def test_every_storage_write_path_holds_int32(values, bit):
     program = _register_program(params)
     other = sim.columns[1]
     other.state_restore(col.state_snapshot())
-    col.load(program)
+    col.load(program, srf_pairs(program))
     while not col.done:
         col.step()
-    other.load(program)
+    other.load(program, srf_pairs(program))
     BoundColumn(other, compile_program(program, params)).run_to_exit(
         "registers", 10_000
     )

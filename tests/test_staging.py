@@ -27,6 +27,7 @@ _SOC = BiosignalSoC()
 _SOC.with_accelerators()
 WPB = _SOC.sram.words_per_bank
 SPM_SIZE = _SOC.vwr2a.spm.n_words
+SRAM_SIZE = _SOC.sram.n_words
 _RNG = random.Random(11)
 SRAM_WORDS = [
     _RNG.randint(-2**31, 2**31 - 1) for _ in range(_SOC.sram.n_words)
@@ -152,6 +153,55 @@ def test_random_transfers_match_word_by_word(
     if direction == "out":
         src, dst = dst, src
     assert_matches_oracle(direction, contiguous, src, dst, n_or_order)
+
+
+@pytest.mark.parametrize("direction", ["in", "out"])
+@pytest.mark.parametrize("order", [
+    pytest.param(list(reversed(range(200))), id="reversed"),
+    pytest.param([15, 0, 3, 3, 9, 15, 1], id="repeats"),
+    pytest.param([7], id="one-word"),
+    pytest.param([], id="zero-length"),
+])
+def test_tuple_gather_matches_list_gather(direction, order):
+    """A tuple order (planned once and kept) moves the same words and
+    charges the same events as the same order given as a list, on every
+    repeat."""
+    src, dst = (WPB - 8, 256) if direction == "in" else (100, WPB - 4)
+    for _ in range(2):
+        for given in (list(order), tuple(order)):
+            assert_matches_oracle(direction, False, src, dst, given)
+
+
+@settings(derandomize=True, max_examples=EXAMPLES, deadline=None)
+@given(
+    direction=st.sampled_from(["in", "out"]),
+    src=st.integers(0, 2 * WPB),
+    dst=st.integers(0, SPM_SIZE - 64),
+    order=st.lists(st.integers(0, 63), max_size=64),
+)
+def test_random_tuple_gathers_match_word_by_word(direction, src, dst, order):
+    if direction == "out":
+        src, dst = dst, src
+    assert_matches_oracle(direction, False, src, dst, tuple(order))
+
+
+@pytest.mark.parametrize("direction", ["in", "out"])
+def test_tuple_gather_past_the_memory_names_the_first_bad_address(
+    direction,
+):
+    order = (2, 9, 5, 12, 0)
+    if direction == "in":   # the gather reads the SRAM past its end
+        src, dst, name, size = SRAM_SIZE - 10, 0, "SRAM", SRAM_SIZE
+    else:                   # the gather reads the SPM past its end
+        src, dst, name, size = SPM_SIZE - 10, 40, "SPM", SPM_SIZE
+    dma, oracle = _transfer(direction, False, src, dst, order)
+    fast, slow = _platform(), _platform()
+    for _ in range(2):
+        message = _errors(lambda: dma(fast))
+        assert message == _errors(lambda: oracle(slow))
+    assert message.startswith(
+        f"{name} word address {size + 2} out of range"
+    )
 
 
 def _errors(call) -> str:
